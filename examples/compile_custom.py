@@ -22,12 +22,13 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.api import (
-    HybridCompiler,
+    Session,
     get_stencil,
     parse_stencil,
     register_from_source,
     unregister,
 )
+from repro.tiling.validate import validate_hybrid_tiling
 
 
 def main() -> None:
@@ -48,17 +49,19 @@ def main() -> None:
     small = get_stencil(program.name, sizes=(20, 20), steps=8)
 
     # 3. compile, validate and simulate the small instance.
-    compiler = HybridCompiler()
-    compiled = compiler.compile(small)
-    print(compiled.describe())
-    print(f"schedule validation: {compiled.validate()}")
-    compiled.simulate_and_check()
+    session = Session()
+    run = session.run(small)
+    tiling = run.artifact("tiling").tiling
+    print(tiling.describe())
+    print(run.artifact("memory").plan.describe())
+    print(f"schedule validation: {validate_hybrid_tiling(tiling)}")
+    run.simulate_and_check()
     print("functional simulation matches the NumPy reference")
     print()
 
     # 4. performance prediction at the full size declared in the source.
-    full = compiler.compile(program)
-    print(full.estimate_performance().summary())
+    full = session.run(program, stop_after="analysis")
+    print(full.artifact("analysis").report.summary())
 
     unregister(program.name)
 

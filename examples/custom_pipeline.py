@@ -1,8 +1,7 @@
 #!/usr/bin/env python3
 """Drive the staged pipeline API: prefixes, injection, strategies, timings.
 
-Everything the monolithic ``HybridCompiler.compile()`` hides, step by step,
-using only :mod:`repro.api`:
+The staged pipeline step by step, using only :mod:`repro.api`:
 
 1. run a pipeline *prefix* (``stop_after="tiling"``) and inspect the typed
    :class:`TilingPlan` artifact;
@@ -59,9 +58,8 @@ def main() -> None:
         baseline.artifact("codegen").cuda_source
     print(f"generated CUDA identical: {same} (expected: False — the tiling "
           "changed)")
-    result = injected.result()
-    result.simulate_and_check()
-    print("injected pipeline validates and simulates correctly")
+    injected.simulate_and_check()
+    print("injected pipeline simulates correctly")
     print()
 
     # 3. Strategies are selected by name, not by class wiring.

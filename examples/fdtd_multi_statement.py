@@ -24,11 +24,12 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.api import HybridCompiler
+from repro.api import Session
 from repro.gpu.device import GTX470
 from repro.model.dependences import compute_dependences
 from repro.stencils import get_stencil
 from repro.tiling.hybrid import TileSizes
+from repro.tiling.validate import validate_hybrid_tiling
 
 
 def main() -> None:
@@ -39,26 +40,27 @@ def main() -> None:
         print(f"  {dependence}")
     print()
 
-    compiler = HybridCompiler()
-    compiled = compiler.compile(small, tile_sizes=TileSizes.of(2, 3, 6))
-    print(compiled.describe())
+    session = Session(GTX470)
+    run = session.run(small, tile_sizes=TileSizes.of(2, 3, 6))
+    tiling = run.artifact("tiling").tiling
+    print(tiling.describe())
+    print(run.artifact("memory").plan.describe())
     print()
-    print(f"validation: {compiled.validate()}")
-    simulation = compiled.simulate_and_check()
+    print(f"validation: {validate_hybrid_tiling(tiling)}")
+    simulation = run.simulate_and_check()
     print(f"functional simulation matches the reference on all three fields "
           f"({simulation.tiles_executed} tiles executed)\n")
 
     # Performance at paper scale, with the statement-aligned tile height h=5
     # (h+1 = 6 is a multiple of 3 statements).
-    full = compiler.compile(get_stencil("fdtd_2d"), tile_sizes=TileSizes.of(5, 4, 64))
-    report = full.estimate_performance(GTX470)
+    full = session.run(
+        get_stencil("fdtd_2d"), tile_sizes=TileSizes.of(5, 4, 64), stop_after="analysis"
+    )
+    report = full.artifact("analysis").report
     print(f"paper-scale estimate on {GTX470.name}: {report.summary()}")
     print()
     print("generated phase-0 kernel (head):")
-    kernel_lines = [
-        line for line in full.cuda_source.splitlines() if "fdtd_2d_phase0" in line or True
-    ]
-    print("\n".join(full.cuda_source.splitlines()[8:40]))
+    print("\n".join(full.artifact("codegen").cuda_source.splitlines()[8:40]))
 
 
 if __name__ == "__main__":

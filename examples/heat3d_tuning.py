@@ -19,7 +19,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.api import HybridCompiler, table4_configurations
+from repro.api import Session, table4_configurations
 from repro.gpu.device import GTX470, NVS5200M
 from repro.model.preprocess import canonicalize
 from repro.stencils import get_stencil
@@ -55,12 +55,14 @@ def optimisation_ladder() -> None:
     program = get_stencil("heat_3d")
     sizes = TileSizes.of(2, 7, 10, 32)
     for device in (NVS5200M, GTX470):
-        compiler = HybridCompiler(device)
+        session = Session(device)
         print(f"\n{device}")
         for label, config in table4_configurations().items():
-            compiled = compiler.compile(program, tile_sizes=sizes, config=config)
-            report = compiled.estimate_performance(device)
-            counters = compiled.execution_estimate(device).counters
+            run = session.run(
+                program, tile_sizes=sizes, config=config, stop_after="analysis"
+            )
+            analysis = run.artifact("analysis")
+            report, counters = analysis.report, analysis.estimate.counters
             print(
                 f"  ({label}) {report.gflops:7.1f} GFLOPS  "
                 f"{report.gstencils_per_second:5.2f} GStencils/s  "

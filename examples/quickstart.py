@@ -20,10 +20,13 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.api import HybridCompiler
+from repro.api import Session
+from repro.codegen.analysis import AnalyticProfiler
+from repro.codegen.ptx import emit_core_ptx
 from repro.gpu.device import GTX470, NVS5200M
 from repro.stencils import get_stencil
 from repro.tiling.hybrid import TileSizes
+from repro.tiling.validate import validate_hybrid_tiling
 
 
 def main() -> None:
@@ -34,35 +37,43 @@ def main() -> None:
     print("input program (Figure 1):")
     print(program.c_source())
 
-    compiler = HybridCompiler()
-    compiled = compiler.compile(program, tile_sizes=TileSizes.of(3, 3, 8))
-    print(compiled.describe())
+    session = Session()  # GTX 470, hybrid strategy, no disk cache
+    run = session.run(program, tile_sizes=TileSizes.of(3, 3, 8))
+    tiling = run.artifact("tiling").tiling
+    print(tiling.describe())
+    print(run.artifact("memory").plan.describe())
     print()
 
-    report = compiled.validate()
+    report = validate_hybrid_tiling(tiling)
     print(f"schedule validation: {report}")
 
-    simulation = compiled.simulate_and_check()
+    simulation = run.simulate_and_check()
     print(
         f"functional simulation matches the reference "
         f"({simulation.tiles_executed} tiles, {simulation.full_tiles} full)"
     )
     print()
 
-    ptx = compiled.core_ptx()
+    ptx = emit_core_ptx(program)
     print("core-loop pseudo-PTX (compare with Figure 2):")
     print(ptx.text)
     print(f"-> {ptx.shared_loads} shared loads, {ptx.shared_stores} store, "
           f"{ptx.arithmetic} arithmetic ops, {ptx.registers_reused} values reused\n")
 
     # Performance prediction at the paper's problem size.
-    full_program = get_stencil("jacobi_2d")
-    full = compiler.compile(full_program, tile_sizes=TileSizes.of(3, 4, 64))
+    # One tiling, profiled and estimated on each of the paper's two GPUs.
+    full = session.run(get_stencil("jacobi_2d"), tile_sizes=TileSizes.of(3, 4, 64))
     for device in (GTX470, NVS5200M):
-        print(full.estimate_performance(device).summary())
+        estimate = AnalyticProfiler(
+            full.artifact("tiling").tiling,
+            full.artifact("memory").plan,
+            full.request.config,
+            device,
+        ).estimate()
+        print(estimate.performance(device).summary())
 
     print("\nfirst lines of the generated CUDA code:")
-    print("\n".join(compiled.cuda_source.splitlines()[:30]))
+    print("\n".join(run.artifact("codegen").cuda_source.splitlines()[:30]))
 
 
 if __name__ == "__main__":

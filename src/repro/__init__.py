@@ -14,9 +14,9 @@ described in the paper:
 * experiment harnesses regenerating every table and figure
   (:mod:`repro.experiments`).
 
-The supported library surface is :mod:`repro.api` — the staged pipeline
-(:class:`repro.api.Session`) plus the classic :class:`HybridCompiler` façade
-— together with the helpers in :mod:`repro.stencils`.
+The supported library surface is :mod:`repro.api` — its one entry point is
+the staged pipeline :class:`repro.api.Session` — together with the helpers
+in :mod:`repro.stencils`.
 """
 
 from importlib import import_module
@@ -27,8 +27,6 @@ __version__ = "1.0.0"
 # Public names re-exported lazily so that importing a submodule (for example
 # ``repro.polyhedral``) does not pull in the whole compiler stack.
 _EXPORTS = {
-    "HybridCompiler": "repro.compiler",
-    "CompilationResult": "repro.compiler",
     "Session": "repro.api",
     "OptimizationConfig": "repro.api",
     "TileSizes": "repro.api",

@@ -2,12 +2,11 @@
 
 This package is the supported library surface of the reproduction.  Clients
 (the ``hexcc`` CLI, the bench runner, the experiment harnesses, the examples
-and downstream users) program against it instead of reaching into
-``repro.compiler`` internals:
+and downstream users) program against it:
 
-* :class:`Session` / :class:`PipelineRun` — the staged pass pipeline with
-  typed artifacts, ``stop_after=``, artifact injection and per-pass
-  instrumentation;
+* :class:`Session` / :class:`PipelineRun` — the one entry point: the staged
+  pass pipeline with typed artifacts, ``stop_after=``, artifact injection,
+  per-pass instrumentation and :meth:`PipelineRun.simulate_and_check`;
 * the artifact types (:class:`ParsedProgram` → :class:`CanonicalIR` →
   :class:`TilingPlan` → :class:`MemoryPlan` → :class:`GeneratedCode` →
   :class:`AnalysisBundle` → :class:`VerificationReport`) and the
@@ -16,10 +15,7 @@ and downstream users) program against it instead of reaching into
   :func:`list_strategies`) selecting ``hybrid`` / ``classical`` / ``diamond``
   tilings by name;
 * the compilation options (:class:`OptimizationConfig`, :class:`TileSizes`,
-  :func:`table4_configurations`), absorbed from the deprecated
-  ``repro.pipeline`` module;
-* the classic façades (:class:`HybridCompiler`, :class:`CompilationResult`),
-  now thin wrappers over a :class:`Session` run.
+  :func:`table4_configurations`).
 
 The names below are re-exported lazily so importing :mod:`repro.api` stays
 cheap; ``__all__`` is pinned by an API-snapshot test
@@ -58,9 +54,6 @@ _EXPORTS = {
     "PipelineError": "repro.api.errors",
     "StrategyError": "repro.api.errors",
     "SimulationMismatchError": "repro.api.errors",
-    # classic façades
-    "HybridCompiler": "repro.compiler",
-    "CompilationResult": "repro.compiler",
     # program sources: the stencil library and the C front end
     "get_stencil": "repro.stencils",
     "list_stencils": "repro.stencils",

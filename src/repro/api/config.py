@@ -13,9 +13,6 @@ row    configuration
 (e)    (d) + inter-tile value reuse with a *static* shared mapping
 (f)    (d) + inter-tile value reuse with a *dynamic* shared mapping
 =====  ==============================================================
-
-This module used to live at :mod:`repro.pipeline`; that name remains as a
-deprecated alias.
 """
 
 from __future__ import annotations

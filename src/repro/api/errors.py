@@ -14,7 +14,6 @@ class StrategyError(PipelineError):
 class SimulationMismatchError(PipelineError, AssertionError):
     """Functional simulation diverged from the NumPy reference interpreter.
 
-    Subclasses :class:`AssertionError` for backwards compatibility with
-    callers of :meth:`CompilationResult.simulate_and_check` written before
-    this type existed.
+    Raised by :meth:`repro.api.PipelineRun.simulate_and_check`.  Also an
+    :class:`AssertionError`, so test code may catch it as a failed check.
     """

@@ -5,9 +5,9 @@ target device, the tiling-strategy selection, a pass-granular in-memory LRU
 and (optionally) the persistent on-disk artefact cache, and it orchestrates
 the passes of :data:`repro.api.passes.PIPELINE_PASSES`:
 
-``parse → canonicalize → tiling → memory → codegen → analysis``
+``parse → canonicalize → tiling → memory → codegen → analysis → verify``
 
-Key capabilities the monolithic ``HybridCompiler.compile()`` never exposed:
+What a run offers:
 
 * ``stop_after="tiling"`` — run any prefix of the pipeline and inspect the
   typed artifact it produced;
@@ -15,13 +15,13 @@ Key capabilities the monolithic ``HybridCompiler.compile()`` never exposed:
   artifact (e.g. a custom :class:`TilingPlan`) and let the downstream passes
   consume it;
 * per-pass instrumentation — every run records a :class:`PassEvent` (wall
-  time, cache provenance, artifact counters) per executed pass, and
-  observers receive events as they happen;
+  time from the pass span, cache provenance, artifact counters) per
+  executed pass;
 * caching at **pass granularity** — unchanged prefixes of the pipeline are
   reused from the in-memory LRU or the disk cache even when downstream
-  options (optimisation configuration, thread shape, device) change.
-
-:class:`repro.compiler.HybridCompiler` is a thin façade over this class.
+  options (optimisation configuration, thread shape, device) change;
+* :meth:`PipelineRun.simulate_and_check` — functional simulation of the
+  tiled program, checked against the NumPy reference interpreter.
 """
 
 from __future__ import annotations
@@ -29,16 +29,15 @@ from __future__ import annotations
 import hashlib
 import os
 import time
-import warnings
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from collections.abc import Callable, Iterable, Mapping
-from typing import Any
+from collections.abc import Mapping
+from typing import TYPE_CHECKING, Any
 
 from repro import obs
 from repro.api.artifacts import STAGE_ARTIFACTS, STAGES
 from repro.api.config import OptimizationConfig
-from repro.api.errors import PipelineError, StrategyError
+from repro.api.errors import PipelineError, SimulationMismatchError, StrategyError
 from repro.api.passes import PIPELINE_PASSES
 from repro.api.strategies import get_strategy
 from repro.cache import DiskCache
@@ -46,8 +45,10 @@ from repro.gpu.device import GPUDevice, GTX470
 from repro.model.program import StencilProgram
 from repro.tiling.hybrid import TileSizes
 
-#: Stage the façade (and ``Session.run`` by default) stops after: analysis is
-#: cheap but on-demand, matching the lazy ``CompilationResult`` accessors.
+if TYPE_CHECKING:
+    from repro.gpu.simulator import SimulationResult
+
+#: Stage ``Session.run`` stops after by default.
 DEFAULT_STOP = "codegen"
 
 #: Deliberate per-pass slowdowns, e.g. ``HEXCC_FAULT_DELAY=tiling:40`` (ms,
@@ -170,24 +171,34 @@ class PipelineRun:
         """Per-pass wall time in seconds, keyed by pass name."""
         return {event.name: event.wall_s for event in self.events}
 
-    def result(self):
-        """The classic :class:`repro.compiler.CompilationResult` façade view."""
-        from repro.compiler import CompilationResult
+    def simulate_and_check(self, seed: int = 0) -> SimulationResult:
+        """Simulate the tiled program and compare it with the NumPy reference.
 
-        code = self.artifact("codegen")
-        plan = self.artifact("tiling")
-        canonical_ir = self.artifact("canonicalize")
-        return CompilationResult(
-            program=canonical_ir.canonical.program,
-            canonical=canonical_ir.canonical,
-            tiling=plan.tiling,
-            config=self.request.config,
-            shared_plan=self.artifact("memory").plan,
-            cuda_source=code.cuda_source,
-            core_profiles=list(code.core_profiles),
-            tile_cost=plan.tile_cost,
-            device=self.request.device,
+        Needs the ``tiling`` and ``memory`` stages (small problem sizes only:
+        the simulator executes every instance).  Returns the
+        :class:`repro.gpu.simulator.SimulationResult`; raises
+        :class:`SimulationMismatchError` when the final fields diverge.
+        """
+        from repro.gpu.simulator import FunctionalSimulator
+
+        program = self.artifact("parse").program
+        simulator = FunctionalSimulator(
+            self.artifact("tiling").tiling,
+            self.artifact("memory").plan,
+            self.request.config,
         )
+        initial = program.initial_state(seed)
+        result = simulator.run(
+            initial={k: v.copy() for k, v in initial.items()}, seed=seed
+        )
+        reference = program.run_reference(
+            initial={k: v.copy() for k, v in initial.items()}
+        )
+        if not result.matches_reference(reference):
+            raise SimulationMismatchError(
+                f"functional simulation of {program.name} diverges from the reference"
+            )
+        return result
 
     def describe(self) -> str:
         """Human-readable stage-by-stage dump (used by ``hexcc inspect``)."""
@@ -203,7 +214,7 @@ class PipelineRun:
 
 
 class Session:
-    """A configured pipeline: device + strategy + caches + observers.
+    """A configured pipeline: device + strategy + caches + telemetry.
 
     Parameters
     ----------
@@ -215,15 +226,6 @@ class Session:
     disk_cache:
         Optional persistent artefact cache shared across processes; artifacts
         are stored at pass granularity.
-    cache_capacity:
-        Size of the in-memory pass-artifact LRU.
-    observers:
-        Callables invoked with each :class:`PassEvent` as passes finish.
-        This is the legacy instrumentation surface, kept as a thin shim over
-        the telemetry layer: dispatch is exception-safe (a raising observer
-        is counted in the ``session.observer_errors`` metric and warned
-        about once per session, never aborting the compile).  New code
-        should prefer ``telemetry=``.
     tuning_db:
         Where ``run(tuned=True)`` looks best known configurations up: a
         :class:`repro.tuning.TuningDatabase`, a path to one, or ``None`` for
@@ -238,13 +240,14 @@ class Session:
         cache, engine fan-outs, strategies) records into it too.
     """
 
+    #: Size of the in-memory pass-artifact LRU.
+    CACHE_CAPACITY = 256
+
     def __init__(
         self,
         device: GPUDevice = GTX470,
         strategy: str = "hybrid",
         disk_cache: DiskCache | None = None,
-        cache_capacity: int = 256,
-        observers: Iterable[Callable[[PassEvent], None]] = (),
         tuning_db: Any = None,
         telemetry: obs.Telemetry | None = None,
     ) -> None:
@@ -252,12 +255,9 @@ class Session:
         self.device = device
         self.strategy = strategy
         self.disk_cache = disk_cache
-        self.cache_capacity = cache_capacity
-        self.observers = tuple(observers)
         self.tuning_db = tuning_db
         self.telemetry = telemetry
         self._artifact_cache: OrderedDict[str, Any] = OrderedDict()
-        self._observer_warned = False
 
     # -- tuned-config resolution --------------------------------------------------
 
@@ -527,33 +527,9 @@ class Session:
                 source=source,
                 wall_ms=round(event.wall_s * 1e3, 6),
             )
-            self._notify_observers(event, telemetry)
             if pipeline_pass.name == stop:
                 break
         return artifacts, events
-
-    def _notify_observers(self, event: PassEvent, telemetry: obs.Telemetry) -> None:
-        """Exception-safe observer dispatch (the legacy instrumentation shim).
-
-        A raising observer must never abort a compile mid-pipeline: the
-        failure is counted in the ``session.observer_errors`` metric and
-        warned about once per session, then dispatch continues.
-        """
-        for observer in self.observers:
-            try:
-                observer(event)
-            except Exception as error:  # noqa: BLE001 — observer code is foreign
-                telemetry.metrics.count("session.observer_errors")
-                if not self._observer_warned:
-                    self._observer_warned = True
-                    warnings.warn(
-                        f"pass-event observer {observer!r} raised "
-                        f"{type(error).__name__}: {error}; further observer "
-                        "failures in this session are counted in the "
-                        "session.observer_errors metric and ignored",
-                        RuntimeWarning,
-                        stacklevel=4,
-                    )
 
     # -- cache layering -----------------------------------------------------------
 
@@ -583,7 +559,7 @@ class Session:
         return artifact, "computed"
 
     def _remember(self, key: str, artifact: Any) -> None:
-        if len(self._artifact_cache) >= self.cache_capacity:
+        if len(self._artifact_cache) >= self.CACHE_CAPACITY:
             self._artifact_cache.popitem(last=False)
         self._artifact_cache[key] = artifact
         self._artifact_cache.move_to_end(key)

@@ -2,10 +2,10 @@
 
 Two suites measure the cost of this reproduction's own machinery:
 
-* **compile** — the full :class:`~repro.api.HybridCompiler` pipeline on
+* **compile** — a :class:`~repro.api.Session` run through ``codegen`` on
   every stencil at its paper-scale problem size, with model-selected tile
-  sizes.  Each repeat uses a fresh compiler so the in-memory memo does not
-  short-circuit the measurement; with a disk cache
+  sizes.  Each repeat uses a fresh session so its in-memory pass LRU does
+  not short-circuit the measurement; with a disk cache
   (:class:`~repro.cache.DiskCache`) attached, the warmup populates or hits
   the persistent entry and the repeats measure the steady cross-run state
   (pass no cache to measure the raw pipeline).  The recorded counters are
@@ -91,34 +91,38 @@ def measure_compile_stencil(
 
     Returns ``(stencil, report_entry, cache_counters)``.
     """
-    from repro.api import HybridCompiler
+    from repro.api import Session
+    from repro.codegen.analysis import AnalyticProfiler
     from repro.stencils import get_stencil
 
     program = get_stencil(name)
     # Warmup: process-wide caches, page-in; with a disk cache this is also
     # the compile that populates (or hits) the persistent entry, so the
     # measured repeats below see the steady cross-run state.
-    HybridCompiler(disk_cache=disk_cache).compile(program)
+    Session(disk_cache=disk_cache).run(program)
     runs: list[float] = []
     stage_runs: dict[str, list[float]] = {}
     stage_sources: dict[str, dict[str, int]] = {}
-    result = None
-    compiler = None
+    run = None
     with obs.span("bench.measure", suite="compile", stencil=name, repeats=repeats):
         for _ in range(repeats):
-            compiler = HybridCompiler(disk_cache=disk_cache)
-            elapsed, result = _time_call(lambda: compiler.compile(program))
+            session = Session(disk_cache=disk_cache)
+            elapsed, run = _time_call(lambda: session.run(program))
             runs.append(elapsed)
             # Per-stage wall times from the pass spans of the measured run,
             # keyed by span name so bench, inspect and profile agree; the
             # cache provenance rides along so regression attribution can
             # tell a pass regression from a cold-vs-warm-cache flip.
-            for event in compiler.last_run.events:
+            for event in run.events:
                 key = f"pass.{event.name}"
                 stage_runs.setdefault(key, []).append(event.wall_s)
                 counts = stage_sources.setdefault(key, {})
                 counts[event.source] = counts.get(event.source, 0) + 1
-    estimate = result.execution_estimate()
+    tiling = run.artifact("tiling").tiling
+    config = run.request.config
+    estimate = AnalyticProfiler(
+        tiling, run.artifact("memory").plan, config, run.request.device
+    ).estimate()
     entry = {
         "wall_s": timing_entry(runs),
         "timings": {
@@ -130,10 +134,10 @@ def measure_compile_stencil(
             "sizes": list(program.sizes),
             "steps": program.time_steps,
             "tile_sizes": {
-                "h": result.tiling.sizes.height,
-                "w": list(result.tiling.sizes.widths),
+                "h": tiling.sizes.height,
+                "w": list(tiling.sizes.widths),
             },
-            "config": result.config.label,
+            "config": config.label,
         },
     }
     return name, entry, _flush_cache(disk_cache)
@@ -143,21 +147,31 @@ def measure_simulate_stencil(
     name: str, repeats: int, disk_cache: DiskCache | None = None
 ) -> tuple[str, dict[str, Any], dict[str, int]]:
     """One simulate-suite measurement (picklable; runs in engine workers)."""
-    from repro.api import HybridCompiler
+    from repro.api import Session
+    from repro.gpu.simulator import FunctionalSimulator
     from repro.stencils import get_definition, get_stencil
+    from repro.tiling.validate import validate_hybrid_tiling
 
     definition = get_definition(name)
     sizes, steps = _SIMULATE_INSTANCES[definition.dimensions]
     program = get_stencil(name, sizes=sizes, steps=steps)
-    compiled = HybridCompiler(disk_cache=disk_cache).compile(program)
+    run = Session(disk_cache=disk_cache).run(program)
+    tiling = run.artifact("tiling").tiling
+    plan = run.artifact("memory").plan
+
+    def validate():
+        return validate_hybrid_tiling(tiling)
+
+    def simulate():
+        return FunctionalSimulator(tiling, plan, run.request.config).run(seed=0)
 
     # Warmup: the first validate/simulate populates the point-enumeration
     # and schedule-array memos; the gate should measure the stable,
     # deterministic warm path.
-    report = compiled.validate()
+    report = validate()
     if not report.ok:
         raise RuntimeError(f"{name}: schedule validation failed: {report}")
-    compiled.simulate(seed=0)
+    simulate()
 
     validate_runs: list[float] = []
     simulate_runs: list[float] = []
@@ -165,12 +179,10 @@ def measure_simulate_stencil(
     simulation = None
     with obs.span("bench.measure", suite="simulate", stencil=name, repeats=repeats):
         for _ in range(repeats):
-            elapsed_validate, report = _time_call(compiled.validate)
+            elapsed_validate, report = _time_call(validate)
             if not report.ok:
                 raise RuntimeError(f"{name}: schedule validation failed: {report}")
-            elapsed_simulate, simulation = _time_call(
-                lambda: compiled.simulate(seed=0)
-            )
+            elapsed_simulate, simulation = _time_call(simulate)
             validate_runs.append(elapsed_validate)
             simulate_runs.append(elapsed_simulate)
             total_runs.append(elapsed_validate + elapsed_simulate)

@@ -1,6 +1,6 @@
 """Persistent, content-addressed caching of compilation artefacts.
 
-The in-memory memo of :class:`repro.compiler.HybridCompiler` dies with the
+The in-memory pass-artifact LRU of :class:`repro.api.Session` dies with the
 interpreter; this package adds the on-disk layer underneath it (the PyOP2
 model: array-level execution plus disk-cached compiled artefacts), so
 repeated ``hexcc`` / bench / experiment invocations — and the worker

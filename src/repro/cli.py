@@ -54,7 +54,6 @@ import sys
 from repro import obs
 from repro.api import (
     STAGES,
-    HybridCompiler,
     PipelineError,
     Session,
     TileSizes,
@@ -136,21 +135,18 @@ def _cmd_list(_: argparse.Namespace) -> int:
 
 
 def _compile_and_report(program, args: argparse.Namespace) -> int:
-    from repro.tuning import TuningDatabase
-
     cache = _disk_cache(args)
     tile_sizes = _parse_tile_sizes(args)
     # Explicit --widths always win; only announce a tuned config when the
     # session will actually apply one.
-    tuned = getattr(args, "tuned", False) and tile_sizes is None
-    tuning_db = None
-    if tuned:
-        tuning_db = TuningDatabase.load(getattr(args, "tuning_db", None))
-    compiler = HybridCompiler(
-        _get_device_checked(args.device), disk_cache=cache, tuning_db=tuning_db
+    tuned = args.tuned and tile_sizes is None
+    # --tuning-db is a path or None: the session loads the database only
+    # when a tuned run asks for it.
+    session = Session(
+        _get_device_checked(args.device), disk_cache=cache, tuning_db=args.tuning_db
     )
     if tuned:
-        entry = compiler.session.resolve_tuned(program)
+        entry = session.resolve_tuned(program)
         if entry is not None:
             best = entry["best"]
             widths = ",".join(str(w) for w in best["widths"])
@@ -165,29 +161,33 @@ def _compile_and_report(program, args: argparse.Namespace) -> int:
                 "falling back to the model selection "
                 "(run `hexcc tune` to populate the database)"
             )
-    compiled = compiler.compile(program, tile_sizes=tile_sizes, tuned=tuned)
+    run = session.run(
+        program, tile_sizes=tile_sizes, tuned=tuned, stop_after="analysis"
+    )
     _flush_cache(cache)
-    print(compiled.describe())
+    print(f"compilation of {program.name} ({run.request.config.label})")
+    print(run.artifact("tiling").tiling.describe())
+    print(run.artifact("memory").plan.describe())
     print()
-    print(compiled.estimate_performance().summary())
+    print(run.artifact("analysis").report.summary())
     if args.show_cuda:
         print()
-        print(compiled.cuda_source)
+        print(run.artifact("codegen").cuda_source)
     return EXIT_OK
 
 
 def _validate_and_report(program, args: argparse.Namespace) -> int:
+    from repro.tiling.validate import validate_hybrid_tiling
+
     cache = _disk_cache(args)
-    compiled = HybridCompiler(disk_cache=cache).compile(
-        program, tile_sizes=_parse_tile_sizes(args)
-    )
+    run = Session(disk_cache=cache).run(program, tile_sizes=_parse_tile_sizes(args))
     _flush_cache(cache)
-    report = compiled.validate()
+    report = validate_hybrid_tiling(run.artifact("tiling").tiling)
     print(report)
     if not report.ok:
         print("schedule validation failed", file=sys.stderr)
         return EXIT_FAILURE
-    compiled.simulate_and_check()
+    run.simulate_and_check()
     print("functional simulation matches the NumPy reference")
     return EXIT_OK
 
@@ -427,13 +427,29 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_FAILURE if failures else EXIT_OK
 
 
+def _positive_int(text: str) -> int:
+    """Argparse type of a grid extent or step count (zero means no instances)."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 def _sizes_arg(text: str) -> tuple[int, ...]:
     try:
-        return tuple(int(part) for part in text.split(","))
+        sizes = tuple(int(part) for part in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected comma separated integers (e.g. 16,16), got {text!r}"
         )
+    if any(size <= 0 for size in sizes):
+        raise argparse.ArgumentTypeError(
+            f"grid extents must be positive, got {text!r}"
+        )
+    return sizes
 
 
 def _load_stencil_file(args: argparse.Namespace):
@@ -632,7 +648,7 @@ def _trace_config_compile(job: tuple[str, str, str | None]) -> str:
     stencil, label, cache_root = job
     cache = DiskCache(cache_root) if cache_root else None
     config = table4_configurations()[label]
-    HybridCompiler(disk_cache=cache).compile(get_stencil(stencil), config=config)
+    Session(disk_cache=cache).run(get_stencil(stencil), config=config)
     if cache is not None:
         cache.flush_stats()
     return label
@@ -777,58 +793,6 @@ def _cmd_perf(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_metrics(args: argparse.Namespace) -> int:
-    """Prometheus text-format exposition of the metrics registry."""
-    from repro.obs.expo import parse_prometheus_text, render_prometheus
-
-    if getattr(args, "from_path", None) is not None:
-        try:
-            document = json.loads(open(args.from_path, encoding="utf-8").read())
-        except json.JSONDecodeError as error:
-            raise UsageError(f"{args.from_path}: not valid JSON: {error}") from None
-        # Accept a raw snapshot or a document embedding one (trace/profile).
-        snapshot = (
-            document.get("metrics", document)
-            if isinstance(document, dict)
-            else None
-        )
-        if not isinstance(snapshot, dict):
-            raise UsageError(f"{args.from_path}: no metrics snapshot found")
-    elif args.stencils:
-        cache = _disk_cache(args)
-        telemetry = obs.Telemetry()
-        with obs.use(telemetry):
-            session = Session(
-                device=_get_device_checked(args.device),
-                strategy="hybrid",
-                disk_cache=cache,
-                telemetry=telemetry,
-            )
-            for raw in args.stencils:
-                session.run(_get_stencil_checked(raw))
-        _flush_cache(cache)
-        snapshot = telemetry.metrics.snapshot()
-    else:
-        raise UsageError(
-            "give stencil names to compile (hexcc metrics jacobi_2d) or "
-            "--from PATH to render a recorded snapshot"
-        )
-    text = render_prometheus(snapshot)
-    print(text, end="")
-    if args.check:
-        try:
-            parsed = parse_prometheus_text(text)
-        except ValueError as error:
-            print(f"exposition INVALID: {error}", file=sys.stderr)
-            return EXIT_FAILURE
-        print(
-            f"# exposition OK: {len(parsed.types)} familie(s), "
-            f"{sum(len(s) for s in parsed.samples.values())} sample(s)",
-            file=sys.stderr,
-        )
-    return EXIT_OK
-
-
 def _cmd_bench(args: argparse.Namespace) -> int:
     from contextlib import nullcontext
     from pathlib import Path
@@ -955,8 +919,8 @@ def build_parser() -> argparse.ArgumentParser:
         "validate", help="exhaustively validate and simulate a small instance"
     )
     validate_parser.add_argument("stencil")
-    validate_parser.add_argument("--size", type=int, default=16)
-    validate_parser.add_argument("--steps", type=int, default=8)
+    validate_parser.add_argument("--size", type=_positive_int, default=16)
+    validate_parser.add_argument("--steps", type=_positive_int, default=8)
     validate_parser.add_argument("--h", type=int, default=1)
     validate_parser.add_argument("--widths", default=None)
     _add_no_cache_argument(validate_parser)
@@ -973,7 +937,7 @@ def build_parser() -> argparse.ArgumentParser:
     compile_file_parser.add_argument("--sizes", default=None, type=_sizes_arg,
                                      help="comma separated grid extents, "
                                           "overriding the source's #defines")
-    compile_file_parser.add_argument("--steps", type=int, default=None)
+    compile_file_parser.add_argument("--steps", type=_positive_int, default=None)
     compile_file_parser.add_argument("--show-cuda", action="store_true")
     _add_tuned_arguments(compile_file_parser)
     _add_no_cache_argument(compile_file_parser)
@@ -986,7 +950,7 @@ def build_parser() -> argparse.ArgumentParser:
     validate_file_parser.add_argument("file", help="path to a .c stencil source")
     validate_file_parser.add_argument("--sizes", default=None, type=_sizes_arg,
                                       help="comma separated small grid extents")
-    validate_file_parser.add_argument("--steps", type=int, default=None)
+    validate_file_parser.add_argument("--steps", type=_positive_int, default=None)
     validate_file_parser.add_argument("--h", type=int, default=1)
     validate_file_parser.add_argument("--widths", default=None)
     _add_no_cache_argument(validate_file_parser)
@@ -1145,28 +1109,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="emit both records plus the attribution as JSON",
     )
     perf_diff.set_defaults(func=_cmd_perf)
-
-    metrics_parser = sub.add_parser(
-        "metrics",
-        help="Prometheus text-format exposition of the metrics registry",
-    )
-    metrics_parser.add_argument(
-        "stencils", nargs="*",
-        help="stencils to compile under a fresh registry before rendering",
-    )
-    metrics_parser.add_argument(
-        "--from", dest="from_path", default=None, metavar="PATH",
-        help="render the metrics snapshot embedded in a trace/profile JSON "
-             "(or a raw snapshot) instead of compiling",
-    )
-    metrics_parser.add_argument(
-        "--check", action="store_true",
-        help="re-parse the exposition and verify the format invariants "
-             "(exit 1 on any violation)",
-    )
-    metrics_parser.add_argument("--device", default="gtx470")
-    _add_no_cache_argument(metrics_parser)
-    metrics_parser.set_defaults(func=_cmd_metrics)
 
     bench_parser = sub.add_parser(
         "bench",

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from functools import partial
 
 from repro.cache import DiskCache
-from repro.api import HybridCompiler
+from repro.api import Session
 from repro.engine import map_ordered
 from repro.experiments.paper_data import PAPER_TABLE4, PAPER_TABLE5, PAPER_TILE_SIZES
 from repro.gpu.device import GPUDevice, GTX470, NVS5200M
@@ -41,12 +41,14 @@ def ablation_rows_for_device(
     """
     tile_sizes = tile_sizes or PAPER_TILE_SIZES[benchmark]
     program = get_stencil(benchmark)
-    compiler = HybridCompiler(device, disk_cache=disk_cache)
+    session = Session(device, disk_cache=disk_cache)
     rows: list[AblationRow] = []
     previous: float | None = None
     for label, config in table4_configurations().items():
-        compiled = compiler.compile(program, tile_sizes=tile_sizes, config=config)
-        report = compiled.estimate_performance(device)
+        run = session.run(
+            program, tile_sizes=tile_sizes, config=config, stop_after="analysis"
+        )
+        report = run.artifact("analysis").report
         speedup = report.gflops / previous if previous else None
         paper = PAPER_TABLE4.get(device.name, {}).get(label)
         rows.append(
@@ -98,9 +100,10 @@ def counter_row_for_config(
     tile_sizes = tile_sizes or PAPER_TILE_SIZES[benchmark]
     program = get_stencil(benchmark)
     config = table4_configurations()[label]
-    compiler = HybridCompiler(device, disk_cache=disk_cache)
-    compiled = compiler.compile(program, tile_sizes=tile_sizes, config=config)
-    estimate = compiled.execution_estimate(device)
+    run = Session(device, disk_cache=disk_cache).run(
+        program, tile_sizes=tile_sizes, config=config, stop_after="analysis"
+    )
+    estimate = run.artifact("analysis").estimate
     table5 = estimate.counters.as_table5_row()
     paper = PAPER_TABLE5.get(label, {})
     if disk_cache is not None:

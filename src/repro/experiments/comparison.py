@@ -7,7 +7,7 @@ from functools import partial
 
 from repro.baselines import OvertileBaseline, Par4AllBaseline, PPCGBaseline, PatusBaseline
 from repro.cache import DiskCache
-from repro.api import HybridCompiler
+from repro.api import Session
 from repro.engine import map_ordered
 from repro.experiments.paper_data import (
     PAPER_TABLE1_GTX470,
@@ -45,7 +45,6 @@ def comparison_rows_for_benchmark(
 ) -> list[ComparisonRow]:
     """All (tool, benchmark) rows of one benchmark (picklable engine task)."""
     reference = _paper_reference(device)
-    hybrid_compiler = HybridCompiler(device, disk_cache=disk_cache)
     baselines = {
         "ppcg": PPCGBaseline(),
         "par4all": Par4AllBaseline(),
@@ -85,17 +84,17 @@ def comparison_rows_for_benchmark(
             strategy=outcome.strategy,
         )
 
-    compiled = hybrid_compiler.compile(
-        program, tile_sizes=PAPER_TILE_SIZES.get(benchmark)
+    run = Session(device, disk_cache=disk_cache).run(
+        program, tile_sizes=PAPER_TILE_SIZES.get(benchmark), stop_after="analysis"
     )
-    report = compiled.estimate_performance(device)
+    report = run.artifact("analysis").report
     results["hybrid"] = ComparisonRow(
         benchmark=benchmark,
         tool="hybrid",
         gstencils_per_second=report.gstencils_per_second,
         speedup_over_ppcg=None,
         paper_gstencils=paper_row.get("hybrid"),
-        strategy=f"hybrid hexagonal/classical, {compiled.tiling.sizes}",
+        strategy=f"hybrid hexagonal/classical, {run.artifact('tiling').tiling.sizes}",
     )
 
     rows: list[ComparisonRow] = []

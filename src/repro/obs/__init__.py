@@ -39,7 +39,7 @@ import contextvars
 from collections.abc import Iterator
 from typing import Any
 
-from repro.obs import attrib, export, expo, history, log, profile
+from repro.obs import attrib, export, history, log, profile
 from repro.obs.log import (
     FLIGHT_RECORDER,
     Event,
@@ -81,7 +81,6 @@ __all__ = [
     "current",
     "event",
     "export",
-    "expo",
     "gauge",
     "history",
     "log",

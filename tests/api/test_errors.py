@@ -5,8 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.api import (
-    HybridCompiler,
     PipelineError,
+    Session,
     SimulationMismatchError,
     StrategyError,
     TileSizes,
@@ -25,12 +25,12 @@ def test_simulate_and_check_raises_typed_error_on_divergence(monkeypatch):
     from repro.gpu.simulator import SimulationResult
 
     program = get_stencil("jacobi_1d", sizes=(64,), steps=8)
-    compiled = HybridCompiler().compile(program, tile_sizes=TileSizes.of(1, 4))
+    run = Session().run(program, tile_sizes=TileSizes.of(1, 4), stop_after="memory")
     monkeypatch.setattr(
         SimulationResult, "matches_reference", lambda self, reference: False
     )
     with pytest.raises(SimulationMismatchError, match="diverges"):
-        compiled.simulate_and_check()
+        run.simulate_and_check()
 
 
 def test_cli_reports_divergence_as_compile_failure(monkeypatch, capsys):

@@ -17,9 +17,7 @@ EXPECTED_ALL = [
     "AnalysisBundle",
     "CanonicalIR",
     "CompilationRequest",
-    "CompilationResult",
     "GeneratedCode",
-    "HybridCompiler",
     "MemoryPlan",
     "OptimizationConfig",
     "ParsedProgram",
@@ -73,8 +71,7 @@ def _parameter_names(callable_) -> list[str]:
 
 def test_session_signatures_are_pinned():
     assert _parameter_names(api.Session.__init__) == [
-        "self", "device", "strategy", "disk_cache", "cache_capacity", "observers",
-        "tuning_db", "telemetry",
+        "self", "device", "strategy", "disk_cache", "tuning_db", "telemetry",
     ]
     assert _parameter_names(api.Session.run) == [
         "self", "program", "tile_sizes", "config", "storage", "threads",
@@ -82,18 +79,10 @@ def test_session_signatures_are_pinned():
     ]
 
 
-def test_facade_signatures_are_pinned():
-    assert _parameter_names(api.HybridCompiler.compile) == [
-        "self", "program", "tile_sizes", "config", "storage", "threads", "tuned",
-    ]
-    assert _parameter_names(api.HybridCompiler.__init__) == [
-        "self", "device", "disk_cache", "tuning_db",
-    ]
-
-
 def test_pipeline_run_surface_is_pinned():
     assert _parameter_names(api.PipelineRun.artifact) == ["self", "stage"]
-    for method in ("artifact", "result", "timings", "describe"):
+    assert _parameter_names(api.PipelineRun.simulate_and_check) == ["self", "seed"]
+    for method in ("artifact", "simulate_and_check", "timings", "describe"):
         assert callable(getattr(api.PipelineRun, method))
 
 

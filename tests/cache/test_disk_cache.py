@@ -8,8 +8,9 @@ import pytest
 
 from repro.cache import DiskCache
 from repro.cache.disk import SCHEMA_VERSION, _ENVELOPE_KIND
-from repro.compiler import CompilationResult, HybridCompiler
+from repro.api import Session
 from repro.stencils import get_stencil
+from repro.tiling.validate import validate_hybrid_tiling
 
 
 @pytest.fixture
@@ -89,102 +90,48 @@ def test_cache_keys_depend_on_content_not_identity(tmp_path):
     a = get_stencil("jacobi_2d", sizes=(16, 16), steps=4)
     b = get_stencil("jacobi_2d", sizes=(16, 16), steps=4)
     assert a is not b
-    HybridCompiler(disk_cache=cache).compile(a)
+    Session(disk_cache=cache).run(a)
     stores = cache.stores
-    HybridCompiler(disk_cache=cache).compile(b)
+    Session(disk_cache=cache).run(b)
     assert cache.stores == stores  # all passes served from the shared entries
     assert cache.hits == stores
 
 
 def test_cache_keys_vary_with_program_content(tmp_path):
     cache = DiskCache(tmp_path / "hexcc")
-    HybridCompiler(disk_cache=cache).compile(
-        get_stencil("jacobi_2d", sizes=(16, 16), steps=4)
-    )
+    Session(disk_cache=cache).run(get_stencil("jacobi_2d", sizes=(16, 16), steps=4))
     stores = cache.stores
     # A different grid size is different program content: nothing is shared.
-    HybridCompiler(disk_cache=cache).compile(
-        get_stencil("jacobi_2d", sizes=(18, 16), steps=4)
-    )
+    Session(disk_cache=cache).run(get_stencil("jacobi_2d", sizes=(18, 16), steps=4))
     assert cache.stores == 2 * stores
 
 
 def test_compiler_disk_layer_round_trip(tmp_path):
     cache = DiskCache(tmp_path / "hexcc")
     program = get_stencil("jacobi_2d", sizes=(16, 16), steps=4)
-    first = HybridCompiler(disk_cache=cache).compile(program)
+    first = Session(disk_cache=cache).run(program)
     # Pass-granular layering: canonicalize, tiling, memory and codegen each
     # store their artifact under their own chained key.
     assert cache.stores == 4
 
-    # A fresh process would see the same thing a fresh compiler does: the
-    # entry is fetched, unpickled and fully usable.
-    fresh = HybridCompiler(disk_cache=DiskCache(tmp_path / "hexcc"))
-    again = fresh.compile(get_stencil("jacobi_2d", sizes=(16, 16), steps=4))
-    assert isinstance(again, CompilationResult)
-    assert again is not first
-    assert again.cuda_source == first.cuda_source
-    assert again.validate().ok
+    # A fresh process would see the same thing a fresh session does: the
+    # entries are fetched, unpickled and fully usable.
+    fresh = Session(disk_cache=DiskCache(tmp_path / "hexcc"))
+    again = fresh.run(get_stencil("jacobi_2d", sizes=(16, 16), steps=4))
+    assert [event.source for event in again.events][1:] == ["disk"] * 4
+    assert again.artifact("codegen") is not first.artifact("codegen")
+    assert again.artifact("codegen").cuda_source == first.artifact("codegen").cuda_source
+    assert validate_hybrid_tiling(again.artifact("tiling").tiling).ok
     again.simulate_and_check()
 
 
 def test_compiler_survives_corrupt_disk_entry(tmp_path):
     cache = DiskCache(tmp_path / "hexcc")
     program = get_stencil("jacobi_2d", sizes=(16, 16), steps=4)
-    HybridCompiler(disk_cache=cache).compile(program)
+    Session(disk_cache=cache).run(program)
     for path in cache._entries():
         path.write_bytes(b"\x80corrupted")
-    result = HybridCompiler(disk_cache=cache).compile(
+    run = Session(disk_cache=cache).run(
         get_stencil("jacobi_2d", sizes=(16, 16), steps=4)
     )
-    assert result.validate().ok
-
-
-def test_compiler_lru_refreshes_on_hit_and_evicts_oldest_unused(monkeypatch):
-    """The in-memory layer is a true LRU: hits refresh recency."""
-    monkeypatch.setattr(HybridCompiler, "CACHE_CAPACITY", 2)
-    compiler = HybridCompiler()
-    small = dict(sizes=(16, 16), steps=4)
-    a = get_stencil("jacobi_2d", **small)
-    b = get_stencil("heat_2d", **small)
-    c = get_stencil("laplacian_2d", **small)
-
-    result_a = compiler.compile(a)
-    result_b = compiler.compile(b)
-    # Touch a: it becomes the most recently used entry.
-    assert compiler.compile(a) is result_a
-    # Inserting c must now evict b (the least recently used), not a.
-    compiler.compile(c)
-    assert compiler.compile(a) is result_a  # still cached
-    assert compiler.compile(b) is not result_b  # recompiled after eviction
-
-
-def test_memo_key_pins_the_callers_program_on_disk_hits(tmp_path):
-    """Disk hits must keep the caller's program alive in the memo key.
-
-    The in-memory LRU compares programs by identity; a fetched
-    CompilationResult references its own unpickled program copy, so unless
-    the key itself pins the caller's object, the caller's program could be
-    garbage collected and a different program reusing the recycled id would
-    silently hit the stale entry.
-    """
-    import weakref
-
-    cache_root = tmp_path / "hexcc"
-    seed = get_stencil("jacobi_2d", sizes=(16, 16), steps=4)
-    HybridCompiler(disk_cache=DiskCache(cache_root)).compile(seed)
-
-    compiler = HybridCompiler(disk_cache=DiskCache(cache_root))
-    caller = get_stencil("jacobi_2d", sizes=(16, 16), steps=4)
-    result = compiler.compile(caller)  # served from disk
-    assert result.program is not caller  # the unpickled copy
-    assert any(key[0] is caller for key in compiler._cache)
-
-    # The memo entry keeps the caller's program alive even when the caller
-    # drops its last reference, so its id can never be recycled.
-    finalized = weakref.ref(caller)
-    del caller
-    import gc
-
-    gc.collect()
-    assert finalized() is not None
+    assert validate_hybrid_tiling(run.artifact("tiling").tiling).ok

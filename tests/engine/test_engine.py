@@ -108,11 +108,10 @@ def test_workers_share_the_disk_cache(tmp_path):
     )
     reader = DiskCache(cache_root)
     assert reader.stats().entries >= 2
-    from repro.compiler import HybridCompiler
+    from repro.api import Session
     from repro.stencils import get_stencil
 
-    compiler = HybridCompiler(disk_cache=reader)
-    compiler.compile(get_stencil("jacobi_1d"))
+    Session(disk_cache=reader).run(get_stencil("jacobi_1d"))
     # Artifacts are cached at pass granularity: one compile fetches the
     # canonicalize, tiling, memory and codegen artifacts.
     assert reader.hits == 4 and reader.misses == 0

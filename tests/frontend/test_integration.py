@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.compiler import HybridCompiler
+from repro.api import Session
 from repro.frontend import parse_stencil, parse_stencil_file
 from repro.stencils import get_definition, get_stencil, register_from_source, unregister
 from repro.tiling.hybrid import TileSizes
+from repro.tiling.validate import validate_hybrid_tiling
 
 CUSTOM = """
 /* smoothing_1d */
@@ -20,10 +21,11 @@ for (t = 0; t < T; t++)
 
 
 def test_compiler_accepts_raw_source():
-    compiled = HybridCompiler().compile(CUSTOM, tile_sizes=TileSizes.of(2, 4))
-    assert compiled.program.name == "smoothing_1d"
-    assert str(compiled.validate()).startswith("ValidationReport(OK")
-    compiled.simulate_and_check()
+    run = Session().run(CUSTOM, tile_sizes=TileSizes.of(2, 4))
+    assert run.artifact("parse").program.name == "smoothing_1d"
+    report = validate_hybrid_tiling(run.artifact("tiling").tiling)
+    assert str(report).startswith("ValidationReport(OK")
+    run.simulate_and_check()
 
 
 def test_parsed_program_keeps_original_source():
@@ -84,10 +86,11 @@ def test_example_custom_stencil_compiles(tmp_path):
     ).read_text()
     program = parse_stencil(source, sizes=(18, 18), time_steps=5)
     assert program.name == "edge_diffusion_2d"
-    compiled = HybridCompiler().compile(program, tile_sizes=TileSizes.of(1, 2, 6))
-    assert str(compiled.validate()).startswith("ValidationReport(OK")
-    compiled.simulate_and_check()
-    assert "edge_diffusion_2d" in compiled.cuda_source
+    run = Session().run(program, tile_sizes=TileSizes.of(1, 2, 6))
+    report = validate_hybrid_tiling(run.artifact("tiling").tiling)
+    assert str(report).startswith("ValidationReport(OK")
+    run.simulate_and_check()
+    assert "edge_diffusion_2d" in run.artifact("codegen").cuda_source
 
 
 def test_overridden_sizes_regenerate_faithful_source():

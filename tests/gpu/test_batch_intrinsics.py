@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.compiler import HybridCompiler
+from repro.api import Session
 from repro.gpu.simulator import FunctionalSimulator, _program_batchable
 from repro.model.expr import Call, Constant, FieldRead
 from repro.model.program import StencilProgram, StencilStatement
@@ -40,15 +40,12 @@ def test_clamped_programs_are_batchable(intrinsic):
 @pytest.mark.parametrize("intrinsic", ["fminf", "fmaxf"])
 def test_batch_matches_scalar_bit_for_bit(intrinsic):
     program = _clamped_stencil(intrinsic)
-    compiled = HybridCompiler().compile(program)
+    run = Session().run(program, stop_after="memory")
+    tiling, plan = run.artifact("tiling").tiling, run.artifact("memory").plan
     initial = program.initial_state(seed=7)
 
-    batch_sim = FunctionalSimulator(
-        compiled.tiling, compiled.shared_plan, compiled.config, batch=True
-    )
-    scalar_sim = FunctionalSimulator(
-        compiled.tiling, compiled.shared_plan, compiled.config, batch=False
-    )
+    batch_sim = FunctionalSimulator(tiling, plan, run.request.config, batch=True)
+    scalar_sim = FunctionalSimulator(tiling, plan, run.request.config, batch=False)
     assert batch_sim.batch  # no silent fallback to the scalar interpreter
     assert not scalar_sim.batch
 
@@ -63,7 +60,7 @@ def test_batch_matches_scalar_bit_for_bit(intrinsic):
 @pytest.mark.parametrize("intrinsic", ["fminf", "fmaxf"])
 def test_clamped_simulation_matches_numpy_reference(intrinsic):
     program = _clamped_stencil(intrinsic)
-    HybridCompiler().compile(program).simulate_and_check(seed=3)
+    Session().run(program).simulate_and_check(seed=3)
 
 
 def test_scalar_evaluation_unchanged():
@@ -97,4 +94,4 @@ for (t = 0; t < T; t++) {
 """
     program = parse_stencil(source)
     assert _program_batchable(program)
-    HybridCompiler().compile(program).simulate_and_check()
+    Session().run(program).simulate_and_check()

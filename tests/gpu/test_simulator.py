@@ -2,26 +2,25 @@
 
 import numpy as np
 
-from repro.compiler import HybridCompiler
+from repro.api import OptimizationConfig, Session
 from repro.gpu.simulator import FunctionalSimulator
 from repro.model.preprocess import canonicalize
-from repro.api import OptimizationConfig
 from repro.stencils import get_stencil
 from repro.tiling.hybrid import HybridTiling, TileSizes
 
 
 def _check(name, sizes, steps, tile_sizes, config=None):
     program = get_stencil(name, sizes=sizes, steps=steps)
-    compiler = HybridCompiler()
-    compiled = compiler.compile(program, tile_sizes=tile_sizes, config=config)
-    result = compiled.simulate_and_check()
-    return compiled, result
+    run = Session().run(program, tile_sizes=tile_sizes, config=config)
+    result = run.simulate_and_check()
+    return run, result
 
 
 def test_jacobi_2d_simulation_matches_reference():
-    compiled, result = _check("jacobi_2d", (20, 18), 10, TileSizes.of(2, 3, 6))
+    run, result = _check("jacobi_2d", (20, 18), 10, TileSizes.of(2, 3, 6))
     assert result.tiles_executed == result.full_tiles + result.partial_tiles
-    assert result.counters.stencil_updates == compiled.program.stencil_updates()
+    program = run.artifact("parse").program
+    assert result.counters.stencil_updates == program.stencil_updates()
 
 
 def test_laplacian_2d_simulation_matches_reference():
@@ -45,9 +44,9 @@ def test_simulation_without_shared_memory_config():
 
 
 def test_simulation_counters_reasonable():
-    compiled, result = _check("heat_2d", (18, 16), 8, TileSizes.of(3, 3, 6))
+    run, result = _check("heat_2d", (18, 16), 8, TileSizes.of(3, 3, 6))
     counters = result.counters
-    updates = compiled.program.stencil_updates()
+    updates = run.artifact("parse").program.stencil_updates()
     assert counters.flops == updates * 9
     assert counters.gst_instructions == updates
     # With shared staging, distinct loads per tile are below 9 per update.
@@ -56,8 +55,8 @@ def test_simulation_counters_reasonable():
 
 
 def test_simulation_footprint_fits_plan():
-    compiled, result = _check("heat_3d", (10, 9, 8), 5, TileSizes.of(1, 2, 3, 4))
-    planned = sum(f.elements * f.versions for f in compiled.shared_plan.footprints)
+    run, result = _check("heat_3d", (10, 9, 8), 5, TileSizes.of(1, 2, 3, 4))
+    planned = sum(f.elements * f.versions for f in run.artifact("memory").plan.footprints)
     assert result.max_footprint_elements <= planned
 
 

@@ -1,10 +1,14 @@
 """Tests for the hexcc command-line interface."""
 
 import json
+import pathlib
 
 import pytest
 
 from repro.cli import build_parser, main
+
+GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
+EXAMPLE_SOURCE = GOLDEN.parents[1] / "examples" / "custom_stencil.c"
 
 
 def test_list_command(capsys):
@@ -27,6 +31,40 @@ def test_compile_command(capsys):
     output = capsys.readouterr().out
     assert "GStencils/s" in output
     assert "hybrid tiling of heat_3d" in output
+
+
+def test_compile_stdout_is_pinned(capsys):
+    """Header, tiling, memory plan, performance summary and CUDA, byte for byte."""
+    argv = ["compile", "jacobi_1d", "--h", "1", "--widths", "4", "--show-cuda",
+            "--no-cache"]
+    assert main(argv) == 0
+    expected = (GOLDEN / "compile_jacobi_1d.txt").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == expected
+
+
+def test_validate_stdout_is_pinned(capsys):
+    argv = ["validate", "jacobi_2d", "--size", "12", "--steps", "8", "--no-cache"]
+    assert main(argv) == 0
+    expected = (GOLDEN / "validate_jacobi_2d.txt").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate", "jacobi_2d", "--size", "0", "--steps", "2"],
+        ["validate", "jacobi_2d", "--size", "12", "--steps", "0"],
+        ["validate", "jacobi_2d", "--size", "-3"],
+        ["validate-file", str(EXAMPLE_SOURCE), "--sizes", "16,0", "--steps", "6"],
+        ["validate-file", str(EXAMPLE_SOURCE), "--sizes", "16,16", "--steps", "0"],
+    ],
+)
+def test_empty_instances_are_usage_errors(argv, capsys):
+    """A validation of zero instances would vacuously report success."""
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "positive" in captured.err
+    assert "matches the NumPy reference" not in captured.out
 
 
 def test_table_command_table3(capsys):
@@ -116,10 +154,7 @@ def test_compile_file_reports_parse_errors_with_caret(tmp_path, capsys):
 
 
 def test_example_custom_stencil_file_compiles(capsys):
-    import pathlib
-
-    example = pathlib.Path(__file__).resolve().parent.parent / "examples" / "custom_stencil.c"
-    code = main(["compile-file", str(example), "--h", "2", "--widths", "4,32"])
+    code = main(["compile-file", str(EXAMPLE_SOURCE), "--h", "2", "--widths", "4,32"])
     assert code == 0
     assert "edge_diffusion_2d" in capsys.readouterr().out
 
@@ -131,13 +166,13 @@ def test_cache_stats_and_clear(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
     assert main(["cache", "stats"]) == 0
     stats = capsys.readouterr().out
-    # One compile stores one artifact per cacheable pass (canonicalize,
-    # tiling, memory, codegen).
-    assert "entries    : 4" in stats
+    # One compile stores one artifact per cacheable pass it runs
+    # (canonicalize, tiling, memory, codegen, analysis).
+    assert "entries    : 5" in stats
     assert str(tmp_path / "cache") in stats
     # ...and clear removes them.
     assert main(["cache", "clear"]) == 0
-    assert "removed 4" in capsys.readouterr().out
+    assert "removed 5" in capsys.readouterr().out
     assert main(["cache", "stats"]) == 0
     assert "entries    : 0" in capsys.readouterr().out
 
@@ -149,9 +184,9 @@ def test_compile_reuses_the_persistent_cache(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
     assert main(["cache", "stats"]) == 0
     stats = capsys.readouterr().out
-    # The second compile reuses all four pass artifacts of the first.
-    assert "hits       : 4" in stats
-    assert "stores     : 4" in stats
+    # The second compile reuses all five pass artifacts of the first.
+    assert "hits       : 5" in stats
+    assert "stores     : 5" in stats
 
 
 def test_no_cache_flag_bypasses_the_disk_cache(tmp_path, monkeypatch, capsys):
@@ -479,7 +514,7 @@ def test_inspect_json_contains_span_derived_timings(capsys):
         assert timings[f"pass.{entry['name']}"]["wall_ms"] == entry["wall_s"] * 1e3
 
 
-# -- observability: hexcc perf / hexcc metrics ----------------------------------------
+# -- observability: hexcc perf ------------------------------------------------------
 
 
 def test_perf_history_empty(capsys):
@@ -523,34 +558,6 @@ def test_perf_diff_attributes_an_injected_slowdown(monkeypatch, capsys):
 def test_perf_diff_bad_selector_is_a_usage_error(capsys):
     assert main(["perf", "diff", "last", "zzzz"]) == 2
     assert main(["perf", "diff", "last", "last"]) == 2  # history is empty
-
-
-def test_metrics_command_renders_and_checks(capsys):
-    assert main(["metrics", "jacobi_1d", "--check"]) == 0
-    captured = capsys.readouterr()
-    assert "# TYPE hexcc_compile_wall_ms histogram" in captured.out
-    assert 'le="+Inf"' in captured.out
-    assert "exposition OK" in captured.err
-
-
-def test_metrics_from_trace_file(tmp_path, capsys):
-    out = tmp_path / "trace.json"
-    assert main(["trace", "jacobi_1d", "-o", str(out), "--jobs", "1"]) == 0
-    capsys.readouterr()
-    assert main(["metrics", "--from", str(out), "--check"]) == 0
-    captured = capsys.readouterr()
-    assert "hexcc_" in captured.out
-    assert "exposition OK" in captured.err
-
-
-def test_metrics_usage_errors(tmp_path, capsys):
-    assert main(["metrics"]) == 2
-    bad = tmp_path / "bad.json"
-    bad.write_text("not json")
-    assert main(["metrics", "--from", str(bad)]) == 2
-    no_snapshot = tmp_path / "nosnap.json"
-    no_snapshot.write_text("[1, 2, 3]")
-    assert main(["metrics", "--from", str(no_snapshot)]) == 2
 
 
 def test_pipeline_failures_print_the_crash_report_path(monkeypatch, capsys):

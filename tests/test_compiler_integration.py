@@ -2,37 +2,46 @@
 
 import pytest
 
-from repro.compiler import HybridCompiler
+from repro.api import OptimizationConfig, Session, table4_configurations
+from repro.codegen.analysis import AnalyticProfiler
 from repro.gpu.device import GTX470, NVS5200M
-from repro.api import OptimizationConfig, table4_configurations
+from repro.gpu.simulator import FunctionalSimulator
 from repro.stencils import get_stencil, paper_benchmarks
 from repro.tiling.hybrid import TileSizes
+from repro.tiling.validate import validate_hybrid_tiling
+
+
+def _estimate(run, device):
+    """The analytic estimate of one run's tiling, profiled for ``device``."""
+    return AnalyticProfiler(
+        run.artifact("tiling").tiling,
+        run.artifact("memory").plan,
+        run.request.config,
+        device,
+    ).estimate()
 
 
 def test_compile_validate_simulate_jacobi():
-    compiler = HybridCompiler()
     program = get_stencil("jacobi_2d", sizes=(20, 18), steps=10)
-    compiled = compiler.compile(program, tile_sizes=TileSizes.of(2, 3, 6))
-    assert compiled.validate().ok
-    result = compiled.simulate_and_check()
+    run = Session().run(program, tile_sizes=TileSizes.of(2, 3, 6))
+    assert validate_hybrid_tiling(run.artifact("tiling").tiling).ok
+    result = run.simulate_and_check()
     assert result.tiles_executed > 0
-    assert "hybrid tiling" in compiled.describe()
-    assert "__global__" in compiled.cuda_source
+    assert "hybrid tiling" in run.artifact("tiling").tiling.describe()
+    assert "__global__" in run.artifact("codegen").cuda_source
 
 
 def test_compile_with_automatic_tile_size_selection():
-    compiler = HybridCompiler()
     program = get_stencil("heat_2d", sizes=(256, 256), steps=16)
-    compiled = compiler.compile(program)
-    assert compiled.tile_cost is not None
-    assert compiled.tiling.sizes == compiled.tile_cost.sizes
-    assert compiled.tile_cost.shared_memory_bytes <= GTX470.shared_memory_per_sm
+    plan = Session().run(program, stop_after="tiling").artifact("tiling")
+    assert plan.tile_cost is not None
+    assert plan.tiling.sizes == plan.tile_cost.sizes
+    assert plan.tile_cost.shared_memory_bytes <= GTX470.shared_memory_per_sm
 
 
 @pytest.mark.parametrize("name", paper_benchmarks())
 def test_all_paper_benchmarks_compile_at_small_scale(name):
     """Every benchmark compiles, validates and simulates at a reduced size."""
-    compiler = HybridCompiler()
     if name.endswith("3d"):
         program = get_stencil(name, sizes=(10, 9, 8), steps=4)
         sizes = TileSizes.of(1, 2, 3, 4)
@@ -42,52 +51,56 @@ def test_all_paper_benchmarks_compile_at_small_scale(name):
     else:
         program = get_stencil(name, sizes=(16, 14), steps=6)
         sizes = TileSizes.of(2, 2, 5)
-    compiled = compiler.compile(program, tile_sizes=sizes)
-    assert compiled.validate().ok
-    compiled.simulate_and_check()
+    run = Session().run(program, tile_sizes=sizes)
+    assert validate_hybrid_tiling(run.artifact("tiling").tiling).ok
+    run.simulate_and_check()
 
 
 def test_performance_estimation_runs_for_all_configurations():
-    compiler = HybridCompiler()
+    session = Session()
     program = get_stencil("heat_3d")
-    previous_gflops = None
     for label, config in table4_configurations().items():
-        compiled = compiler.compile(
-            program, tile_sizes=TileSizes.of(2, 7, 10, 32), config=config
+        run = session.run(
+            program,
+            tile_sizes=TileSizes.of(2, 7, 10, 32),
+            config=config,
+            stop_after="analysis",
         )
-        report = compiled.estimate_performance()
+        report = run.artifact("analysis").report
         assert report.gflops > 0, label
         assert report.total_time_s > 0
-        previous_gflops = report.gflops
 
 
 def test_best_configuration_beats_worst_on_bandwidth_starved_device():
     """Configuration (f) must beat (b) on the NVS 5200M, as in Table 4."""
-    compiler = HybridCompiler(NVS5200M)
+    session = Session(NVS5200M)
     program = get_stencil("heat_3d")
     sizes = TileSizes.of(2, 7, 10, 32)
-    baseline = compiler.compile(program, tile_sizes=sizes, config=OptimizationConfig.config_b())
-    best = compiler.compile(program, tile_sizes=sizes, config=OptimizationConfig.config_f())
-    assert (
-        best.estimate_performance(NVS5200M).gflops
-        > baseline.estimate_performance(NVS5200M).gflops
-    )
+
+    def gflops(config):
+        run = session.run(
+            program, tile_sizes=sizes, config=config, stop_after="analysis"
+        )
+        return run.artifact("analysis").report.gflops
+
+    assert gflops(OptimizationConfig.config_f()) > gflops(OptimizationConfig.config_b())
 
 
 def test_gtx470_faster_than_nvs5200():
-    compiler = HybridCompiler()
     program = get_stencil("heat_2d")
-    compiled = compiler.compile(program, tile_sizes=TileSizes.of(3, 4, 64))
-    fast = compiled.estimate_performance(GTX470)
-    slow = compiled.estimate_performance(NVS5200M)
+    run = Session().run(program, tile_sizes=TileSizes.of(3, 4, 64))
+    # One tiling, estimated on both devices.
+    fast = _estimate(run, GTX470).performance(GTX470)
+    slow = _estimate(run, NVS5200M).performance(NVS5200M)
     assert fast.gstencils_per_second > 2 * slow.gstencils_per_second
 
 
 def test_execution_estimate_counters_are_consistent():
-    compiler = HybridCompiler()
     program = get_stencil("heat_3d")
-    compiled = compiler.compile(program, tile_sizes=TileSizes.of(2, 7, 10, 32))
-    estimate = compiled.execution_estimate()
+    run = Session().run(
+        program, tile_sizes=TileSizes.of(2, 7, 10, 32), stop_after="analysis"
+    )
+    estimate = run.artifact("analysis").estimate
     counters = estimate.counters
     assert counters.stencil_updates == program.stencil_updates()
     assert counters.flops == program.flops_total()
@@ -98,11 +111,12 @@ def test_execution_estimate_counters_are_consistent():
 
 def test_analytic_and_simulated_counters_agree_on_small_problem():
     """Cross-check the analytic profiler against the exact simulator counts."""
-    compiler = HybridCompiler()
     program = get_stencil("jacobi_2d", sizes=(40, 38), steps=24)
-    compiled = compiler.compile(program, tile_sizes=TileSizes.of(3, 3, 8))
-    analytic = compiled.execution_estimate().counters
-    simulated = compiled.simulate().counters
+    run = Session().run(program, tile_sizes=TileSizes.of(3, 3, 8), stop_after="analysis")
+    analytic = run.artifact("analysis").estimate.counters
+    simulated = FunctionalSimulator(
+        run.artifact("tiling").tiling, run.artifact("memory").plan, run.request.config
+    ).run().counters
     assert analytic.stencil_updates == simulated.stencil_updates
     assert analytic.flops == simulated.flops
     # The analytic global-load count over-approximates boundary tiles but must

@@ -1,8 +1,8 @@
-"""Tuned-config application: Session.run(tuned=True), façade, cache keys."""
+"""Tuned-config application: Session.run(tuned=True), cache keys."""
 
 from __future__ import annotations
 
-from repro.api import HybridCompiler, Session
+from repro.api import Session
 from repro.api.passes import TilingPass
 from repro.api.session import CompilationRequest, program_digest
 from repro.api.config import OptimizationConfig
@@ -79,17 +79,17 @@ def test_missing_entry_falls_back_to_the_model():
     assert run.artifact("tiling").tile_cost is not None  # model selection ran
 
 
-def test_facade_tuned_memo_does_not_alias_untuned():
+def test_tuned_run_does_not_alias_untuned_in_memory():
     program = get_stencil("jacobi_2d", sizes=(64, 64), steps=8)
-    compiler = HybridCompiler(tuning_db=_db_for(program))
-    tuned = compiler.compile(program, tuned=True)
-    untuned = compiler.compile(program)
+    session = Session(tuning_db=_db_for(program))
+    tuned = session.run(program, tuned=True).artifact("tiling")
+    untuned = session.run(program).artifact("tiling")
     assert tuned is not untuned
     assert tuned.tiling.sizes == TileSizes.of(1, 3, 32)
     assert untuned.tiling.sizes != tuned.tiling.sizes
-    # Memo hit on repeat, per flag.
-    assert compiler.compile(program, tuned=True) is tuned
-    assert compiler.compile(program) is untuned
+    # In-memory pass-cache hit on repeat, per flag.
+    assert session.run(program, tuned=True).artifact("tiling") is tuned
+    assert session.run(program).artifact("tiling") is untuned
 
 
 def test_tuned_tiling_key_never_aliases_model_selected():
