@@ -68,7 +68,11 @@ class HybridStrategy(TilingStrategy):
         if sizes is None:
             tile_cost = self._model_sizes(request, canonical)
             sizes = tile_cost.sizes
-        tiling = HybridTiling(canonical, sizes)
+        try:
+            tiling = HybridTiling(canonical, sizes)
+        except ValueError as error:
+            # Illegal tile sizes are the caller's input, not a fault.
+            raise StrategyError(str(error)) from error
         return TilingPlan(
             strategy=self.name,
             sizes=sizes,

@@ -104,8 +104,16 @@ def _get_device_checked(name: str):
         raise UsageError(str(error)) from None
 
 
-def _parse_tile_sizes(args: argparse.Namespace) -> TileSizes | None:
+def _parse_tile_sizes(
+    args: argparse.Namespace, default_height: int = 2
+) -> TileSizes | None:
+    """Explicit ``--h``/``--widths`` sizes, or None to let the model choose."""
     if args.widths is None:
+        if args.h is not None:
+            raise UsageError(
+                "--h needs --widths; give both, or neither to let the model "
+                "pick the tile sizes"
+            )
         return None
     try:
         widths = tuple(int(w) for w in args.widths.split(","))
@@ -113,7 +121,7 @@ def _parse_tile_sizes(args: argparse.Namespace) -> TileSizes | None:
         raise UsageError(
             f"--widths expects comma separated integers, got {args.widths!r}"
         ) from None
-    return TileSizes(args.h, widths)
+    return TileSizes(default_height if args.h is None else args.h, widths)
 
 
 def _disk_cache(args: argparse.Namespace) -> DiskCache | None:
@@ -180,7 +188,9 @@ def _validate_and_report(program, args: argparse.Namespace) -> int:
     from repro.tiling.validate import validate_hybrid_tiling
 
     cache = _disk_cache(args)
-    run = Session(disk_cache=cache).run(program, tile_sizes=_parse_tile_sizes(args))
+    run = Session(disk_cache=cache).run(
+        program, tile_sizes=_parse_tile_sizes(args, default_height=1)
+    )
     _flush_cache(cache)
     report = validate_hybrid_tiling(run.artifact("tiling").tiling)
     print(report)
@@ -841,6 +851,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+_H_HELP = "tile height h; needs --widths (default with --widths: {})"
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hexcc",
@@ -853,7 +866,7 @@ def build_parser() -> argparse.ArgumentParser:
     compile_parser = sub.add_parser("compile", help="compile a stencil at paper scale")
     compile_parser.add_argument("stencil")
     compile_parser.add_argument("--device", default="gtx470")
-    compile_parser.add_argument("--h", type=int, default=2)
+    compile_parser.add_argument("--h", type=int, default=None, help=_H_HELP.format(2))
     compile_parser.add_argument("--widths", default=None, help="comma separated w0,w1,...")
     compile_parser.add_argument("--show-cuda", action="store_true")
     _add_tuned_arguments(compile_parser)
@@ -878,7 +891,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="emit a machine-readable report instead of the text dump",
     )
     inspect_parser.add_argument("--device", default="gtx470")
-    inspect_parser.add_argument("--h", type=int, default=2)
+    inspect_parser.add_argument("--h", type=int, default=None, help=_H_HELP.format(2))
     inspect_parser.add_argument("--widths", default=None, help="comma separated w0,w1,...")
     _add_no_cache_argument(inspect_parser)
     inspect_parser.set_defaults(func=_cmd_inspect)
@@ -909,7 +922,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="list the fault-injection mutation corpus and exit",
     )
     verify_parser.add_argument("--device", default="gtx470")
-    verify_parser.add_argument("--h", type=int, default=2)
+    verify_parser.add_argument("--h", type=int, default=None, help=_H_HELP.format(2))
     verify_parser.add_argument("--widths", default=None,
                                help="comma separated w0,w1,...")
     _add_no_cache_argument(verify_parser)
@@ -921,7 +934,7 @@ def build_parser() -> argparse.ArgumentParser:
     validate_parser.add_argument("stencil")
     validate_parser.add_argument("--size", type=_positive_int, default=16)
     validate_parser.add_argument("--steps", type=_positive_int, default=8)
-    validate_parser.add_argument("--h", type=int, default=1)
+    validate_parser.add_argument("--h", type=int, default=None, help=_H_HELP.format(1))
     validate_parser.add_argument("--widths", default=None)
     _add_no_cache_argument(validate_parser)
     validate_parser.set_defaults(func=_cmd_validate)
@@ -931,7 +944,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     compile_file_parser.add_argument("file", help="path to a .c stencil source")
     compile_file_parser.add_argument("--device", default="gtx470")
-    compile_file_parser.add_argument("--h", type=int, default=2)
+    compile_file_parser.add_argument(
+        "--h", type=int, default=None, help=_H_HELP.format(2)
+    )
     compile_file_parser.add_argument("--widths", default=None,
                                      help="comma separated w0,w1,...")
     compile_file_parser.add_argument("--sizes", default=None, type=_sizes_arg,
@@ -951,7 +966,9 @@ def build_parser() -> argparse.ArgumentParser:
     validate_file_parser.add_argument("--sizes", default=None, type=_sizes_arg,
                                       help="comma separated small grid extents")
     validate_file_parser.add_argument("--steps", type=_positive_int, default=None)
-    validate_file_parser.add_argument("--h", type=int, default=1)
+    validate_file_parser.add_argument(
+        "--h", type=int, default=None, help=_H_HELP.format(1)
+    )
     validate_file_parser.add_argument("--widths", default=None)
     _add_no_cache_argument(validate_file_parser)
     validate_file_parser.set_defaults(func=_cmd_validate_file)

@@ -18,13 +18,12 @@ purposes:
 It is deliberately an *interpreter*: it runs the small problem sizes used in
 tests, while the paper-scale experiments use the analytic profiler.
 
-Two execution modes are available.  The default **batch** mode vectorises
-each barrier step (all points of one tile column sharing the same ``t'``)
-into NumPy array operations; because those points execute in parallel on the
-GPU — the legality checker proves no dependence connects them — elementwise
-float32 evaluation of the same expression tree is bit-for-bit identical to
-the per-point **scalar** mode, which remains available as the reference path
-(``FunctionalSimulator(..., batch=False)``).
+Execution runs off the sorted columnar schedule and vectorises each barrier
+step (all points of one tile column sharing the same ``t'``) into NumPy array
+operations.  Those points execute in parallel on the GPU — the legality
+checker proves no dependence connects them — so elementwise float32
+evaluation of the statement's expression tree performs each point's
+arithmetic in the same association order as a point-at-a-time execution.
 """
 
 from __future__ import annotations
@@ -36,35 +35,11 @@ import numpy as np
 
 from repro.codegen.shared_mem import SharedMemoryPlan
 from repro.gpu.counters import PerformanceCounters
-from repro.model.expr import Call, FieldRead, walk
+from repro.model.expr import FieldRead
 from repro.model.program import StencilProgram
 from repro.api.config import OptimizationConfig
-from repro.tiling.hybrid import HybridTiling, SchedulePoint, TileCoordinate
+from repro.tiling.hybrid import HybridTiling, TileCoordinate
 from repro.tiling.schedule_arrays import ScheduleArrays, run_boundaries
-
-# Intrinsics whose evaluation is elementwise-safe on NumPy arrays.  fminf and
-# fmaxf evaluate through np.minimum/np.maximum, which are elementwise and
-# bit-for-bit identical to the scalar min/max on float32 operands.
-_BATCH_SAFE_CALLS = frozenset(
-    {"sqrtf", "sqrt", "fabsf", "fabs", "expf", "fminf", "fmaxf"}
-)
-
-
-def _program_batchable(program: StencilProgram) -> bool:
-    """Whether every statement of the program can execute vectorised.
-
-    Requires all intrinsics to be elementwise-safe on arrays and no statement
-    to read its own target within the same time iteration (``time_offset ==
-    0`` on the write target would alias a batched barrier step).
-    """
-    for statement in program.statements:
-        for node in walk(statement.expr):
-            if isinstance(node, Call) and node.name not in _BATCH_SAFE_CALLS:
-                return False
-        for read in statement.reads:
-            if read.time_offset == 0 and read.field == statement.target:
-                return False
-    return True
 
 
 def _encode_locations(
@@ -113,13 +88,11 @@ class FunctionalSimulator:
         tiling: HybridTiling,
         plan: SharedMemoryPlan | None = None,
         config: OptimizationConfig | None = None,
-        batch: bool = True,
     ) -> None:
         self.tiling = tiling
         self.plan = plan
         self.config = config or OptimizationConfig.default()
         self.program: StencilProgram = tiling.canonical.program
-        self.batch = batch and _program_batchable(self.program)
 
     # -- main entry point ----------------------------------------------------------------
 
@@ -145,42 +118,9 @@ class FunctionalSimulator:
         counters = PerformanceCounters()
         counters.stencil_updates = 0.0
 
-        if self.batch:
-            stats = self._run_batch(state, counters, check_footprint)
-        else:
-            stats = self._run_scalar(state, counters, check_footprint)
-        tiles_executed, full_tiles, partial_tiles, max_footprint, distinct_t = stats
-
-        counters.kernel_launches = 2.0 * distinct_t
-        counters.host_device_bytes = 2.0 * program.data_bytes()
-
-        final = {name: state[name][steps].copy() for name in program.fields}
-        return SimulationResult(
-            final_fields=final,
-            counters=counters,
-            tiles_executed=tiles_executed,
-            full_tiles=full_tiles,
-            partial_tiles=partial_tiles,
-            max_footprint_elements=max_footprint,
-        )
-
-    # -- array-native (batch) execution ---------------------------------------------------------
-
-    def _run_batch(
-        self,
-        state: dict[str, list[np.ndarray]],
-        counters: PerformanceCounters,
-        check_footprint: bool,
-    ) -> tuple[int, int, int, int, int]:
-        """Execute all tiles from the columnar schedule, no objects involved.
-
-        The full schedule is sorted once with ``np.lexsort``; tiles and
-        barrier steps are consecutive runs of the sorted key columns, so the
-        only remaining Python loop is one iteration per barrier step (whose
-        points execute in parallel on the GPU and are evaluated as one array
-        operation).  Returns ``(tiles, full, partial, max_footprint,
-        distinct_time_tiles)``.
-        """
+        # The full schedule is sorted once with ``np.lexsort``; tiles and
+        # barrier steps are consecutive runs of the sorted key columns, so
+        # the only Python loop left is one iteration per barrier step.
         tiling = self.tiling
         arrays = tiling.schedule_arrays()
         ordered: ScheduleArrays = arrays.take(arrays.sequential_order())
@@ -214,8 +154,19 @@ class FunctionalSimulator:
             if check_footprint and self.plan is not None and count == expected_full:
                 self._check_footprint(ordered.point(int(start)).tile, footprint)
             counters.barriers += tiling.shape.time_period
-        distinct_t = int(np.unique(ordered.time_tile).size)
-        return len(tile_starts), full_tiles, partial_tiles, max_footprint, distinct_t
+
+        counters.kernel_launches = 2.0 * np.unique(ordered.time_tile).size
+        counters.host_device_bytes = 2.0 * program.data_bytes()
+
+        final = {name: state[name][steps].copy() for name in program.fields}
+        return SimulationResult(
+            final_fields=final,
+            counters=counters,
+            tiles_executed=len(tile_starts),
+            full_tiles=full_tiles,
+            partial_tiles=partial_tiles,
+            max_footprint_elements=max_footprint,
+        )
 
     def _run_tile_groups(
         self,
@@ -228,9 +179,8 @@ class FunctionalSimulator:
 
         Points of a barrier step (same tile, same ``t'``) run in parallel on
         the GPU — the legality checker proves no dependence connects them —
-        so evaluating the expression tree once over gathered float32 arrays
-        performs exactly the scalar association order per point, elementwise,
-        and the result is bit-for-bit identical.
+        so the expression tree is evaluated once over gathered float32
+        arrays, in each point's own association order, elementwise.
 
         Returns ``(footprint_elements, distinct_loads, reads_performed)``.
         """
@@ -239,7 +189,7 @@ class FunctionalSimulator:
         # Shifted mixed-radix encoding of grid locations: coordinate c of a
         # dimension of extent S maps to c + S in base 2S, which is injective
         # for every index NumPy would accept (c in [-S, S)), so distinct
-        # encodings correspond exactly to the scalar mode's distinct tuples.
+        # encodings correspond exactly to distinct location tuples.
         sizes = program.sizes
         reads_performed = 0
         # (field, version) -> list of linear-location arrays, one per access.
@@ -286,70 +236,11 @@ class FunctionalSimulator:
             distinct_loads += np.unique(merged).size
             all_locations.append(merged)
         # The footprint is the number of distinct *locations* touched by any
-        # read, regardless of field or version (matching the scalar mode).
+        # read, regardless of field or version.
         footprint = (
             np.unique(np.concatenate(all_locations)).size if all_locations else 0
         )
         return footprint, distinct_loads, reads_performed
-
-    # -- object-based (scalar reference) execution ----------------------------------------------
-
-    def _run_scalar(
-        self,
-        state: dict[str, list[np.ndarray]],
-        counters: PerformanceCounters,
-        check_footprint: bool,
-    ) -> tuple[int, int, int, int, int]:
-        """Reference execution: tile by tile, one point at a time."""
-        tiles = self.tiling.group_instances_by_tile_reference()
-        ordered_tiles = sorted(
-            tiles.items(),
-            key=lambda item: (
-                item[0].time_tile,
-                int(item[0].phase),
-                item[0].space_tiles,
-            ),
-        )
-        expected_full = self.tiling.iterations_per_full_tile()
-        full_tiles = 0
-        partial_tiles = 0
-        max_footprint = 0
-        for tile, points in ordered_tiles:
-            if len(points) == expected_full:
-                full_tiles += 1
-            else:
-                partial_tiles += 1
-            footprint = self._execute_tile(tile, points, state, counters)
-            max_footprint = max(max_footprint, footprint)
-            if check_footprint and self.plan is not None and len(points) == expected_full:
-                self._check_footprint(tile, footprint)
-            counters.barriers += self.tiling.shape.time_period
-        distinct_t = len({tile.time_tile for tile, _ in ordered_tiles})
-        return (
-            len(ordered_tiles),
-            full_tiles,
-            partial_tiles,
-            max_footprint,
-            distinct_t,
-        )
-
-    def _execute_tile(
-        self,
-        tile: TileCoordinate,
-        points: list[SchedulePoint],
-        state: dict[str, list[np.ndarray]],
-        counters: PerformanceCounters,
-    ) -> int:
-        """Execute one tile's points in intra-tile order; returns footprint size."""
-        ordered = sorted(
-            points,
-            key=lambda p: (tuple(p.tile.space_tiles[1:]), p.local_time, p.local_space),
-        )
-        footprint, distinct_loads, reads_performed = self._run_tile_scalar(
-            ordered, state, counters
-        )
-        self._account_tile(counters, len(ordered), distinct_loads, reads_performed)
-        return footprint
 
     def _account_tile(
         self,
@@ -358,7 +249,7 @@ class FunctionalSimulator:
         distinct_loads: int,
         reads_performed: int,
     ) -> None:
-        """Per-tile memory-system counter accounting (both execution modes)."""
+        """Per-tile memory-system counter accounting."""
         counters.shared_load_requests += reads_performed / 32.0
         counters.shared_load_transactions += reads_performed / 32.0
         if self.config.use_shared_memory:
@@ -373,53 +264,6 @@ class FunctionalSimulator:
             counters.transferred_global_bytes += 4.0 * distinct_loads
         counters.dram_write_transactions += points_in_tile * 4.0 / 32.0
         counters.dram_read_transactions += distinct_loads * 4.0 / 32.0
-
-    def _run_tile_scalar(
-        self,
-        ordered: list[SchedulePoint],
-        state: dict[str, list[np.ndarray]],
-        counters: PerformanceCounters,
-    ) -> tuple[int, int, int]:
-        """Reference interpretation: one point at a time, in intra-tile order.
-
-        Returns ``(footprint_elements, distinct_loads, reads_performed)``.
-        """
-        program = self.program
-        touched: set[tuple[str, tuple[int, ...]]] = set()
-        loads_from_global: set[tuple[str, int, tuple[int, ...]]] = set()
-        reads_performed = 0
-
-        for point in ordered:
-            statement_index, t, spatial = self.tiling.canonical.from_canonical(
-                point.canonical_point
-            )
-            statement = program.statements[statement_index]
-
-            def read(access: FieldRead) -> np.float32:
-                nonlocal reads_performed
-                version = t + 1 - access.time_offset
-                location = tuple(
-                    coordinate + offset
-                    for coordinate, offset in zip(spatial, access.offsets)
-                )
-                touched.add((access.field, location))
-                loads_from_global.add((access.field, version, location))
-                reads_performed += 1
-                return state[access.field][version][location]
-
-            value = np.float32(statement.expr.evaluate(read))
-            # A read of version v at an interior location always happens after
-            # the write producing it (this is exactly the flow dependence the
-            # legality checker enforces), so a plain versioned store suffices.
-            state[statement.target][t + 1][spatial] = value
-
-            counters.flops += statement.flops
-            counters.stencil_updates += 1
-            counters.gst_instructions += 1
-            counters.shared_store_requests += 1.0 / 32.0
-
-        footprint = len({location for _, location in touched})
-        return footprint, len(loads_from_global), reads_performed
 
     def _check_footprint(self, tile: TileCoordinate, footprint_elements: int) -> None:
         """The actual data touched by a full tile must fit the planned boxes."""

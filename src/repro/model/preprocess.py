@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 
 from repro.model.dependences import (
     Dependence,
@@ -39,7 +39,7 @@ class CanonicalForm:
         ``k`` — the number of statements interleaved on the logical time axis.
     space_dims:
         Names of the space dimensions, in schedule order (the hexagonally
-        tiled dimension first; see :meth:`reorder_space`).
+        tiled dimension first).
     dependences:
         All dependences in the canonical space.
     distance_vectors:
@@ -74,51 +74,34 @@ class CanonicalForm:
         t = logical // self.num_statements
         return statement_index, t, tuple(canonical_point[1:])
 
-    def instances(self) -> Iterator[tuple[int, tuple[int, ...]]]:
-        """Iterate over all statement instances as canonical points.
-
-        Yields ``(statement_index, canonical_point)`` pairs.  Only intended
-        for the small grids used in validation and testing.  The enumeration
-        is memoised: the validator, the tile grouping and the functional
-        simulator all walk the same instance list.
-        """
-        yield from self.instances_list()
-
-    def instances_list(self) -> list[tuple[int, tuple[int, ...]]]:
-        """All statement instances as a cached list; see :meth:`instances`."""
-        cached = self.__dict__.get("_instances_cache")
-        if cached is None:
-            cached = [
-                (index, self.to_canonical(index, point[0], point[1:]))
-                for index, scop_statement in enumerate(self.scop.statements)
-                for point in scop_statement.domain.points()
-            ]
-            # The dataclass is frozen; stash the memo directly in __dict__.
-            object.__setattr__(self, "_instances_cache", cached)
-        return cached
-
     def instances_array(self):
-        """All canonical points as a cached ``(N, 1 + ndim)`` int64 array.
+        """All statement instances as a cached ``(N, 1 + ndim)`` int64 array.
 
-        Row order matches :meth:`instances_list`; this is the columnar input
-        of the array-native scheduling passes.
+        One canonical point ``(l, s0, ..., sn)`` per row, statement by
+        statement.  Only intended for the small grids used in validation and
+        testing; this is the columnar input of the scheduling passes, and the
+        validator and the functional simulator share the memo.
         """
         import numpy as np
 
         cached = self.__dict__.get("_instances_array_cache")
         if cached is None:
-            instances = self.instances_list()
-            cached = np.array(
-                [point for _, point in instances], dtype=np.int64
-            ).reshape(len(instances), 1 + len(self.space_dims))
+            rows = [
+                self.to_canonical(index, point[0], point[1:])
+                for index, scop_statement in enumerate(self.scop.statements)
+                for point in scop_statement.domain.points()
+            ]
+            cached = np.array(rows, dtype=np.int64).reshape(
+                len(rows), 1 + len(self.space_dims)
+            )
             cached.setflags(write=False)
+            # The dataclass is frozen; stash the memo directly in __dict__.
             object.__setattr__(self, "_instances_array_cache", cached)
         return cached
 
     def __getstate__(self) -> dict:
-        """Drop the instance-enumeration memos when pickling."""
+        """Drop the instance-enumeration memo when pickling."""
         state = self.__dict__.copy()
-        state.pop("_instances_cache", None)
         state.pop("_instances_array_cache", None)
         return state
 
@@ -139,43 +122,6 @@ class CanonicalForm:
             delta0 = max(delta0, Fraction(ds, dl))
             delta1 = max(delta1, Fraction(-ds, dl))
         return delta0, delta1
-
-    def reorder_space(self, hexagonal_dim: str) -> "CanonicalForm":
-        """Return a canonical form with ``hexagonal_dim`` as the first space dim.
-
-        Section 3.6 notes that any spatial dimension may be hexagonally tiled
-        as long as the innermost (stride-one) dimension keeps its position; the
-        caller is responsible for not moving the innermost dimension.
-        """
-        if hexagonal_dim not in self.space_dims:
-            raise ValueError(f"unknown space dimension {hexagonal_dim!r}")
-        if hexagonal_dim == self.space_dims[0]:
-            return self
-        order = [hexagonal_dim] + [d for d in self.space_dims if d != hexagonal_dim]
-        permutation = [self.space_dims.index(d) for d in order]
-        new_vectors = tuple(
-            (vector[0], *[vector[1 + p] for p in permutation])
-            for vector in self.distance_vectors
-        )
-        new_dependences = tuple(
-            Dependence(
-                d.source,
-                d.sink,
-                d.kind,
-                (d.distance[0], *[d.distance[1 + p] for p in permutation]),
-            )
-            for d in self.dependences
-        )
-        return CanonicalForm(
-            program=self.program,
-            scop=self.scop,
-            num_statements=self.num_statements,
-            space_dims=tuple(order),
-            dependences=new_dependences,
-            distance_vectors=new_vectors,
-            logical_time_extent=self.logical_time_extent,
-            storage=self.storage,
-        )
 
 
 def canonicalize(

@@ -8,9 +8,9 @@ so no floating point rounding can corrupt a schedule):
 * :class:`Space` — named integer dimensions.
 * :class:`LinearExpr` — affine expressions with rational coefficients.
 * :class:`Constraint` — affine equalities and inequalities.
-* :class:`BasicSet` / :class:`ISet` — (unions of) convex integer sets with
-  membership tests, intersection, subtraction, projection, bounding boxes,
-  enumeration and exact point counting.
+* :class:`BasicSet` — convex integer sets with membership tests,
+  intersection, projection, bounding boxes, enumeration and exact point
+  counting.
 * :class:`AffineMap` — affine maps used for access relations and schedules.
 * :class:`QExpr` and friends — quasi-affine expression trees (floor-division
   and modulo) used to express tile schedules and to emit C/CUDA code.
@@ -21,7 +21,6 @@ from repro.polyhedral.space import Space
 from repro.polyhedral.affine import LinearExpr
 from repro.polyhedral.constraint import Constraint
 from repro.polyhedral.basic_set import BasicSet
-from repro.polyhedral.iset import ISet
 from repro.polyhedral.imap import AffineMap
 from repro.polyhedral.lp import LPResult, LPStatus, lp_maximize, lp_minimize
 from repro.polyhedral.quasi_affine import (
@@ -42,7 +41,6 @@ __all__ = [
     "LinearExpr",
     "Constraint",
     "BasicSet",
-    "ISet",
     "AffineMap",
     "LPResult",
     "LPStatus",

@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from repro.polyhedral.quasi_affine import QExpr, QFloorDiv, QMod, QMul, qvar
-from repro.tiling.hex_schedule import Phase
 
 
 @dataclass(frozen=True)
@@ -72,46 +71,27 @@ class ClassicalTiling:
     def skew_numerator(self) -> int:
         return self.delta1.numerator
 
-    # -- point-wise evaluation --------------------------------------------------------
+    # -- evaluation (ints or int64 arrays) -------------------------------------------
 
-    def local_time(self, l: int, phase: Phase, height: int) -> int:
-        """The normalised time ``u`` of equations (15)/(16)."""
-        if phase is Phase.BLUE:
-            return (l + height + 1) % self.time_period
-        return l % self.time_period
+    def tile_index(self, s, u):
+        """``S_i`` — equation (14), computed exactly for rational slopes.
 
-    def tile_index(self, s: int, u: int) -> int:
-        """``S_i`` — equation (14), computed exactly for rational slopes."""
+        ``s`` and ``u`` are ints or int64 arrays; NumPy's floor division
+        follows Python semantics, so both give the same values.
+        """
         numerator = self.scale * s + self.skew_numerator * u
         return numerator // (self.scale * self.width)
 
-    def local_coordinate(self, s: int, u: int) -> int:
+    def local_coordinate(self, s, u):
         """``s'_i`` — equation (17), scaled by :attr:`scale`.
 
         For integral slopes this is exactly ``(s_i + δ1_i·u) mod w_i``; for
         rational slopes the scaled remainder is returned, which preserves both
-        uniqueness within the tile and the execution order.
+        uniqueness within the tile and the execution order.  Works
+        elementwise on int64 arrays like :meth:`tile_index`.
         """
         numerator = self.scale * s + self.skew_numerator * u
         return numerator % (self.scale * self.width)
-
-    def tile_index_batch(self, s, u):
-        """Vectorised :meth:`tile_index`: NumPy floor division matches Python."""
-        numerator = self.scale * s + self.skew_numerator * u
-        return numerator // (self.scale * self.width)
-
-    def local_coordinate_batch(self, s, u):
-        """Vectorised :meth:`local_coordinate` (elementwise identical)."""
-        numerator = self.scale * s + self.skew_numerator * u
-        return numerator % (self.scale * self.width)
-
-    def tile_origin(self, tile_index: int, u: int) -> Fraction:
-        """Smallest (rational) ``s_i`` covered by a tile at normalised time ``u``."""
-        return Fraction(tile_index * self.width * self.scale - self.skew_numerator * u, self.scale)
-
-    def tile_extent(self) -> int:
-        """Number of points along ``s_i`` per tile (the width ``w_i``)."""
-        return self.width
 
     # -- quasi-affine expressions (for code generation) ----------------------------------
 
@@ -132,13 +112,6 @@ class ClassicalTiling:
         s_expr = s if s is not None else qvar(self.dim_name)
         u_expr = u if u is not None else qvar("u")
         return QMod(self._numerator_expr(s_expr, u_expr), self.scale * self.width)
-
-    def normalized_time_expr(self, phase: Phase, height: int, l: QExpr | None = None) -> QExpr:
-        """Quasi-affine form of equations (15)/(16)."""
-        l_expr = l if l is not None else qvar("l")
-        if phase is Phase.BLUE:
-            return QMod(l_expr + (height + 1), self.time_period)
-        return QMod(l_expr, self.time_period)
 
     def __str__(self) -> str:
         return (

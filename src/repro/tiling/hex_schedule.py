@@ -69,8 +69,12 @@ class HexagonalSchedule:
 
     # -- per-phase box coordinates -------------------------------------------------
 
-    def phase0_box(self, l: int, s0: int) -> tuple[int, int, int, int]:
-        """Return ``(T, S0, a, b)`` of the phase-0 box containing the point."""
+    def phase0_box(self, l, s0):
+        """Return ``(T, S0, a, b)`` of the phase-0 box containing the point.
+
+        Equations (2) and (3); ``l`` and ``s0`` are ints or int64 arrays
+        (NumPy's floor division and modulo follow Python semantics).
+        """
         shape = self.shape
         time_tile = (l + shape.height + 1) // shape.time_period
         numerator = (
@@ -85,8 +89,8 @@ class HexagonalSchedule:
         local_space = numerator % shape.space_period
         return time_tile, space_tile, local_time, local_space
 
-    def phase1_box(self, l: int, s0: int) -> tuple[int, int, int, int]:
-        """Return ``(T, S0, a, b)`` of the phase-1 box containing the point."""
+    def phase1_box(self, l, s0):
+        """Return ``(T, S0, a, b)`` of the phase-1 box: equations (4) and (5)."""
         shape = self.shape
         time_tile = l // shape.time_period
         numerator = s0 + time_tile * shape.drift
@@ -125,28 +129,17 @@ class HexagonalSchedule:
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Vectorised :meth:`assign` over arrays of canonical points.
 
-        Returns ``(phase, T, S0, a, b)`` as int64 arrays.  NumPy's floor
-        division and modulo follow Python semantics, so every coordinate is
-        elementwise identical to the scalar path.  With ``check_unique`` a
+        Returns ``(phase, T, S0, a, b)`` as int64 arrays, elementwise
+        identical to :meth:`assign`.  With ``check_unique`` a
         :class:`ValueError` is raised unless exactly one phase claims every
         point (the partitioning property of Section 3.3.3).
         """
         shape = self.shape
         l = np.asarray(l, dtype=np.int64)
         s0 = np.asarray(s0, dtype=np.int64)
-
-        t0 = (l + shape.height + 1) // shape.time_period
-        numerator0 = s0 + shape.floor_delta0_h + shape.width + 1 + t0 * shape.drift
-        S0_0 = numerator0 // shape.space_period
-        a0 = (l + shape.height + 1) % shape.time_period
-        b0 = numerator0 % shape.space_period
+        t0, S0_0, a0, b0 = self.phase0_box(l, s0)
         in_phase0 = shape.contains_batch(a0, b0)
-
-        t1 = l // shape.time_period
-        numerator1 = s0 + t1 * shape.drift
-        S0_1 = numerator1 // shape.space_period
-        a1 = l % shape.time_period
-        b1 = numerator1 % shape.space_period
+        t1, S0_1, a1, b1 = self.phase1_box(l, s0)
         in_phase1 = shape.contains_batch(a1, b1)
 
         if check_unique:
@@ -194,38 +187,6 @@ class HexagonalSchedule:
                 l = time_tile * shape.time_period + a
                 s0 = space_tile * shape.space_period + b - time_tile * shape.drift
             yield (l, s0)
-
-    def tiles_overlapping(
-        self,
-        l_range: tuple[int, int],
-        s_range: tuple[int, int],
-    ) -> Iterator[tuple[Phase, int, int]]:
-        """All tiles that may contain points of the given canonical ranges.
-
-        The enumeration over-approximates by one tile on each border and is
-        used by validators and by the (small-grid) functional simulator.
-        """
-        shape = self.shape
-        l_lo, l_hi = l_range
-        s_lo, s_hi = s_range
-        for phase in (Phase.BLUE, Phase.GREEN):
-            if phase is Phase.BLUE:
-                t_lo = (l_lo + shape.height + 1) // shape.time_period
-                t_hi = (l_hi + shape.height + 1) // shape.time_period
-            else:
-                t_lo = l_lo // shape.time_period
-                t_hi = l_hi // shape.time_period
-            for time_tile in range(t_lo, t_hi + 1):
-                if phase is Phase.BLUE:
-                    offset = (
-                        shape.floor_delta0_h + shape.width + 1 + time_tile * shape.drift
-                    )
-                else:
-                    offset = time_tile * shape.drift
-                s_tile_lo = (s_lo + offset) // shape.space_period - 1
-                s_tile_hi = (s_hi + offset) // shape.space_period + 1
-                for space_tile in range(s_tile_lo, s_tile_hi + 1):
-                    yield (phase, time_tile, space_tile)
 
     # -- quasi-affine expressions for code generation --------------------------------------
 

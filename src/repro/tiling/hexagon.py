@@ -170,11 +170,11 @@ class HexagonalTileShape:
         """Inclusive ``(lower, upper)`` bounds of ``b`` per row ``a``.
 
         One batched integer pass over all ``2h + 2`` rows: each rational
-        bound ``p/q`` is reduced with ``ceil(p/q) = -((-p) // q)`` and
-        ``floor(p/q) = p // q`` on scaled integer numerators, so the result
-        is exact (no floating point) and bit-identical to the per-row
-        :class:`~fractions.Fraction` evaluation kept as the reference in
-        :meth:`_compute_row_range`.
+        bound ``p/q`` of the constraints (6), (8), (10) and (12) is reduced
+        with ``ceil(p/q) = -((-p) // q)`` and ``floor(p/q) = p // q`` on
+        scaled integer numerators, so the result is exact (no floating
+        point).  The test oracle (``tests/tiling/oracle.py``) re-derives the
+        bounds in :class:`~fractions.Fraction` arithmetic.
         """
         h = self.height
         w0 = self.width
@@ -234,32 +234,6 @@ class HexagonalTileShape:
         if a < 0 or a > 2 * self.height + 1:
             return range(0)
         return self._row_ranges[a]
-
-    def _compute_row_range(self, a: int) -> range:
-        h = self.height
-        w0 = self.width
-        delta0 = self.delta0
-        delta1 = self.delta1
-        d0h = self.floor_delta0_h
-        d1h = self.floor_delta1_h
-        # From (6):  b >= δ0·a - (2h+1)·δ0 + ⌊δ0·h⌋
-        lower_a = delta0 * a - delta0 * (2 * h + 1) + d0h
-        # From (10): b >= h·δ1 - (d1-1)/d1 - δ1·a
-        lower_b = delta1 * h - Fraction(delta1.denominator - 1, delta1.denominator) - delta1 * a
-        # From (8):  b <= (2h+1)·δ1 + ⌊δ0·h⌋ + w0 - δ1·a
-        upper_a = delta1 * (2 * h + 1) + d0h + w0 - delta1 * a
-        # From (12): b <= δ0·a - h·δ0 + ⌊δ0·h⌋ + w0 + ⌊δ1·h⌋ + (d0-1)/d0
-        upper_b = (
-            delta0 * a
-            - delta0 * h
-            + d0h
-            + w0
-            + d1h
-            + Fraction(delta0.denominator - 1, delta0.denominator)
-        )
-        lower = max(lower_a, lower_b)
-        upper = min(upper_a, upper_b)
-        return range(math.ceil(lower), math.floor(upper) + 1)
 
     @cached_property
     def _point_count(self) -> int:

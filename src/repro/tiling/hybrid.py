@@ -24,7 +24,6 @@ Execution semantics on the GPU (Section 4.1):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from collections.abc import Sequence
 
 import numpy as np
 
@@ -32,13 +31,9 @@ from repro.model.preprocess import CanonicalForm
 from repro.polyhedral.quasi_affine import QExpr, qvar
 from repro.tiling.classical import ClassicalTiling
 from repro.tiling.cone import DependenceCone
-from repro.tiling.hex_schedule import HexagonalSchedule, HexTileAssignment, Phase
-from repro.tiling.hexagon import HexagonalTileShape, minimal_width
-from repro.tiling.schedule_arrays import (
-    ScheduleArrays,
-    build_schedule_arrays,
-    run_boundaries,
-)
+from repro.tiling.hex_schedule import HexagonalSchedule, Phase
+from repro.tiling.hexagon import HexagonalTileShape
+from repro.tiling.schedule_arrays import ScheduleArrays
 
 
 @dataclass(frozen=True)
@@ -95,31 +90,6 @@ class SchedulePoint:
     statement_index: int
     canonical_point: tuple[int, ...]
 
-    def full_tuple(self) -> tuple[int, ...]:
-        """The complete schedule vector ``[T, p, S0..Sn, t', s0'..sn']``."""
-        return (
-            self.tile.time_tile,
-            int(self.tile.phase),
-            *self.tile.space_tiles,
-            self.local_time,
-            *self.local_space,
-        )
-
-    def sequential_key(self) -> tuple[int, ...]:
-        """A total order compatible with the GPU execution (used for emulation).
-
-        Blocks (``S_0``) and threads are enumerated in ascending order, which
-        is one valid interleaving of the parallel execution.
-        """
-        return (
-            self.tile.time_tile,
-            int(self.tile.phase),
-            self.tile.space_tiles[0],
-            *self.tile.space_tiles[1:],
-            self.local_time,
-            *self.local_space,
-        )
-
 
 class HybridTiling:
     """Hybrid hexagonal/classical tiling of a canonicalised stencil program.
@@ -129,26 +99,19 @@ class HybridTiling:
     canonical:
         The canonical form produced by :func:`repro.model.preprocess.canonicalize`.
     sizes:
-        The tile size parameters ``h, w_0, ..., w_n``.
-    require_statement_alignment:
-        Enforce the paper's recommendation that ``h + 1`` be a multiple of the
-        number of statements so every tile starts with the same statement
-        (needed for divergence-free specialised code).
+        The tile size parameters ``h, w_0, ..., w_n``.  ``h + 1`` must be a
+        multiple of the number of statements so every tile starts with the
+        same statement (needed for divergence-free specialised code).
     """
 
-    def __init__(
-        self,
-        canonical: CanonicalForm,
-        sizes: TileSizes,
-        require_statement_alignment: bool = True,
-    ) -> None:
+    def __init__(self, canonical: CanonicalForm, sizes: TileSizes) -> None:
         ndim = len(canonical.space_dims)
         if len(sizes.widths) != ndim:
             raise ValueError(
                 f"expected {ndim} tile widths (one per space dimension), "
                 f"got {len(sizes.widths)}"
             )
-        if require_statement_alignment and (sizes.height + 1) % canonical.num_statements:
+        if (sizes.height + 1) % canonical.num_statements:
             raise ValueError(
                 f"h + 1 = {sizes.height + 1} must be a multiple of the number of "
                 f"statements ({canonical.num_statements}) so that every tile "
@@ -156,14 +119,7 @@ class HybridTiling:
             )
         self.canonical = canonical
         self.sizes = sizes
-        # Point-assignment memo: validation and simulation revisit the same
-        # canonical points many times (once as a sink, once per dependence as
-        # a source, once when grouping by tile).  Only the small grids used
-        # for validation enumerate points, so the memo stays small.
-        self._assign_cache: dict[tuple[int, ...], SchedulePoint] = {}
-        # Columnar schedule + tile grouping memos (array-native path).
         self._schedule_arrays_cache: ScheduleArrays | None = None
-        self._tile_groups_cache: dict[TileCoordinate, list[SchedulePoint]] | None = None
 
         self.cone = DependenceCone.from_distance_vectors(
             canonical.distance_vectors, dim_index=0
@@ -213,125 +169,58 @@ class HybridTiling:
             total *= tiling.width
         return total
 
-    def minimal_w0(self) -> int:
-        """Smallest legal ``w0`` for the configured height (equation (1))."""
-        return minimal_width(self.cone.delta0, self.cone.delta1, self.sizes.height)
-
     # -- point assignment ----------------------------------------------------------------
-
-    def assign_canonical(self, canonical_point: Sequence[int]) -> SchedulePoint:
-        """Schedule coordinates of a canonical point ``(l, s0, ..., sn)``."""
-        key = tuple(canonical_point)
-        cached = self._assign_cache.get(key)
-        if cached is not None:
-            return cached
-        l = canonical_point[0]
-        s0 = canonical_point[1]
-        hex_assignment: HexTileAssignment = self.hex_schedule.assign(l, s0)
-        u = hex_assignment.local_time
-        space_tiles = [hex_assignment.space_tile]
-        local_space = [hex_assignment.local_space]
-        for tiling, coordinate in zip(self.classical, canonical_point[2:]):
-            space_tiles.append(tiling.tile_index(coordinate, u))
-            local_space.append(tiling.local_coordinate(coordinate, u))
-        tile = TileCoordinate(
-            time_tile=hex_assignment.time_tile,
-            phase=hex_assignment.phase,
-            space_tiles=tuple(space_tiles),
-        )
-        statement_index = l % self.num_statements
-        point = SchedulePoint(
-            tile=tile,
-            local_time=u,
-            local_space=tuple(local_space),
-            statement_index=statement_index,
-            canonical_point=key,
-        )
-        self._assign_cache[key] = point
-        return point
-
-    def assign_instance(
-        self, statement_index: int, t: int, point: Sequence[int]
-    ) -> SchedulePoint:
-        """Schedule coordinates of a statement instance ``(statement, t, s)``."""
-        canonical_point = self.canonical.to_canonical(statement_index, t, point)
-        return self.assign_canonical(canonical_point)
-
-    # -- batched (array-native) assignment ------------------------------------------------
 
     def assign_batch(
         self, canonical_points: np.ndarray, check_unique: bool = False
     ) -> ScheduleArrays:
-        """Vectorised :meth:`assign_canonical` over an ``(N, 1+ndim)`` array."""
-        return build_schedule_arrays(self, canonical_points, check_unique)
+        """Schedule coordinates of an ``(N, 1 + ndim)`` array of canonical points.
+
+        Every row ``(l, s0 .. sn)`` is assigned with the hexagonal schedule
+        of the ``(l, s0)`` plane and the classical strip-mining of equations
+        (14) and (17) of the remaining dimensions, all in elementwise int64
+        arithmetic.  ``check_unique`` raises unless exactly one hexagonal
+        phase claims every point.
+        """
+        points = np.asarray(canonical_points, dtype=np.int64)
+        if points.ndim != 2 or points.shape[1] != 1 + self.ndim:
+            raise ValueError(
+                f"expected an (N, {1 + self.ndim}) canonical point array, "
+                f"got shape {points.shape}"
+            )
+        l = points[:, 0]
+        hexagon = self.hex_schedule.assign_batch(l, points[:, 1], check_unique)
+        phase, time_tile, s0_tile, local_time, s0_local = hexagon
+        space_tiles = np.empty((len(points), self.ndim), dtype=np.int64)
+        local_space = np.empty((len(points), self.ndim), dtype=np.int64)
+        space_tiles[:, 0] = s0_tile
+        local_space[:, 0] = s0_local
+        for axis, classical in enumerate(self.classical, start=1):
+            coordinate = points[:, 1 + axis]
+            space_tiles[:, axis] = classical.tile_index(coordinate, local_time)
+            local_space[:, axis] = classical.local_coordinate(coordinate, local_time)
+        return ScheduleArrays(
+            canonical=points,
+            statement_index=l % self.num_statements,
+            time_tile=time_tile,
+            phase=phase,
+            space_tiles=space_tiles,
+            local_time=local_time,
+            local_space=local_space,
+        )
 
     def schedule_arrays(self) -> ScheduleArrays:
-        """The full columnar schedule of every statement instance (cached)."""
+        """The full columnar schedule of every statement instance (cached).
+
+        Only intended for the small grids used in validation, testing and the
+        functional GPU simulator; production-size grids are analysed with the
+        closed-form counts instead.
+        """
         cached = self._schedule_arrays_cache
         if cached is None:
             cached = self.assign_batch(self.canonical.instances_array())
             self._schedule_arrays_cache = cached
         return cached
-
-    # -- tile enumeration -------------------------------------------------------------------
-
-    def group_instances_by_tile(self) -> dict[TileCoordinate, list[SchedulePoint]]:
-        """Group every statement instance of the program by its tile.
-
-        Computed with one batched assignment and one ``np.lexsort`` over the
-        schedule key (the object-based construction is kept as
-        :meth:`group_instances_by_tile_reference`).  Only intended for the
-        small grids used in validation, testing and the functional GPU
-        simulator; production-size grids are analysed with the closed-form
-        counts instead.
-        """
-        cached = self._tile_groups_cache
-        if cached is not None:
-            return cached
-        arrays = self.schedule_arrays()
-        ordered = arrays.take(arrays.sequential_order())
-        starts = run_boundaries(*ordered.tile_key_columns())
-        ends = np.append(starts[1:], len(ordered))
-        tiles: dict[TileCoordinate, list[SchedulePoint]] = {}
-        for start, end in zip(starts, ends):
-            first = ordered.point(int(start))
-            tiles[first.tile] = [first, *ordered.points(range(start + 1, end))]
-        self._tile_groups_cache = tiles
-        return tiles
-
-    def group_instances_by_tile_reference(
-        self,
-    ) -> dict[TileCoordinate, list[SchedulePoint]]:
-        """Object-based reference implementation of :meth:`group_instances_by_tile`."""
-        tiles: dict[TileCoordinate, list[SchedulePoint]] = {}
-        for _, canonical_point in self.canonical.instances():
-            schedule_point = self.assign_canonical(canonical_point)
-            tiles.setdefault(schedule_point.tile, []).append(schedule_point)
-        for points in tiles.values():
-            points.sort(key=lambda p: (tuple(p.tile.space_tiles[1:]), p.local_time, p.local_space))
-        return tiles
-
-    def execution_order(self) -> list[SchedulePoint]:
-        """All instances in one sequential order compatible with the schedule.
-
-        The order is computed by ``np.lexsort`` over the columnar schedule;
-        :meth:`execution_order_reference` keeps the build-objects-then-sort
-        construction for the equivalence tests.
-        """
-        arrays = self.schedule_arrays()
-        return list(arrays.points(arrays.sequential_order()))
-
-    def execution_order_reference(self) -> list[SchedulePoint]:
-        """Object-based reference implementation of :meth:`execution_order`."""
-        points = [
-            self.assign_canonical(point) for _, point in self.canonical.instances()
-        ]
-        points.sort(key=lambda p: p.sequential_key())
-        return points
-
-    def is_full_tile(self, points_in_tile: Sequence[SchedulePoint]) -> bool:
-        """Whether a tile contains the full, boundary-free iteration count."""
-        return len(points_in_tile) == self.iterations_per_full_tile()
 
     # -- schedule expressions (Figure 6 / code generation) --------------------------------------
 
@@ -381,11 +270,9 @@ class HybridTiling:
         return "\n".join(lines)
 
     def __getstate__(self) -> dict:
-        """Drop the (re-derivable) memo caches when pickling."""
+        """Drop the (re-derivable) schedule memo when pickling."""
         state = self.__dict__.copy()
-        state["_assign_cache"] = {}
         state["_schedule_arrays_cache"] = None
-        state["_tile_groups_cache"] = None
         return state
 
     def __repr__(self) -> str:

@@ -1,31 +1,24 @@
-"""Array-native schedule representation (columnar :class:`SchedulePoint`).
+"""Columnar schedule of statement instances.
 
-The object-based scheduling API of :mod:`repro.tiling.hybrid` materialises one
-:class:`~repro.tiling.hybrid.SchedulePoint` per statement instance, which puts
-a Python allocation and a Python comparison on every point of the iteration
-space.  This module holds the batched counterpart: one
-:class:`ScheduleArrays` carries the full schedule of ``N`` instances as int64
-columns, assignment is a handful of NumPy passes (the hexagonal phase split,
-the classical strip-mining and the statement decoding are all elementwise
-integer arithmetic) and every ordering question becomes an ``np.lexsort``
-over the schedule key.
-
-The object-based path is kept as the executable reference; the equivalence
-tests in ``tests/tiling/test_array_equivalence.py`` assert that both paths
-produce identical orderings, groupings and validation verdicts across the
-stencil library.
+One :class:`ScheduleArrays` carries the full hybrid schedule of ``N``
+statement instances as int64 columns, built by
+:meth:`repro.tiling.hybrid.HybridTiling.assign_batch`.  Every ordering
+question becomes an ``np.lexsort`` over the schedule key and every tile or
+barrier step a run of equal keys (:func:`run_boundaries`), so validation and
+simulation never materialise one Python object per point.  The brute-force
+oracle in ``tests/tiling/oracle.py`` re-derives the same schedule one point
+at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from collections.abc import Iterator
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from repro.tiling.hybrid import HybridTiling, SchedulePoint, TileCoordinate
+    from repro.tiling.hybrid import SchedulePoint
 
 
 @dataclass(frozen=True)
@@ -57,8 +50,9 @@ class ScheduleArrays:
     def sequential_key_columns(self) -> tuple[np.ndarray, ...]:
         """Columns of the GPU-compatible total order, most significant first.
 
-        Mirrors :meth:`repro.tiling.hybrid.SchedulePoint.sequential_key`:
-        ``(T, p, S0, S1..Sn, t', s'0..s'n)``.
+        ``(T, p, S0, S1..Sn, t', s'0..s'n)``: blocks (``S0``) and threads are
+        enumerated in ascending order, which is one valid interleaving of the
+        parallel execution.
         """
         return (
             self.time_tile,
@@ -93,8 +87,6 @@ class ScheduleArrays:
             local_space=self.local_space[indices],
         )
 
-    # -- object interop ------------------------------------------------------------
-
     def point(self, index: int) -> "SchedulePoint":
         """Materialise one row as a :class:`SchedulePoint` (error reporting)."""
         from repro.tiling.hex_schedule import Phase
@@ -112,54 +104,6 @@ class ScheduleArrays:
             statement_index=int(self.statement_index[index]),
             canonical_point=tuple(int(v) for v in self.canonical[index]),
         )
-
-    def points(self, order: np.ndarray | None = None) -> Iterator["SchedulePoint"]:
-        """Materialise rows as :class:`SchedulePoint` objects, lazily."""
-        indices = range(len(self)) if order is None else order
-        for index in indices:
-            yield self.point(int(index))
-
-
-def build_schedule_arrays(
-    tiling: "HybridTiling",
-    canonical_points: np.ndarray,
-    check_unique: bool = False,
-) -> ScheduleArrays:
-    """Batched :meth:`HybridTiling.assign_canonical` over a point array.
-
-    ``canonical_points`` is an ``(N, 1 + ndim)`` integer array of canonical
-    coordinates ``(l, s0 .. sn)``.  Every output column is elementwise
-    identical to the scalar assignment path.
-    """
-    points = np.asarray(canonical_points, dtype=np.int64)
-    if points.ndim != 2 or points.shape[1] != 1 + tiling.ndim:
-        raise ValueError(
-            f"expected an (N, {1 + tiling.ndim}) canonical point array, "
-            f"got shape {points.shape}"
-        )
-    l = points[:, 0]
-    phase, time_tile, s0_tile, local_time, s0_local = (
-        tiling.hex_schedule.assign_batch(l, points[:, 1], check_unique=check_unique)
-    )
-    space_tiles = np.empty((len(points), tiling.ndim), dtype=np.int64)
-    local_space = np.empty((len(points), tiling.ndim), dtype=np.int64)
-    space_tiles[:, 0] = s0_tile
-    local_space[:, 0] = s0_local
-    for axis, classical in enumerate(tiling.classical, start=1):
-        coordinate = points[:, 1 + axis]
-        space_tiles[:, axis] = classical.tile_index_batch(coordinate, local_time)
-        local_space[:, axis] = classical.local_coordinate_batch(
-            coordinate, local_time
-        )
-    return ScheduleArrays(
-        canonical=points,
-        statement_index=l % tiling.num_statements,
-        time_tile=time_tile,
-        phase=phase,
-        space_tiles=space_tiles,
-        local_time=local_time,
-        local_space=local_space,
-    )
 
 
 def run_boundaries(*columns: np.ndarray) -> np.ndarray:

@@ -1,10 +1,13 @@
 """Validation of hybrid tilings: coverage, legality and tile uniformity.
 
 These checks are the executable counterpart of the correctness argument of
-Section 3.3.3 of the paper.  They work by exhaustive enumeration and are
-therefore meant for the small problem instances used in tests; the point is
-that the *same* schedule construction code is used for the small validated
-instances and for the full-size benchmark configurations.
+Section 3.3.3 of the paper.  They enumerate every statement instance, as
+batched array passes over the columnar schedule of
+:meth:`~repro.tiling.hybrid.HybridTiling.schedule_arrays`, and are therefore
+meant for the small problem instances used in tests; the point is that the
+*same* schedule construction code is used for the small validated instances
+and for the full-size benchmark configurations.  The point-at-a-time oracle
+they are tested against lives in ``tests/tiling/oracle.py``.
 
 Three properties are checked:
 
@@ -25,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.tiling.hybrid import HybridTiling, SchedulePoint
+from repro.tiling.hybrid import HybridTiling
 from repro.tiling.schedule_arrays import lexicographic_less
 
 
@@ -73,19 +76,6 @@ def check_coverage(tiling: HybridTiling) -> int:
     return len(points)
 
 
-def check_coverage_reference(tiling: HybridTiling) -> int:
-    """Point-at-a-time reference implementation of :func:`check_coverage`."""
-    checked = 0
-    for _, canonical_point in tiling.canonical.instances():
-        l, s0 = canonical_point[0], canonical_point[1]
-        try:
-            tiling.hex_schedule.assign(l, s0, check_unique=True)
-        except ValueError as error:
-            raise ScheduleValidationError(str(error)) from error
-        checked += 1
-    return checked
-
-
 def check_legality(tiling: HybridTiling) -> int:
     """Verify that every dependence is respected by the hybrid schedule.
 
@@ -129,13 +119,19 @@ def check_legality(tiling: HybridTiling) -> int:
             continue
         sinks = arrays.take(sink_rows[in_domain])
         sources = tiling.assign_batch(source_points[in_domain])
-        _check_pair_ordering_batch(sources, sinks, dependence)
+        _check_ordering(sources, sinks, dependence)
         checked += int(in_domain.sum())
     return checked
 
 
-def _check_pair_ordering_batch(sources, sinks, dependence) -> None:
-    """Vectorised :func:`_check_pair_ordering` over aligned source/sink rows."""
+def _check_ordering(sources, sinks, dependence) -> None:
+    """Raise unless every source row executes before its sink row on the GPU.
+
+    The ordering of Section 4.1 over aligned rows: ``(T, p)`` is sequential;
+    within one ``(T, p)`` the ``S0`` blocks run in parallel, so a dependence
+    must stay inside one block, where ``(S1..Sn, t')`` is sequential with a
+    barrier after each ``t'`` step.
+    """
     source_outer = (sources.time_tile, sources.phase)
     sink_outer = (sinks.time_tile, sinks.phase)
     outer_before = lexicographic_less(source_outer, sink_outer)
@@ -180,79 +176,6 @@ def _check_pair_ordering_batch(sources, sinks, dependence) -> None:
         )
 
 
-def check_legality_reference(tiling: HybridTiling) -> int:
-    """Point-at-a-time reference implementation of :func:`check_legality`.
-
-    Goes through :meth:`HybridTiling.assign_canonical` for every source and
-    sink, so it also exercises the object-based assignment path.
-    """
-    canonical = tiling.canonical
-    domains = {
-        index: statement.domain
-        for index, statement in enumerate(canonical.scop.statements)
-    }
-    name_to_index = {
-        statement.name: index
-        for index, statement in enumerate(canonical.scop.statements)
-    }
-    # Pre-index the dependences by their sink statement so the inner loop
-    # only visits dependences that can actually end at the current instance.
-    by_sink: dict[int, list[tuple[int, object]]] = {}
-    for dependence in canonical.dependences:
-        by_sink.setdefault(name_to_index[dependence.sink], []).append(
-            (name_to_index[dependence.source], dependence)
-        )
-    num_statements = canonical.num_statements
-    checked = 0
-    for _, sink_point in canonical.instances():
-        sink = tiling.assign_canonical(sink_point)
-        for source_index, dependence in by_sink.get(sink.statement_index, ()):
-            source_point = tuple(
-                coordinate - distance
-                for coordinate, distance in zip(sink_point, dependence.distance)
-            )
-            if source_point[0] % num_statements != source_index:
-                # The dependence distance moves to a logical time slot that is
-                # not owned by the source statement: no instance there.
-                continue
-            source_t = source_point[0] // num_statements
-            source_instance = (source_t, *source_point[1:])
-            if not domains[source_index].contains(source_instance):
-                continue
-            source = tiling.assign_canonical(source_point)
-            _check_pair_ordering(source, sink, dependence)
-            checked += 1
-    return checked
-
-
-def _check_pair_ordering(source: SchedulePoint, sink: SchedulePoint, dependence) -> None:
-    """Raise unless ``source`` executes before ``sink`` on the GPU."""
-    source_outer = (source.tile.time_tile, int(source.tile.phase))
-    sink_outer = (sink.tile.time_tile, int(sink.tile.phase))
-    if source_outer < sink_outer:
-        return
-    if source_outer > sink_outer:
-        raise ScheduleValidationError(
-            f"dependence {dependence} violated: source tile {source.tile} "
-            f"executes after sink tile {sink.tile}"
-        )
-    # Same time tile and phase: blocks run in parallel, so the two instances
-    # must live in the same hexagonal (S0) tile.
-    if source.tile.space_tiles[0] != sink.tile.space_tiles[0]:
-        raise ScheduleValidationError(
-            f"dependence {dependence} crosses concurrent blocks: "
-            f"{source.tile} -> {sink.tile}"
-        )
-    source_inner = (tuple(source.tile.space_tiles[1:]), source.local_time)
-    sink_inner = (tuple(sink.tile.space_tiles[1:]), sink.local_time)
-    if source_inner >= sink_inner:
-        raise ScheduleValidationError(
-            f"dependence {dependence} violated inside tile {sink.tile}: "
-            f"source inner coordinates {source_inner} do not precede "
-            f"{sink_inner}"
-        )
-
-
 def check_tile_uniformity(tiling: HybridTiling) -> tuple[int, int]:
     """Check that all full tiles have the same iteration count.
 
@@ -279,43 +202,13 @@ def check_tile_uniformity(tiling: HybridTiling) -> tuple[int, int]:
     return full, len(counts) - full
 
 
-def check_tile_uniformity_reference(tiling: HybridTiling) -> tuple[int, int]:
-    """Object-based reference implementation of :func:`check_tile_uniformity`."""
-    expected = tiling.iterations_per_full_tile()
-    full = 0
-    partial = 0
-    for tile, points in tiling.group_instances_by_tile_reference().items():
-        if len(points) > expected:
-            raise ScheduleValidationError(
-                f"tile {tile} contains {len(points)} points, more than the "
-                f"uniform full-tile count {expected}"
-            )
-        if len(points) == expected:
-            full += 1
-        else:
-            partial += 1
-    return full, partial
-
-
-def validate_hybrid_tiling(
-    tiling: HybridTiling, reference: bool = False
-) -> ValidationReport:
+def validate_hybrid_tiling(tiling: HybridTiling) -> ValidationReport:
     """Run all validation passes and return a report.
 
     Raises :class:`ScheduleValidationError` as soon as a violation is found.
-    ``reference=True`` selects the retained object-based implementations; the
-    default batched passes produce identical reports (asserted by the
-    equivalence tests).
     """
     report = ValidationReport()
-    if reference:
-        report.instances_checked = check_coverage_reference(tiling)
-        report.dependences_checked = check_legality_reference(tiling)
-        report.full_tiles, report.partial_tiles = check_tile_uniformity_reference(
-            tiling
-        )
-    else:
-        report.instances_checked = check_coverage(tiling)
-        report.dependences_checked = check_legality(tiling)
-        report.full_tiles, report.partial_tiles = check_tile_uniformity(tiling)
+    report.instances_checked = check_coverage(tiling)
+    report.dependences_checked = check_legality(tiling)
+    report.full_tiles, report.partial_tiles = check_tile_uniformity(tiling)
     return report

@@ -5,7 +5,7 @@ Every objective maps a candidate to a scalar **cost** (lower is better):
 * ``model`` — the roofline time estimate of
   :class:`repro.gpu.perf_model.PerformanceModel` on the paper-scale problem
   (deterministic; what the CI ``tune-smoke`` gate uses);
-* ``simulate`` — measured wall time of the batch functional simulator on a
+* ``simulate`` — measured wall time of the functional simulator on a
   scaled-down instance of the program (an *empirical* objective; noisy, so
   it takes the best of ``repeats`` runs);
 * ``counters`` — a counter-weighted traffic cost derived from the analytic
@@ -157,9 +157,9 @@ def _score_counters(job: EvaluationJob) -> float:
 
 
 def _score_simulate(job: EvaluationJob) -> float:
-    """Measured wall time of the batch simulator on a small instance.
+    """Measured wall time of the functional simulator on a small instance.
 
-    Only the batch execution itself is timed.  The deterministic setup — the
+    Only the simulation itself is timed.  The deterministic setup — the
     compiled pipeline prefix and the columnar :class:`ScheduleArrays` of the
     candidate — is shared through the per-pass disk cache (the schedule
     arrays under a tuning-owned ``tuning-schedule`` stage key), so a warm
@@ -200,7 +200,7 @@ def _score_simulate(job: EvaluationJob) -> float:
     config = run.request.config
     best = float("inf")
     for _ in range(max(1, job.repeats)):
-        simulator = FunctionalSimulator(tiling, plan, config, batch=True)
+        simulator = FunctionalSimulator(tiling, plan, config)
         start = time.perf_counter()
         simulator.run(seed=0)
         best = min(best, time.perf_counter() - start)

@@ -1,10 +1,9 @@
-"""fminf/fmaxf are batch-safe: the vectorised simulator no longer falls back.
+"""The batched functional simulator is bit-exact against the reference.
 
-Satellite of the array-native scheduling PR: the two clamp intrinsics used
-to evaluate through the Python builtins ``min``/``max`` (which reject
-arrays), forcing programs that use them onto the scalar interpreter.  They
-now evaluate through ``np.minimum``/``np.maximum``, which are elementwise
-and bit-for-bit identical to the scalar comparison on float32 operands.
+The simulator evaluates every barrier step as one NumPy expression, so every
+intrinsic must evaluate elementwise on arrays: the clamp intrinsics
+fminf/fmaxf go through ``np.minimum``/``np.maximum``, which are bit-for-bit
+identical to the scalar comparison on float32 operands.
 """
 
 from __future__ import annotations
@@ -13,9 +12,11 @@ import numpy as np
 import pytest
 
 from repro.api import Session
-from repro.gpu.simulator import FunctionalSimulator, _program_batchable
+from repro.gpu.simulator import FunctionalSimulator
 from repro.model.expr import Call, Constant, FieldRead
 from repro.model.program import StencilProgram, StencilStatement
+from repro.stencils import get_definition, get_stencil, list_stencils
+from repro.tiling.hybrid import TileSizes
 
 
 def _clamped_stencil(intrinsic: str) -> StencilProgram:
@@ -32,29 +33,31 @@ def _clamped_stencil(intrinsic: str) -> StencilProgram:
     return StencilProgram(f"clamp_{intrinsic}", ("i", "j"), (16, 14), 6, [statement])
 
 
-@pytest.mark.parametrize("intrinsic", ["fminf", "fmaxf"])
-def test_clamped_programs_are_batchable(intrinsic):
-    assert _program_batchable(_clamped_stencil(intrinsic))
+def _program(name: str) -> StencilProgram:
+    """A small instance of a library stencil, or a ``clamp_<intrinsic>`` program."""
+    if name.startswith("clamp_"):
+        return _clamped_stencil(name.removeprefix("clamp_"))
+    sizes, steps = {1: ((48,), 8), 2: ((14, 12), 6), 3: ((8, 8, 8), 4)}[
+        get_definition(name).dimensions
+    ]
+    return get_stencil(name, sizes=sizes, steps=steps)
 
 
-@pytest.mark.parametrize("intrinsic", ["fminf", "fmaxf"])
-def test_batch_matches_scalar_bit_for_bit(intrinsic):
-    program = _clamped_stencil(intrinsic)
-    run = Session().run(program, stop_after="memory")
-    tiling, plan = run.artifact("tiling").tiling, run.artifact("memory").plan
-    initial = program.initial_state(seed=7)
-
-    batch_sim = FunctionalSimulator(tiling, plan, run.request.config, batch=True)
-    scalar_sim = FunctionalSimulator(tiling, plan, run.request.config, batch=False)
-    assert batch_sim.batch  # no silent fallback to the scalar interpreter
-    assert not scalar_sim.batch
-
-    batch = batch_sim.run(initial={k: v.copy() for k, v in initial.items()})
-    scalar = scalar_sim.run(initial={k: v.copy() for k, v in initial.items()})
-    for name, value in scalar.final_fields.items():
-        np.testing.assert_array_equal(batch.final_fields[name], value)
-    assert batch.counters == scalar.counters
-    assert batch.tiles_executed == scalar.tiles_executed
+@pytest.mark.parametrize("name", [*list_stencils(), "clamp_fminf", "clamp_fmaxf"])
+def test_simulation_is_bit_exact(name):
+    program = _program(name)
+    # h + 1 is a multiple of the statement count; widths 3, 4, 5 per axis.
+    height = 1 if program.num_statements == 1 else program.num_statements - 1
+    sizes = TileSizes.of(height, *(3 + axis for axis in range(program.ndim)))
+    run = Session().run(program, tile_sizes=sizes, stop_after="memory")
+    simulator = FunctionalSimulator(
+        run.artifact("tiling").tiling, run.artifact("memory").plan, run.request.config
+    )
+    result = simulator.run(seed=7)
+    reference = program.run_reference(seed=7)
+    assert result.final_fields.keys() == reference.keys()
+    for field, expected in reference.items():
+        assert np.array_equal(result.final_fields[field], expected), field
 
 
 @pytest.mark.parametrize("intrinsic", ["fminf", "fmaxf"])
@@ -93,5 +96,4 @@ for (t = 0; t < T; t++) {
 }
 """
     program = parse_stencil(source)
-    assert _program_batchable(program)
     Session().run(program).simulate_and_check()

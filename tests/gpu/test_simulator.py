@@ -1,8 +1,10 @@
 """Functional simulator tests: tiled execution must match the reference."""
 
 import numpy as np
+import pytest
 
 from repro.api import OptimizationConfig, Session
+from repro.gpu.counters import PerformanceCounters
 from repro.gpu.simulator import FunctionalSimulator
 from repro.model.preprocess import canonicalize
 from repro.stencils import get_stencil
@@ -76,3 +78,54 @@ def test_simulator_detects_mismatch_against_wrong_reference():
     result = FunctionalSimulator(tiling).run(seed=0)
     wrong = {"A": np.zeros((12, 12), dtype=np.float32)}
     assert not result.matches_reference(wrong)
+
+
+# (sizes, steps, tile sizes) -> (tiles, full, partial) and every non-zero
+# counter.  The values agree with a point-at-a-time execution of the same
+# tiles, so any change to them is a change of simulated behaviour.
+_PINNED = {
+    "jacobi_1d": (
+        ((48,), 8, (1, 3)),
+        (25, 12, 13),
+        dict(
+            gld_instructions=528, gst_instructions=368, dram_read_transactions=66,
+            dram_write_transactions=46, shared_load_requests=34.5,
+            shared_load_transactions=34.5, shared_store_requests=11.5, flops=1104,
+            stencil_updates=368, kernel_launches=6, barriers=100,
+            requested_global_bytes=2112, transferred_global_bytes=2112,
+            host_device_bytes=384,
+        ),
+    ),
+    "fdtd_2d": (
+        ((24, 20), 9, (2, 2, 5)),
+        (150, 15, 135),
+        dict(
+            gld_instructions=20439, gst_instructions=10692,
+            dram_read_transactions=2554.875, dram_write_transactions=1336.5,
+            shared_load_requests=1225.125, shared_load_transactions=1225.125,
+            shared_store_requests=334.125, flops=39204, stencil_updates=10692,
+            kernel_launches=10, barriers=900, requested_global_bytes=81756,
+            transferred_global_bytes=81756, host_device_bytes=11520,
+        ),
+    ),
+    "heat_3d": (
+        ((14, 12, 12), 6, (1, 1, 2, 3)),
+        (277, 9, 268),
+        dict(
+            gld_instructions=47592, gst_instructions=7200,
+            dram_read_transactions=5949, dram_write_transactions=900,
+            shared_load_requests=6075, shared_load_transactions=6075,
+            shared_store_requests=225, flops=194400, stencil_updates=7200,
+            kernel_launches=4, barriers=1108, requested_global_bytes=190368,
+            transferred_global_bytes=190368, host_device_bytes=16128,
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED))
+def test_simulation_counters_are_pinned(name):
+    (sizes, steps, tile_sizes), tiles, counters = _PINNED[name]
+    _, result = _check(name, sizes, steps, TileSizes.of(*tile_sizes))
+    assert (result.tiles_executed, result.full_tiles, result.partial_tiles) == tiles
+    assert result.counters == PerformanceCounters(**counters)

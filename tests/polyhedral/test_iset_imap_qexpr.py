@@ -1,4 +1,4 @@
-"""Unit tests for set unions, affine maps and quasi-affine expressions."""
+"""Unit tests for affine maps and quasi-affine expressions."""
 
 from fractions import Fraction
 
@@ -7,7 +7,6 @@ import pytest
 from repro.polyhedral.affine import LinearExpr
 from repro.polyhedral.basic_set import BasicSet
 from repro.polyhedral.imap import AffineMap
-from repro.polyhedral.iset import ISet
 from repro.polyhedral.quasi_affine import (
     QFloorDiv,
     QMod,
@@ -18,58 +17,6 @@ from repro.polyhedral.quasi_affine import (
     qvar,
 )
 from repro.polyhedral.space import Space
-
-
-# -- ISet -----------------------------------------------------------------------------
-
-
-def test_union_and_membership():
-    space = Space(["x"])
-    a = BasicSet.from_bounds(space, {"x": (0, 2)})
-    b = BasicSet.from_bounds(space, {"x": (5, 6)})
-    union = ISet.from_basic(a).union(b)
-    assert union.contains((1,)) and union.contains((6,))
-    assert not union.contains((4,))
-    assert union.count() == 5
-
-
-def test_union_count_deduplicates_overlap():
-    space = Space(["x"])
-    a = BasicSet.from_bounds(space, {"x": (0, 4)})
-    b = BasicSet.from_bounds(space, {"x": (3, 6)})
-    assert ISet.from_basic(a).union(b).count() == 7
-
-
-def test_subtraction_box_minus_box():
-    space = Space(["x", "y"])
-    outer = ISet.from_basic(BasicSet.box(space, [0, 0], [5, 5]))
-    inner = BasicSet.box(space, [2, 2], [3, 3])
-    difference = outer.subtract(inner)
-    assert difference.count() == 36 - 4
-    assert not difference.contains((2, 2))
-    assert difference.contains((0, 0))
-
-
-def test_subtraction_disjoint_leaves_set_unchanged():
-    space = Space(["x"])
-    a = ISet.from_basic(BasicSet.from_bounds(space, {"x": (0, 3)}))
-    b = BasicSet.from_bounds(space, {"x": (10, 12)})
-    assert a.subtract(b).count() == 4
-
-
-def test_intersection_of_unions():
-    space = Space(["x"])
-    a = ISet.from_basic(BasicSet.from_bounds(space, {"x": (0, 4)})).union(
-        BasicSet.from_bounds(space, {"x": (10, 14)})
-    )
-    b = ISet.from_basic(BasicSet.from_bounds(space, {"x": (3, 11)}))
-    assert sorted(p[0] for p in a.intersect(b).points()) == [3, 4, 10, 11]
-
-
-def test_empty_union():
-    space = Space(["x"])
-    assert ISet.empty(space).is_empty()
-    assert ISet.universe(space).contains((42,))
 
 
 # -- AffineMap -------------------------------------------------------------------------

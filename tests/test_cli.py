@@ -1,6 +1,7 @@
 """Tests for the hexcc command-line interface."""
 
 import json
+import os
 import pathlib
 
 import pytest
@@ -284,9 +285,41 @@ def test_malformed_widths_is_a_usage_error(capsys):
 
 
 def test_invalid_tiling_parameters_are_a_compile_failure(capsys):
-    # One width for a 3-D stencil is a pipeline error, not a usage error.
-    assert main(["compile", "heat_3d", "--widths", "4"]) == 1
-    assert "tile widths" in capsys.readouterr().err
+    # Sizes the hybrid tiling rejects are a compile failure, not a usage
+    # error, and not a fault: no crash report is written.
+    cases = [
+        (["heat_3d", "--widths", "4"], "expected 3 tile widths"),
+        (["jacobi_2d", "--widths", "4"], "expected 2 tile widths"),
+        (["fdtd_2d", "--h", "1", "--widths", "4,32"], "multiple of the number"),
+        (["wide_1d", "--h", "1", "--widths", "0"], "convexity condition (1)"),
+    ]
+    for argv, message in cases:
+        assert main(["compile", *argv]) == 1
+        err = capsys.readouterr().err
+        assert message in err
+        assert "crash report" not in err
+    crash_dir = pathlib.Path(os.environ["HEXCC_CACHE_DIR"]) / "crash"
+    assert not crash_dir.exists() or not any(crash_dir.iterdir())
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compile", "jacobi_2d"],
+        ["compile-file", str(EXAMPLE_SOURCE)],
+        ["inspect", "jacobi_2d"],
+        ["verify", "jacobi_2d"],
+        ["validate", "jacobi_2d"],
+        ["validate-file", str(EXAMPLE_SOURCE), "--sizes", "16,16", "--steps", "6"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_h_without_widths_is_a_usage_error(argv, capsys):
+    """--h alone used to be ignored silently in favour of the model's pick."""
+    assert main([*argv, "--h", "5"]) == 2
+    captured = capsys.readouterr()
+    assert "--h needs --widths" in captured.err
+    assert captured.out == ""
 
 
 def test_missing_command_is_a_usage_error():

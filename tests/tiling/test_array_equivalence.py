@@ -1,14 +1,16 @@
-"""Equivalence of the array-native scheduling core and the object-based path.
+"""The array-native scheduling core agrees with the brute-force oracle.
 
-The tentpole invariant: for every stencil in the library (at test-scale
-problem sizes), the batched NumPy implementation of assignment, execution
-order, tile grouping and validation produces *identical* results to the
-retained object-based reference.
+For every stencil in the library (at test-scale problem sizes), the batched
+assignment, sequential order, tile grouping and validation report equal what
+``oracle.py`` derives one statement instance at a time.
 """
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
+import oracle
 import pytest
 
 from repro.model.preprocess import canonicalize
@@ -18,18 +20,10 @@ from repro.tiling.schedule_arrays import (
     lexicographic_less,
     run_boundaries,
 )
-from repro.tiling.validate import (
-    check_coverage,
-    check_coverage_reference,
-    check_legality,
-    check_legality_reference,
-    check_tile_uniformity,
-    check_tile_uniformity_reference,
-    validate_hybrid_tiling,
-)
+from repro.tiling.validate import validate_hybrid_tiling
 
 # Small instances per dimensionality: enough points to produce full and
-# partial tiles, small enough for the exhaustive object-based reference.
+# partial tiles, small enough for the point-at-a-time oracle.
 _SMALL = {1: ((48,), 8), 2: ((14, 12), 6), 3: ((8, 8, 8), 4)}
 
 
@@ -38,55 +32,67 @@ def _tiling_for(name: str) -> HybridTiling:
     sizes, steps = _SMALL[len(program_full.sizes)]
     program = get_stencil(name, sizes=sizes, steps=steps)
     canonical = canonicalize(program)
+    # h + 1 is a multiple of the statement count, as HybridTiling requires.
     height = 1 if canonical.num_statements == 1 else canonical.num_statements - 1
-    tiling = HybridTiling(
-        canonical,
-        TileSizes.of(
-            height,
-            *[3 + axis for axis in range(len(sizes))],
-        ),
-        require_statement_alignment=False,
+    return HybridTiling(
+        canonical, TileSizes.of(height, *[3 + axis for axis in range(len(sizes))])
     )
-    return tiling
+
+
+def _rows(arrays) -> list[tuple[int, ...]]:
+    """Schedule rows ``(T, p, S0..Sn, t', s'0..s'n)`` as tuples."""
+    columns = np.column_stack(arrays.sequential_key_columns())
+    return [tuple(row) for row in columns.tolist()]
+
+
+def _oracle_order(tiling) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """``(schedule row, canonical point)`` of every instance, sequentially."""
+    points = oracle.instances(tiling.canonical.program)
+    return sorted((oracle.assign(tiling, point), point) for point in points)
 
 
 @pytest.mark.parametrize("name", list_stencils())
 def test_assign_batch_matches_scalar_assignment(name):
     tiling = _tiling_for(name)
     arrays = tiling.schedule_arrays()
-    for row, (_, canonical_point) in enumerate(tiling.canonical.instances()):
-        point = tiling.assign_canonical(canonical_point)
-        assert tuple(arrays.canonical[row]) == canonical_point
-        assert int(arrays.time_tile[row]) == point.tile.time_tile
-        assert int(arrays.phase[row]) == int(point.tile.phase)
-        assert tuple(arrays.space_tiles[row]) == point.tile.space_tiles
-        assert int(arrays.local_time[row]) == point.local_time
-        assert tuple(arrays.local_space[row]) == point.local_space
-        assert int(arrays.statement_index[row]) == point.statement_index
+    points = [tuple(point) for point in arrays.canonical.tolist()]
+    assert sorted(points) == sorted(oracle.instances(tiling.canonical.program))
+    assert _rows(arrays) == [oracle.assign(tiling, point) for point in points]
+    k = tiling.num_statements
+    assert arrays.statement_index.tolist() == [point[0] % k for point in points]
 
 
 @pytest.mark.parametrize("name", list_stencils())
 def test_execution_order_matches_reference(name):
     tiling = _tiling_for(name)
-    assert tiling.execution_order() == tiling.execution_order_reference()
+    arrays = tiling.schedule_arrays()
+    ordered = arrays.take(arrays.sequential_order())
+    expected = _oracle_order(tiling)
+    assert _rows(ordered) == [row for row, _ in expected]
+    assert [tuple(p) for p in ordered.canonical.tolist()] == [p for _, p in expected]
 
 
 @pytest.mark.parametrize("name", list_stencils())
 def test_tile_grouping_matches_reference(name):
+    """Runs of equal tile keys in the sorted schedule are the oracle's tiles."""
     tiling = _tiling_for(name)
-    assert tiling.group_instances_by_tile() == tiling.group_instances_by_tile_reference()
+    arrays = tiling.schedule_arrays()
+    ordered = arrays.take(arrays.sequential_order())
+    keys = _rows(ordered)
+    starts = run_boundaries(*ordered.tile_key_columns()).tolist()
+    sizes = np.diff([*starts, len(ordered)]).tolist()
+    tile = slice(2 + tiling.ndim)  # (T, p, S0..Sn)
+    grouped = [(keys[start][tile], size) for start, size in zip(starts, sizes)]
+    expected = Counter(row[tile] for row, _ in _oracle_order(tiling))
+    assert grouped == sorted(expected.items())
 
 
 @pytest.mark.parametrize("name", list_stencils())
 def test_validator_verdicts_match_reference(name):
     tiling = _tiling_for(name)
-    batched = validate_hybrid_tiling(tiling)
-    reference = validate_hybrid_tiling(tiling, reference=True)
-    assert batched == reference
-    assert batched.ok
-    assert check_coverage(tiling) == check_coverage_reference(tiling)
-    assert check_legality(tiling) == check_legality_reference(tiling)
-    assert check_tile_uniformity(tiling) == check_tile_uniformity_reference(tiling)
+    report = validate_hybrid_tiling(tiling)
+    assert report == oracle.validate(tiling)
+    assert report.ok and report.dependences_checked > 0
 
 
 def test_hexagon_row_bounds_match_fraction_reference():
@@ -107,7 +113,7 @@ def test_hexagon_row_bounds_match_fraction_reference():
             width = minimal_width(cone.delta0, cone.delta1, height) + 1
             shape = HexagonalTileShape(cone, height, width)
             for a in range(0, 2 * height + 2):
-                assert shape.row_range(a) == shape._compute_row_range(a)
+                assert shape.row_range(a) == oracle.row_range(shape, a)
 
 
 def test_run_boundaries_and_lexicographic_less():

@@ -2,6 +2,8 @@
 
 from fractions import Fraction
 
+import numpy as np
+import oracle
 import pytest
 
 from repro.model.preprocess import canonicalize
@@ -13,7 +15,6 @@ from repro.tiling.validate import (
     ScheduleValidationError,
     check_coverage,
     check_legality,
-    check_legality_reference,
     check_tile_uniformity,
     validate_hybrid_tiling,
 )
@@ -114,11 +115,12 @@ def test_hybrid_full_validation_multi_statement(small_fdtd_2d):
 
 
 def test_hybrid_schedule_point_round_trip(jacobi_tiling):
-    point = jacobi_tiling.assign_instance(0, 3, (5, 7))
+    canonical_point = jacobi_tiling.canonical.to_canonical(0, 3, (5, 7))
+    point = jacobi_tiling.assign_batch(np.array([canonical_point])).point(0)
     assert point.canonical_point == (3, 5, 7)
     assert point.statement_index == 0
     assert len(point.tile.space_tiles) == 2
-    assert len(point.full_tuple()) == 2 + 2 + 1 + 2
+    assert len(point.local_space) == 2
 
 
 def test_iterations_per_full_tile_closed_form():
@@ -142,42 +144,31 @@ def test_schedule_expressions_evaluate_consistently(jacobi_tiling):
         for l in range(0, 12):
             for i in range(1, 15):
                 for j in range(1, 13):
-                    assignment = jacobi_tiling.assign_canonical((l, i, j))
-                    if assignment.tile.phase is not phase:
+                    T, p, S0, S1, t_local, s0_local, _ = oracle.assign(
+                        jacobi_tiling, (l, i, j)
+                    )
+                    if p != phase:
                         continue
                     env = {"l": l, "i": i, "j": j}
-                    assert exprs["T"].evaluate(env) == assignment.tile.time_tile
-                    assert exprs["S0"].evaluate(env) == assignment.tile.space_tiles[0]
-                    assert exprs["S1"].evaluate(env) == assignment.tile.space_tiles[1]
-                    assert exprs["t_local"].evaluate(env) == assignment.local_time
-                    assert exprs["s0_local"].evaluate(env) == assignment.local_space[0]
+                    assert exprs["T"].evaluate(env) == T
+                    assert exprs["S0"].evaluate(env) == S0
+                    assert exprs["S1"].evaluate(env) == S1
+                    assert exprs["t_local"].evaluate(env) == t_local
+                    assert exprs["s0_local"].evaluate(env) == s0_local
 
 
-def test_validation_detects_broken_schedule(jacobi_canonical):
-    """Sabotaged tile coordinates must be caught by the reference checker."""
+def test_validation_detects_broken_schedule(jacobi_canonical, monkeypatch):
+    """Sabotaged tile coordinates must be caught by the test oracle."""
     tiling = HybridTiling(jacobi_canonical, TileSizes.of(2, 3, 6))
-    original = tiling.assign_canonical
+    original = oracle.assign
 
-    def sabotaged(point):
-        result = original(point)
-        if result.tile.phase is Phase.GREEN:
-            broken_tile = type(result.tile)(
-                time_tile=result.tile.time_tile - 1,
-                phase=result.tile.phase,
-                space_tiles=result.tile.space_tiles,
-            )
-            return type(result)(
-                tile=broken_tile,
-                local_time=result.local_time,
-                local_space=result.local_space,
-                statement_index=result.statement_index,
-                canonical_point=result.canonical_point,
-            )
-        return result
+    def sabotaged(tiling, point):
+        row = original(tiling, point)
+        return (row[0] - 1, *row[1:]) if row[1] == Phase.GREEN else row
 
-    tiling.assign_canonical = sabotaged  # type: ignore[method-assign]
+    monkeypatch.setattr(oracle, "assign", sabotaged)
     with pytest.raises(ScheduleValidationError):
-        check_legality_reference(tiling)
+        oracle.validate(tiling)
 
 
 def test_batched_validation_detects_broken_schedule(jacobi_canonical):
@@ -208,6 +199,7 @@ def test_batched_validation_detects_broken_schedule(jacobi_canonical):
 
 def test_uniformity_reports_full_and_partial_tiles(jacobi_tiling):
     full, partial = check_tile_uniformity(jacobi_tiling)
-    assert full + partial == len(jacobi_tiling.group_instances_by_tile())
+    points = oracle.instances(jacobi_tiling.canonical.program)
+    assert full + partial == len({oracle.assign(jacobi_tiling, p)[:4] for p in points})
     assert partial > 0
     assert check_coverage(jacobi_tiling) == jacobi_tiling.canonical.program.stencil_updates()
