@@ -8,6 +8,7 @@ and the Table 4 configuration fits the 48 KB of shared memory.
 from conftest import run_once
 
 from repro.experiments.paper_data import PAPER_TILE_SIZES
+from repro.gpu.device import GTX470
 from repro.model.preprocess import canonicalize
 from repro.stencils import get_stencil
 from repro.tiling.hybrid import TileSizes
@@ -33,7 +34,7 @@ def _sweep():
                     "shared_bytes": estimate.shared_memory_bytes,
                 }
             )
-    best = select_tile_sizes(canonical, shared_memory_limit=48 * 1024)
+    best = select_tile_sizes(canonical, GTX470)
     return rows, best
 
 
@@ -62,4 +63,4 @@ def test_tile_size_model(benchmark):
     assert 2 * PAPER_TILE_SIZES["heat_2d"].height + 2 == 8
     assert 2 * PAPER_TILE_SIZES["laplacian_3d"].height + 2 == 4
     model = TileSizeModel(canonicalize(get_stencil("heat_3d")))
-    assert model.shared_memory_bytes(PAPER_TILE_SIZES["heat_3d"]) <= 48 * 1024
+    assert model.estimate(PAPER_TILE_SIZES["heat_3d"]).shared_memory_bytes <= 48 * 1024

@@ -5,7 +5,7 @@ The paper selects tile sizes with the closed-form load-to-compute model;
 its auto-tuning competitors (Patus) sometimes win by measuring instead.
 ``repro.tuning`` closes that loop:
 
-* derive the legal candidate space from the model's own constraints,
+* take the legal candidate space from the model's own tile-size table,
 * spend a search budget (grid / random / hill-climbing) scoring candidates,
 * record the winner in a persistent database that
   ``Session.run(tuned=True)`` / ``hexcc compile --tuned`` apply
@@ -30,14 +30,13 @@ from repro.model.preprocess import canonicalize
 
 
 def show_space() -> None:
-    print("=== the candidate space (derived from the §3.7 constraints) ===")
+    print("=== the candidate space (the legal rows of the §3.7 model's table) ===")
     canonical = canonicalize(get_stencil("heat_3d"))
     space = CandidateSpace(canonical)
     rejections = dict(space.rejections)
     print(f"heat_3d: {len(space)} legal candidates; pruned: "
           f"shared-memory={rejections['shared_memory_overflow']}, "
-          f"legality={rejections['legality']}, "
-          f"occupancy={rejections['occupancy_floor']}\n")
+          f"legality={rejections['legality']}\n")
 
 
 def search_and_apply(workdir: Path) -> None:

@@ -44,7 +44,7 @@ def tile_size_sweep() -> None:
                     f"{estimate.loads:>11} {estimate.load_to_compute:>7.3f} "
                     f"{estimate.shared_memory_bytes / 1024:>10.1f}{marker}"
                 )
-    best = select_tile_sizes(canonical, shared_memory_limit=48 * 1024)
+    best = select_tile_sizes(canonical, GTX470)
     print(f"\nselected: {best.sizes} with load-to-compute ratio "
           f"{best.load_to_compute:.3f} ({best.shared_memory_bytes / 1024:.1f} KB shared)")
     print("(* = exceeds the 48 KB shared-memory budget and is rejected)\n")

@@ -140,8 +140,8 @@ class TilingPlan:
             data["model_iterations_per_tile"] = self.tile_cost.iterations
             data["model_shared_memory_bytes"] = self.tile_cost.shared_memory_bytes
             if self.tile_cost.rejections:
-                # Why the rest of the §3.7 search space was pruned (shared
-                # memory overflow, legality, occupancy floor) — surfaced by
+                # Why the rest of the §3.7 search grid was pruned (legality,
+                # shared memory overflow) — surfaced by
                 # ``hexcc inspect --stop-after tiling --json``.
                 data["model_pruned"] = dict(self.tile_cost.rejections)
         if self.details:

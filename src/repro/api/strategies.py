@@ -46,12 +46,15 @@ class TilingStrategy(ABC):
         """Tile sizes via the §3.7 load-to-compute model (shared helper)."""
         from repro.tiling.tile_size import select_tile_sizes
 
-        return select_tile_sizes(
-            canonical,
-            shared_memory_limit=request.device.shared_memory_per_sm,
-            warp_size=request.device.warp_size,
-            inter_tile_reuse=request.config.inter_tile_reuse != "none",
-        )
+        try:
+            return select_tile_sizes(
+                canonical,
+                request.device,
+                inter_tile_reuse=request.config.inter_tile_reuse != "none",
+            )
+        except ValueError as error:
+            # No tile fits the device: a property of the program, not a fault.
+            raise StrategyError(str(error)) from error
 
 
 class HybridStrategy(TilingStrategy):

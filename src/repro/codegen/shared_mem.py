@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from repro.model.program import StencilProgram
 from repro.api.config import OptimizationConfig
 from repro.tiling.hybrid import HybridTiling
+from repro.tiling.tile_size import TileSizeModel
 
 
 @dataclass(frozen=True)
@@ -105,22 +106,20 @@ def plan_shared_memory(
 ) -> SharedMemoryPlan:
     """Compute the shared-memory plan of a hybrid tiling under a configuration."""
     program = tiling.canonical.program
-    extents = _tile_box_extents(tiling)
-    radii = _field_radii(program)
+    model = TileSizeModel(tiling.canonical)
+    _, extents = model.footprint(tiling.sizes.height, tiling.sizes.widths)
 
     footprints: list[FieldFootprint] = []
     loads_per_tile = 0
     reused_per_tile = 0
-    for field, (lower, upper) in radii.items():
-        box = []
-        for axis, extent in enumerate(extents):
-            box.append(extent + (upper[axis] - lower[axis]))
+    for field, radii in model.read_radii.items():
+        box = [int(extent) + high - low for extent, (low, high) in zip(extents, radii)]
         versions = _versions_read(program, field)
         footprint = FieldFootprint(
             field=field,
             extents=tuple(box),
-            halo_lower=tuple(-l for l in lower),
-            halo_upper=tuple(upper),
+            halo_lower=tuple(-low for low, _ in radii),
+            halo_upper=tuple(high for _, high in radii),
             versions=versions,
             element_size=element_size,
         )
@@ -160,32 +159,6 @@ def plan_shared_memory(
 
 
 # -- helpers --------------------------------------------------------------------------------
-
-
-def _tile_box_extents(tiling: HybridTiling) -> list[int]:
-    """Data-space extent of a full tile along each space dimension (no halo)."""
-    (_, _), (b_min, b_max) = tiling.shape.bounding_box()
-    extents = [b_max - b_min + 1]
-    for index, classical in enumerate(tiling.classical, start=1):
-        skew_span = int(classical.delta1 * (tiling.shape.time_period - 1))
-        extents.append(classical.width + skew_span)
-    return extents
-
-
-def _field_radii(
-    program: StencilProgram,
-) -> dict[str, tuple[list[int], list[int]]]:
-    """Per-field (lower, upper) read offsets across all statements."""
-    radii: dict[str, tuple[list[int], list[int]]] = {}
-    for statement in program.statements:
-        for read in statement.reads:
-            lower, upper = radii.setdefault(
-                read.field, ([0] * program.ndim, [0] * program.ndim)
-            )
-            for axis, offset in enumerate(read.offsets):
-                lower[axis] = min(lower[axis], offset)
-                upper[axis] = max(upper[axis], offset)
-    return radii
 
 
 def _versions_read(program: StencilProgram, field: str) -> int:

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from collections.abc import Iterator
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -38,6 +39,9 @@ from repro.polyhedral.basic_set import BasicSet
 from repro.polyhedral.constraint import Constraint
 from repro.polyhedral.space import Space
 from repro.tiling.cone import DependenceCone
+
+if TYPE_CHECKING:
+    import numpy.typing as npt
 
 
 def _floor(value: Fraction) -> int:
@@ -55,6 +59,40 @@ def minimal_width(delta0: Fraction, delta1: Fraction, height: int) -> int:
         delta1 + _fractional_part(delta1 * height),
     ) - 1
     return max(0, math.ceil(bound))
+
+
+def row_bounds(
+    delta0: Fraction,
+    delta1: Fraction,
+    height: npt.ArrayLike,
+    width: npt.ArrayLike,
+    a: npt.ArrayLike,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Inclusive ``(lower, upper)`` bounds of ``b`` in row ``a`` of a hexagon.
+
+    ``height`` (``h``), ``width`` (``w0``) and ``a`` broadcast against each
+    other, so one call covers one tile or every row of a whole ``(h, w0)``
+    search grid.  Each rational bound ``p/q`` of the constraints (6), (8),
+    (10) and (12) is reduced with ``ceil(p/q) = -((-p) // q)`` and
+    ``floor(p/q) = p // q`` on scaled integer numerators, so the result is
+    exact (no floating point).  Rows outside ``[0, 2h+1]`` are not masked.
+    """
+    h = np.asarray(height, dtype=np.int64)
+    w0 = np.asarray(width, dtype=np.int64)
+    a = np.asarray(a, dtype=np.int64)
+    n0, q0 = delta0.numerator, delta0.denominator
+    n1, q1 = delta1.numerator, delta1.denominator
+    d0h = (n0 * h) // q0
+    d1h = (n1 * h) // q1
+    # From (6):  b >= δ0·(a - (2h+1)) + ⌊δ0·h⌋
+    lower_a = -((-(n0 * (a - (2 * h + 1)))) // q0) + d0h
+    # From (10): b >= (δ1·(h - a)·q1 - (q1-1)) / q1
+    lower_b = -((-(n1 * (h - a) - (q1 - 1))) // q1)
+    # From (8):  b <= δ1·(2h+1-a) + ⌊δ0·h⌋ + w0
+    upper_a = (n1 * (2 * h + 1 - a)) // q1 + d0h + w0
+    # From (12): b <= (δ0·(a-h)·q0 + (q0-1))/q0 + ⌊δ0·h⌋ + w0 + ⌊δ1·h⌋
+    upper_b = (n0 * (a - h) + (q0 - 1)) // q0 + d0h + w0 + d1h
+    return np.maximum(lower_a, lower_b), np.minimum(upper_a, upper_b)
 
 
 @dataclass(frozen=True)
@@ -169,29 +207,12 @@ class HexagonalTileShape:
     def _row_bounds(self) -> tuple[np.ndarray, np.ndarray]:
         """Inclusive ``(lower, upper)`` bounds of ``b`` per row ``a``.
 
-        One batched integer pass over all ``2h + 2`` rows: each rational
-        bound ``p/q`` of the constraints (6), (8), (10) and (12) is reduced
-        with ``ceil(p/q) = -((-p) // q)`` and ``floor(p/q) = p // q`` on
-        scaled integer numerators, so the result is exact (no floating
-        point).  The test oracle (``tests/tiling/oracle.py``) re-derives the
-        bounds in :class:`~fractions.Fraction` arithmetic.
+        One batched integer pass over all ``2h + 2`` rows (:func:`row_bounds`).
+        The test oracle (``tests/tiling/oracle.py``) re-derives the bounds in
+        :class:`~fractions.Fraction` arithmetic.
         """
-        h = self.height
-        w0 = self.width
-        d0h = self.floor_delta0_h
-        d1h = self.floor_delta1_h
-        n0, q0 = self.delta0.numerator, self.delta0.denominator
-        n1, q1 = self.delta1.numerator, self.delta1.denominator
-        a = np.arange(0, 2 * h + 2, dtype=np.int64)
-        # From (6):  b >= δ0·(a - (2h+1)) + ⌊δ0·h⌋
-        lower_a = -((-(n0 * (a - (2 * h + 1)))) // q0) + d0h
-        # From (10): b >= (δ1·(h - a)·q1 - (q1-1)) / q1
-        lower_b = -((-(n1 * (h - a) - (q1 - 1))) // q1)
-        # From (8):  b <= δ1·(2h+1-a) + ⌊δ0·h⌋ + w0
-        upper_a = (n1 * (2 * h + 1 - a)) // q1 + d0h + w0
-        # From (12): b <= (δ0·(a-h)·q0 + (q0-1))/q0 + ⌊δ0·h⌋ + w0 + ⌊δ1·h⌋
-        upper_b = (n0 * (a - h) + (q0 - 1)) // q0 + d0h + w0 + d1h
-        return np.maximum(lower_a, lower_b), np.minimum(upper_a, upper_b)
+        a = np.arange(0, 2 * self.height + 2, dtype=np.int64)
+        return row_bounds(self.delta0, self.delta1, self.height, self.width, a)
 
     @cached_property
     def _row_ranges(self) -> tuple[range, ...]:

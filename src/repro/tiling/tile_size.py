@@ -2,63 +2,67 @@
 
 The model follows the paper: for a generic (non-boundary) tile it computes
 
-* the number of statement instances executed by the tile, and
-* the number of values loaded from global memory by the tile,
+* the number of statement instances executed by the tile,
+* the number of values loaded from global memory by the tile, and
+* the shared memory staging the tile's footprint occupies,
 
-both as exact functions of the tile size parameters ``h, w_0, ..., w_n``, and
-then picks the parameters with the smallest load-to-compute ratio among those
-whose shared-memory footprint fits the hardware bound.  Loads are modelled as
-the size of the rectangular shared-memory box PPCG allocates for the tile
-(Section 4.2); with inter-tile reuse enabled (Section 4.2.2) only the part of
-the box that was not already loaded by the preceding tile along the innermost
-(classically tiled, sequentially executed) dimension is counted.
+all as exact integer functions of the tile size parameters ``h, w_0, ...,
+w_n``.  Loads are modelled as the size of the rectangular shared-memory box
+PPCG allocates for the tile (Section 4.2); with inter-tile reuse enabled
+(Section 4.2.2) only the part of the box that was not already loaded by the
+preceding tile along the innermost (classically tiled, sequentially
+executed) dimension is counted.
+
+:meth:`TileSizeModel.table` evaluates the three figures over the whole
+search grid at once, as NumPy arrays broadcast over its axes: the heights
+:data:`HEIGHTS`, the widths :data:`WIDTHS` for ``w_0`` and every middle
+dimension, and for a 2-D+ stencil an innermost width of 1, 2 or 4 warps, so
+full warps execute, accesses are stride-one and loads are cache-line
+aligned (Section 2).  Each hexagon is evaluated once per ``(h, w_0)``.  One
+prune rule applies: a grid point is counted once, under the first rule it
+fails,
+
+1. ``legality`` — ``h + 1`` is not a multiple of the statement count
+   (Section 3.3), or ``w_0`` is below the convexity minimum of condition (1);
+2. ``shared_memory_overflow`` — the footprint exceeds the device's shared
+   memory.
+
+:func:`select_tile_sizes` picks the surviving point with the smallest
+load-to-compute ratio, and the autotuner's candidate space
+(:class:`repro.tuning.space.CandidateSpace`) is the same surviving points.
 """
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass, field, replace
-from collections.abc import Iterable, Mapping
+from collections.abc import Mapping, Sequence
+from typing import TYPE_CHECKING
+
+import numpy as np
 
 from repro.model.preprocess import CanonicalForm
 from repro.tiling.cone import DependenceCone
-from repro.tiling.hexagon import HexagonalTileShape, minimal_width
+from repro.tiling.hexagon import minimal_width, row_bounds
 from repro.tiling.hybrid import TileSizes
 
-#: Reasons a tile-size candidate can be pruned during a search.  Shared with
-#: the autotuner's candidate generator (:mod:`repro.tuning.space`) so both
-#: report the same vocabulary in ``hexcc inspect``/``hexcc tune``.
+if TYPE_CHECKING:
+    import numpy.typing as npt
+
+    from repro.gpu.device import GPUDevice
+
+#: Reasons a grid point is pruned, shared with the autotuner's candidate
+#: space (:mod:`repro.tuning.space`) so both report the same vocabulary in
+#: ``hexcc inspect``/``hexcc tune``.
 PRUNE_SHARED_MEMORY = "shared_memory_overflow"
 PRUNE_LEGALITY = "legality"
-PRUNE_OCCUPANCY = "occupancy_floor"
-PRUNE_REASONS = (PRUNE_SHARED_MEMORY, PRUNE_LEGALITY, PRUNE_OCCUPANCY)
 
-
-def new_prune_counters() -> dict[str, int]:
-    """A fresh ``reason -> count`` mapping, plus the ``evaluated`` counter."""
-    counters = {reason: 0 for reason in PRUNE_REASONS}
-    counters["evaluated"] = 0
-    return counters
-
-
-def height_is_legal(height: int, num_statements: int) -> bool:
-    """``h + 1`` must be a multiple of the statement count (Section 3.3).
-
-    Shared between :func:`select_tile_sizes` and the autotuner's candidate
-    generator so the two searches can never disagree on legality.
-    """
-    return (height + 1) % num_statements == 0
-
-
-def inner_width_keeps_full_warps(
-    widths: tuple[int, ...], ndim: int, warp_size: int
-) -> bool:
-    """2-D+ stencils must fill whole warps along the innermost dimension.
-
-    Partial warps idle cores on every barrier step (Section 2); 1-D stencils
-    have no classically-tiled inner dimension, so no constraint applies.
-    """
-    return ndim < 2 or widths[-1] % warp_size == 0
+#: Tile heights ``h`` of the search grid.
+HEIGHTS = tuple(range(17))
+#: Widths of ``w_0`` and of every middle space dimension in the search grid.
+WIDTHS = (1, 2, 3, 4, 5, 6, 7, 8, 10, 12, 16, 20, 24, 32)
+#: Innermost widths of a 2-D+ stencil, in warps.
+INNER_WARPS = (1, 2, 4)
 
 
 @dataclass(frozen=True)
@@ -68,12 +72,11 @@ class TileCostEstimate:
     sizes: TileSizes
     iterations: int
     loads: int
-    stores: int
     shared_memory_bytes: int
-    #: When produced by a search (:func:`select_tile_sizes`), the counts of
-    #: candidates pruned per reason plus the ``evaluated`` count — why the
-    #: rest of the space was rejected.  Excluded from equality so estimates
-    #: from different searches still compare by their cost figures.
+    #: When produced by :func:`select_tile_sizes`, the number of grid points
+    #: pruned per reason plus the number ``evaluated`` — why the rest of the
+    #: grid was rejected.  Excluded from equality so estimates from different
+    #: searches still compare by their cost figures.
     rejections: Mapping[str, int] | None = field(
         default=None, compare=False, repr=False
     )
@@ -93,24 +96,65 @@ class TileCostEstimate:
         )
 
 
+@dataclass(frozen=True)
+class TileTable:
+    """The §3.7 figures of every point of the tile-size search grid.
+
+    The grid is the product of :attr:`axes` — heights, ``w_0``, the middle
+    widths and (2-D+ stencils) the innermost width.  Every array holds one
+    entry per grid point, flattened in row-major (grid) order.
+    """
+
+    axes: tuple[np.ndarray, ...]
+    iterations: np.ndarray
+    loads: np.ndarray
+    shared_memory_bytes: np.ndarray
+    #: Whether the point survives both prune rules.
+    legal: np.ndarray
+    #: Points pruned per reason, plus the number of legal points (``evaluated``).
+    rejections: Mapping[str, int]
+
+    def rows(self) -> np.ndarray:
+        """Grid indices of the legal points, in grid order."""
+        return np.flatnonzero(self.legal)
+
+    def sizes(self, rows: np.ndarray) -> list[TileSizes]:
+        """The tile sizes of the grid points ``rows``."""
+        coords = np.unravel_index(rows, tuple(len(axis) for axis in self.axes))
+        values = np.stack(
+            [axis[index] for axis, index in zip(self.axes, coords)], axis=-1
+        ).tolist()
+        return [TileSizes(height, tuple(widths)) for height, *widths in values]
+
+    def estimate(self, row: int) -> TileCostEstimate:
+        """The cost figures of grid point ``row``."""
+        (sizes,) = self.sizes(np.array([row]))
+        return TileCostEstimate(
+            sizes=sizes,
+            iterations=int(self.iterations[row]),
+            loads=int(self.loads[row]),
+            shared_memory_bytes=int(self.shared_memory_bytes[row]),
+        )
+
+
 class TileSizeModel:
     """Analytic cost model of a hybrid tile for one stencil program."""
 
     def __init__(self, canonical: CanonicalForm, element_size: int = 4) -> None:
         self.canonical = canonical
         self.element_size = element_size
+        self.ndim = len(canonical.space_dims)
         self.cone = DependenceCone.from_distance_vectors(
             canonical.distance_vectors, dim_index=0
         )
-        self._space_bounds = [
-            canonical.space_distance_bounds(index)
-            for index in range(len(canonical.space_dims))
+        # Slope δ1 of every classically tiled dimension s1 .. sn.
+        self._skews = [
+            canonical.space_distance_bounds(index)[1]
+            for index in range(1, self.ndim)
         ]
-        self._read_radii = self._compute_read_radii()
-        # The search of select_tile_sizes revisits the same (h, w0) pair for
-        # every combination of the remaining widths; the hexagonal shape (and
-        # its exact-rational row geometry) only depends on (h, w0).
-        self._shape_cache: dict[tuple[int, int], HexagonalTileShape] = {}
+        #: Per-field, per-dimension ``(lower, upper)`` read offsets, fields
+        #: in order of their first read.
+        self.read_radii = self._compute_read_radii()
 
     def _compute_read_radii(self) -> dict[str, list[tuple[int, int]]]:
         """Per-field, per-dimension (negative, positive) read radii."""
@@ -125,79 +169,108 @@ class TileSizeModel:
                     entry[axis] = (min(low, offset), max(high, offset))
         return radii
 
-    # -- per-tile quantities ---------------------------------------------------------------
+    def footprint(
+        self, height: npt.ArrayLike, widths: Sequence[npt.ArrayLike]
+    ) -> tuple[np.ndarray, list[np.ndarray]]:
+        """Iterations and footprint box of a full tile, broadcast over the sizes.
 
-    def shape(self, sizes: TileSizes) -> HexagonalTileShape:
-        key = (sizes.height, sizes.w0)
-        shape = self._shape_cache.get(key)
-        if shape is None:
-            shape = HexagonalTileShape(self.cone, sizes.height, sizes.w0)
-            self._shape_cache[key] = shape
-        return shape
-
-    def iterations(self, sizes: TileSizes) -> int:
-        """Statement instances per full tile (matches the formula of §3.7)."""
-        total = self.shape(sizes).count()
-        for width in sizes.widths[1:]:
-            total *= width
-        return total
-
-    def tile_box_extents(self, sizes: TileSizes) -> list[int]:
-        """Data-space extent of the tile's footprint box along each space dim."""
-        shape = self.shape(sizes)
-        (_, _), (b_min, b_max) = shape.bounding_box()
-        extents = [b_max - b_min + 1]
-        for index, width in enumerate(sizes.widths[1:], start=1):
-            _, delta1 = self._space_bounds[index]
-            skew_span = int(delta1 * (shape.time_period - 1))
-            extents.append(width + skew_span)
-        return extents
-
-    def footprint_elements(self, sizes: TileSizes, inter_tile_reuse: bool = False) -> int:
-        """Array elements the tile must read from global memory.
-
-        The footprint is the union over all fields of the rectangular box
-        covering the tile's accesses to that field (the PPCG shared-memory
-        allocation strategy).  With ``inter_tile_reuse`` the innermost
-        dimension only contributes the non-overlapping part ``w_inner``.
+        ``height`` and every entry of ``widths`` (``w_0 .. w_n``) are
+        integers or mutually broadcastable arrays.  Returns the statement
+        instances per tile and, per space dimension, the data-space extent of
+        the tile's footprint box without the read halo: the hexagon's ``b``
+        range along ``s_0``, and ``w_i + ⌊δ1·(2h+1)⌋`` along the classically
+        tiled ``s_i``.  The hexagon rows are those of :func:`row_bounds`.
         """
-        extents = self.tile_box_extents(sizes)
-        total = 0
-        for field, radii in self._read_radii.items():
-            field_total = 1
-            for axis, extent in enumerate(extents):
-                low, high = radii[axis]
-                span = extent + (high - low)
-                if inter_tile_reuse and axis == len(extents) - 1 and len(extents) > 1:
-                    span = sizes.widths[axis]
-                field_total *= span
-            total += field_total
-        return total
+        h = np.asarray(height, dtype=np.int64)
+        w0 = np.asarray(widths[0], dtype=np.int64)
+        a = np.arange(2 * int(h.max()) + 2, dtype=np.int64)
+        lower, upper = row_bounds(
+            self.cone.delta0, self.cone.delta1, h[..., None], w0[..., None], a
+        )
+        in_tile = a <= 2 * h[..., None] + 1
+        iterations = np.where(in_tile, upper - lower + 1, 0).sum(axis=-1)
+        b_min = np.where(in_tile, lower, np.iinfo(np.int64).max).min(axis=-1)
+        b_max = np.where(in_tile, upper, np.iinfo(np.int64).min).max(axis=-1)
+        extents = [b_max - b_min + 1]
+        for width, skew in zip(widths[1:], self._skews):
+            w = np.asarray(width, dtype=np.int64)
+            iterations = iterations * w
+            extents.append(w + (skew.numerator * (2 * h + 1)) // skew.denominator)
+        return iterations, extents
 
-    def stores_per_tile(self, sizes: TileSizes) -> int:
-        """Values written back to global memory per tile (one per iteration)."""
-        return self.iterations(sizes)
+    def _figures(
+        self,
+        height: npt.ArrayLike,
+        widths: Sequence[npt.ArrayLike],
+        inter_tile_reuse: bool,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Iterations, loads and shared bytes, broadcast over the sizes."""
+        iterations, extents = self.footprint(height, widths)
+        loads: np.ndarray = np.zeros((), dtype=np.int64)
+        elements: np.ndarray = np.zeros((), dtype=np.int64)
+        for radii in self.read_radii.values():
+            box = [
+                extent + (high - low) for extent, (low, high) in zip(extents, radii)
+            ]
+            elements = elements + math.prod(box)
+            if inter_tile_reuse and self.ndim > 1:
+                # Only the w_inner fresh columns along the innermost dimension.
+                loads = loads + math.prod(box[:-1]) * np.asarray(widths[-1])
+            else:
+                loads = loads + math.prod(box)
+        return iterations, loads, elements * self.element_size
 
-    def shared_memory_bytes(self, sizes: TileSizes) -> int:
-        """Shared memory needed to stage the tile's footprint boxes."""
-        extents = self.tile_box_extents(sizes)
-        total = 0
-        for field, radii in self._read_radii.items():
-            field_total = 1
-            for axis, extent in enumerate(extents):
-                low, high = radii[axis]
-                field_total *= extent + (high - low)
-            total += field_total
-        return total * self.element_size
+    def table(self, device: GPUDevice, inter_tile_reuse: bool = True) -> TileTable:
+        """Every point of the search grid for ``device``, pruned by one rule."""
+        axes = [np.array(HEIGHTS), np.array(WIDTHS)]
+        if self.ndim > 1:
+            axes += [np.array(WIDTHS)] * (self.ndim - 2)
+            axes.append(device.warp_size * np.array(INNER_WARPS))
+        shape = tuple(len(axis) for axis in axes)
+        # Open-mesh views: each axis varies along its own grid dimension.
+        height, *widths = np.ix_(*axes)
+        iterations, loads, shared = self._figures(height, widths, inter_tile_reuse)
+        min_w0 = np.array(
+            [minimal_width(self.cone.delta0, self.cone.delta1, h) for h in HEIGHTS]
+        ).reshape(height.shape)
+        legal = np.broadcast_to(
+            ((height + 1) % self.canonical.num_statements == 0) & (widths[0] >= min_w0),
+            shape,
+        ).ravel()
+        fits = np.broadcast_to(shared <= device.shared_memory_per_sm, shape).ravel()
+        return TileTable(
+            axes=tuple(axes),
+            iterations=np.broadcast_to(iterations, shape).ravel(),
+            loads=np.broadcast_to(loads, shape).ravel(),
+            shared_memory_bytes=np.broadcast_to(shared, shape).ravel(),
+            legal=legal & fits,
+            rejections={
+                PRUNE_SHARED_MEMORY: int(np.count_nonzero(legal & ~fits)),
+                PRUNE_LEGALITY: int(np.count_nonzero(~legal)),
+                "evaluated": int(np.count_nonzero(legal & fits)),
+            },
+        )
 
     def estimate(self, sizes: TileSizes, inter_tile_reuse: bool = True) -> TileCostEstimate:
-        """Full cost estimate for one tile size choice."""
+        """Cost figures of one tile size choice (a one-point table)."""
+        if len(sizes.widths) != self.ndim:
+            raise ValueError(
+                f"expected {self.ndim} tile widths, got {len(sizes.widths)}"
+            )
+        needed = minimal_width(self.cone.delta0, self.cone.delta1, sizes.height)
+        if sizes.w0 < needed:
+            raise ValueError(
+                f"width w0={sizes.w0} violates the convexity condition (1); "
+                f"need w0 >= {needed} for h={sizes.height}, cone={self.cone}"
+            )
+        iterations, loads, shared = self._figures(
+            sizes.height, sizes.widths, inter_tile_reuse
+        )
         return TileCostEstimate(
             sizes=sizes,
-            iterations=self.iterations(sizes),
-            loads=self.footprint_elements(sizes, inter_tile_reuse=inter_tile_reuse),
-            stores=self.stores_per_tile(sizes),
-            shared_memory_bytes=self.shared_memory_bytes(sizes),
+            iterations=int(iterations),
+            loads=int(loads),
+            shared_memory_bytes=int(shared),
         )
 
     # -- the closed-form of Section 3.7 --------------------------------------------------------
@@ -218,106 +291,26 @@ class TileSizeModel:
 
 
 def select_tile_sizes(
-    canonical: CanonicalForm,
-    shared_memory_limit: int = 48 * 1024,
-    warp_size: int = 32,
-    height_candidates: Iterable[int] | None = None,
-    width_candidates: Iterable[int] | None = None,
-    inner_width_candidates: Iterable[int] | None = None,
-    inter_tile_reuse: bool = True,
+    canonical: CanonicalForm, device: GPUDevice, inter_tile_reuse: bool = True
 ) -> TileCostEstimate:
-    """Search the tile-size space and return the best estimate (Section 3.7).
+    """The legal tile sizes with the best load-to-compute ratio (Section 3.7).
 
-    Constraints applied during the search:
-
-    * ``h + 1`` must be a multiple of the number of statements;
-    * ``w_0`` must satisfy the convexity condition (1);
-    * the innermost tile width must be a multiple of the warp size so full
-      warps execute, accesses are stride-one and loads are cache-line aligned
-      (Section 2);
-    * the shared-memory footprint must stay below ``shared_memory_limit``.
-
-    The returned estimate carries a ``rejections`` mapping counting, per
-    :data:`PRUNE_REASONS`, how many candidate points the search pruned (a
-    ``w_0`` below the convexity minimum is *clamped* to it and counted as a
-    legality prune of the raw point) plus the number actually ``evaluated``.
+    The returned estimate carries the ``rejections`` of the search table:
+    every grid point is counted once, so the counts sum to the grid size.
+    Raises :class:`ValueError` when no legal point fits ``device``.
     """
-    model = TileSizeModel(canonical)
-    k = canonical.num_statements
-    ndim = len(canonical.space_dims)
-
-    # Caller-supplied axes are trusted as-is (callers may deliberately probe
-    # off-grid points); only the built-in default axes are filtered — and
-    # counted per prune reason.  The default inner widths are warp multiples
-    # by construction, so ``occupancy_floor`` is zero unless a custom axis
-    # violates the full-warp constraint knowingly.
-    default_heights = height_candidates is None
-    default_inner = inner_width_candidates is None
-    if height_candidates is None:
-        height_candidates = list(range(0, 17))
-    if width_candidates is None:
-        width_candidates = [1, 2, 3, 4, 5, 6, 7, 8, 10, 12, 16, 20, 24, 32]
-    if inner_width_candidates is None:
-        inner_width_candidates = [warp_size, 2 * warp_size, 4 * warp_size]
-
-    heights = list(height_candidates)
-    widths = list(width_candidates)
-    inner_widths = list(inner_width_candidates)
-    pruned = new_prune_counters()
-
-    best: TileCostEstimate | None = None
-    for height in heights:
-        if default_heights and not height_is_legal(height, k):
-            pruned[PRUNE_LEGALITY] += 1
-            continue
-        min_w0 = minimal_width(model.cone.delta0, model.cone.delta1, height)
-        if ndim == 1:
-            raw_w0s = [(w,) for w in widths]
-        else:
-            middle_dims = ndim - 2
-            middle_choices = list(
-                itertools.product(widths, repeat=middle_dims) if middle_dims else [()]
-            )
-            raw_w0s = [
-                (w0, *middle, inner)
-                for w0 in widths
-                for middle in middle_choices
-                for inner in inner_widths
-            ]
-        for raw in raw_w0s:
-            if raw[0] < min_w0:
-                # Condition (1) of Section 3.3: the hexagon degenerates below
-                # this width.  The point is clamped to the minimum (so the
-                # boundary candidate is still explored) and the raw point
-                # counted as a legality prune.
-                pruned[PRUNE_LEGALITY] += 1
-            candidate = (max(raw[0], min_w0), *raw[1:])
-            if default_inner and not inner_width_keeps_full_warps(
-                candidate, ndim, warp_size
-            ):
-                pruned[PRUNE_OCCUPANCY] += 1
-                continue
-            sizes = TileSizes(height, tuple(candidate))
-            estimate = model.estimate(sizes, inter_tile_reuse=inter_tile_reuse)
-            if estimate.shared_memory_bytes > shared_memory_limit:
-                pruned[PRUNE_SHARED_MEMORY] += 1
-                continue
-            pruned["evaluated"] += 1
-            if best is None or _better(estimate, best):
-                best = estimate
-    if best is None:
+    table = TileSizeModel(canonical).table(device, inter_tile_reuse)
+    rows = table.rows()
+    if not len(rows):
+        pruned = table.rejections
         raise ValueError(
-            "no legal tile size found within the shared-memory limit "
-            f"(pruned: {PRUNE_SHARED_MEMORY}={pruned[PRUNE_SHARED_MEMORY]}, "
-            f"{PRUNE_LEGALITY}={pruned[PRUNE_LEGALITY]}, "
-            f"{PRUNE_OCCUPANCY}={pruned[PRUNE_OCCUPANCY]}); "
-            "decrease the tile widths or increase the limit"
+            "no legal tile size of the search grid fits the "
+            f"{device.shared_memory_per_sm}-byte shared memory of the "
+            f"{device.name} (pruned: "
+            f"{PRUNE_SHARED_MEMORY}={pruned[PRUNE_SHARED_MEMORY]}, "
+            f"{PRUNE_LEGALITY}={pruned[PRUNE_LEGALITY]})"
         )
-    return replace(best, rejections=pruned)
-
-
-def _better(candidate: TileCostEstimate, incumbent: TileCostEstimate) -> bool:
-    """Prefer a lower load-to-compute ratio; break ties with fewer iterations."""
-    if candidate.load_to_compute != incumbent.load_to_compute:
-        return candidate.load_to_compute < incumbent.load_to_compute
-    return candidate.iterations > incumbent.iterations
+    # Lowest ratio, then more iterations, then grid order (a stable sort).
+    iterations = table.iterations[rows]
+    best = rows[np.lexsort((-iterations, table.loads[rows] / iterations))[0]]
+    return replace(table.estimate(int(best)), rejections=table.rejections)

@@ -6,8 +6,8 @@ by *measuring* instead of modelling.  This package closes that loop on top
 of the staged pipeline:
 
 * :class:`~repro.tuning.space.CandidateSpace` — the legal tile-size /
-  launch-config grid, derived from the §3.7 constraints (statement
-  multiplicity, hexagon convexity, full-warp floor, shared-memory fit);
+  launch-config candidates: the legal rows of the §3.7 model's table
+  (statement multiplicity, hexagon convexity, shared-memory fit);
 * search strategies (``grid`` / ``random`` / ``hillclimb``) behind a
   registry mirroring :mod:`repro.api.strategies`;
 * objectives (``model`` / ``simulate`` / ``counters``) scoring candidates

@@ -1,19 +1,12 @@
 """The autotuner's candidate space: tile sizes + launch configurations.
 
-The space is derived from the same constraints the §3.7 model search obeys
-(:func:`repro.tiling.tile_size.select_tile_sizes`):
-
-* ``h + 1`` must be a multiple of the statement count (the hexagonal
-  schedule interleaves the statements along logical time);
-* ``w_0`` must satisfy the convexity condition (1) —
-  :func:`repro.tiling.hexagon.minimal_width`;
-* the innermost tile width must keep full warps busy (a multiple of the
-  warp size, for 2-D+ stencils);
-* the tile's shared-memory footprint must fit the device.
-
-Candidates violating a constraint are never emitted; the space records *why*
-each raw grid point was pruned (:data:`repro.tiling.tile_size.PRUNE_REASONS`)
-so sweeps are auditable.  Every emitted candidate is legal by construction —
+The tile sizes are the legal points of the §3.7 model's search table
+(:meth:`repro.tiling.tile_size.TileSizeModel.table`), in grid order: the
+model's pick is always one of them, and both report the same prune counts
+(:data:`~repro.tiling.tile_size.PRUNE_LEGALITY` for an ``h + 1`` that is not
+a multiple of the statement count or a ``w_0`` below the convexity minimum,
+then :data:`~repro.tiling.tile_size.PRUNE_SHARED_MEMORY` for a footprint
+that does not fit the device).  Every candidate is legal by construction —
 the property tests in ``tests/tuning`` pin that any of them survives
 :func:`repro.tiling.validate.validate_hybrid_tiling`.
 
@@ -25,26 +18,14 @@ derived from the innermost tile width.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterator, Mapping
+
+import numpy as np
 
 from repro.gpu.device import GPUDevice, GTX470
 from repro.model.preprocess import CanonicalForm
-from repro.tiling.hexagon import minimal_width
 from repro.tiling.hybrid import TileSizes
-from repro.tiling.tile_size import (
-    PRUNE_LEGALITY,
-    PRUNE_OCCUPANCY,
-    PRUNE_SHARED_MEMORY,
-    TileSizeModel,
-    height_is_legal,
-    inner_width_keeps_full_warps,
-    new_prune_counters,
-)
-
-#: Default axis values, mirroring ``select_tile_sizes``.
-DEFAULT_HEIGHTS = tuple(range(0, 17))
-DEFAULT_WIDTHS = (1, 2, 3, 4, 5, 6, 7, 8, 10, 12, 16, 20, 24, 32)
+from repro.tiling.tile_size import TileSizeModel
 
 
 @dataclass(frozen=True)
@@ -62,10 +43,11 @@ class Candidate:
 
 
 class CandidateSpace:
-    """The legal tile-size/launch-config grid for one canonicalised program.
+    """The legal tile-size/launch-config candidates of one canonicalised program.
 
-    Enumeration is deterministic (nested-loop order over the axes), so a
-    seeded search over the space is reproducible by construction.
+    Enumeration is deterministic (grid order, each tile size followed by its
+    thread shapes), so a seeded search over the space is reproducible by
+    construction.
     """
 
     def __init__(
@@ -74,35 +56,12 @@ class CandidateSpace:
         device: GPUDevice = GTX470,
         *,
         inter_tile_reuse: bool = True,
-        heights: Sequence[int] | None = None,
-        widths: Sequence[int] | None = None,
-        inner_widths: Sequence[int] | None = None,
         tune_threads: bool = False,
     ) -> None:
-        self.canonical = canonical
         self.device = device
-        self.inter_tile_reuse = inter_tile_reuse
-        self.model = TileSizeModel(canonical)
-        self.ndim = len(canonical.space_dims)
-        warp = device.warp_size
-        self.heights = tuple(heights if heights is not None else DEFAULT_HEIGHTS)
-        self.widths = tuple(widths if widths is not None else DEFAULT_WIDTHS)
-        self.inner_widths = tuple(
-            inner_widths if inner_widths is not None else (warp, 2 * warp, 4 * warp)
-        )
         self.tune_threads = tune_threads
+        self.table = TileSizeModel(canonical).table(device, inter_tile_reuse)
         self._candidates: list[Candidate] | None = None
-        self._pruned: dict[str, int] = new_prune_counters()
-
-    # -- enumeration -------------------------------------------------------------
-
-    def _axes(self) -> list[tuple[int, ...]]:
-        """The raw value grid: ``[heights, w0s, middles..., inner]``."""
-        axes: list[tuple[int, ...]] = [self.heights, self.widths]
-        if self.ndim >= 2:
-            axes.extend([self.widths] * (self.ndim - 2))
-            axes.append(self.inner_widths)
-        return axes
 
     def _thread_shapes(self, sizes: TileSizes) -> list[tuple[int, ...] | None]:
         """Block-shape variants for one tile size (``None`` = codegen default)."""
@@ -117,71 +76,26 @@ class CandidateSpace:
             shapes.append(shape)
         return shapes
 
-    def preload(
-        self, candidates: Sequence[Candidate], rejections: Mapping[str, int]
-    ) -> None:
-        """Install a previously-enumerated (cached) candidate list.
-
-        The enumeration is deterministic for fixed axes, so a disk-cached
-        ``(candidates, rejections)`` pair keyed by the program content and
-        the space options is exactly what :meth:`enumerate` would recompute.
-        """
-        self._candidates = list(candidates)
-        self._pruned = dict(rejections)
-
     def enumerate(self) -> list[Candidate]:
         """Every legal candidate, in deterministic order (memoised)."""
-        if self._candidates is not None:
-            return self._candidates
-        k = self.canonical.num_statements
-        warp = self.device.warp_size
-        limit = self.device.shared_memory_per_sm
-        pruned = new_prune_counters()
-        seen: set[tuple] = set()
-        out: list[Candidate] = []
-        for values in product(*self._axes()):
-            height, raw_widths = values[0], values[1:]
-            if not height_is_legal(height, k):
-                pruned[PRUNE_LEGALITY] += 1
-                continue
-            min_w0 = minimal_width(
-                self.model.cone.delta0, self.model.cone.delta1, height
-            )
-            if raw_widths[0] < min_w0:
-                pruned[PRUNE_LEGALITY] += 1
-                continue
-            if not inner_width_keeps_full_warps(raw_widths, self.ndim, warp):
-                pruned[PRUNE_OCCUPANCY] += 1
-                continue
-            sizes = TileSizes(height, tuple(raw_widths))
-            estimate = self.model.estimate(
-                sizes, inter_tile_reuse=self.inter_tile_reuse
-            )
-            if estimate.shared_memory_bytes > limit:
-                pruned[PRUNE_SHARED_MEMORY] += 1
-                continue
-            for threads in self._thread_shapes(sizes):
-                key = (height, raw_widths, threads)
-                if key in seen:
-                    continue
-                seen.add(key)
-                pruned["evaluated"] += 1
-                out.append(Candidate(sizes=sizes, threads=threads))
-        self._candidates = out
-        self._pruned = pruned
-        return out
+        if self._candidates is None:
+            self._candidates = [
+                Candidate(sizes=sizes, threads=threads)
+                for sizes in self.table.sizes(self.table.rows())
+                for threads in self._thread_shapes(sizes)
+            ]
+        return self._candidates
 
     def __len__(self) -> int:
         return len(self.enumerate())
 
-    def __iter__(self) -> Iterable[Candidate]:
+    def __iter__(self) -> Iterator[Candidate]:
         return iter(self.enumerate())
 
     @property
     def rejections(self) -> Mapping[str, int]:
-        """Per-reason prune counts of the enumeration (plus ``evaluated``)."""
-        self.enumerate()
-        return dict(self._pruned)
+        """Per-reason prune counts of the table, plus the candidates ``evaluated``."""
+        return {**self.table.rejections, "evaluated": len(self.enumerate())}
 
     # -- navigation (used by coordinate descent) -----------------------------------
 
@@ -200,16 +114,12 @@ class CandidateSpace:
             if neighbour != candidate and neighbour in members:
                 out.append(neighbour)
 
+        heights, *width_axes = self.table.axes
         for delta in (-1, 1):
-            height = _step(self.heights, candidate.sizes.height, delta)
+            height = _step(heights, candidate.sizes.height, delta)
             if height is not None:
                 consider(TileSizes(height, candidate.sizes.widths), candidate.threads)
-        for axis in range(len(candidate.sizes.widths)):
-            axis_values = (
-                self.inner_widths
-                if self.ndim >= 2 and axis == len(candidate.sizes.widths) - 1
-                else self.widths
-            )
+        for axis, axis_values in enumerate(width_axes):
             for delta in (-1, 1):
                 width = _step(axis_values, candidate.sizes.widths[axis], delta)
                 if width is None:
@@ -225,36 +135,8 @@ class CandidateSpace:
                 consider(candidate.sizes, threads)
         return out
 
-    def closest(self, sizes: TileSizes) -> Candidate | None:
-        """The space member nearest to ``sizes`` (exact match preferred)."""
-        members = self.enumerate()
-        if not members:
-            return None
-        exact = Candidate(sizes=sizes, threads=None)
-        if exact in members:
-            return exact
 
-        def distance(candidate: Candidate) -> tuple:
-            height_gap = abs(candidate.sizes.height - sizes.height)
-            width_gap = sum(
-                abs(a - b)
-                for a, b in zip(candidate.sizes.widths, sizes.widths)
-            )
-            return (candidate.threads is not None, height_gap + width_gap)
-
-        return min(members, key=distance)
-
-
-def _step(values: Sequence[int], current: int, delta: int) -> int | None:
-    """The next axis value ``delta`` (+1/-1) steps away from ``current``."""
-    ordered = sorted(set(values))
-    if current in ordered:
-        index = ordered.index(current) + delta
-        return ordered[index] if 0 <= index < len(ordered) else None
-    # Off-grid start (e.g. a clamped model selection): the nearest grid value
-    # in the step direction.
-    if delta < 0:
-        lower = [v for v in ordered if v < current]
-        return lower[-1] if lower else None
-    higher = [v for v in ordered if v > current]
-    return higher[0] if higher else None
+def _step(axis: np.ndarray, current: int, delta: int) -> int | None:
+    """The value ``delta`` (+1/-1) steps away from ``current`` on an ascending axis."""
+    index = axis.tolist().index(current) + delta
+    return int(axis[index]) if 0 <= index < len(axis) else None

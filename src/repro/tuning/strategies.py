@@ -49,8 +49,8 @@ class SearchStrategy(ABC):
     ) -> list[TuningTrial]:
         """Run the search and return every trial, in evaluation order.
 
-        ``start`` is the model-selected configuration snapped to the space
-        (may be ``None`` when the space is empty); strategies that exploit a
+        ``start`` is the model-selected configuration, a member of the space
+        (``None`` when the caller has none); strategies that exploit a
         starting point (hill climbing) begin there.
         """
 

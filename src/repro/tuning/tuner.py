@@ -13,11 +13,11 @@ evaluated *in addition to* the strategy's budget, so the search result can
 never be worse than the model: ``best`` is the cheapest of all trials
 including that baseline.
 
-Sweeps are **incremental**: every evaluated trial and the enumerated
-candidate space are stored in the shared :class:`~repro.cache.DiskCache`
-under tuning-owned stage keys (content-hashed over the program, the device,
-the objective, the configuration and the compiler code fingerprint, so a
-code change re-measures everything).  Re-running a sweep — same seed or a
+Sweeps are **incremental**: every evaluated trial is stored in the shared
+:class:`~repro.cache.DiskCache` under a tuning-owned stage key
+(content-hashed over the program, the device, the objective, the
+configuration and the compiler code fingerprint, so a code change
+re-measures everything).  Re-running a sweep — same seed or a
 different strategy visiting overlapping candidates — only measures
 candidates never seen before; a fully warm re-run reduces to cache lookups.
 """
@@ -152,25 +152,6 @@ def _trial_key(
     )
 
 
-def _space_cache_key(
-    digest: str, device: GPUDevice, inter_tile_reuse: bool, tune_threads: bool
-) -> str:
-    """Disk-cache key of the enumerated candidate space."""
-    return stage_key(
-        stage="tuning-space",
-        stage_schema=1,
-        strategy="hybrid",
-        parts=[
-            f"program={digest}",
-            f"device={device.name}",
-            f"shared={device.shared_memory_per_sm}",
-            f"warp={device.warp_size}",
-            f"reuse={inter_tile_reuse}",
-            f"threads={tune_threads}",
-        ],
-    )
-
-
 def tune(
     program: StencilProgram,
     *,
@@ -190,8 +171,8 @@ def tune(
     Parameters mirror ``hexcc tune``.  ``disk_cache`` is shared with the
     worker processes (they reopen it by root path), so every candidate run
     resumes from the cached ``canonicalize`` artifact — and previously
-    evaluated trials (plus the enumerated space) are replayed from the cache
-    instead of re-measured, making warm sweep re-runs nearly free.
+    evaluated trials are replayed from the cache instead of re-measured,
+    making warm sweep re-runs nearly free.
 
     A completed sweep is appended to the persistent run history; a sweep
     that dies writes a crash report (see :mod:`repro.obs.log`) before the
@@ -287,28 +268,12 @@ def _tune_impl(
     canonical = prefix.artifact("canonicalize").canonical
     digest = program_digest(prefix.artifact("parse").program)
 
-    inter_tile_reuse = config.inter_tile_reuse != "none"
     space = CandidateSpace(
         canonical,
         device,
-        inter_tile_reuse=inter_tile_reuse,
+        inter_tile_reuse=config.inter_tile_reuse != "none",
         tune_threads=tune_threads,
     )
-    if disk_cache is not None:
-        space_key = _space_cache_key(digest, device, inter_tile_reuse, tune_threads)
-        cached_space = disk_cache.get(space_key, stage="tuning-space")
-        if (
-            isinstance(cached_space, tuple)
-            and len(cached_space) == 2
-            and isinstance(cached_space[0], list)
-        ):
-            space.preload(*cached_space)
-        else:
-            disk_cache.put(
-                space_key,
-                (space.enumerate(), dict(space.rejections)),
-                stage="tuning-space",
-            )
 
     cache_root = str(disk_cache.root) if disk_cache is not None else None
 
@@ -355,12 +320,12 @@ def _tune_impl(
                 )
         return [trial for trial in trials if trial is not None]
 
-    # The §3.7 model selection, snapped to the space: always evaluated, and
-    # handed to strategies that exploit a starting point.
+    # The §3.7 model selection — a member of the space, since the model picks
+    # from the same table: always evaluated, and handed to strategies that
+    # exploit a starting point.
     model_plan = session.run(program, config=config, stop_after="tiling")
-    model_sizes = model_plan.artifact("tiling").sizes
-    start = space.closest(model_sizes)
-    baseline = evaluate([Candidate(sizes=model_sizes)])[0]
+    start = Candidate(sizes=model_plan.artifact("tiling").sizes)
+    baseline = evaluate([start])[0]
 
     with obs.span(
         "tune.search",

@@ -6,9 +6,10 @@ from repro.codegen.cuda import CudaCodeGenerator
 from repro.codegen.kernel_ir import analyze_core_loop, register_reuse_count
 from repro.codegen.ptx import emit_core_ptx
 from repro.codegen.shared_mem import plan_shared_memory
+from repro.gpu.device import GTX470, NVS5200M
 from repro.model.preprocess import canonicalize
-from repro.api import OptimizationConfig
-from repro.stencils import get_stencil
+from repro.api import OptimizationConfig, Session
+from repro.stencils import get_stencil, list_stencils
 from repro.tiling.hybrid import HybridTiling, TileSizes
 
 
@@ -50,6 +51,15 @@ def test_plan_without_shared_memory(heat3d_tiling):
     plan = plan_shared_memory(heat3d_tiling, OptimizationConfig.config_a())
     assert plan.shared_bytes_per_block == 0
     assert not plan.uses_shared_memory
+
+
+@pytest.mark.parametrize("name", list_stencils())
+def test_plan_shared_bytes_match_the_model(name):
+    # The planner and the §3.7 model size the footprint box with one helper.
+    for device in (GTX470, NVS5200M):
+        run = Session(device).run(get_stencil(name), stop_after="memory")
+        model_bytes = run.artifact("tiling").tile_cost.shared_memory_bytes
+        assert run.artifact("memory").plan.shared_bytes_per_block == model_bytes
 
 
 def test_plan_multi_field_program():

@@ -1,19 +1,26 @@
-"""Brute-force oracle for the hybrid schedule, one statement instance at a time.
+"""Brute-force oracles for the hybrid schedule and the §3.7 tile-size model.
 
-It shares no code with the array path of ``repro.tiling``: every instance is
+They share no code with the array paths of ``repro.tiling``: every instance is
 assigned with the scalar hexagonal schedule (``HexagonalSchedule.assign``,
 equations (2)-(5)) plus equations (14) and (17), dependent pairs are ordered
-by the GPU execution model of Section 4.1, and the hexagon rows come from the
-constraints (6)-(13) in exact rational arithmetic.
+by the GPU execution model of Section 4.1, the hexagon rows come from the
+constraints (6)-(13) in exact rational arithmetic, and the tile-size search
+estimates one grid point at a time.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
+from types import SimpleNamespace
 
+from repro.tiling.cone import DependenceCone
+from repro.tiling.hybrid import TileSizes
+from repro.tiling.tile_size import HEIGHTS, INNER_WARPS, WIDTHS
 from repro.tiling.validate import ScheduleValidationError, ValidationReport
 
 
@@ -95,3 +102,112 @@ def validate(tiling):
     report.full_tiles = sum(count == expected for count in counts)
     report.partial_tiles = len(counts) - report.full_tiles
     return report
+
+
+# -- the §3.7 tile-size model, one grid point at a time ----------------------
+
+
+@functools.cache
+def hexagon(cone, height, w0):
+    """Point count and ``b``-extent of one hexagon, from :func:`row_range`."""
+    shape = SimpleNamespace(
+        height=height, width=w0, delta0=cone.delta0, delta1=cone.delta1
+    )
+    rows = [row_range(shape, a) for a in range(2 * height + 2)]
+    extent = max(row[-1] for row in rows) - min(row[0] for row in rows) + 1
+    return sum(len(row) for row in rows), extent
+
+
+@functools.cache
+def convex(cone, height, w0):
+    """Condition (1): ``w0 >= max(δ0 + {δ0·h}, δ1 + {δ1·h}) - 1``."""
+    def fractional(value):
+        return value - math.floor(value)
+
+    return w0 >= max(
+        cone.delta0 + fractional(cone.delta0 * height),
+        cone.delta1 + fractional(cone.delta1 * height),
+    ) - 1
+
+
+@dataclass
+class Search:
+    """The result of :meth:`TileModel.search`."""
+
+    #: Grid points in grid order.
+    grid: list
+    #: ``sizes -> (iterations, loads, shared bytes)`` of every grid point
+    #: that passes the legality rule.
+    figures: dict
+    #: Points that also fit the device, in grid order.
+    legal: list
+    rejections: dict
+    best: TileSizes | None
+
+
+class TileModel:
+    """The scalar §3.7 model of one canonical program."""
+
+    def __init__(self, canonical):
+        self.canonical = canonical
+        self.ndim = len(canonical.space_dims)
+        self.cone = DependenceCone.from_distance_vectors(canonical.distance_vectors)
+        self.skews = [
+            canonical.space_distance_bounds(index)[1] for index in range(1, self.ndim)
+        ]
+        self.radii = {}
+        for statement in canonical.program.statements:
+            for read in statement.reads:
+                low, high = self.radii.setdefault(
+                    read.field, ([0] * self.ndim, [0] * self.ndim)
+                )
+                for axis, offset in enumerate(read.offsets):
+                    low[axis] = min(low[axis], offset)
+                    high[axis] = max(high[axis], offset)
+
+    def estimate(self, sizes, inter_tile_reuse):
+        """``(iterations, loads, shared bytes)`` of one full tile."""
+        count, extent = hexagon(self.cone, sizes.height, sizes.w0)
+        extents = [extent] + [
+            width + math.floor(skew * (2 * sizes.height + 1))
+            for width, skew in zip(sizes.widths[1:], self.skews)
+        ]
+        loads = elements = 0
+        for low, high in self.radii.values():
+            box = [extent + hi - lo for extent, lo, hi in zip(extents, low, high)]
+            elements += math.prod(box)
+            if inter_tile_reuse and len(box) > 1:
+                loads += math.prod(box[:-1]) * sizes.widths[-1]
+            else:
+                loads += math.prod(box)
+        return math.prod(sizes.widths[1:], start=count), loads, 4 * elements
+
+    def search(self, device, inter_tile_reuse):
+        """Estimate every grid point; prune and pick like ``select_tile_sizes``."""
+        axes = [HEIGHTS, WIDTHS]
+        if self.ndim > 1:
+            inner = [device.warp_size * warps for warps in INNER_WARPS]
+            axes += [WIDTHS] * (self.ndim - 2) + [inner]
+        grid = [TileSizes(h, tuple(widths)) for h, *widths in itertools.product(*axes)]
+        figures, legal = {}, []
+        rejections = {"shared_memory_overflow": 0, "legality": 0, "evaluated": 0}
+        best = best_key = None
+        for sizes in grid:
+            if (sizes.height + 1) % self.canonical.num_statements or not convex(
+                self.cone, sizes.height, sizes.w0
+            ):
+                rejections["legality"] += 1
+                continue
+            figures[sizes] = iterations, loads, shared = self.estimate(
+                sizes, inter_tile_reuse
+            )
+            if shared > device.shared_memory_per_sm:
+                rejections["shared_memory_overflow"] += 1
+                continue
+            rejections["evaluated"] += 1
+            legal.append(sizes)
+            # Lower ratio, then more iterations; the first in grid order wins ties.
+            key = (loads / iterations, -iterations)
+            if best is None or key < best_key:
+                best, best_key = sizes, key
+        return Search(grid, figures, legal, rejections, best)

@@ -1,7 +1,10 @@
 """Unit tests for tile-size selection (§3.7) and the diamond-tiling comparison."""
 
+from dataclasses import replace
+
 import pytest
 
+from repro.gpu.device import GTX470
 from repro.model.preprocess import canonicalize
 from repro.stencils import get_stencil
 from repro.tiling.diamond import DiamondTiling
@@ -17,7 +20,7 @@ def heat3d_canonical():
 def test_iteration_count_matches_closed_form(heat3d_canonical):
     model = TileSizeModel(heat3d_canonical)
     for sizes in [TileSizes.of(2, 7, 10, 32), TileSizes.of(1, 3, 8, 16)]:
-        assert model.iterations(sizes) == model.closed_form_iterations_3d(sizes)
+        assert model.estimate(sizes).iterations == model.closed_form_iterations_3d(sizes)
 
 
 def test_closed_form_guard_rails(heat3d_canonical):
@@ -32,17 +35,16 @@ def test_closed_form_guard_rails(heat3d_canonical):
 def test_paper_configuration_fits_shared_memory(heat3d_canonical):
     """The Table 4 configuration (h=2, w=(7,10,32)) must fit in 48 KB."""
     model = TileSizeModel(heat3d_canonical)
-    sizes = TileSizes.of(2, 7, 10, 32)
-    assert model.shared_memory_bytes(sizes) <= 48 * 1024
-    estimate = model.estimate(sizes)
+    estimate = model.estimate(TileSizes.of(2, 7, 10, 32))
+    assert estimate.shared_memory_bytes <= 48 * 1024
     assert estimate.load_to_compute < 1.0   # time tiling pays off
 
 
 def test_inter_tile_reuse_reduces_loads(heat3d_canonical):
     model = TileSizeModel(heat3d_canonical)
     sizes = TileSizes.of(2, 7, 10, 32)
-    with_reuse = model.footprint_elements(sizes, inter_tile_reuse=True)
-    without = model.footprint_elements(sizes, inter_tile_reuse=False)
+    with_reuse = model.estimate(sizes, inter_tile_reuse=True).loads
+    without = model.estimate(sizes, inter_tile_reuse=False).loads
     assert with_reuse < without
 
 
@@ -54,7 +56,7 @@ def test_larger_tiles_improve_load_to_compute(heat3d_canonical):
 
 
 def test_tile_size_search_respects_constraints(heat3d_canonical):
-    best = select_tile_sizes(heat3d_canonical, shared_memory_limit=48 * 1024)
+    best = select_tile_sizes(heat3d_canonical, GTX470)
     assert best.shared_memory_bytes <= 48 * 1024
     assert best.sizes.widths[-1] % 32 == 0
     model = TileSizeModel(heat3d_canonical)
@@ -63,14 +65,16 @@ def test_tile_size_search_respects_constraints(heat3d_canonical):
 
 def test_tile_size_search_2d():
     canonical = canonicalize(get_stencil("heat_2d", sizes=(256, 256), steps=32))
-    best = select_tile_sizes(canonical, shared_memory_limit=48 * 1024)
+    best = select_tile_sizes(canonical, GTX470)
     assert best.iterations > 0
     assert best.sizes.widths[-1] % 32 == 0
 
 
 def test_tile_size_search_infeasible_limit(heat3d_canonical):
-    with pytest.raises(ValueError):
-        select_tile_sizes(heat3d_canonical, shared_memory_limit=64)
+    tiny = replace(GTX470, shared_memory_per_sm=64)
+    # Every one of the 17 x 14 x 14 x 3 grid points is counted once.
+    with pytest.raises(ValueError, match="shared_memory_overflow=9996, legality=0"):
+        select_tile_sizes(heat3d_canonical, tiny)
 
 
 # -- diamond tiling -----------------------------------------------------------------------

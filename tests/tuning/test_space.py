@@ -6,11 +6,10 @@ import pytest
 
 from repro.gpu.device import GTX470, NVS5200M
 from repro.model.preprocess import canonicalize
-from repro.stencils import get_stencil
+from repro.stencils import get_stencil, list_stencils
 from repro.tiling.hexagon import minimal_width
 from repro.tiling.tile_size import (
     PRUNE_LEGALITY,
-    PRUNE_OCCUPANCY,
     PRUNE_SHARED_MEMORY,
     TileSizeModel,
     select_tile_sizes,
@@ -69,13 +68,6 @@ def test_shared_memory_prunes_are_counted(heat3d_canonical):
     assert rejections["evaluated"] == len(space)
 
 
-def test_occupancy_floor_prunes_non_warp_inner_widths(heat3d_canonical):
-    space = CandidateSpace(heat3d_canonical, GTX470, inner_widths=(16, 32))
-    assert space.rejections[PRUNE_OCCUPANCY] > 0
-    for candidate in space:
-        assert candidate.sizes.widths[-1] == 32
-
-
 def test_smaller_shared_memory_shrinks_the_space(heat3d_canonical):
     from dataclasses import replace
 
@@ -90,14 +82,6 @@ def test_enumeration_is_deterministic(heat3d_canonical):
     first = CandidateSpace(heat3d_canonical, GTX470).enumerate()
     second = CandidateSpace(heat3d_canonical, GTX470).enumerate()
     assert first == second
-
-
-def test_preload_replays_a_cached_enumeration(heat3d_canonical):
-    source = CandidateSpace(heat3d_canonical, GTX470)
-    clone = CandidateSpace(heat3d_canonical, GTX470)
-    clone.preload(source.enumerate(), source.rejections)
-    assert clone.enumerate() == source.enumerate()
-    assert clone.rejections == source.rejections
 
 
 def test_tune_threads_adds_launch_variants(heat3d_canonical):
@@ -138,16 +122,19 @@ def test_neighbours_are_axis_aligned_members(heat3d_canonical):
         assert differing == 1
 
 
-def test_closest_snaps_model_selection_into_the_space(heat3d_canonical):
-    space = CandidateSpace(heat3d_canonical, GTX470)
-    best = select_tile_sizes(heat3d_canonical)
-    snapped = space.closest(best.sizes)
-    assert snapped is not None
-    assert snapped in set(space.enumerate())
+@pytest.mark.parametrize("name", list_stencils())
+def test_model_pick_is_a_member_of_the_space(name):
+    canonical = canonicalize(get_stencil(name))
+    for device in (GTX470, NVS5200M):
+        for reuse in (True, False):
+            pick = select_tile_sizes(canonical, device, inter_tile_reuse=reuse)
+            space = CandidateSpace(canonical, device, inter_tile_reuse=reuse)
+            assert Candidate(pick.sizes) in space.enumerate()
+            assert space.rejections == pick.rejections
 
 
 def test_select_tile_sizes_reports_rejections(heat3d_canonical):
-    estimate = select_tile_sizes(heat3d_canonical)
+    estimate = select_tile_sizes(heat3d_canonical, GTX470)
     assert estimate.rejections is not None
     assert estimate.rejections[PRUNE_SHARED_MEMORY] > 0
     assert estimate.rejections["evaluated"] > 0
@@ -155,7 +142,7 @@ def test_select_tile_sizes_reports_rejections(heat3d_canonical):
 
 def test_rejections_do_not_affect_estimate_equality(heat3d_canonical):
     model = TileSizeModel(heat3d_canonical)
-    chosen = select_tile_sizes(heat3d_canonical)
+    chosen = select_tile_sizes(heat3d_canonical, GTX470)
     recomputed = model.estimate(chosen.sizes, inter_tile_reuse=True)
     # Same cost figures, different (None) rejection payload: still equal.
     assert recomputed == chosen
@@ -184,16 +171,7 @@ def test_3d_sweep_explores_all_w0_values(heat3d_canonical):
     from repro.tiling.hybrid import TileSizes
 
     model = TileSizeModel(heat3d_canonical)
-    best = select_tile_sizes(heat3d_canonical)
+    best = select_tile_sizes(heat3d_canonical, GTX470)
     old_buggy_winner = model.estimate(TileSizes.of(3, 1, 20, 32))
     assert best.load_to_compute < old_buggy_winner.load_to_compute
     assert best.sizes.w0 > 1
-
-
-def test_explicit_height_candidates_are_trusted(fdtd_canonical):
-    # Callers may deliberately probe heights off the legality grid; explicit
-    # candidate lists bypass the statement-multiplicity filter (and are not
-    # counted as prunes), matching the pre-rejection-accounting behaviour.
-    estimate = select_tile_sizes(fdtd_canonical, height_candidates=[1, 3])
-    assert estimate.sizes.height in (1, 3)
-    assert estimate.rejections[PRUNE_LEGALITY] == 0
