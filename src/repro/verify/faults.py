@@ -59,11 +59,13 @@ class ScheduleMutation:
     #: tests assert the first finding's level is one of these.
     expected_levels: tuple[str, ...]
     #: Mutants of some categories only bite on programs with inner
-    #: dimensions (``ndim >= 2``).
+    #: dimensions (``ndim >= 2``); :meth:`apply` refuses them on others.
     requires_inner_dims: bool
     _apply: MutationFn
 
     def apply(self, model: HybridScheduleModel) -> HybridScheduleModel:
+        if self.requires_inner_dims and not model.inner:
+            raise ValueError(f"mutation {self.name} needs an inner tiled dimension")
         mutated = self._apply(model)
         if mutated == model:
             raise ValueError(f"mutation {self.name} left the model unchanged")

@@ -82,6 +82,10 @@ class InnerDim:
         """The numerator period ``scale * width`` of one tile."""
         return self.scale * self.width
 
+    def base_residue(self, u: int) -> int:
+        """Least numerator residue ``ρ ≡ skew*u (mod scale)`` at local time ``u``."""
+        return (self.skew * u) % self.scale
+
 
 @dataclass(frozen=True)
 class HybridScheduleModel:
@@ -204,16 +208,22 @@ def _admissible_displacements(
     For a sink numerator residue ``ρ`` (which must satisfy
     ``ρ ≡ skew*u_sink (mod scale)`` to come from an integer ``s_i``), the
     displacement is ``floor((ρ + δ)/period)`` with
-    ``δ = -scale*ds_i + skew*(u_src - u_sink)``.  Returns the distinct
-    values, each with one witness ``ρ``.
+    ``δ = -scale*ds_i + skew*(u_src - u_sink)``.  The residues form the
+    progression ``base, base + scale, ..., last`` inside one period, so the
+    displacement takes at most two values: ``low`` at ``base`` and ``high``
+    at ``last``, first reached at the smallest ``ρ >= high*period - δ``.
+    Returns the distinct values, each with its smallest witness ``ρ``.
     """
+    period = dim.period
     delta = -dim.scale * distance + dim.skew * (u_src - u_sink)
-    base = (dim.skew * u_sink) % dim.scale if dim.scale > 1 else 0
-    seen: dict[int, int] = {}
-    for rho in range(base, dim.period, max(dim.scale, 1)):
-        value = (rho + delta) // dim.period
-        seen.setdefault(value, rho)
-    return sorted(seen.items())
+    base = dim.base_residue(u_sink)
+    last = base + (period - 1 - base) // dim.scale * dim.scale
+    low = (base + delta) // period
+    high = (last + delta) // period
+    if high == low:
+        return [(low, base)]
+    threshold = high * period - delta
+    return [(low, base), (high, base - (base - threshold) // dim.scale * dim.scale)]
 
 
 def _lex_violation(
@@ -241,23 +251,6 @@ def _lex_violation(
 
 def _statement_names(canonical: "CanonicalForm") -> list[str]:
     return [statement.name for statement in canonical.scop.statements]
-
-
-def _hybrid_instance(
-    canonical: "CanonicalForm",
-    model: HybridScheduleModel,
-    point: tuple[int, ...],
-    assignment: tuple[int, int, int, int],
-) -> Instance:
-    names = _statement_names(canonical)
-    index, t, space = canonical.from_canonical(point)
-    time_tile, phase, block, local = assignment
-    return Instance(
-        statement=names[index],
-        t=t,
-        point=space,
-        schedule=(("T", time_tile), ("phase", phase), ("S0", block), ("t'", local)),
-    )
 
 
 def _reconstruct_pair(
@@ -292,34 +285,41 @@ def _reconstruct_pair(
         coords.append((numerator - dim.skew * u_sink) // dim.scale)
     sink_point = tuple(coords)
     source_point = tuple(c - d for c, d in zip(sink_point, (dl, *ds)))
+    names = _statement_names(canonical)
 
-    def absolute(rel: tuple[int, int, int, int]) -> tuple[int, int, int, int]:
+    def instance(point: tuple[int, ...], rel: tuple[int, int, int, int]) -> Instance:
+        index, t, space = canonical.from_canonical(point)
         t_off, phase, s_off, local = rel
-        return (t_base + t_off, phase, s_base + s_off, local)
+        return Instance(
+            statement=names[index],
+            t=t,
+            point=space,
+            schedule=(("T", t_base + t_off), ("phase", phase),
+                      ("S0", s_base + s_off), ("t'", local)),
+        )
 
-    return (
-        _hybrid_instance(canonical, model, source_point, absolute(source)),
-        _hybrid_instance(canonical, model, sink_point, absolute(sink)),
-    )
+    return instance(source_point, source), instance(sink_point, sink)
 
 
 # -- hybrid verification --------------------------------------------------------------
 
 
 def _check_coverage(
-    model: HybridScheduleModel, canonical: "CanonicalForm"
+    model: HybridScheduleModel,
+    canonical: "CanonicalForm",
+    lam: np.ndarray,
+    mu: np.ndarray,
+    sink: _Assignment,
 ) -> tuple[bool, list[RaceFinding]]:
     """Prove the two phases partition the ``(l, s0)`` plane, symbolically.
 
     Residue classes again: for every ``(λ, μ)`` exactly one of the two phase
     boxes must claim the point.  Holds for every grid iff it holds per class.
+    ``sink`` is the undisplaced assignment of every class.
     """
     p_t, p_s = model.time_period, model.space_period
-    lam, mu = np.meshgrid(np.arange(p_t), np.arange(p_s), indexing="ij")
-    lam, mu = lam.ravel(), mu.ravel()
-    sink = _assign_relative(model, lam, mu, 0, 0)
     # Recompute the two memberships separately to distinguish gaps from
-    # overlaps (the assignment above collapses them into "claimed").
+    # overlaps (the assignment collapses them into "claimed").
     half = model.height + 1
     e1 = np.where(lam >= half, 0, -1)
     a1 = (lam - half) % p_t
@@ -337,8 +337,7 @@ def _check_coverage(
                 model,
                 int(lam[index]),
                 int(mu[index]),
-                [(dim.skew * 0) % dim.scale if dim.scale > 1 else 0
-                 for dim in model.inner],
+                [0] * len(model.inner),
                 0,
                 (0,) * (len(model.inner) + 1),
                 (0, int(sink.phase[index]), 0, int(sink.local_a[index])),
@@ -380,11 +379,10 @@ def verify_hybrid(
     names = _statement_names(canonical)
     name_to_index = {name: index for index, name in enumerate(names)}
 
-    coverage_ok, findings = _check_coverage(model, canonical)
-
     lam, mu = np.meshgrid(np.arange(p_t), np.arange(p_s), indexing="ij")
     lam, mu = lam.ravel(), mu.ravel()
     sink = _assign_relative(model, lam, mu, 0, 0)
+    coverage_ok, findings = _check_coverage(model, canonical, lam, mu, sink)
     sink_rank = np.where(sink.phase == model.phase_order[0], 0, 1)
 
     classes_checked = 0
@@ -451,22 +449,13 @@ def verify_hybrid(
                 )
             )
 
-        default_rhos = [
-            (dim.skew * 0) % dim.scale if dim.scale > 1 else 0
-            for dim in model.inner
-        ]
         for index in np.flatnonzero(mask & outer_after):
             level = (
                 "time_tile"
                 if source.t_offset[index] != sink.t_offset[index]
                 else "phase"
             )
-            rhos = [
-                (dim.skew * int(sink.local_a[index])) % dim.scale
-                if dim.scale > 1
-                else 0
-                for dim in model.inner
-            ]
+            rhos = [dim.base_residue(int(sink.local_a[index])) for dim in model.inner]
             record(
                 index,
                 level,
@@ -478,10 +467,7 @@ def verify_hybrid(
         if not races:
             for index in np.flatnonzero(mask & crosses):
                 rhos = [
-                    (dim.skew * int(sink.local_a[index])) % dim.scale
-                    if dim.scale > 1
-                    else 0
-                    for dim in model.inner
+                    dim.base_residue(int(sink.local_a[index])) for dim in model.inner
                 ]
                 record(
                     index,
@@ -492,14 +478,18 @@ def verify_hybrid(
                 )
                 break
         if not races:
-            for index in np.flatnonzero(mask & same_tile):
+            # The intra-tile verdict depends on the local-time pair alone, and
+            # inside one tile the source's local time is the sink's minus dl:
+            # decide each sink local time once, at its first class.
+            same = np.flatnonzero(mask & same_tile)
+            _, first = np.unique(sink.local_a[same], return_index=True)
+            for index in same[np.sort(first)]:
                 u_sink = int(sink.local_a[index])
                 u_src = int(source.local_a[index])
                 per_dim = [
                     _admissible_displacements(dim, distance, u_sink, u_src)
                     for dim, distance in zip(model.inner, ds[1:])
                 ]
-                hit = False
                 for combo in itertools.product(*per_dim):
                     deltas = [value for value, _ in combo]
                     level = _lex_violation(deltas, u_src - u_sink, model)
@@ -521,9 +511,8 @@ def verify_hybrid(
                             f"precede {key_sink} ({{source}} -> {{sink}})"
                         )
                     record(index, level, text, rhos)
-                    hit = True
                     break
-                if hit:
+                if races:
                     break
         findings.extend(races[:_MAX_RACES_PER_DEPENDENCE])
 
@@ -594,8 +583,7 @@ def verify_classical(
                         "time_tile",
                         f"dependence {dependence} violated: source time band "
                         f"executes after sink time band",
-                        [(d.skew * (lam % period)) % d.scale if d.scale > 1 else 0
-                         for d in dims],
+                        [d.base_residue(lam % period) for d in dims],
                     )
                 )
                 found = True

@@ -9,6 +9,9 @@ the exact ordering level each mutation class breaks.
 
 from __future__ import annotations
 
+import json
+import pathlib
+
 import pytest
 
 from repro.model.preprocess import canonicalize
@@ -20,6 +23,8 @@ from repro.verify import (
     mutation_corpus,
     verify_hybrid,
 )
+
+GOLDEN = pathlib.Path(__file__).resolve().parents[1] / "golden"
 
 
 def _model(name, sizes, steps, h, widths):
@@ -92,6 +97,20 @@ def test_kill_rate_is_one_hundred_percent():
     assert killed == total
 
 
+def test_every_finding_of_every_mutant_is_pinned():
+    """Level and message, counterexample instances included, of each finding."""
+    found = {}
+    for name, (sizes, steps, h, widths, inner) in TARGETS.items():
+        canonical, model = _model(name, sizes, steps, h, widths)
+        for mutation in mutation_corpus(inner_dims=inner):
+            verdict = verify_hybrid(canonical, mutation.apply(model))
+            found[f"{name}/{mutation.name}"] = [
+                [race.level, race.message] for race in verdict.races
+            ]
+    expected = json.loads((GOLDEN / "mutant_findings.json").read_text(encoding="utf-8"))
+    assert list(found.items()) == list(expected.items())
+
+
 # -- per-class exact diagnostics ------------------------------------------------------
 
 
@@ -157,3 +176,9 @@ def test_noop_mutations_are_rejected():
     once = dropped.apply(model)
     with pytest.raises(ValueError):
         dropped.apply(once)  # skew already zero: mutation would be a no-op
+    sizes, steps, h, widths, _ = TARGETS["jacobi_1d"]
+    _, flat = _model("jacobi_1d", sizes, steps, h, widths)
+    for mutation in mutation_corpus():
+        if mutation.requires_inner_dims:
+            with pytest.raises(ValueError):
+                mutation.apply(flat)  # no inner dimension to perturb

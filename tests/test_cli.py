@@ -718,3 +718,18 @@ def test_verify_usage_errors(capsys):
     # mutations perturb the hybrid model only
     assert main(["verify", "jacobi_2d", "--strategy", "classical",
                  "--mutate", "phase-swap"]) == 2
+    capsys.readouterr()
+    # a 1-D stencil has no inner tiled dimension for these mutants to perturb
+    for mutation in ("flipped-tile-order", "dropped-skew", "flipped-skew"):
+        assert main(["verify", "jacobi_1d", "--mutate", mutation]) == 2
+        captured = capsys.readouterr()
+        assert "needs an inner tiled dimension" in captured.err
+        assert "verified" not in captured.out
+
+
+def test_verify_all_json_is_pinned(capsys):
+    """Every verdict and class count of the library under all strategies."""
+    argv = ["verify", "all", "--strategy", "all", "--json", "--no-cache"]
+    assert main(argv) == 0
+    expected = (GOLDEN / "verify_all_strategy_all.json").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == expected
