@@ -40,8 +40,6 @@ def test_figure3_dependence_cone(benchmark):
     assert set(map(tuple, data["distance_vectors"])) == {(1, -2), (2, 2)}
     assert data["delta0"] == Fraction(1)
     assert data["delta1"] == Fraction(2)
-    assert data["delta0"] == data["delta0_lp"]
-    assert data["delta1"] == data["delta1_lp"]
 
 
 def test_figure4_hexagon_shape(benchmark):

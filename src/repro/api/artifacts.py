@@ -88,7 +88,7 @@ class ParsedProgram:
 class CanonicalIR:
     """The canonical schedule space and dependence analysis (Section 3.2)."""
 
-    SCHEMA_VERSION = 1
+    SCHEMA_VERSION = 2
 
     canonical: CanonicalForm
     storage: str

@@ -36,8 +36,8 @@ Examples
 Exit codes are uniform across every subcommand: **0** on success, **1** on a
 compile/validation/verification failure (for ``hexcc verify``: any race,
 coverage gap or error-severity lint finding — warnings alone stay 0), **2**
-on a usage error (unknown stencil, table, strategy, stage, mutation or
-malformed option).
+on a usage error (unknown stencil, table, strategy, stage, mutation,
+malformed option, or a grid on which a statement updates no point).
 
 Every compiling command shares a persistent on-disk artefact cache
 (``~/.cache/hexcc`` by default, override with ``$HEXCC_CACHE_DIR``, disable
@@ -62,6 +62,7 @@ from repro.api import (
 from repro.cache import DiskCache
 from repro.frontend import FrontendError, parse_stencil_file
 from repro.gpu.device import GTX470, NVS5200M, get_device
+from repro.model.preprocess import statement_boxes
 from repro.stencils import get_definition, get_stencil, list_stencils
 
 #: Uniform exit codes (see the module docstring).
@@ -95,6 +96,24 @@ def _get_stencil_checked(raw_name: str, **kwargs):
         raise UsageError(
             f"unknown stencil {name!r}; known: {', '.join(list_stencils())}"
         ) from None
+
+
+def _require_instances(program) -> None:
+    """Refuse a grid on which a statement updates no point.
+
+    Validating or compiling it would vacuously succeed on zero instances.
+    """
+    boxes = statement_boxes(program)
+    for statement, (lower, upper) in zip(program.statements, boxes):
+        for axis, dim in enumerate(program.space_dims):
+            if upper[1 + axis] < lower[1 + axis]:
+                low, high = statement.lower_margin[axis], statement.upper_margin[axis]
+                raise UsageError(
+                    f"statement {statement.name} of {program.name} updates no "
+                    f"point: axis {dim} has extent {program.sizes[axis]}, but "
+                    f"margins {low} and {high} need an extent of at least "
+                    f"{low + high + 1}"
+                )
 
 
 def _get_device_checked(name: str):
@@ -216,6 +235,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         ) from None
     sizes = (args.size,) * definition.dimensions
     program = _get_stencil_checked(name, sizes=sizes, steps=args.steps)
+    _require_instances(program)
     return _validate_and_report(program, args)
 
 
@@ -463,11 +483,13 @@ def _sizes_arg(text: str) -> tuple[int, ...]:
 
 
 def _load_stencil_file(args: argparse.Namespace):
-    return parse_stencil_file(
+    program = parse_stencil_file(
         args.file,
         sizes=args.sizes,
         time_steps=args.steps,
     )
+    _require_instances(program)
+    return program
 
 
 def _cmd_compile_file(args: argparse.Namespace) -> int:

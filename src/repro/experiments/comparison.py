@@ -134,25 +134,20 @@ def run_comparison(
 
 def format_comparison(rows: list[ComparisonRow], device: GPUDevice) -> str:
     """Render the comparison like Table 1 / Table 2 of the paper."""
-    lines = [
-        f"Performance on {device.name}: GStencils/second (speedup over PPCG) "
-        "[paper value in brackets]",
-        f"{'benchmark':<15}" + "".join(f"{tool:>24}" for tool in TOOLS),
-        "-" * (15 + 24 * len(TOOLS)),
-    ]
     benchmarks = []
     for row in rows:
         if row.benchmark not in benchmarks:
             benchmarks.append(row.benchmark)
     by_key = {(r.benchmark, r.tool): r for r in rows}
+    table = []
     for benchmark in benchmarks:
-        cells = [f"{benchmark:<15}"]
+        cells = []
         for tool in TOOLS:
             row = by_key.get((benchmark, tool))
             if row is None:
-                cells.append(f"{'-':>24}")
+                cells.append("-")
             elif row.gstencils_per_second is None:
-                cells.append(f"{'invalid CUDA':>24}")
+                cells.append("invalid CUDA")
             else:
                 speedup = (
                     f" ({(row.speedup_over_ppcg - 1) * 100:+.0f}%)"
@@ -162,6 +157,16 @@ def format_comparison(rows: list[ComparisonRow], device: GPUDevice) -> str:
                 paper = (
                     f" [{row.paper_gstencils:g}]" if row.paper_gstencils is not None else ""
                 )
-                cells.append(f"{row.gstencils_per_second:9.2f}{speedup}{paper:>10}"[:24].rjust(24))
-        lines.append("".join(cells))
+                cells.append(f"{row.gstencils_per_second:9.2f}{speedup}{paper:>10}")
+        table.append((benchmark, cells))
+    # Every tool column is as wide as its widest cell, so no cell is cut.
+    width = max([24, *(len(cell) + 1 for _, cells in table for cell in cells)])
+    lines = [
+        f"Performance on {device.name}: GStencils/second (speedup over PPCG) "
+        "[paper value in brackets]",
+        f"{'benchmark':<15}" + "".join(f"{tool:>{width}}" for tool in TOOLS),
+        "-" * (15 + width * len(TOOLS)),
+    ]
+    for benchmark, cells in table:
+        lines.append(f"{benchmark:<15}" + "".join(cell.rjust(width) for cell in cells))
     return "\n".join(lines)

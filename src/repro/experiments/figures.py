@@ -28,13 +28,10 @@ def figure3_dependence_cone() -> dict[str, object]:
     program = get_stencil("higher_order_time", sizes=(64,), steps=8)
     canonical = canonicalize(program)
     cone = DependenceCone.from_distance_vectors(canonical.distance_vectors)
-    cone_lp = DependenceCone.from_distance_vectors_lp(canonical.distance_vectors)
     return {
         "distance_vectors": list(canonical.distance_vectors),
         "delta0": cone.delta0,
         "delta1": cone.delta1,
-        "delta0_lp": cone_lp.delta0,
-        "delta1_lp": cone_lp.delta1,
         "opposite_rays": cone.opposite_rays(),
     }
 

@@ -53,6 +53,15 @@ def _encode_locations(
     return linear
 
 
+def _count_distinct(values: np.ndarray) -> int:
+    """Number of distinct values of a 1-D array, by sorting and comparing.
+
+    Equals ``np.unique(values).size``, which on NumPy 2 imports ``numpy.ma``
+    on first use, an import every ``hexcc validate`` process would pay for.
+    """
+    return len(run_boundaries(np.sort(values)))
+
+
 class SimulationError(RuntimeError):
     """The simulated execution violated an assumption (footprint, ordering...)."""
 
@@ -155,7 +164,7 @@ class FunctionalSimulator:
                 self._check_footprint(ordered.point(int(start)).tile, footprint)
             counters.barriers += tiling.shape.time_period
 
-        counters.kernel_launches = 2.0 * np.unique(ordered.time_tile).size
+        counters.kernel_launches = 2.0 * _count_distinct(ordered.time_tile)
         counters.host_device_bytes = 2.0 * program.data_bytes()
 
         final = {name: state[name][steps].copy() for name in program.fields}
@@ -233,12 +242,12 @@ class FunctionalSimulator:
         all_locations: list[np.ndarray] = []
         for chunks in staged.values():
             merged = np.concatenate(chunks) if len(chunks) > 1 else chunks[0]
-            distinct_loads += np.unique(merged).size
+            distinct_loads += _count_distinct(merged)
             all_locations.append(merged)
         # The footprint is the number of distinct *locations* touched by any
         # read, regardless of field or version.
         footprint = (
-            np.unique(np.concatenate(all_locations)).size if all_locations else 0
+            _count_distinct(np.concatenate(all_locations)) if all_locations else 0
         )
         return footprint, distinct_loads, reads_performed
 

@@ -1,4 +1,4 @@
-"""Program model: stencil programs, their polyhedral view and dependences.
+"""Program model: stencil programs, their canonical form and dependences.
 
 The model mirrors what pet + isl give the original PPCG-based implementation
 (Section 3.1/3.2 of the paper):
@@ -6,8 +6,9 @@ The model mirrors what pet + isl give the original PPCG-based implementation
 * :class:`StencilProgram` — the executable description of an iterative
   stencil: fields, statements, grid sizes and time steps.  It can run itself
   with NumPy (the reference the GPU simulator is checked against).
-* :class:`Scop` — the polyhedral view: iteration domains, access relations
-  and the canonical initial schedule ``L_i[t, s...] -> [k*t + i, s...]``.
+* :class:`CanonicalForm` — the canonical schedule space: statement ``i``
+  at time ``t`` runs at logical time ``k*t + i``, and its iteration domain
+  is a box (:func:`~repro.model.preprocess.statement_boxes`).
 * :func:`compute_dependences` — dependence analysis producing the distance
   vectors that drive the hexagonal tile construction.
 """
@@ -22,7 +23,6 @@ from repro.model.expr import (
     gather_reads,
 )
 from repro.model.program import Field, StencilProgram, StencilStatement
-from repro.model.scop import Access, AccessKind, Scop, ScopStatement, build_scop
 from repro.model.dependences import (
     Dependence,
     DependenceKind,
@@ -42,11 +42,6 @@ __all__ = [
     "Field",
     "StencilStatement",
     "StencilProgram",
-    "Access",
-    "AccessKind",
-    "Scop",
-    "ScopStatement",
-    "build_scop",
     "Dependence",
     "DependenceKind",
     "compute_dependences",

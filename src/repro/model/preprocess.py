@@ -22,7 +22,31 @@ from repro.model.dependences import (
     validate_stencil_assumptions,
 )
 from repro.model.program import StencilProgram
-from repro.model.scop import Scop, build_scop
+
+
+def statement_boxes(
+    program: StencilProgram,
+) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """Inclusive ``(lower, upper)`` bounds of each statement's domain.
+
+    Every iteration domain of Section 3.2 is a box over ``(t, s0, ..., sn)``:
+    ``0 <= t < T`` and, along each space axis,
+    ``lower_margin <= s <= size - 1 - upper_margin``.  A box is empty when an
+    upper bound is below its lower bound.
+    """
+    return tuple(
+        (
+            (0, *statement.lower_margin),
+            (
+                program.time_steps - 1,
+                *(
+                    size - 1 - upper
+                    for size, upper in zip(program.sizes, statement.upper_margin)
+                ),
+            ),
+        )
+        for statement in program.statements
+    )
 
 
 @dataclass(frozen=True)
@@ -33,8 +57,6 @@ class CanonicalForm:
     ----------
     program:
         The original stencil program.
-    scop:
-        Its polyhedral representation.
     num_statements:
         ``k`` — the number of statements interleaved on the logical time axis.
     space_dims:
@@ -49,7 +71,6 @@ class CanonicalForm:
     """
 
     program: StencilProgram
-    scop: Scop
     num_statements: int
     space_dims: tuple[str, ...]
     dependences: tuple[Dependence, ...]
@@ -77,23 +98,28 @@ class CanonicalForm:
     def instances_array(self):
         """All statement instances as a cached ``(N, 1 + ndim)`` int64 array.
 
-        One canonical point ``(l, s0, ..., sn)`` per row, statement by
-        statement.  Only intended for the small grids used in validation and
-        testing; this is the columnar input of the scheduling passes, and the
-        validator and the functional simulator share the memo.
+        One canonical point ``(l, s0, ..., sn)`` per row: statement by
+        statement, each statement's box (:func:`statement_boxes`) in
+        lexicographic ``(t, s0, ..., sn)`` order, with ``l = k*t + i``.  Only
+        intended for the small grids used in validation and testing; this is
+        the columnar input of the scheduling passes, and the validator and
+        the functional simulator share the memo.
         """
         import numpy as np
 
         cached = self.__dict__.get("_instances_array_cache")
         if cached is None:
-            rows = [
-                self.to_canonical(index, point[0], point[1:])
-                for index, scop_statement in enumerate(self.scop.statements)
-                for point in scop_statement.domain.points()
-            ]
-            cached = np.array(rows, dtype=np.int64).reshape(
-                len(rows), 1 + len(self.space_dims)
-            )
+            blocks = []
+            for index, (lower, upper) in enumerate(statement_boxes(self.program)):
+                ranges = [
+                    np.arange(lo, hi + 1, dtype=np.int64)
+                    for lo, hi in zip(lower, upper)
+                ]
+                axes = np.meshgrid(*ranges, indexing="ij")
+                block = np.stack([axis.ravel() for axis in axes], axis=1)
+                block[:, 0] = self.num_statements * block[:, 0] + index
+                blocks.append(block)
+            cached = np.concatenate(blocks)
             cached.setflags(write=False)
             # The dataclass is frozen; stash the memo directly in __dict__.
             object.__setattr__(self, "_instances_array_cache", cached)
@@ -134,7 +160,6 @@ def canonicalize(
     does not satisfy the assumptions of Sections 3.2/3.3.1 (for instance when
     a dependence is not carried by the time dimension).
     """
-    scop = build_scop(program)
     dependences = compute_dependences(program, storage=storage)
     validate_stencil_assumptions(program, dependences)
     vectors = dependence_distance_vectors(dependences)
@@ -145,7 +170,6 @@ def canonicalize(
         )
     return CanonicalForm(
         program=program,
-        scop=scop,
         num_statements=program.num_statements,
         space_dims=program.space_dims,
         dependences=tuple(dependences),

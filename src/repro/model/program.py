@@ -310,6 +310,8 @@ class StencilProgram:
             current = {name: history[name][-1].copy() for name in self.fields}
             for statement in self.statements:
                 region = self._interior_slices(statement)
+                if any(axis.start >= axis.stop for axis in region):
+                    continue  # the margins leave no interior point
                 updated = self._evaluate_statement(statement, history, current, region)
                 current[statement.target][region] = updated
             for name in self.fields:

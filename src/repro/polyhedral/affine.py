@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from collections.abc import Iterable, Mapping
+from collections.abc import Mapping
 
 Rational = int | Fraction
 
@@ -37,7 +37,7 @@ class LinearExpr:
     dictionary keys.
     """
 
-    __slots__ = ("_coeffs", "_constant", "_hash", "_scaled")
+    __slots__ = ("_coeffs", "_constant", "_hash")
 
     def __init__(
         self,
@@ -53,7 +53,6 @@ class LinearExpr:
         self._coeffs: dict[str, Fraction] = cleaned
         self._constant: Fraction = _as_fraction(constant)
         self._hash: int | None = None
-        self._scaled: tuple[tuple[tuple[str, int], ...], int] | None = None
 
     # -- constructors ------------------------------------------------------
 
@@ -67,10 +66,6 @@ class LinearExpr:
         """A constant expression."""
         return LinearExpr({}, value)
 
-    @staticmethod
-    def zero() -> "LinearExpr":
-        return LinearExpr({}, 0)
-
     # -- accessors ----------------------------------------------------------
 
     @property
@@ -81,20 +76,6 @@ class LinearExpr:
     @property
     def constant(self) -> Fraction:
         return self._constant
-
-    def coefficient(self, name: str) -> Fraction:
-        """Coefficient of variable ``name`` (zero if absent)."""
-        return self._coeffs.get(name, Fraction(0))
-
-    def variables(self) -> set[str]:
-        """Names of variables with a non-zero coefficient."""
-        return set(self._coeffs)
-
-    def is_constant(self) -> bool:
-        return not self._coeffs
-
-    def is_zero(self) -> bool:
-        return not self._coeffs and self._constant == 0
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -134,65 +115,6 @@ class LinearExpr:
             raise ZeroDivisionError("division of LinearExpr by zero")
         return self * (Fraction(1) / factor)
 
-    # -- evaluation and substitution -----------------------------------------
-
-    def evaluate(self, env: Mapping[str, Rational]) -> Fraction:
-        """Evaluate the expression in an environment mapping names to values."""
-        total = self._constant
-        for name, coeff in self._coeffs.items():
-            if name not in env:
-                raise KeyError(f"no value for variable {name!r}")
-            total += coeff * _as_fraction(env[name])
-        return total
-
-    def scaled_integer_form(self) -> tuple[tuple[tuple[str, int], ...], int]:
-        """Integer coefficients of ``self * denominator_lcm()``, cached.
-
-        The scale factor is strictly positive, so the sign of the scaled
-        value at any point equals the sign of the exact rational value; this
-        is the basis of the integer fast path used for constraint checks.
-        """
-        cached = self._scaled
-        if cached is None:
-            lcm = self.denominator_lcm()
-            cached = (
-                tuple((name, int(value * lcm)) for name, value in self._coeffs.items()),
-                int(self._constant * lcm),
-            )
-            self._scaled = cached
-        return cached
-
-    def evaluate_scaled(self, env: Mapping[str, Rational]) -> Rational:
-        """Evaluate ``self * denominator_lcm()`` — same sign, integer math.
-
-        With integer-valued environments (the common case: membership tests
-        on integer points) this performs pure ``int`` arithmetic, avoiding
-        :class:`~fractions.Fraction` entirely.
-        """
-        coeffs, total = self.scaled_integer_form()
-        for name, coeff in coeffs:
-            if name not in env:
-                raise KeyError(f"no value for variable {name!r}")
-            total = total + coeff * env[name]
-        return total
-
-    def substitute(self, bindings: Mapping[str, "LinearExpr | Rational"]) -> "LinearExpr":
-        """Substitute variables by affine expressions (or constants)."""
-        result = LinearExpr.const(self._constant)
-        for name, coeff in self._coeffs.items():
-            if name in bindings:
-                result = result + _coerce(bindings[name]) * coeff
-            else:
-                result = result + LinearExpr.var(name, coeff)
-        return result
-
-    def rename(self, mapping: Mapping[str, str]) -> "LinearExpr":
-        """Rename variables according to ``mapping`` (unknown names kept)."""
-        return LinearExpr(
-            {mapping.get(name, name): value for name, value in self._coeffs.items()},
-            self._constant,
-        )
-
     # -- normalisation --------------------------------------------------------
 
     def denominator_lcm(self) -> int:
@@ -205,16 +127,6 @@ class LinearExpr:
     def scaled_to_integers(self) -> "LinearExpr":
         """Return an equivalent-direction expression with integer coefficients."""
         return self * self.denominator_lcm()
-
-    def integer_coeffs(self, order: Iterable[str]) -> tuple[list[int], int]:
-        """Return integer coefficients in the given dimension order.
-
-        The expression is scaled by the LCM of denominators; the returned pair
-        is ``(coefficients, constant)``.
-        """
-        scaled = self.scaled_to_integers()
-        coeffs = [int(scaled.coefficient(name)) for name in order]
-        return coeffs, int(scaled.constant)
 
     # -- dunder plumbing -------------------------------------------------------
 

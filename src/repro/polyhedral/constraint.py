@@ -8,8 +8,6 @@ more natural comparison forms used throughout the tiling code.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from collections.abc import Mapping
 
 from repro.polyhedral.affine import LinearExpr, Rational
 
@@ -33,97 +31,6 @@ class Constraint:
         """Constraint ``lhs <= rhs``."""
         return Constraint(_coerce(rhs) - _coerce(lhs), is_equality=False)
 
-    @staticmethod
-    def gt(lhs: LinearExpr | Rational, rhs: LinearExpr | Rational) -> "Constraint":
-        """Strict ``lhs > rhs`` over the integers, i.e. ``lhs >= rhs + 1``.
-
-        Strictness over the integers is only exact when the scaled constraint
-        has integer coefficients; the constraint is normalised accordingly.
-        """
-        expr = _coerce(lhs) - _coerce(rhs)
-        scaled = expr.scaled_to_integers()
-        return Constraint(scaled - 1, is_equality=False)
-
-    @staticmethod
-    def lt(lhs: LinearExpr | Rational, rhs: LinearExpr | Rational) -> "Constraint":
-        """Strict ``lhs < rhs`` over the integers."""
-        return Constraint.gt(rhs, lhs)
-
-    @staticmethod
-    def eq(lhs: LinearExpr | Rational, rhs: LinearExpr | Rational) -> "Constraint":
-        """Constraint ``lhs == rhs``."""
-        return Constraint(_coerce(lhs) - _coerce(rhs), is_equality=True)
-
-    # -- queries -------------------------------------------------------------
-
-    def satisfied(self, env: Mapping[str, Rational]) -> bool:
-        """Whether the constraint holds in the given environment."""
-        # The scaled form has the same sign (and the same zero set) as the
-        # exact rational value but evaluates with plain integer arithmetic.
-        value = self.expr.evaluate_scaled(env)
-        if self.is_equality:
-            return value == 0
-        return value >= 0
-
-    def slack(self, env: Mapping[str, Rational]) -> Fraction:
-        """Value of the constraint expression in the environment."""
-        return self.expr.evaluate(env)
-
-    def variables(self) -> set[str]:
-        return self.expr.variables()
-
-    def is_trivially_true(self) -> bool:
-        """Constant constraint that always holds."""
-        if not self.expr.is_constant():
-            return False
-        if self.is_equality:
-            return self.expr.constant == 0
-        return self.expr.constant >= 0
-
-    def is_trivially_false(self) -> bool:
-        """Constant constraint that never holds."""
-        if not self.expr.is_constant():
-            return False
-        if self.is_equality:
-            return self.expr.constant != 0
-        return self.expr.constant < 0
-
-    # -- transformation --------------------------------------------------------
-
-    def normalized(self) -> "Constraint":
-        """Scale to integer coefficients with gcd 1 (preserving the sense)."""
-        scaled = self.expr.scaled_to_integers()
-        values = [abs(int(v)) for v in scaled.coeffs.values()]
-        values.append(abs(int(scaled.constant)))
-        divisor = 0
-        for value in values:
-            divisor = _gcd(divisor, value)
-        if divisor > 1:
-            scaled = scaled * Fraction(1, divisor)
-        return Constraint(scaled, self.is_equality)
-
-    def negated(self) -> list["Constraint"]:
-        """Integer negation of the constraint.
-
-        ``expr >= 0`` becomes ``-expr - 1 >= 0`` (i.e. ``expr <= -1``); an
-        equality becomes two disjuncts, which is why a list is returned.
-        """
-        scaled = self.expr.scaled_to_integers()
-        if self.is_equality:
-            return [
-                Constraint(scaled * -1 - 1, is_equality=False),
-                Constraint(scaled - 1, is_equality=False),
-            ]
-        return [Constraint(scaled * -1 - 1, is_equality=False)]
-
-    def substitute(
-        self, bindings: Mapping[str, LinearExpr | Rational]
-    ) -> "Constraint":
-        return Constraint(self.expr.substitute(bindings), self.is_equality)
-
-    def rename(self, mapping: Mapping[str, str]) -> "Constraint":
-        return Constraint(self.expr.rename(mapping), self.is_equality)
-
     def __str__(self) -> str:
         op = "=" if self.is_equality else ">="
         return f"{self.expr} {op} 0"
@@ -133,9 +40,3 @@ def _coerce(value: LinearExpr | Rational) -> LinearExpr:
     if isinstance(value, LinearExpr):
         return value
     return LinearExpr.const(value)
-
-
-def _gcd(a: int, b: int) -> int:
-    from math import gcd
-
-    return gcd(a, b)

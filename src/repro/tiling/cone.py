@@ -7,10 +7,11 @@ non-negative rationals ``δ0`` and ``δ1`` such that every dependence distance
 
     Δs <= δ0 * Δt        and        Δs >= -δ1 * Δt
 
-The paper computes these through an LP; because the front end only produces a
-finite set of constant distance vectors we provide both the direct
-maximum-ratio computation and the LP formulation (the latter mirrors the paper
-and doubles as a cross-check in the tests).
+The paper computes these through an LP.  Because the front end only produces
+a finite set of constant distance vectors, the LP optimum is the largest ratio
+``Δs/Δt`` over them, which is what :meth:`DependenceCone.from_distance_vectors`
+computes.  The LP formulation is kept as a cross-check in
+``tests/polyhedral/lp_oracle.py``.
 """
 
 from __future__ import annotations
@@ -18,10 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from collections.abc import Iterable, Sequence
-
-from repro.polyhedral.affine import LinearExpr
-from repro.polyhedral.constraint import Constraint
-from repro.polyhedral.lp import LPStatus, lp_minimize
 
 
 @dataclass(frozen=True)
@@ -69,22 +66,6 @@ class DependenceCone:
             raise ValueError("cannot build a dependence cone from no dependences")
         return DependenceCone(delta0, delta1)
 
-    @staticmethod
-    def from_distance_vectors_lp(
-        distances: Iterable[Sequence[int]], dim_index: int = 0
-    ) -> "DependenceCone":
-        """Same as :meth:`from_distance_vectors` but via the LP of the paper.
-
-        Minimise ``δ0`` subject to ``δ0·Δt - Δs >= 0`` for every distance
-        vector (and symmetrically for ``δ1``).
-        """
-        distance_list = [tuple(d) for d in distances]
-        if not distance_list:
-            raise ValueError("cannot build a dependence cone from no dependences")
-        delta0 = _solve_slope_lp(distance_list, dim_index, positive_side=True)
-        delta1 = _solve_slope_lp(distance_list, dim_index, positive_side=False)
-        return DependenceCone(delta0, delta1)
-
     # -- queries -----------------------------------------------------------------
 
     @property
@@ -108,24 +89,3 @@ class DependenceCone:
 
     def __str__(self) -> str:
         return f"DependenceCone(delta0={self.delta0}, delta1={self.delta1})"
-
-
-def _solve_slope_lp(
-    distances: list[tuple[int, ...]], dim_index: int, positive_side: bool
-) -> Fraction:
-    """Minimise the slope bounding one side of the dependence cone."""
-    slope = LinearExpr.var("delta")
-    constraints = [Constraint.ge(slope, 0)]
-    for distance in distances:
-        dt = distance[0]
-        ds = distance[1 + dim_index]
-        if positive_side:
-            # delta * dt - ds >= 0
-            constraints.append(Constraint.ge(slope * dt - ds, 0))
-        else:
-            # delta * dt + ds >= 0
-            constraints.append(Constraint.ge(slope * dt + ds, 0))
-    result = lp_minimize(slope, constraints, ["delta"])
-    if result.status is not LPStatus.OPTIMAL or result.value is None:
-        raise ValueError("slope LP is infeasible or unbounded; invalid dependences")
-    return result.value

@@ -35,9 +35,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.polyhedral.affine import LinearExpr
-from repro.polyhedral.basic_set import BasicSet
 from repro.polyhedral.constraint import Constraint
-from repro.polyhedral.space import Space
 from repro.tiling.cone import DependenceCone
 
 if TYPE_CHECKING:
@@ -159,10 +157,6 @@ class HexagonalTileShape:
     # -- the tile shape -------------------------------------------------------------
 
     @cached_property
-    def space(self) -> Space:
-        return Space(("a", "b"), name="hexagon")
-
-    @cached_property
     def constraints(self) -> list[Constraint]:
         """The constraints (6), (7), (8), (10), (12), (13) on ``(a, b)``."""
         a = LinearExpr.var("a")
@@ -197,11 +191,6 @@ class HexagonalTileShape:
             Constraint.ge(a, 0),
         ]
         return constraints
-
-    @cached_property
-    def basic_set(self) -> BasicSet:
-        """The tile as an integer set over ``(a, b)``."""
-        return BasicSet(self.space, self.constraints)
 
     @cached_property
     def _row_bounds(self) -> tuple[np.ndarray, np.ndarray]:

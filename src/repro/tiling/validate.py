@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.model.preprocess import statement_boxes
 from repro.tiling.hybrid import HybridTiling
 from repro.tiling.schedule_arrays import lexicographic_less
 
@@ -80,21 +81,18 @@ def check_legality(tiling: HybridTiling) -> int:
     """Verify that every dependence is respected by the hybrid schedule.
 
     One batched pass per dependence: source points are derived by array
-    subtraction, filtered through the source statement's domain
-    (:meth:`~repro.polyhedral.basic_set.BasicSet.contains_batch`), assigned in
-    one batch and compared against the sinks with vectorised lexicographic
-    tests.  Returns the number of (dependence, instance) pairs checked.
+    subtraction, filtered through the source statement's box
+    (:func:`~repro.model.preprocess.statement_boxes`), assigned in one batch
+    and compared against the sinks with vectorised lexicographic tests.
+    Returns the number of (dependence, instance) pairs checked.
     """
     canonical = tiling.canonical
     arrays = tiling.schedule_arrays()
     points = canonical.instances_array()
-    domains = {
-        index: statement.domain
-        for index, statement in enumerate(canonical.scop.statements)
-    }
+    boxes = statement_boxes(canonical.program)
     name_to_index = {
         statement.name: index
-        for index, statement in enumerate(canonical.scop.statements)
+        for index, statement in enumerate(canonical.program.statements)
     }
     num_statements = canonical.num_statements
     checked = 0
@@ -111,10 +109,13 @@ def check_legality(tiling: HybridTiling) -> int:
         # statement" test is one modulo check, not a per-instance loop.
         if int(source_points[0, 0]) % num_statements != source_index:
             continue
-        source_t = source_points[:, 0] // num_statements
-        in_domain = domains[source_index].contains_batch(
-            np.column_stack((source_t, source_points[:, 1:]))
+        source_instances = np.column_stack(
+            (source_points[:, 0] // num_statements, source_points[:, 1:])
         )
+        lower, upper = boxes[source_index]
+        in_domain = (
+            (source_instances >= lower) & (source_instances <= upper)
+        ).all(axis=1)
         if not in_domain.any():
             continue
         sinks = arrays.take(sink_rows[in_domain])

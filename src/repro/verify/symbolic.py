@@ -250,7 +250,7 @@ def _lex_violation(
 
 
 def _statement_names(canonical: "CanonicalForm") -> list[str]:
-    return [statement.name for statement in canonical.scop.statements]
+    return [statement.name for statement in canonical.program.statements]
 
 
 def _reconstruct_pair(

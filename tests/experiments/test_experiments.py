@@ -122,7 +122,6 @@ def test_figure3_cone_values():
     data = figure3_dependence_cone()
     assert set(map(tuple, data["distance_vectors"])) == {(1, -2), (2, 2)}
     assert data["delta0"] == 1 and data["delta1"] == 2
-    assert data["delta0_lp"] == 1 and data["delta1_lp"] == 2
 
 
 def test_figure4_hexagon_data():

@@ -77,6 +77,15 @@ def test_reference_execution_boundary_unchanged():
     assert np.array_equal(result[:, -1], initial["A"][:, -1])
 
 
+def test_reference_execution_of_an_empty_interior_changes_nothing():
+    """Margins 2 and 2 on a grid of 3 leave no point to update and none to read."""
+    program = get_stencil("higher_order_time", sizes=(3,), steps=2)
+    initial = program.initial_state(seed=4)
+    result = program.run_reference(initial)
+    for field, values in initial.items():
+        assert np.array_equal(result[field], values)
+
+
 def test_multi_statement_fdtd_runs_and_updates_all_fields():
     program = get_stencil("fdtd_2d", sizes=(10, 10), steps=3)
     initial = program.initial_state(seed=3)

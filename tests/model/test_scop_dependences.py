@@ -1,6 +1,10 @@
-"""Unit tests for SCoP extraction, dependence analysis and canonicalisation."""
+"""Unit tests for statement domains, dependence analysis and canonicalisation."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from polyhedral import lp_oracle
 
 from repro.model.dependences import (
     DependenceError,
@@ -9,31 +13,61 @@ from repro.model.dependences import (
     dependence_distance_vectors,
 )
 from repro.model.expr import Constant, FieldRead
-from repro.model.preprocess import canonicalize
+from repro.model.preprocess import canonicalize, statement_boxes
 from repro.model.program import StencilProgram, StencilStatement
-from repro.model.scop import AccessKind, build_scop
 from repro.stencils import get_stencil
 
 
-def test_scop_domains_and_accesses():
+def test_statement_domains_are_boxes():
     program = get_stencil("jacobi_2d", sizes=(10, 12), steps=4)
-    scop = build_scop(program)
-    statement = scop.statements[0]
-    assert statement.domain.count() == 4 * 8 * 10
-    writes = statement.writes
-    reads = statement.reads
-    assert len(writes) == 1 and writes[0].kind is AccessKind.WRITE
-    assert len(reads) == 5
-    assert scop.iteration_count() == program.stencil_updates()
+    assert statement_boxes(program) == (((0, 1, 1), (3, 8, 10)),)
+    rows = canonicalize(program).instances_array()
+    assert rows.shape == (4 * 8 * 10, 3)
+    assert len(rows) == program.stencil_updates()
 
 
 def test_initial_schedule_interleaves_statements():
     program = get_stencil("fdtd_2d", sizes=(8, 8), steps=2)
-    scop = build_scop(program)
-    # statement i at time t is scheduled at logical time 3t + i.
-    for index, statement in enumerate(scop.statements):
-        image = statement.schedule.apply_int_point((2, 3, 3))
-        assert image[0] == 3 * 2 + index
+    rows = canonicalize(program).instances_array()
+    assert len(rows) == program.stencil_updates()
+    counts = [2 * program.interior_points(s) for s in program.statements]
+    # Rows come statement by statement; statement i at time t is scheduled at
+    # logical time 3t + i.
+    for index, block in enumerate(np.split(rows, np.cumsum(counts)[:-1])):
+        assert set(block[:, 0].tolist()) == {3 * t + index for t in range(2)}
+
+
+@st.composite
+def box_programs(draw):
+    """1-3 space axes of extent 1..9, 1..5 steps, 1-3 statements whose
+    per-axis margins (0..4) differ, so some boxes are empty."""
+    ndim = draw(st.integers(1, 3))
+    sizes = draw(st.lists(st.integers(1, 9), min_size=ndim, max_size=ndim))
+    # Half of the margins are 0 or 1, so most boxes still hold points.
+    margin = st.integers(0, 1) | st.integers(0, 4)
+    margins = st.lists(margin, min_size=ndim, max_size=ndim)
+    statements = [
+        StencilStatement(
+            f"S{index}",
+            f"F{index}",
+            Constant(0.5) * FieldRead(f"F{index}", (0,) * ndim, 1),
+            tuple(draw(margins)),
+            tuple(draw(margins)),
+        )
+        for index in range(draw(st.integers(1, 3)))
+    ]
+    dims = ("i", "j", "k")[:ndim]
+    return StencilProgram("box", dims, sizes, draw(st.integers(1, 5)), statements)
+
+
+@settings(max_examples=50, deadline=None)
+@given(box_programs())
+def test_instances_array_equals_the_lp_enumeration(program):
+    rows = canonicalize(program).instances_array()
+    expected = lp_oracle.instances(program)
+    assert rows.dtype == np.int64 and rows.shape == (len(expected), 1 + program.ndim)
+    assert rows.tolist() == [list(point) for point in expected]
+    assert len(rows) == program.stencil_updates()
 
 
 def test_jacobi_flow_dependences():

@@ -1,20 +1,18 @@
-"""Unit tests for convex integer sets."""
+"""Unit tests for the oracle's convex integer sets."""
 
 import pytest
+from polyhedral.lp_oracle import BasicSet
 
 from repro.polyhedral.affine import LinearExpr
-from repro.polyhedral.basic_set import BasicSet
 from repro.polyhedral.constraint import Constraint
-from repro.polyhedral.space import Space
 
 
 @pytest.fixture
 def triangle():
     """The triangle 0 <= t <= i <= 5."""
-    space = Space(["t", "i"])
     t, i = LinearExpr.var("t"), LinearExpr.var("i")
     return BasicSet(
-        space,
+        ("t", "i"),
         [Constraint.ge(t, 0), Constraint.ge(i - t, 0), Constraint.le(i, 5)],
     )
 
@@ -43,38 +41,35 @@ def test_dim_min_max(triangle):
 
 
 def test_intersect():
-    space = Space(["x"])
-    a = BasicSet.from_bounds(space, {"x": (0, 10)})
-    b = BasicSet.from_bounds(space, {"x": (5, 20)})
+    a = BasicSet.from_bounds(("x",), {"x": (0, 10)})
+    b = BasicSet.from_bounds(("x",), {"x": (5, 20)})
     assert a.intersect(b).count() == 6
 
 
 def test_empty_detection():
-    space = Space(["x"])
-    empty = BasicSet.from_bounds(space, {"x": (3, 1)})
+    empty = BasicSet.from_bounds(("x",), {"x": (3, 1)})
     assert empty.is_empty()
-    assert BasicSet.empty(space).is_empty()
-    assert not BasicSet.from_bounds(space, {"x": (0, 0)}).is_empty()
+    assert BasicSet.empty(("x",)).is_empty()
+    assert not BasicSet.from_bounds(("x",), {"x": (0, 0)}).is_empty()
 
 
 def test_integer_emptiness_with_rational_relaxation_nonempty():
     """1 <= 2x <= 1 has the rational solution 1/2 but no integer point."""
-    space = Space(["x"])
     x = LinearExpr.var("x")
-    gap = BasicSet(space, [Constraint.ge(x * 2, 1), Constraint.le(x * 2, 1)])
+    gap = BasicSet(("x",), [Constraint.ge(x * 2, 1), Constraint.le(x * 2, 1)])
     assert not gap.is_rationally_empty()
     assert gap.is_empty()
 
 
 def test_projection_drops_dimension(triangle):
     projected = triangle.project_out(["i"])
-    assert projected.space.dims == ("t",)
+    assert projected.dims == ("t",)
     assert projected.bounding_box() == [(0, 5)]
 
 
 def test_project_onto(triangle):
     projected = triangle.project_onto(["i"])
-    assert projected.space.dims == ("i",)
+    assert projected.dims == ("i",)
     assert projected.count() == 6
 
 
@@ -86,23 +81,20 @@ def test_translate(triangle):
 
 
 def test_universe_and_box_constructors():
-    space = Space(["x", "y"])
-    box = BasicSet.box(space, [0, 0], [2, 3])
+    box = BasicSet.box(("x", "y"), [0, 0], [2, 3])
     assert box.count() == 12
-    assert BasicSet.universe(space).contains((100, -100))
+    assert BasicSet.universe(("x", "y")).contains((100, -100))
 
 
 def test_unknown_dimension_rejected():
-    space = Space(["x"])
     with pytest.raises(ValueError):
-        BasicSet(space, [Constraint.ge(LinearExpr.var("z"), 0)])
+        BasicSet(("x",), [Constraint.ge(LinearExpr.var("z"), 0)])
 
 
 def test_gist_removes_redundant_constraint():
-    space = Space(["x"])
     x = LinearExpr.var("x")
     redundant = BasicSet(
-        space, [Constraint.ge(x, 0), Constraint.ge(x, -5), Constraint.le(x, 3)]
+        ("x",), [Constraint.ge(x, 0), Constraint.ge(x, -5), Constraint.le(x, 3)]
     )
     simplified = redundant.gist()
     assert len(simplified.constraints) == 2

@@ -1,12 +1,7 @@
-"""Unit tests for affine maps and quasi-affine expressions."""
+"""Unit tests for quasi-affine expressions."""
 
 from fractions import Fraction
 
-import pytest
-
-from repro.polyhedral.affine import LinearExpr
-from repro.polyhedral.basic_set import BasicSet
-from repro.polyhedral.imap import AffineMap
 from repro.polyhedral.quasi_affine import (
     QFloorDiv,
     QMod,
@@ -16,58 +11,6 @@ from repro.polyhedral.quasi_affine import (
     qconst,
     qvar,
 )
-from repro.polyhedral.space import Space
-
-
-# -- AffineMap -------------------------------------------------------------------------
-
-
-def test_identity_and_offsets():
-    space = Space(["i", "j"])
-    identity = AffineMap.identity(space)
-    assert identity.apply_int_point((3, 4)) == (3, 4)
-    shifted = AffineMap.from_offsets(space, Space(["a", "b"]), ["i", "j"], [1, -1])
-    assert shifted.apply_int_point((3, 4)) == (4, 3)
-
-
-def test_compose():
-    space = Space(["i"])
-    plus_one = AffineMap(space, space, [LinearExpr.var("i") + 1])
-    times_two = AffineMap(space, space, [LinearExpr.var("i") * 2])
-    composed = times_two.compose(plus_one)   # 2 * (i + 1)
-    assert composed.apply_int_point((3,)) == (8,)
-
-
-def test_apply_set_image():
-    space = Space(["i"])
-    target = Space(["a"])
-    shift = AffineMap(space, target, [LinearExpr.var("i") + 5])
-    domain = BasicSet.from_bounds(space, {"i": (0, 3)})
-    image = shift.apply_set(domain)
-    assert sorted(p[0] for p in image.points()) == [5, 6, 7, 8]
-
-
-def test_image_box_interval_arithmetic():
-    space = Space(["i", "j"])
-    access = AffineMap.from_offsets(space, Space(["a", "b"]), ["i", "j"], [-1, 2])
-    box = access.image_box({"i": (1, 4), "j": (0, 3)})
-    assert box == [(0, 3), (2, 5)]
-
-
-def test_non_integral_image_raises():
-    space = Space(["i"])
-    half = AffineMap(space, Space(["a"]), [LinearExpr.var("i") * Fraction(1, 2)])
-    with pytest.raises(ValueError):
-        half.apply_int_point((3,))
-
-
-def test_arity_mismatch_rejected():
-    space = Space(["i"])
-    with pytest.raises(ValueError):
-        AffineMap(space, Space(["a", "b"]), [LinearExpr.var("i")])
-
-
-# -- quasi-affine expressions -----------------------------------------------------------
 
 
 def test_floordiv_matches_python_semantics():

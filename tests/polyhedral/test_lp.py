@@ -1,10 +1,11 @@
-"""Unit tests for the exact rational simplex."""
+"""Unit tests for the oracle's exact rational simplex."""
 
 from fractions import Fraction
 
+from polyhedral.lp_oracle import LPStatus, eq, lp_feasible, lp_maximize, lp_minimize
+
 from repro.polyhedral.affine import LinearExpr
 from repro.polyhedral.constraint import Constraint
-from repro.polyhedral.lp import LPStatus, lp_feasible, lp_maximize, lp_minimize
 
 
 def _box_constraints():
@@ -62,7 +63,7 @@ def test_unbounded_problem():
 def test_equality_constraints():
     x = LinearExpr.var("x")
     y = LinearExpr.var("y")
-    constraints = [Constraint.eq(x + y, 10), Constraint.ge(x, 0), Constraint.ge(y, 0)]
+    constraints = [eq(x + y, 10), Constraint.ge(x, 0), Constraint.ge(y, 0)]
     result = lp_maximize(x, constraints)
     assert result.value == 10
     result = lp_minimize(x, constraints)

@@ -3,6 +3,8 @@
 import json
 import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -10,6 +12,20 @@ from repro.cli import build_parser, main
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 EXAMPLE_SOURCE = GOLDEN.parents[1] / "examples" / "custom_stencil.c"
+SRC = GOLDEN.parents[1] / "src"
+
+
+def _modules_after(code: str) -> set[str]:
+    """``sys.modules`` of a fresh interpreter after it runs ``code``."""
+    probe = f"{code}\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))"
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return set(json.loads(result.stdout.splitlines()[-1]))
 
 
 def test_list_command(capsys):
@@ -50,22 +66,73 @@ def test_validate_stdout_is_pinned(capsys):
     assert capsys.readouterr().out == expected
 
 
+_EMPTY_INSTANCES = [
+    (["validate", "jacobi_2d", "--size", "0", "--steps", "2"], "positive"),
+    (["validate", "jacobi_2d", "--size", "12", "--steps", "0"], "positive"),
+    (["validate", "jacobi_2d", "--size", "-3"], "positive"),
+    (["validate-file", str(EXAMPLE_SOURCE), "--sizes", "16,0", "--steps", "6"],
+     "positive"),
+    (["validate-file", str(EXAMPLE_SOURCE), "--sizes", "16,16", "--steps", "0"],
+     "positive"),
+    # Positive extents that the margins leave no interior point of.
+    (["validate", "higher_order_time", "--size", "3", "--steps", "1"],
+     "statement S0 of higher_order_time updates no point: axis i has extent 3, "
+     "but margins 2 and 2 need an extent of at least 5"),
+    (["validate", "jacobi_2d", "--size", "2", "--steps", "2"],
+     "statement S0 of jacobi_2d updates no point: axis i has extent 2, "
+     "but margins 1 and 1 need an extent of at least 3"),
+    (["validate-file", str(EXAMPLE_SOURCE), "--sizes", "2,2"],
+     "statement S0 of edge_diffusion_2d updates no point: axis i has extent 2, "
+     "but margins 1 and 1 need an extent of at least 3"),
+    (["compile-file", str(EXAMPLE_SOURCE), "--sizes", "16,2"],
+     "statement S0 of edge_diffusion_2d updates no point: axis j has extent 2, "
+     "but margins 1 and 1 need an extent of at least 3"),
+]
+
+
 @pytest.mark.parametrize(
-    "argv",
-    [
-        ["validate", "jacobi_2d", "--size", "0", "--steps", "2"],
-        ["validate", "jacobi_2d", "--size", "12", "--steps", "0"],
-        ["validate", "jacobi_2d", "--size", "-3"],
-        ["validate-file", str(EXAMPLE_SOURCE), "--sizes", "16,0", "--steps", "6"],
-        ["validate-file", str(EXAMPLE_SOURCE), "--sizes", "16,16", "--steps", "0"],
-    ],
+    "argv, message",
+    _EMPTY_INSTANCES,
+    ids=[f"argv{index}" for index in range(len(_EMPTY_INSTANCES))],
 )
-def test_empty_instances_are_usage_errors(argv, capsys):
-    """A validation of zero instances would vacuously report success."""
+def test_empty_instances_are_usage_errors(argv, message, capsys):
+    """A validation or compile of zero instances would vacuously succeed."""
     assert main(argv) == 2
     captured = capsys.readouterr()
-    assert "positive" in captured.err
+    assert message in captured.err
     assert "matches the NumPy reference" not in captured.out
+    assert "GStencils/s" not in captured.out
+
+
+@pytest.mark.parametrize("number", ["1", "2"])
+def test_comparison_table_stdout_is_pinned(number, capsys):
+    """Every cell of Tables 1 and 2 is printed whole, brackets closed."""
+    assert main(["table", number, "--no-cache"]) == 0
+    expected = (GOLDEN / f"table_{number}.txt").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == expected
+
+
+def test_cli_import_loads_no_polyhedral_enumerator():
+    """Statement domains are boxes; the LP and integer-set modules are gone."""
+    loaded = _modules_after("import repro.cli")
+    deleted = {
+        "repro.model.scop",
+        "repro.polyhedral.basic_set",
+        "repro.polyhedral.imap",
+        "repro.polyhedral.lp",
+        "repro.polyhedral.space",
+    }
+    assert "repro.cli" in loaded and not loaded & deleted
+
+
+def test_validate_leaves_numpy_ma_unloaded():
+    """Distinct counts in the simulator do not pay for importing numpy.ma."""
+    loaded = _modules_after(
+        "from repro.cli import main\n"
+        "assert main(['validate', 'jacobi_2d', '--size', '12', '--steps', '8',"
+        " '--no-cache']) == 0"
+    )
+    assert "repro.gpu.simulator" in loaded and "numpy.ma" not in loaded
 
 
 def test_table_command_table3(capsys):

@@ -3,7 +3,9 @@
 from fractions import Fraction
 
 import pytest
+from polyhedral import lp_oracle
 
+from repro.experiments import figure3_dependence_cone
 from repro.tiling.cone import DependenceCone
 from repro.tiling.hexagon import HexagonalTileShape, minimal_width
 
@@ -24,10 +26,14 @@ def test_cone_paper_example():
 
 def test_cone_lp_agrees_with_direct_computation():
     vectors = [(1, -2), (2, 2), (3, 1), (2, -3)]
-    direct = DependenceCone.from_distance_vectors(vectors)
-    via_lp = DependenceCone.from_distance_vectors_lp(vectors)
-    assert direct.delta0 == via_lp.delta0
-    assert direct.delta1 == via_lp.delta1
+    assert DependenceCone.from_distance_vectors(vectors) == lp_oracle.cone_lp(vectors)
+
+
+def test_figure3_cone_agrees_with_the_lp():
+    """Figure 3's slopes are the optima of the paper's LP on its vectors."""
+    data = figure3_dependence_cone()
+    cone = lp_oracle.cone_lp(data["distance_vectors"])
+    assert (data["delta0"], data["delta1"]) == (cone.delta0, cone.delta1)
 
 
 def test_cone_fractional_slopes():
