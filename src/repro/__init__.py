@@ -19,8 +19,9 @@ the staged pipeline :class:`repro.api.Session` — together with the helpers
 in :mod:`repro.stencils`.
 """
 
-from importlib import import_module
 from typing import Any
+
+from repro._lazy import resolve
 
 __version__ = "1.0.0"
 
@@ -41,8 +42,4 @@ __all__ = sorted(_EXPORTS) + ["__version__"]
 
 
 def __getattr__(name: str) -> Any:
-    module_name = _EXPORTS.get(name)
-    if module_name is None:
-        raise AttributeError(f"module 'repro' has no attribute {name!r}")
-    module = import_module(module_name)
-    return getattr(module, name)
+    return resolve(__name__, _EXPORTS, name)

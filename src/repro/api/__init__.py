@@ -23,8 +23,9 @@ cheap; ``__all__`` is pinned by an API-snapshot test
 test-acknowledged act.
 """
 
-from importlib import import_module
 from typing import Any
+
+from repro._lazy import resolve
 
 _EXPORTS = {
     # staged pipeline
@@ -66,10 +67,7 @@ __all__ = sorted(_EXPORTS)
 
 
 def __getattr__(name: str) -> Any:
-    module_name = _EXPORTS.get(name)
-    if module_name is None:
-        raise AttributeError(f"module 'repro.api' has no attribute {name!r}")
-    return getattr(import_module(module_name), name)
+    return resolve(__name__, _EXPORTS, name)
 
 
 def __dir__() -> list[str]:

@@ -118,7 +118,7 @@ class TilingPlan:
     continue into the ``memory`` and later stages.
     """
 
-    SCHEMA_VERSION = 1
+    SCHEMA_VERSION = 2
 
     strategy: str
     sizes: TileSizes | None

@@ -26,7 +26,7 @@ from repro.api.artifacts import (
     TilingPlan,
     VerificationReport,
 )
-from repro.api.errors import PipelineError
+from repro.api.errors import StrategyError
 from repro.api.strategies import get_strategy
 from repro.cache.keys import stage_key
 
@@ -158,7 +158,8 @@ class MemoryPass(Pass):
 
         plan: TilingPlan = artifacts["tiling"]
         if not plan.supports_codegen:
-            raise PipelineError(
+            # An expected outcome of the strategy, not a fault: no crash report.
+            raise StrategyError(
                 f"tiling strategy {plan.strategy!r} produces analysis-only plans; "
                 "re-run with strategy='hybrid' or stop_after='tiling'"
             )

@@ -14,8 +14,9 @@ construction, validation and functional simulation.  This package provides
   ``python -m repro.bench.compare``.
 """
 
-from importlib import import_module
 from typing import Any
+
+from repro._lazy import resolve
 
 # Re-exported lazily so that ``python -m repro.bench.compare`` does not
 # import the submodule twice (once via the package, once as __main__).
@@ -36,7 +37,4 @@ __all__ = sorted(_EXPORTS)
 
 
 def __getattr__(name: str) -> Any:
-    module_name = _EXPORTS.get(name)
-    if module_name is None:
-        raise AttributeError(f"module 'repro.bench' has no attribute {name!r}")
-    return getattr(import_module(module_name), name)
+    return resolve(__name__, _EXPORTS, name)

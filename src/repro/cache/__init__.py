@@ -7,12 +7,19 @@ repeated ``hexcc`` / bench / experiment invocations — and the worker
 processes of the parallel execution engine — skip recompilation entirely.
 """
 
-from repro.cache.disk import CacheStats, DiskCache, default_cache_dir
-from repro.cache.keys import stage_key
+from typing import Any
 
-__all__ = [
-    "CacheStats",
-    "DiskCache",
-    "default_cache_dir",
-    "stage_key",
-]
+from repro._lazy import resolve
+
+_EXPORTS = {
+    "CacheStats": "repro.cache.disk",
+    "DiskCache": "repro.cache.disk",
+    "default_cache_dir": "repro.cache.disk",
+    "stage_key": "repro.cache.keys",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str) -> Any:
+    return resolve(__name__, _EXPORTS, name)

@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from repro import obs
@@ -60,7 +61,7 @@ from repro.api import (
     list_strategies,
 )
 from repro.cache import DiskCache
-from repro.frontend import FrontendError, parse_stencil_file
+from repro.frontend.errors import FrontendError
 from repro.gpu.device import GTX470, NVS5200M, get_device
 from repro.model.preprocess import statement_boxes
 from repro.stencils import get_definition, get_stencil, list_stencils
@@ -119,8 +120,8 @@ def _require_instances(program) -> None:
 def _get_device_checked(name: str):
     try:
         return get_device(name)
-    except (KeyError, ValueError) as error:
-        raise UsageError(str(error)) from None
+    except KeyError as error:
+        raise UsageError(error.args[0]) from None
 
 
 def _parse_tile_sizes(
@@ -346,9 +347,10 @@ def _describe_verification(report) -> str:
 def _cmd_verify(args: argparse.Namespace) -> int:
     """Statically verify schedules (symbolic races) and generated CUDA (lint)."""
     from repro.api import StrategyError
-    from repro.verify import get_mutation, mutation_corpus
 
     if args.list_mutations:
+        from repro.verify.faults import mutation_corpus
+
         for mutation in mutation_corpus():
             print(f"{mutation.name:22s} [{mutation.category}] {mutation.description}")
         return EXIT_OK
@@ -367,6 +369,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if args.mutate is not None:
         if strategies != ("hybrid",):
             raise UsageError("--mutate applies to the hybrid strategy only")
+        from repro.verify.faults import get_mutation
+
         try:
             mutation = get_mutation(args.mutate)
         except KeyError as error:
@@ -483,6 +487,8 @@ def _sizes_arg(text: str) -> tuple[int, ...]:
 
 
 def _load_stencil_file(args: argparse.Namespace):
+    from repro.frontend import parse_stencil_file
+
     program = parse_stencil_file(
         args.file,
         sizes=args.sizes,
@@ -887,7 +893,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     compile_parser = sub.add_parser("compile", help="compile a stencil at paper scale")
     compile_parser.add_argument("stencil")
-    compile_parser.add_argument("--device", default="gtx470")
+    _add_device_argument(compile_parser)
     compile_parser.add_argument("--h", type=int, default=None, help=_H_HELP.format(2))
     compile_parser.add_argument("--widths", default=None, help="comma separated w0,w1,...")
     compile_parser.add_argument("--show-cuda", action="store_true")
@@ -912,7 +918,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--json", action="store_true",
         help="emit a machine-readable report instead of the text dump",
     )
-    inspect_parser.add_argument("--device", default="gtx470")
+    _add_device_argument(inspect_parser)
     inspect_parser.add_argument("--h", type=int, default=None, help=_H_HELP.format(2))
     inspect_parser.add_argument("--widths", default=None, help="comma separated w0,w1,...")
     _add_no_cache_argument(inspect_parser)
@@ -943,7 +949,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--list-mutations", action="store_true",
         help="list the fault-injection mutation corpus and exit",
     )
-    verify_parser.add_argument("--device", default="gtx470")
+    _add_device_argument(verify_parser)
     verify_parser.add_argument("--h", type=int, default=None, help=_H_HELP.format(2))
     verify_parser.add_argument("--widths", default=None,
                                help="comma separated w0,w1,...")
@@ -965,7 +971,7 @@ def build_parser() -> argparse.ArgumentParser:
         "compile-file", help="compile a C stencil source file with the front end"
     )
     compile_file_parser.add_argument("file", help="path to a .c stencil source")
-    compile_file_parser.add_argument("--device", default="gtx470")
+    _add_device_argument(compile_file_parser)
     compile_file_parser.add_argument(
         "--h", type=int, default=None, help=_H_HELP.format(2)
     )
@@ -1041,7 +1047,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="search seed; identical seed + budget replays the identical "
              "sweep (default: 0)",
     )
-    tune_parser.add_argument("--device", default="gtx470")
+    _add_device_argument(tune_parser)
     tune_parser.add_argument(
         "--tune-threads", action="store_true",
         help="also search thread-block shapes (launch configuration)",
@@ -1090,7 +1096,7 @@ def build_parser() -> argparse.ArgumentParser:
         "-o", "--output", default="trace.json", metavar="PATH",
         help="trace file to write (Chrome trace-event JSON; default: trace.json)",
     )
-    trace_parser.add_argument("--device", default="gtx470")
+    _add_device_argument(trace_parser)
     trace_parser.add_argument(
         "--jobs", type=int, default=2, metavar="N",
         help="worker processes for the configuration sweep "
@@ -1104,7 +1110,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="rank pipeline passes and cache I/O by inclusive/exclusive time",
     )
     profile_parser.add_argument("stencil")
-    profile_parser.add_argument("--device", default="gtx470")
+    _add_device_argument(profile_parser)
     profile_parser.add_argument(
         "--json", action="store_true",
         help="emit the rows plus the metrics snapshot as JSON",
@@ -1187,6 +1193,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _add_device_argument(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--device", default="gtx470",
+        help="target GPU: gtx470 or nvs5200m (default: gtx470)",
+    )
+
+
 def _add_jobs_argument(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--jobs", type=int, default=1, metavar="N",
@@ -1225,7 +1238,11 @@ def main(argv: list[str] | None = None) -> int:
         # into return codes so embedding callers (and tests) see an int.
         return EXIT_OK if exit_.code in (0, None) else EXIT_USAGE
     try:
-        return args.func(args)
+        code = args.func(args)
+        # Flush inside the try, so that a closed stdout pipe is reported
+        # here and not at interpreter exit.
+        sys.stdout.flush()
+        return code
     except UsageError as error:
         print(f"error: {error}", file=sys.stderr)
         return EXIT_USAGE
@@ -1238,8 +1255,15 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {error}", file=sys.stderr)
         _print_crash_report_path(error)
         return EXIT_FAILURE
+    except BrokenPipeError:
+        # The reader went away (e.g. `hexcc ... | head`).  Python's documented
+        # recipe: point stdout at devnull, so the exit-time flush cannot fail
+        # again, and exit 1 silently.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_FAILURE
     except OSError as error:
-        print(f"error: {error.filename or ''}: {error.strerror}", file=sys.stderr)
+        where = f"{error.filename}: " if error.filename else ""
+        print(f"error: {where}{error.strerror or error}", file=sys.stderr)
         return EXIT_FAILURE
     except Exception as error:
         # Unexpected faults propagate (full traceback for bug reports), but

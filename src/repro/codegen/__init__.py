@@ -14,20 +14,24 @@
   a compiled program into the performance counters of Table 5.
 """
 
-from repro.codegen.shared_mem import FieldFootprint, SharedMemoryPlan, plan_shared_memory
-from repro.codegen.kernel_ir import CoreLoopProfile, analyze_core_loop
-from repro.codegen.cuda import CudaCodeGenerator
-from repro.codegen.ptx import emit_core_ptx
-from repro.codegen.analysis import AnalyticProfiler, ExecutionEstimate
+from typing import Any
 
-__all__ = [
-    "FieldFootprint",
-    "SharedMemoryPlan",
-    "plan_shared_memory",
-    "CoreLoopProfile",
-    "analyze_core_loop",
-    "CudaCodeGenerator",
-    "emit_core_ptx",
-    "AnalyticProfiler",
-    "ExecutionEstimate",
-]
+from repro._lazy import resolve
+
+_EXPORTS = {
+    "FieldFootprint": "repro.codegen.shared_mem",
+    "SharedMemoryPlan": "repro.codegen.shared_mem",
+    "plan_shared_memory": "repro.codegen.shared_mem",
+    "CoreLoopProfile": "repro.codegen.kernel_ir",
+    "analyze_core_loop": "repro.codegen.kernel_ir",
+    "CudaCodeGenerator": "repro.codegen.cuda",
+    "emit_core_ptx": "repro.codegen.ptx",
+    "AnalyticProfiler": "repro.codegen.analysis",
+    "ExecutionEstimate": "repro.codegen.analysis",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str) -> Any:
+    return resolve(__name__, _EXPORTS, name)

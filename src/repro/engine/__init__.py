@@ -8,6 +8,17 @@ output; workers share compiled artefacts through the on-disk cache
 (:mod:`repro.cache`).
 """
 
-from repro.engine.pool import map_ordered, resolve_jobs
+from typing import Any
 
-__all__ = ["map_ordered", "resolve_jobs"]
+from repro._lazy import resolve
+
+_EXPORTS = {
+    "map_ordered": "repro.engine.pool",
+    "resolve_jobs": "repro.engine.pool",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str) -> Any:
+    return resolve(__name__, _EXPORTS, name)

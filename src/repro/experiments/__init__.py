@@ -5,51 +5,34 @@ formatter, so the same code backs the pytest benchmarks in ``benchmarks/``,
 the examples and EXPERIMENTS.md.
 """
 
-from repro.experiments.paper_data import (
-    PAPER_TABLE1_GTX470,
-    PAPER_TABLE2_NVS5200,
-    PAPER_TABLE4,
-    PAPER_TABLE5,
-    PAPER_TILE_SIZES,
-)
-from repro.experiments.characteristics import table3_characteristics, format_table3
-from repro.experiments.comparison import (
-    ComparisonRow,
-    format_comparison,
-    run_comparison,
-)
-from repro.experiments.ablation import (
-    run_ablation,
-    run_counter_ablation,
-    format_table4,
-    format_table5,
-)
-from repro.experiments.figures import (
-    figure2_core_ptx,
-    figure3_dependence_cone,
-    figure4_hexagon,
-    figure5_tiling_pattern,
-    figure6_schedule,
-)
+from typing import Any
 
-__all__ = [
-    "PAPER_TABLE1_GTX470",
-    "PAPER_TABLE2_NVS5200",
-    "PAPER_TABLE4",
-    "PAPER_TABLE5",
-    "PAPER_TILE_SIZES",
-    "table3_characteristics",
-    "format_table3",
-    "ComparisonRow",
-    "run_comparison",
-    "format_comparison",
-    "run_ablation",
-    "run_counter_ablation",
-    "format_table4",
-    "format_table5",
-    "figure2_core_ptx",
-    "figure3_dependence_cone",
-    "figure4_hexagon",
-    "figure5_tiling_pattern",
-    "figure6_schedule",
-]
+from repro._lazy import resolve
+
+_EXPORTS = {
+    "PAPER_TABLE1_GTX470": "repro.experiments.paper_data",
+    "PAPER_TABLE2_NVS5200": "repro.experiments.paper_data",
+    "PAPER_TABLE4": "repro.experiments.paper_data",
+    "PAPER_TABLE5": "repro.experiments.paper_data",
+    "PAPER_TILE_SIZES": "repro.experiments.paper_data",
+    "table3_characteristics": "repro.experiments.characteristics",
+    "format_table3": "repro.experiments.characteristics",
+    "ComparisonRow": "repro.experiments.comparison",
+    "run_comparison": "repro.experiments.comparison",
+    "format_comparison": "repro.experiments.comparison",
+    "run_ablation": "repro.experiments.ablation",
+    "run_counter_ablation": "repro.experiments.ablation",
+    "format_table4": "repro.experiments.ablation",
+    "format_table5": "repro.experiments.ablation",
+    "figure2_core_ptx": "repro.experiments.figures",
+    "figure3_dependence_cone": "repro.experiments.figures",
+    "figure4_hexagon": "repro.experiments.figures",
+    "figure5_tiling_pattern": "repro.experiments.figures",
+    "figure6_schedule": "repro.experiments.figures",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str) -> Any:
+    return resolve(__name__, _EXPORTS, name)

@@ -29,16 +29,16 @@ Everything outside the supported fragment is rejected with a source-located
 from __future__ import annotations
 
 from collections.abc import Sequence
+from typing import TYPE_CHECKING
 
-from repro.frontend.analyze import analyze_program, resolve_extents
 from repro.frontend.errors import (
     FrontendError,
     StencilSemanticError,
     StencilSyntaxError,
 )
-from repro.frontend.lower import lower_stencil
-from repro.frontend.parser import parse_source
-from repro.model.program import StencilProgram
+
+if TYPE_CHECKING:
+    from repro.model.program import StencilProgram
 
 
 def parse_stencil(
@@ -72,6 +72,10 @@ def parse_stencil(
         With precise line/column information and a caret snippet when the
         source is malformed or falls outside the supported stencil fragment.
     """
+    from repro.frontend.analyze import analyze_program, resolve_extents
+    from repro.frontend.lower import lower_stencil
+    from repro.frontend.parser import parse_source
+
     program = parse_source(source, filename)
     analyzed = analyze_program(program, source, filename)
     resolved_sizes, resolved_steps = resolve_extents(

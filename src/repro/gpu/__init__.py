@@ -17,23 +17,27 @@ this package provides the substitution described in DESIGN.md:
   counted quantities into execution times, GFLOPS and GStencils/s.
 """
 
-from repro.gpu.device import GPUDevice, GTX470, NVS5200M, get_device, list_devices
-from repro.gpu.counters import PerformanceCounters
-from repro.gpu.memory import CoalescingModel, SharedMemoryModel
-from repro.gpu.perf_model import PerformanceModel, PerformanceReport
-from repro.gpu.simulator import FunctionalSimulator, SimulationResult
+from typing import Any
 
-__all__ = [
-    "GPUDevice",
-    "GTX470",
-    "NVS5200M",
-    "get_device",
-    "list_devices",
-    "PerformanceCounters",
-    "CoalescingModel",
-    "SharedMemoryModel",
-    "PerformanceModel",
-    "PerformanceReport",
-    "FunctionalSimulator",
-    "SimulationResult",
-]
+from repro._lazy import resolve
+
+_EXPORTS = {
+    "GPUDevice": "repro.gpu.device",
+    "GTX470": "repro.gpu.device",
+    "NVS5200M": "repro.gpu.device",
+    "get_device": "repro.gpu.device",
+    "list_devices": "repro.gpu.device",
+    "PerformanceCounters": "repro.gpu.counters",
+    "CoalescingModel": "repro.gpu.memory",
+    "SharedMemoryModel": "repro.gpu.memory",
+    "PerformanceModel": "repro.gpu.perf_model",
+    "PerformanceReport": "repro.gpu.perf_model",
+    "FunctionalSimulator": "repro.gpu.simulator",
+    "SimulationResult": "repro.gpu.simulator",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str) -> Any:
+    return resolve(__name__, _EXPORTS, name)

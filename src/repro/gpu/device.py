@@ -122,7 +122,8 @@ def get_device(name: str) -> GPUDevice:
     key = name.strip().lower()
     if key in _DEVICES:
         return _DEVICES[key]
-    raise KeyError(f"unknown device {name!r}; known: {sorted(set(_DEVICES))}")
+    known = ", ".join(device.name.replace(" ", "").lower() for device in list_devices())
+    raise KeyError(f"unknown device {name!r}; known: {known}")
 
 
 def list_devices() -> list[GPUDevice]:

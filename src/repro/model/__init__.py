@@ -13,39 +13,31 @@ The model mirrors what pet + isl give the original PPCG-based implementation
   vectors that drive the hexagonal tile construction.
 """
 
-from repro.model.expr import (
-    BinOp,
-    Call,
-    Constant,
-    Expr,
-    FieldRead,
-    count_flops,
-    gather_reads,
-)
-from repro.model.program import Field, StencilProgram, StencilStatement
-from repro.model.dependences import (
-    Dependence,
-    DependenceKind,
-    compute_dependences,
-    dependence_distance_vectors,
-)
-from repro.model.preprocess import CanonicalForm, canonicalize
+from typing import Any
 
-__all__ = [
-    "Expr",
-    "Constant",
-    "FieldRead",
-    "BinOp",
-    "Call",
-    "count_flops",
-    "gather_reads",
-    "Field",
-    "StencilStatement",
-    "StencilProgram",
-    "Dependence",
-    "DependenceKind",
-    "compute_dependences",
-    "dependence_distance_vectors",
-    "CanonicalForm",
-    "canonicalize",
-]
+from repro._lazy import resolve
+
+_EXPORTS = {
+    "Expr": "repro.model.expr",
+    "Constant": "repro.model.expr",
+    "FieldRead": "repro.model.expr",
+    "BinOp": "repro.model.expr",
+    "Call": "repro.model.expr",
+    "count_flops": "repro.model.expr",
+    "gather_reads": "repro.model.expr",
+    "Field": "repro.model.program",
+    "StencilStatement": "repro.model.program",
+    "StencilProgram": "repro.model.program",
+    "Dependence": "repro.model.dependences",
+    "DependenceKind": "repro.model.dependences",
+    "compute_dependences": "repro.model.dependences",
+    "dependence_distance_vectors": "repro.model.dependences",
+    "CanonicalForm": "repro.model.preprocess",
+    "canonicalize": "repro.model.preprocess",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str) -> Any:
+    return resolve(__name__, _EXPORTS, name)

@@ -17,8 +17,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from collections.abc import Mapping, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.model.expr import (
     BinOp,
@@ -30,6 +29,9 @@ from repro.model.expr import (
     distinct_reads,
     gather_reads,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def _figure1_expr(expr: Expr, loop_vars: Sequence[str], time_var: str = "t") -> str:
@@ -268,6 +270,8 @@ class StencilProgram:
 
     def initial_state(self, seed: int = 0) -> dict[str, np.ndarray]:
         """Deterministic pseudo-random initial condition for every field."""
+        import numpy as np
+
         rng = np.random.default_rng(seed)
         return {
             name: rng.standard_normal(self.sizes).astype(np.float32)
@@ -289,6 +293,8 @@ class StencilProgram:
         (the declared margins) are never written and keep their initial
         values, i.e. Dirichlet boundary conditions.
         """
+        import numpy as np
+
         steps = self.time_steps if time_steps is None else time_steps
         if initial is None:
             initial = self.initial_state(seed)
@@ -332,6 +338,8 @@ class StencilProgram:
         current: Mapping[str, np.ndarray],
         region: tuple[slice, ...],
     ) -> np.ndarray:
+        import numpy as np
+
         def read(access: FieldRead) -> np.ndarray:
             if access.time_offset == 0:
                 source = current[access.field]

@@ -39,7 +39,8 @@ import contextvars
 from collections.abc import Iterator
 from typing import Any
 
-from repro.obs import attrib, export, history, log, profile
+from repro._lazy import resolve
+from repro.obs import log
 from repro.obs.log import (
     FLIGHT_RECORDER,
     Event,
@@ -91,6 +92,16 @@ __all__ = [
     "use",
     "write_crash_report",
 ]
+
+#: Exporters and stores imported on first attribute access, so instrumented
+#: code pays only for the spans, metrics and events it records.
+_EXPORTS = {
+    name: f"repro.obs.{name}" for name in ("attrib", "export", "history", "profile")
+}
+
+
+def __getattr__(name: str) -> Any:
+    return resolve(__name__, _EXPORTS, name)
 
 
 class Telemetry:

@@ -15,32 +15,27 @@ Statement domains are boxes (:func:`repro.model.preprocess.statement_boxes`),
 so no integer-set or LP machinery is needed to enumerate them.
 """
 
-from repro.polyhedral.affine import LinearExpr
-from repro.polyhedral.constraint import Constraint
-from repro.polyhedral.quasi_affine import (
-    QAdd,
-    QConst,
-    QExpr,
-    QFloorDiv,
-    QMod,
-    QMul,
-    QSub,
-    QVar,
-    qconst,
-    qvar,
-)
+from typing import Any
 
-__all__ = [
-    "LinearExpr",
-    "Constraint",
-    "QExpr",
-    "QVar",
-    "QConst",
-    "QAdd",
-    "QSub",
-    "QMul",
-    "QFloorDiv",
-    "QMod",
-    "qvar",
-    "qconst",
-]
+from repro._lazy import resolve
+
+_EXPORTS = {
+    "LinearExpr": "repro.polyhedral.affine",
+    "Constraint": "repro.polyhedral.constraint",
+    "QExpr": "repro.polyhedral.quasi_affine",
+    "QVar": "repro.polyhedral.quasi_affine",
+    "QConst": "repro.polyhedral.quasi_affine",
+    "QAdd": "repro.polyhedral.quasi_affine",
+    "QSub": "repro.polyhedral.quasi_affine",
+    "QMul": "repro.polyhedral.quasi_affine",
+    "QFloorDiv": "repro.polyhedral.quasi_affine",
+    "QMod": "repro.polyhedral.quasi_affine",
+    "qvar": "repro.polyhedral.quasi_affine",
+    "qconst": "repro.polyhedral.quasi_affine",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str) -> Any:
+    return resolve(__name__, _EXPORTS, name)

@@ -6,26 +6,27 @@ factory (:func:`get_stencil`) and as C source text
 front end.
 """
 
-from repro.stencils.library import (
-    StencilDefinition,
-    c_source_for,
-    get_definition,
-    get_stencil,
-    jacobi_2d_source,
-    list_stencils,
-    paper_benchmarks,
-    register_from_source,
-    unregister,
-)
+from typing import Any
 
-__all__ = [
-    "StencilDefinition",
-    "get_definition",
-    "get_stencil",
-    "list_stencils",
-    "paper_benchmarks",
-    "register_from_source",
-    "unregister",
-    "c_source_for",
-    "jacobi_2d_source",
-]
+from repro._lazy import resolve
+
+_EXPORTS = {
+    name: "repro.stencils.library"
+    for name in (
+        "StencilDefinition",
+        "get_definition",
+        "get_stencil",
+        "list_stencils",
+        "paper_benchmarks",
+        "register_from_source",
+        "unregister",
+        "c_source_for",
+        "jacobi_2d_source",
+    )
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str) -> Any:
+    return resolve(__name__, _EXPORTS, name)

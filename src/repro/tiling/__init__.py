@@ -19,36 +19,31 @@ This package implements Section 3 of the paper:
 * :mod:`repro.tiling.validate` — legality, coverage and parallelism checks.
 """
 
-from repro.tiling.cone import DependenceCone
-from repro.tiling.hexagon import HexagonalTileShape
-from repro.tiling.hex_schedule import HexagonalSchedule, Phase
-from repro.tiling.classical import ClassicalTiling
-from repro.tiling.hybrid import HybridTiling, TileCoordinate, TileSizes
-from repro.tiling.tile_size import TileSizeModel, select_tile_sizes
-from repro.tiling.diamond import DiamondTiling
-from repro.tiling.validate import (
-    ScheduleValidationError,
-    check_coverage,
-    check_legality,
-    check_tile_uniformity,
-    validate_hybrid_tiling,
-)
+from typing import Any
 
-__all__ = [
-    "DependenceCone",
-    "HexagonalTileShape",
-    "HexagonalSchedule",
-    "Phase",
-    "ClassicalTiling",
-    "HybridTiling",
-    "TileCoordinate",
-    "TileSizes",
-    "TileSizeModel",
-    "select_tile_sizes",
-    "DiamondTiling",
-    "ScheduleValidationError",
-    "check_coverage",
-    "check_legality",
-    "check_tile_uniformity",
-    "validate_hybrid_tiling",
-]
+from repro._lazy import resolve
+
+_EXPORTS = {
+    "DependenceCone": "repro.tiling.cone",
+    "HexagonalTileShape": "repro.tiling.hexagon",
+    "HexagonalSchedule": "repro.tiling.hex_schedule",
+    "Phase": "repro.tiling.hex_schedule",
+    "ClassicalTiling": "repro.tiling.classical",
+    "HybridTiling": "repro.tiling.hybrid",
+    "TileCoordinate": "repro.tiling.hybrid",
+    "TileSizes": "repro.tiling.hybrid",
+    "TileSizeModel": "repro.tiling.tile_size",
+    "select_tile_sizes": "repro.tiling.tile_size",
+    "DiamondTiling": "repro.tiling.diamond",
+    "ScheduleValidationError": "repro.tiling.validate",
+    "check_coverage": "repro.tiling.validate",
+    "check_legality": "repro.tiling.validate",
+    "check_tile_uniformity": "repro.tiling.validate",
+    "validate_hybrid_tiling": "repro.tiling.validate",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str) -> Any:
+    return resolve(__name__, _EXPORTS, name)

@@ -36,11 +36,13 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from collections.abc import Iterator
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.polyhedral.quasi_affine import QExpr, QFloorDiv, QMod, qconst, qvar
 from repro.tiling.hexagon import HexagonalTileShape
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class Phase(enum.IntEnum):
@@ -134,6 +136,8 @@ class HexagonalSchedule:
         :class:`ValueError` is raised unless exactly one phase claims every
         point (the partitioning property of Section 3.3.3).
         """
+        import numpy as np
+
         shape = self.shape
         l = np.asarray(l, dtype=np.int64)
         s0 = np.asarray(s0, dtype=np.int64)

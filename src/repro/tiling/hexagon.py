@@ -30,15 +30,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from collections.abc import Iterator
-from typing import TYPE_CHECKING
-
-import numpy as np
+from typing import TYPE_CHECKING, Any
 
 from repro.polyhedral.affine import LinearExpr
 from repro.polyhedral.constraint import Constraint
 from repro.tiling.cone import DependenceCone
 
 if TYPE_CHECKING:
+    import numpy as np
     import numpy.typing as npt
 
 
@@ -75,6 +74,8 @@ def row_bounds(
     ``floor(p/q) = p // q`` on scaled integer numerators, so the result is
     exact (no floating point).  Rows outside ``[0, 2h+1]`` are not masked.
     """
+    import numpy as np
+
     h = np.asarray(height, dtype=np.int64)
     w0 = np.asarray(width, dtype=np.int64)
     a = np.asarray(a, dtype=np.int64)
@@ -200,6 +201,8 @@ class HexagonalTileShape:
         The test oracle (``tests/tiling/oracle.py``) re-derives the bounds in
         :class:`~fractions.Fraction` arithmetic.
         """
+        import numpy as np
+
         a = np.arange(0, 2 * self.height + 2, dtype=np.int64)
         return row_bounds(self.delta0, self.delta1, self.height, self.width, a)
 
@@ -228,6 +231,8 @@ class HexagonalTileShape:
 
     def contains_batch(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Vectorised :meth:`contains` over arrays of local points."""
+        import numpy as np
+
         lower, upper = self._row_bounds
         valid = (a >= 0) & (a <= 2 * self.height + 1)
         clipped = np.where(valid, a, 0)
@@ -279,6 +284,17 @@ class HexagonalTileShape:
     def bounding_box(self) -> tuple[tuple[int, int], tuple[int, int]]:
         """Bounding box ``((a_min, a_max), (b_min, b_max))`` of the tile."""
         return self._bounding_box
+
+    def __getstate__(self) -> dict[str, Any]:
+        """Pickle without the cached row bounds (NumPy arrays) and ranges.
+
+        They are recomputed on first use, so loading a cached tiling does not
+        import NumPy.
+        """
+        state = dict(self.__dict__)
+        state.pop("_row_bounds", None)
+        state.pop("_row_ranges", None)
+        return state
 
     def __str__(self) -> str:
         return (

@@ -24,8 +24,7 @@ Execution semantics on the GPU (Section 4.1):
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.model.preprocess import CanonicalForm
 from repro.polyhedral.quasi_affine import QExpr, qvar
@@ -33,7 +32,11 @@ from repro.tiling.classical import ClassicalTiling
 from repro.tiling.cone import DependenceCone
 from repro.tiling.hex_schedule import HexagonalSchedule, Phase
 from repro.tiling.hexagon import HexagonalTileShape
-from repro.tiling.schedule_arrays import ScheduleArrays
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from repro.tiling.schedule_arrays import ScheduleArrays
 
 
 @dataclass(frozen=True)
@@ -182,6 +185,10 @@ class HybridTiling:
         arithmetic.  ``check_unique`` raises unless exactly one hexagonal
         phase claims every point.
         """
+        import numpy as np
+
+        from repro.tiling.schedule_arrays import ScheduleArrays
+
         points = np.asarray(canonical_points, dtype=np.int64)
         if points.ndim != 2 or points.shape[1] != 1 + self.ndim:
             raise ValueError(

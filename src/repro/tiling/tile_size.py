@@ -39,14 +39,13 @@ from dataclasses import dataclass, field, replace
 from collections.abc import Mapping, Sequence
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 from repro.model.preprocess import CanonicalForm
 from repro.tiling.cone import DependenceCone
 from repro.tiling.hexagon import minimal_width, row_bounds
 from repro.tiling.hybrid import TileSizes
 
 if TYPE_CHECKING:
+    import numpy as np
     import numpy.typing as npt
 
     from repro.gpu.device import GPUDevice
@@ -116,10 +115,14 @@ class TileTable:
 
     def rows(self) -> np.ndarray:
         """Grid indices of the legal points, in grid order."""
+        import numpy as np
+
         return np.flatnonzero(self.legal)
 
     def sizes(self, rows: np.ndarray) -> list[TileSizes]:
         """The tile sizes of the grid points ``rows``."""
+        import numpy as np
+
         coords = np.unravel_index(rows, tuple(len(axis) for axis in self.axes))
         values = np.stack(
             [axis[index] for axis, index in zip(self.axes, coords)], axis=-1
@@ -128,6 +131,8 @@ class TileTable:
 
     def estimate(self, row: int) -> TileCostEstimate:
         """The cost figures of grid point ``row``."""
+        import numpy as np
+
         (sizes,) = self.sizes(np.array([row]))
         return TileCostEstimate(
             sizes=sizes,
@@ -181,6 +186,8 @@ class TileSizeModel:
         range along ``s_0``, and ``w_i + ⌊δ1·(2h+1)⌋`` along the classically
         tiled ``s_i``.  The hexagon rows are those of :func:`row_bounds`.
         """
+        import numpy as np
+
         h = np.asarray(height, dtype=np.int64)
         w0 = np.asarray(widths[0], dtype=np.int64)
         a = np.arange(2 * int(h.max()) + 2, dtype=np.int64)
@@ -205,6 +212,8 @@ class TileSizeModel:
         inter_tile_reuse: bool,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Iterations, loads and shared bytes, broadcast over the sizes."""
+        import numpy as np
+
         iterations, extents = self.footprint(height, widths)
         loads: np.ndarray = np.zeros((), dtype=np.int64)
         elements: np.ndarray = np.zeros((), dtype=np.int64)
@@ -222,6 +231,8 @@ class TileSizeModel:
 
     def table(self, device: GPUDevice, inter_tile_reuse: bool = True) -> TileTable:
         """Every point of the search grid for ``device``, pruned by one rule."""
+        import numpy as np
+
         axes = [np.array(HEIGHTS), np.array(WIDTHS)]
         if self.ndim > 1:
             axes += [np.array(WIDTHS)] * (self.ndim - 2)
@@ -299,6 +310,8 @@ def select_tile_sizes(
     every grid point is counted once, so the counts sum to the grid size.
     Raises :class:`ValueError` when no legal point fits ``device``.
     """
+    import numpy as np
+
     table = TileSizeModel(canonical).table(device, inter_tile_reuse)
     rows = table.rows()
     if not len(rows):

@@ -19,44 +19,32 @@ of the staged pipeline:
   and ``hexcc compile --tuned`` apply transparently.
 """
 
-from repro.tuning.db import (
-    TuningDatabase,
-    baseline_db_path,
-    default_db_path,
-    resolve_db_path,
-)
-from repro.tuning.objectives import (
-    EvaluationJob,
-    TuningTrial,
-    evaluate_candidate,
-    list_objectives,
-    register_objective,
-)
-from repro.tuning.space import Candidate, CandidateSpace
-from repro.tuning.strategies import (
-    SearchStrategy,
-    get_search_strategy,
-    list_search_strategies,
-    register_search_strategy,
-)
-from repro.tuning.tuner import TuningResult, tune
+from typing import Any
 
-__all__ = [
-    "Candidate",
-    "CandidateSpace",
-    "EvaluationJob",
-    "SearchStrategy",
-    "TuningDatabase",
-    "TuningResult",
-    "TuningTrial",
-    "baseline_db_path",
-    "default_db_path",
-    "evaluate_candidate",
-    "get_search_strategy",
-    "list_objectives",
-    "list_search_strategies",
-    "register_objective",
-    "register_search_strategy",
-    "resolve_db_path",
-    "tune",
-]
+from repro._lazy import resolve
+
+_EXPORTS = {
+    "TuningDatabase": "repro.tuning.db",
+    "baseline_db_path": "repro.tuning.db",
+    "default_db_path": "repro.tuning.db",
+    "resolve_db_path": "repro.tuning.db",
+    "EvaluationJob": "repro.tuning.objectives",
+    "TuningTrial": "repro.tuning.objectives",
+    "evaluate_candidate": "repro.tuning.objectives",
+    "list_objectives": "repro.tuning.objectives",
+    "register_objective": "repro.tuning.objectives",
+    "Candidate": "repro.tuning.space",
+    "CandidateSpace": "repro.tuning.space",
+    "SearchStrategy": "repro.tuning.strategies",
+    "get_search_strategy": "repro.tuning.strategies",
+    "list_search_strategies": "repro.tuning.strategies",
+    "register_search_strategy": "repro.tuning.strategies",
+    "TuningResult": "repro.tuning.tuner",
+    "tune": "repro.tuning.tuner",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str) -> Any:
+    return resolve(__name__, _EXPORTS, name)

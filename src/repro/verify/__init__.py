@@ -19,42 +19,32 @@ keeps the detector honest.  The pipeline integration lives in
 ``hexcc verify``.
 """
 
-from repro.verify.faults import ScheduleMutation, get_mutation, mutation_corpus
-from repro.verify.lint import lint_cuda
-from repro.verify.report import (
-    Instance,
-    LintFinding,
-    LintReport,
-    ORDERING_LEVELS,
-    RaceFinding,
-    ScheduleVerdict,
-    VerificationError,
-)
-from repro.verify.symbolic import (
-    HybridScheduleModel,
-    InnerDim,
-    verify_classical,
-    verify_diamond,
-    verify_hybrid,
-    verify_tiling_plan,
-)
+from typing import Any
 
-__all__ = [
-    "HybridScheduleModel",
-    "InnerDim",
-    "Instance",
-    "LintFinding",
-    "LintReport",
-    "ORDERING_LEVELS",
-    "RaceFinding",
-    "ScheduleMutation",
-    "ScheduleVerdict",
-    "VerificationError",
-    "get_mutation",
-    "lint_cuda",
-    "mutation_corpus",
-    "verify_classical",
-    "verify_diamond",
-    "verify_hybrid",
-    "verify_tiling_plan",
-]
+from repro._lazy import resolve
+
+_EXPORTS = {
+    "ScheduleMutation": "repro.verify.faults",
+    "get_mutation": "repro.verify.faults",
+    "mutation_corpus": "repro.verify.faults",
+    "lint_cuda": "repro.verify.lint",
+    "Instance": "repro.verify.report",
+    "LintFinding": "repro.verify.report",
+    "LintReport": "repro.verify.report",
+    "ORDERING_LEVELS": "repro.verify.report",
+    "RaceFinding": "repro.verify.report",
+    "ScheduleVerdict": "repro.verify.report",
+    "VerificationError": "repro.verify.report",
+    "HybridScheduleModel": "repro.verify.symbolic",
+    "InnerDim": "repro.verify.symbolic",
+    "verify_classical": "repro.verify.symbolic",
+    "verify_diamond": "repro.verify.symbolic",
+    "verify_hybrid": "repro.verify.symbolic",
+    "verify_tiling_plan": "repro.verify.symbolic",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str) -> Any:
+    return resolve(__name__, _EXPORTS, name)

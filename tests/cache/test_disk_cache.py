@@ -3,13 +3,15 @@
 from __future__ import annotations
 
 import pickle
+import pickletools
 
 import pytest
 
 from repro.cache import DiskCache
 from repro.cache.disk import SCHEMA_VERSION, _ENVELOPE_KIND
 from repro.api import Session
-from repro.stencils import get_stencil
+from repro.gpu.device import list_devices
+from repro.stencils import get_stencil, list_stencils
 from repro.tiling.validate import validate_hybrid_tiling
 
 
@@ -135,3 +137,35 @@ def test_compiler_survives_corrupt_disk_entry(tmp_path):
         get_stencil("jacobi_2d", sizes=(16, 16), steps=4)
     )
     assert validate_hybrid_tiling(run.artifact("tiling").tiling).ok
+
+
+class _StageRecordingCache(DiskCache):
+    """A disk cache that remembers which stage wrote which key."""
+
+    def __init__(self, root) -> None:
+        super().__init__(root)
+        self.keys: list[tuple[str | None, str]] = []
+
+    def put(self, key: str, payload: object, stage: str | None = None) -> None:
+        super().put(key, payload, stage)
+        self.keys.append((stage, key))
+
+
+def _pickled_strings(blob: bytes) -> set[str]:
+    """Every string a pickle pushes, module names of its globals included."""
+    return {arg for _, arg, _ in pickletools.genops(blob) if isinstance(arg, str)}
+
+
+@pytest.mark.parametrize("device", list_devices(), ids=lambda device: device.name)
+def test_compile_path_pickles_refer_to_no_numpy_global(device, tmp_path):
+    """A warm compile unpickles these five artefacts, so NumPy stays unloaded."""
+    cache = _StageRecordingCache(tmp_path / "hexcc")
+    session = Session(device=device, disk_cache=cache)
+    for name in list_stencils():
+        session.run(get_stencil(name), stop_after="analysis")
+    stages = {stage for stage, _ in cache.keys}
+    assert stages == {"canonicalize", "tiling", "memory", "codegen", "analysis"}
+    for stage, key in cache.keys:
+        strings = _pickled_strings(cache._path(key).read_bytes())
+        numpy = sorted(text for text in strings if text.split(".")[0] == "numpy")
+        assert not numpy, (stage, numpy)

@@ -15,8 +15,8 @@ EXAMPLE_SOURCE = GOLDEN.parents[1] / "examples" / "custom_stencil.c"
 SRC = GOLDEN.parents[1] / "src"
 
 
-def _modules_after(code: str) -> set[str]:
-    """``sys.modules`` of a fresh interpreter after it runs ``code``."""
+def _run_probe(code: str) -> tuple[str, set[str]]:
+    """Stdout and ``sys.modules`` of a fresh interpreter that runs ``code``."""
     probe = f"{code}\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))"
     result = subprocess.run(
         [sys.executable, "-c", probe],
@@ -25,7 +25,22 @@ def _modules_after(code: str) -> set[str]:
         text=True,
         check=True,
     )
-    return set(json.loads(result.stdout.splitlines()[-1]))
+    output, _, modules = result.stdout.rstrip("\n").rpartition("\n")
+    return output, set(json.loads(modules))
+
+
+def _modules_after(code: str) -> set[str]:
+    """``sys.modules`` of a fresh interpreter after it runs ``code``."""
+    return _run_probe(code)[1]
+
+
+def _main_probe(*argv: str) -> str:
+    """Probe code running ``hexcc argv`` in-process; a nonzero exit raises."""
+    return f"from repro.cli import main\nassert main({list(argv)!r}) == 0"
+
+
+def _numpy_modules(modules: set[str]) -> set[str]:
+    return {name for name in modules if name.split(".")[0] == "numpy"}
 
 
 def test_list_command(capsys):
@@ -123,6 +138,105 @@ def test_cli_import_loads_no_polyhedral_enumerator():
         "repro.polyhedral.space",
     }
     assert "repro.cli" in loaded and not loaded & deleted
+
+
+#: What a warm ``hexcc compile <library stencil> --show-cuda`` imports of
+#: ``repro``: every pass is a disk-cache read, so only the CLI, the session
+#: and the modules the cached artefacts unpickle from.
+WARM_COMPILE_MODULES = {
+    "repro",
+    "repro._lazy",
+    "repro.api",
+    "repro.api.artifacts",
+    "repro.api.config",
+    "repro.api.errors",
+    "repro.api.passes",
+    "repro.api.session",
+    "repro.api.strategies",
+    "repro.cache",
+    "repro.cache.disk",
+    "repro.cache.keys",
+    "repro.cli",
+    "repro.codegen",
+    "repro.codegen.analysis",
+    "repro.codegen.kernel_ir",
+    "repro.codegen.shared_mem",
+    "repro.frontend",
+    "repro.frontend.errors",
+    "repro.gpu",
+    "repro.gpu.counters",
+    "repro.gpu.device",
+    "repro.gpu.memory",
+    "repro.gpu.perf_model",
+    "repro.model",
+    "repro.model.dependences",
+    "repro.model.expr",
+    "repro.model.preprocess",
+    "repro.model.program",
+    "repro.obs",
+    "repro.obs.history",
+    "repro.obs.log",
+    "repro.obs.metrics",
+    "repro.obs.spans",
+    "repro.polyhedral",
+    "repro.polyhedral.affine",
+    "repro.polyhedral.constraint",
+    "repro.polyhedral.quasi_affine",
+    "repro.stencils",
+    "repro.stencils.library",
+    "repro.tiling",
+    "repro.tiling.classical",
+    "repro.tiling.cone",
+    "repro.tiling.hex_schedule",
+    "repro.tiling.hexagon",
+    "repro.tiling.hybrid",
+    "repro.tiling.tile_size",
+}
+
+#: Modules a warm compile calls nothing from: the C front end, the
+#: simulator, schedule validation, diamond tiling, CUDA emission and the
+#: trace exporters.
+NOT_ON_THE_WARM_PATH = {
+    "repro.frontend.analyze",
+    "repro.frontend.ast",
+    "repro.frontend.lexer",
+    "repro.frontend.lower",
+    "repro.frontend.parser",
+    "repro.gpu.simulator",
+    "repro.tiling.validate",
+    "repro.tiling.diamond",
+    "repro.tiling.schedule_arrays",
+    "repro.codegen.cuda",
+    "repro.codegen.ptx",
+    "repro.obs.attrib",
+    "repro.obs.export",
+    "repro.obs.profile",
+}
+
+
+@pytest.mark.parametrize("stencil", ["jacobi_1d", "fdtd_2d", "heat_3d"])
+def test_warm_compile_imports_no_numpy(stencil):
+    """A warm compile is five cache reads; it imports only what they need."""
+    probe = _main_probe("compile", stencil, "--show-cuda")
+    cold_output, _ = _run_probe(probe)
+    warm_output, loaded = _run_probe(probe)
+    assert warm_output == cold_output
+    assert {name for name in loaded if name.startswith("repro")} == (
+        WARM_COMPILE_MODULES
+    )
+    assert not _numpy_modules(loaded)
+    assert not loaded & NOT_ON_THE_WARM_PATH
+
+
+def test_list_imports_no_numpy():
+    loaded = _modules_after(_main_probe("list"))
+    assert "repro.cli" in loaded and not _numpy_modules(loaded)
+
+
+def test_verify_imports_the_mutation_corpus_only_for_mutants():
+    loaded = _modules_after(_main_probe("verify", "heat_2d"))
+    assert "repro.verify.symbolic" in loaded
+    assert "repro.verify.faults" not in loaded
 
 
 def test_validate_leaves_numpy_ma_unloaded():
@@ -322,9 +436,16 @@ def test_inspect_diamond_strategy_stops_at_tiling(capsys):
 
 
 def test_inspect_diamond_strategy_cannot_reach_codegen(capsys):
-    code = main(["inspect", "jacobi_2d", "--strategy", "diamond"])
-    assert code == 1
-    assert "analysis-only" in capsys.readouterr().err
+    # The default stop stage is past tiling, where an analysis-only plan
+    # ends: an expected compile failure, so no crash report is written.
+    for strategy in ("diamond", "classical"):
+        code = main(["inspect", "jacobi_2d", "--strategy", strategy])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "analysis-only" in err
+        assert "crash report" not in err
+    crash_dir = pathlib.Path(os.environ["HEXCC_CACHE_DIR"]) / "crash"
+    assert not crash_dir.exists() or not any(crash_dir.iterdir())
 
 
 # -- uniform exit codes --------------------------------------------------------------
@@ -410,6 +531,46 @@ def test_h_without_widths_is_a_usage_error(argv, capsys):
     captured = capsys.readouterr()
     assert "--h needs --widths" in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compile", "jacobi_2d"],
+        ["inspect", "jacobi_2d"],
+        ["verify", "jacobi_2d"],
+        ["compile-file", str(EXAMPLE_SOURCE)],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_unknown_device_is_a_usage_error(argv, capsys):
+    assert main([*argv, "--device", "foo"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: unknown device 'foo'; known: gtx470, nvs5200m\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["list"], ["compile", "jacobi_1d", "--show-cuda"]],
+    ids=lambda argv: argv[0],
+)
+def test_closed_stdout_pipe_exits_one_silently(argv):
+    """``hexcc ... | head`` once printed ``error: : Broken pipe``."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # every write to stdout now fails with EPIPE
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "repro.cli", *argv],
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+    finally:
+        os.close(write_end)
+    assert result.stderr == ""
+    assert result.returncode == 1
 
 
 def test_missing_command_is_a_usage_error():

@@ -1,11 +1,16 @@
 """Unit tests for the dependence cone and the hexagonal tile shape."""
 
+import pickle
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from polyhedral import lp_oracle
 
+from repro.api import Session
 from repro.experiments import figure3_dependence_cone
+from repro.gpu.device import list_devices
+from repro.stencils import get_stencil, list_stencils
 from repro.tiling.cone import DependenceCone
 from repro.tiling.hexagon import HexagonalTileShape, minimal_width
 
@@ -111,3 +116,22 @@ def test_pointwise_cone_gives_rectangles():
     widths = {shape.row_width(a) for a in range(shape.time_period)}
     assert widths == {4}
     assert shape.count() == 6 * 4
+
+
+@pytest.mark.parametrize("device", list_devices(), ids=lambda device: device.name)
+def test_unpickled_shape_recomputes_its_row_bounds(device):
+    """The cached row bounds are not pickled; a loaded shape rebuilds them."""
+    session = Session(device=device)
+    for name in list_stencils():
+        plan = session.run(get_stencil(name), stop_after="tiling").artifact("tiling")
+        shape = plan.tiling.shape
+        (_, _), (b_min, b_max) = shape.bounding_box()
+        a, b = np.meshgrid(
+            np.arange(-1, 2 * shape.height + 3), np.arange(b_min - 1, b_max + 2)
+        )
+        expected = shape.contains_batch(a, b)  # fills the cached bounds first
+        clone = pickle.loads(pickle.dumps(shape))
+        assert "_row_bounds" not in vars(clone)
+        assert np.array_equal(clone.contains_batch(a, b), expected)
+        for row in range(-1, 2 * shape.height + 3):
+            assert clone.row_range(row) == shape.row_range(row)
