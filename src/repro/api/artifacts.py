@@ -118,7 +118,7 @@ class TilingPlan:
     continue into the ``memory`` and later stages.
     """
 
-    SCHEMA_VERSION = 2
+    SCHEMA_VERSION = 3
 
     strategy: str
     sizes: TileSizes | None
@@ -144,6 +144,17 @@ class TilingPlan:
                 # shared memory overflow) — surfaced by
                 # ``hexcc inspect --stop-after tiling --json``.
                 data["model_pruned"] = dict(self.tile_cost.rejections)
+            runner_up = self.tile_cost.runner_up
+            if runner_up is not None:
+                # The second-best legal grid point and how far its ratio
+                # trails the pick's.  Nested, so it is no bench counter.
+                data["model_runner_up"] = {
+                    "tile_height": runner_up.sizes.height,
+                    "tile_widths": tuple(runner_up.sizes.widths),
+                    "load_to_compute": runner_up.load_to_compute,
+                    "margin": runner_up.load_to_compute
+                    - self.tile_cost.load_to_compute,
+                }
         if self.details:
             data.update(self.details)
         return _json_safe(data)

@@ -113,7 +113,7 @@ def plan_shared_memory(
     loads_per_tile = 0
     reused_per_tile = 0
     for field, radii in model.read_radii.items():
-        box = [int(extent) + high - low for extent, (low, high) in zip(extents, radii)]
+        box = [extent + high - low for extent, (low, high) in zip(extents, radii)]
         versions = _versions_read(program, field)
         footprint = FieldFootprint(
             field=field,

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from collections.abc import Iterator
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING
 
 from repro.polyhedral.affine import LinearExpr
 from repro.polyhedral.constraint import Constraint
@@ -38,7 +38,6 @@ from repro.tiling.cone import DependenceCone
 
 if TYPE_CHECKING:
     import numpy as np
-    import numpy.typing as npt
 
 
 def _floor(value: Fraction) -> int:
@@ -59,39 +58,41 @@ def minimal_width(delta0: Fraction, delta1: Fraction, height: int) -> int:
 
 
 def row_bounds(
-    delta0: Fraction,
-    delta1: Fraction,
-    height: npt.ArrayLike,
-    width: npt.ArrayLike,
-    a: npt.ArrayLike,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Inclusive ``(lower, upper)`` bounds of ``b`` in row ``a`` of a hexagon.
+    delta0: Fraction, delta1: Fraction, height: int, width: int
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Inclusive ``(lower, upper)`` bounds of ``b`` in every row of a hexagon.
 
-    ``height`` (``h``), ``width`` (``w0``) and ``a`` broadcast against each
-    other, so one call covers one tile or every row of a whole ``(h, w0)``
-    search grid.  Each rational bound ``p/q`` of the constraints (6), (8),
-    (10) and (12) is reduced with ``ceil(p/q) = -((-p) // q)`` and
+    One entry per row ``a`` in ``[0, 2h+1]`` of the hexagon of height ``h``
+    and width ``w0``.  Each rational bound ``p/q`` of the constraints (6),
+    (8), (10) and (12) is reduced with ``ceil(p/q) = -((-p) // q)`` and
     ``floor(p/q) = p // q`` on scaled integer numerators, so the result is
-    exact (no floating point).  Rows outside ``[0, 2h+1]`` are not masked.
+    exact (no floating point).
     """
-    import numpy as np
-
-    h = np.asarray(height, dtype=np.int64)
-    w0 = np.asarray(width, dtype=np.int64)
-    a = np.asarray(a, dtype=np.int64)
+    h, w0 = height, width
     n0, q0 = delta0.numerator, delta0.denominator
     n1, q1 = delta1.numerator, delta1.denominator
     d0h = (n0 * h) // q0
     d1h = (n1 * h) // q1
-    # From (6):  b >= δ0·(a - (2h+1)) + ⌊δ0·h⌋
-    lower_a = -((-(n0 * (a - (2 * h + 1)))) // q0) + d0h
-    # From (10): b >= (δ1·(h - a)·q1 - (q1-1)) / q1
-    lower_b = -((-(n1 * (h - a) - (q1 - 1))) // q1)
-    # From (8):  b <= δ1·(2h+1-a) + ⌊δ0·h⌋ + w0
-    upper_a = (n1 * (2 * h + 1 - a)) // q1 + d0h + w0
-    # From (12): b <= (δ0·(a-h)·q0 + (q0-1))/q0 + ⌊δ0·h⌋ + w0 + ⌊δ1·h⌋
-    upper_b = (n0 * (a - h) + (q0 - 1)) // q0 + d0h + w0 + d1h
-    return np.maximum(lower_a, lower_b), np.minimum(upper_a, upper_b)
+    rows = range(2 * h + 2)
+    lower = tuple(
+        max(
+            # From (6):  b >= δ0·(a - (2h+1)) + ⌊δ0·h⌋
+            d0h - (n0 * (2 * h + 1 - a)) // q0,
+            # From (10): b >= (δ1·(h - a)·q1 - (q1-1)) / q1
+            -((n1 * (a - h) + (q1 - 1)) // q1),
+        )
+        for a in rows
+    )
+    upper = tuple(
+        min(
+            # From (8):  b <= δ1·(2h+1-a) + ⌊δ0·h⌋ + w0
+            (n1 * (2 * h + 1 - a)) // q1 + d0h + w0,
+            # From (12): b <= (δ0·(a-h)·q0 + (q0-1))/q0 + ⌊δ0·h⌋ + w0 + ⌊δ1·h⌋
+            (n0 * (a - h) + (q0 - 1)) // q0 + d0h + w0 + d1h,
+        )
+        for a in rows
+    )
+    return lower, upper
 
 
 @dataclass(frozen=True)
@@ -194,30 +195,24 @@ class HexagonalTileShape:
         return constraints
 
     @cached_property
-    def _row_bounds(self) -> tuple[np.ndarray, np.ndarray]:
+    def _row_bounds(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """Inclusive ``(lower, upper)`` bounds of ``b`` per row ``a``.
 
-        One batched integer pass over all ``2h + 2`` rows (:func:`row_bounds`).
-        The test oracle (``tests/tiling/oracle.py``) re-derives the bounds in
+        One integer pass over all ``2h + 2`` rows (:func:`row_bounds`).  The
+        test oracle (``tests/tiling/oracle.py``) re-derives the bounds in
         :class:`~fractions.Fraction` arithmetic.
         """
-        import numpy as np
-
-        a = np.arange(0, 2 * self.height + 2, dtype=np.int64)
-        return row_bounds(self.delta0, self.delta1, self.height, self.width, a)
+        return row_bounds(self.delta0, self.delta1, self.height, self.width)
 
     @cached_property
     def _row_ranges(self) -> tuple[range, ...]:
         """``row_range(a)`` for every ``a`` in ``[0, 2h+1]``, precomputed once.
 
         Membership tests run once per statement instance and phase, so the
-        row bounds are evaluated a single time (one batched pass) and the
+        row bounds are evaluated a single time (one pass) and the
         per-point check reduces to two integer comparisons.
         """
-        lower, upper = self._row_bounds
-        return tuple(
-            range(int(lo), int(hi) + 1) for lo, hi in zip(lower, upper)
-        )
+        return tuple(range(lo, hi + 1) for lo, hi in zip(*self._row_bounds))
 
     def contains(self, a: int, b: int) -> bool:
         """Whether local point ``(a, b)`` belongs to the hexagon.
@@ -233,7 +228,7 @@ class HexagonalTileShape:
         """Vectorised :meth:`contains` over arrays of local points."""
         import numpy as np
 
-        lower, upper = self._row_bounds
+        lower, upper = (np.array(bounds) for bounds in self._row_bounds)
         valid = (a >= 0) & (a <= 2 * self.height + 1)
         clipped = np.where(valid, a, 0)
         return valid & (b >= lower[clipped]) & (b <= upper[clipped])
@@ -284,17 +279,6 @@ class HexagonalTileShape:
     def bounding_box(self) -> tuple[tuple[int, int], tuple[int, int]]:
         """Bounding box ``((a_min, a_max), (b_min, b_max))`` of the tile."""
         return self._bounding_box
-
-    def __getstate__(self) -> dict[str, Any]:
-        """Pickle without the cached row bounds (NumPy arrays) and ranges.
-
-        They are recomputed on first use, so loading a cached tiling does not
-        import NumPy.
-        """
-        state = dict(self.__dict__)
-        state.pop("_row_bounds", None)
-        state.pop("_row_ranges", None)
-        return state
 
     def __str__(self) -> str:
         return (

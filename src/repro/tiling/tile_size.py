@@ -13,14 +13,17 @@ PPCG allocates for the tile (Section 4.2); with inter-tile reuse enabled
 preceding tile along the innermost (classically tiled, sequentially
 executed) dimension is counted.
 
-:meth:`TileSizeModel.table` evaluates the three figures over the whole
-search grid at once, as NumPy arrays broadcast over its axes: the heights
+:meth:`TileSizeModel.table` evaluates the three figures at every point of
+the search grid, one pass per height in plain Python integers: the heights
 :data:`HEIGHTS`, the widths :data:`WIDTHS` for ``w_0`` and every middle
 dimension, and for a 2-D+ stencil an innermost width of 1, 2 or 4 warps, so
 full warps execute, accesses are stride-one and loads are cache-line
-aligned (Section 2).  Each hexagon is evaluated once per ``(h, w_0)``.  One
-prune rule applies: a grid point is counted once, under the first rule it
-fails,
+aligned (Section 2).  For a fixed ``h`` the iterations and each field's
+footprint box are products of one factor per axis: widening ``w_0`` by one
+adds a point to each of the ``2h + 2`` hexagon rows and one column to its
+``b`` extent, and the box over ``s_1 .. s_n`` does not depend on ``w_0``.
+One prune rule applies: a grid point is counted once, under the first rule
+it fails,
 
 1. ``legality`` — ``h + 1`` is not a multiple of the statement count
    (Section 3.3), or ``w_0`` is below the convexity minimum of condition (1);
@@ -34,9 +37,11 @@ load-to-compute ratio, and the autotuner's candidate space
 
 from __future__ import annotations
 
+import heapq
 import math
+from itertools import compress
 from dataclasses import dataclass, field, replace
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from typing import TYPE_CHECKING
 
 from repro.model.preprocess import CanonicalForm
@@ -45,9 +50,6 @@ from repro.tiling.hexagon import minimal_width, row_bounds
 from repro.tiling.hybrid import TileSizes
 
 if TYPE_CHECKING:
-    import numpy as np
-    import numpy.typing as npt
-
     from repro.gpu.device import GPUDevice
 
 #: Reasons a grid point is pruned, shared with the autotuner's candidate
@@ -79,6 +81,12 @@ class TileCostEstimate:
     rejections: Mapping[str, int] | None = field(
         default=None, compare=False, repr=False
     )
+    #: When produced by :func:`select_tile_sizes`, the second-best legal grid
+    #: point by the same key (``None`` when only one point is legal).
+    #: Excluded from equality like ``rejections``.
+    runner_up: TileCostEstimate | None = field(
+        default=None, compare=False, repr=False
+    )
 
     @property
     def load_to_compute(self) -> float:
@@ -100,46 +108,62 @@ class TileTable:
     """The §3.7 figures of every point of the tile-size search grid.
 
     The grid is the product of :attr:`axes` — heights, ``w_0``, the middle
-    widths and (2-D+ stencils) the innermost width.  Every array holds one
-    entry per grid point, flattened in row-major (grid) order.
+    widths and (2-D+ stencils) the innermost width.  Every list holds one
+    entry per grid point, in row-major (grid) order.
     """
 
-    axes: tuple[np.ndarray, ...]
-    iterations: np.ndarray
-    loads: np.ndarray
-    shared_memory_bytes: np.ndarray
+    axes: tuple[tuple[int, ...], ...]
+    iterations: list[int]
+    loads: list[int]
+    shared_memory_bytes: list[int]
     #: Whether the point survives both prune rules.
-    legal: np.ndarray
+    legal: list[bool]
     #: Points pruned per reason, plus the number of legal points (``evaluated``).
     rejections: Mapping[str, int]
 
-    def rows(self) -> np.ndarray:
+    def rows(self) -> list[int]:
         """Grid indices of the legal points, in grid order."""
-        import numpy as np
+        return list(compress(range(len(self.legal)), self.legal))
 
-        return np.flatnonzero(self.legal)
-
-    def sizes(self, rows: np.ndarray) -> list[TileSizes]:
+    def sizes(self, rows: Iterable[int]) -> list[TileSizes]:
         """The tile sizes of the grid points ``rows``."""
-        import numpy as np
-
-        coords = np.unravel_index(rows, tuple(len(axis) for axis in self.axes))
-        values = np.stack(
-            [axis[index] for axis, index in zip(self.axes, coords)], axis=-1
-        ).tolist()
-        return [TileSizes(height, tuple(widths)) for height, *widths in values]
+        sizes: list[TileSizes] = []
+        for row in rows:
+            values: list[int] = []
+            rest = row
+            for axis in reversed(self.axes):
+                rest, index = divmod(rest, len(axis))
+                values.append(axis[index])
+            height, *widths = reversed(values)
+            sizes.append(TileSizes(height, tuple(widths)))
+        return sizes
 
     def estimate(self, row: int) -> TileCostEstimate:
         """The cost figures of grid point ``row``."""
-        import numpy as np
-
-        (sizes,) = self.sizes(np.array([row]))
+        (sizes,) = self.sizes([row])
         return TileCostEstimate(
             sizes=sizes,
-            iterations=int(self.iterations[row]),
-            loads=int(self.loads[row]),
-            shared_memory_bytes=int(self.shared_memory_bytes[row]),
+            iterations=self.iterations[row],
+            loads=self.loads[row],
+            shared_memory_bytes=self.shared_memory_bytes[row],
         )
+
+
+def _fold(columns: Sequence[Sequence[int]]) -> list[int]:
+    """Products over the open mesh of ``columns``, in row-major order.
+
+    One factor per axis, folded in one axis at a time, as an ``np.ix_``
+    broadcast would multiply them.
+    """
+    products = [1]
+    for column in columns:
+        products = [product * factor for product in products for factor in column]
+    return products
+
+
+def _pointwise_sum(lists: list[list[int]]) -> list[int]:
+    """Entry-by-entry sum of equally long lists (one list per field)."""
+    return lists[0] if len(lists) == 1 else [sum(entry) for entry in zip(*lists)]
 
 
 class TileSizeModel:
@@ -174,96 +198,107 @@ class TileSizeModel:
                     entry[axis] = (min(low, offset), max(high, offset))
         return radii
 
-    def footprint(
-        self, height: npt.ArrayLike, widths: Sequence[npt.ArrayLike]
-    ) -> tuple[np.ndarray, list[np.ndarray]]:
-        """Iterations and footprint box of a full tile, broadcast over the sizes.
+    def _factors(
+        self, height: int, width_axes: Sequence[Sequence[int]]
+    ) -> tuple[list[int], list[list[int]]]:
+        """Per-axis factors of the full tiles of height ``h`` over width axes.
 
-        ``height`` and every entry of ``widths`` (``w_0 .. w_n``) are
-        integers or mutually broadcastable arrays.  Returns the statement
-        instances per tile and, per space dimension, the data-space extent of
-        the tile's footprint box without the read halo: the hexagon's ``b``
-        range along ``s_0``, and ``w_i + ⌊δ1·(2h+1)⌋`` along the classically
-        tiled ``s_i``.  The hexagon rows are those of :func:`row_bounds`.
+        ``width_axes`` holds the ``w_0 .. w_n`` values to evaluate.  Returns
+        the hexagon's point count per ``w_0`` and, per space dimension and
+        width, the footprint extent without the read halo: the hexagon's
+        ``b`` range along ``s_0``, and ``w_i + ⌊δ1·(2h+1)⌋`` along the
+        classically tiled ``s_i``.  The hexagon rows are those of
+        :func:`row_bounds`; widening ``w_0`` raises every upper bound by one
+        and leaves the lower bounds, so both hexagon figures are linear in
+        ``w_0``.  The count sums ``upper - lower + 1`` over every row, also
+        where a row of a hexagon narrower than condition (1) allows is empty.
         """
-        import numpy as np
+        lower, upper = row_bounds(self.cone.delta0, self.cone.delta1, height, 0)
+        points = sum(upper) - sum(lower) + len(lower)
+        extent = max(upper) - min(lower) + 1
+        w0s, *inner_axes = width_axes
+        counts = [points + (2 * height + 2) * w0 for w0 in w0s]
+        extents = [[extent + w0 for w0 in w0s]]
+        for axis, skew in zip(inner_axes, self._skews):
+            lean = (skew.numerator * (2 * height + 1)) // skew.denominator
+            extents.append([width + lean for width in axis])
+        return counts, extents
 
-        h = np.asarray(height, dtype=np.int64)
-        w0 = np.asarray(widths[0], dtype=np.int64)
-        a = np.arange(2 * int(h.max()) + 2, dtype=np.int64)
-        lower, upper = row_bounds(
-            self.cone.delta0, self.cone.delta1, h[..., None], w0[..., None], a
-        )
-        in_tile = a <= 2 * h[..., None] + 1
-        iterations = np.where(in_tile, upper - lower + 1, 0).sum(axis=-1)
-        b_min = np.where(in_tile, lower, np.iinfo(np.int64).max).min(axis=-1)
-        b_max = np.where(in_tile, upper, np.iinfo(np.int64).min).max(axis=-1)
-        extents = [b_max - b_min + 1]
-        for width, skew in zip(widths[1:], self._skews):
-            w = np.asarray(width, dtype=np.int64)
-            iterations = iterations * w
-            extents.append(w + (skew.numerator * (2 * h + 1)) // skew.denominator)
-        return iterations, extents
+    def footprint(self, height: int, widths: Sequence[int]) -> tuple[int, list[int]]:
+        """Iterations and footprint box of one full tile.
+
+        Returns the statement instances of the tile of height ``h`` and
+        widths ``w_0 .. w_n`` and, per space dimension, the data-space extent
+        of its footprint box without the read halo (see :meth:`_factors`).
+        """
+        (count,), extents = self._factors(height, [[width] for width in widths])
+        return math.prod(widths[1:], start=count), [extent for (extent,) in extents]
 
     def _figures(
-        self,
-        height: npt.ArrayLike,
-        widths: Sequence[npt.ArrayLike],
-        inter_tile_reuse: bool,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Iterations, loads and shared bytes, broadcast over the sizes."""
-        import numpy as np
+        self, axes: Sequence[Sequence[int]], inter_tile_reuse: bool
+    ) -> tuple[list[int], list[int], list[int]]:
+        """Iterations, loads and shared bytes over the grid of ``axes``.
 
-        iterations, extents = self.footprint(height, widths)
-        loads: np.ndarray = np.zeros((), dtype=np.int64)
-        elements: np.ndarray = np.zeros((), dtype=np.int64)
-        for radii in self.read_radii.values():
-            box = [
-                extent + (high - low) for extent, (low, high) in zip(extents, radii)
-            ]
-            elements = elements + math.prod(box)
-            if inter_tile_reuse and self.ndim > 1:
-                # Only the w_inner fresh columns along the innermost dimension.
-                loads = loads + math.prod(box[:-1]) * np.asarray(widths[-1])
-            else:
-                loads = loads + math.prod(box)
-        return iterations, loads, elements * self.element_size
+        ``axes`` holds the heights and the ``w_0 .. w_n`` values; the figures
+        are listed in row-major order, one pass per height.
+        """
+        heights, *width_axes = axes
+        iterations: list[int] = []
+        loads: list[int] = []
+        elements: list[int] = []
+        for height in heights:
+            counts, extents = self._factors(height, width_axes)
+            iterations += _fold([counts, *width_axes[1:]])
+            field_elements: list[list[int]] = []
+            field_loads: list[list[int]] = []
+            for radii in self.read_radii.values():
+                box = [
+                    [extent + high - low for extent in column]
+                    for column, (low, high) in zip(extents, radii)
+                ]
+                field_elements.append(_fold(box))
+                if inter_tile_reuse and self.ndim > 1:
+                    # Only the w_inner fresh columns along the innermost dimension.
+                    box[-1] = list(width_axes[-1])
+                field_loads.append(_fold(box))
+            elements += _pointwise_sum(field_elements)
+            loads += _pointwise_sum(field_loads)
+        element_size = self.element_size
+        return iterations, loads, [count * element_size for count in elements]
 
     def table(self, device: GPUDevice, inter_tile_reuse: bool = True) -> TileTable:
         """Every point of the search grid for ``device``, pruned by one rule."""
-        import numpy as np
-
-        axes = [np.array(HEIGHTS), np.array(WIDTHS)]
+        axes: list[tuple[int, ...]] = [HEIGHTS, WIDTHS]
         if self.ndim > 1:
-            axes += [np.array(WIDTHS)] * (self.ndim - 2)
-            axes.append(device.warp_size * np.array(INNER_WARPS))
-        shape = tuple(len(axis) for axis in axes)
-        # Open-mesh views: each axis varies along its own grid dimension.
-        height, *widths = np.ix_(*axes)
-        iterations, loads, shared = self._figures(height, widths, inter_tile_reuse)
-        min_w0 = np.array(
-            [minimal_width(self.cone.delta0, self.cone.delta1, h) for h in HEIGHTS]
-        ).reshape(height.shape)
-        legal = np.broadcast_to(
-            ((height + 1) % self.canonical.num_statements == 0) & (widths[0] >= min_w0),
-            shape,
-        ).ravel()
-        fits = np.broadcast_to(shared <= device.shared_memory_per_sm, shape).ravel()
+            axes += [WIDTHS] * (self.ndim - 2)
+            axes.append(tuple(device.warp_size * warps for warps in INNER_WARPS))
+        iterations, loads, shared = self._figures(axes, inter_tile_reuse)
+        # Rule 1 holds per (h, w0), for every inner width alike.
+        inner = math.prod(len(axis) for axis in axes[2:])
+        rule_1: list[bool] = []
+        for height in HEIGHTS:
+            divides = (height + 1) % self.canonical.num_statements == 0
+            min_w0 = minimal_width(self.cone.delta0, self.cone.delta1, height)
+            for w0 in WIDTHS:
+                rule_1 += [divides and w0 >= min_w0] * inner
+        limit = device.shared_memory_per_sm
+        legal = [ok and size <= limit for ok, size in zip(rule_1, shared)]
+        passed, evaluated = sum(rule_1), sum(legal)
         return TileTable(
             axes=tuple(axes),
-            iterations=np.broadcast_to(iterations, shape).ravel(),
-            loads=np.broadcast_to(loads, shape).ravel(),
-            shared_memory_bytes=np.broadcast_to(shared, shape).ravel(),
-            legal=legal & fits,
+            iterations=iterations,
+            loads=loads,
+            shared_memory_bytes=shared,
+            legal=legal,
             rejections={
-                PRUNE_SHARED_MEMORY: int(np.count_nonzero(legal & ~fits)),
-                PRUNE_LEGALITY: int(np.count_nonzero(~legal)),
-                "evaluated": int(np.count_nonzero(legal & fits)),
+                PRUNE_SHARED_MEMORY: passed - evaluated,
+                PRUNE_LEGALITY: len(rule_1) - passed,
+                "evaluated": evaluated,
             },
         )
 
     def estimate(self, sizes: TileSizes, inter_tile_reuse: bool = True) -> TileCostEstimate:
-        """Cost figures of one tile size choice (a one-point table)."""
+        """Cost figures of one tile size choice (a one-point grid)."""
         if len(sizes.widths) != self.ndim:
             raise ValueError(
                 f"expected {self.ndim} tile widths, got {len(sizes.widths)}"
@@ -274,14 +309,14 @@ class TileSizeModel:
                 f"width w0={sizes.w0} violates the convexity condition (1); "
                 f"need w0 >= {needed} for h={sizes.height}, cone={self.cone}"
             )
-        iterations, loads, shared = self._figures(
-            sizes.height, sizes.widths, inter_tile_reuse
+        (iterations,), (loads,), (shared,) = self._figures(
+            [[sizes.height], *([width] for width in sizes.widths)], inter_tile_reuse
         )
         return TileCostEstimate(
             sizes=sizes,
-            iterations=int(iterations),
-            loads=int(loads),
-            shared_memory_bytes=int(shared),
+            iterations=iterations,
+            loads=loads,
+            shared_memory_bytes=shared,
         )
 
     # -- the closed-form of Section 3.7 --------------------------------------------------------
@@ -308,13 +343,12 @@ def select_tile_sizes(
 
     The returned estimate carries the ``rejections`` of the search table:
     every grid point is counted once, so the counts sum to the grid size.
+    It also carries the ``runner_up``, the second-best legal point.
     Raises :class:`ValueError` when no legal point fits ``device``.
     """
-    import numpy as np
-
     table = TileSizeModel(canonical).table(device, inter_tile_reuse)
     rows = table.rows()
-    if not len(rows):
+    if not rows:
         pruned = table.rejections
         raise ValueError(
             "no legal tile size of the search grid fits the "
@@ -323,7 +357,14 @@ def select_tile_sizes(
             f"{PRUNE_SHARED_MEMORY}={pruned[PRUNE_SHARED_MEMORY]}, "
             f"{PRUNE_LEGALITY}={pruned[PRUNE_LEGALITY]})"
         )
-    # Lowest ratio, then more iterations, then grid order (a stable sort).
-    iterations = table.iterations[rows]
-    best = rows[np.lexsort((-iterations, table.loads[rows] / iterations))[0]]
-    return replace(table.estimate(int(best)), rejections=table.rejections)
+    # Lowest ratio, then more iterations, then grid order (nsmallest is
+    # stable: it equals sorted(...)[:2]).
+    iterations, loads = table.iterations, table.loads
+    best, *runner_up = heapq.nsmallest(
+        2, rows, key=lambda row: (loads[row] / iterations[row], -iterations[row])
+    )
+    return replace(
+        table.estimate(best),
+        rejections=table.rejections,
+        runner_up=table.estimate(runner_up[0]) if runner_up else None,
+    )

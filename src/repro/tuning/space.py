@@ -20,8 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from collections.abc import Iterator, Mapping
 
-import numpy as np
-
 from repro.gpu.device import GPUDevice, GTX470
 from repro.model.preprocess import CanonicalForm
 from repro.tiling.hybrid import TileSizes
@@ -136,7 +134,7 @@ class CandidateSpace:
         return out
 
 
-def _step(axis: np.ndarray, current: int, delta: int) -> int | None:
+def _step(axis: tuple[int, ...], current: int, delta: int) -> int | None:
     """The value ``delta`` (+1/-1) steps away from ``current`` on an ascending axis."""
-    index = axis.tolist().index(current) + delta
-    return int(axis[index]) if 0 <= index < len(axis) else None
+    index = axis.index(current) + delta
+    return axis[index] if 0 <= index < len(axis) else None

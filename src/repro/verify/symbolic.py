@@ -129,8 +129,8 @@ class HybridScheduleModel:
             space_period=shape.space_period,
             drift=shape.drift,
             phase0_offset=shape.floor_delta0_h + shape.width + 1,
-            row_lower=tuple(int(b) for b in lower),
-            row_upper=tuple(int(b) for b in upper),
+            row_lower=lower,
+            row_upper=upper,
             inner=tuple(
                 InnerDim(
                     name=classical.dim_name,

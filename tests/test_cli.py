@@ -214,11 +214,28 @@ NOT_ON_THE_WARM_PATH = {
 }
 
 
+#: Modules a cold compile calls nothing from: schedule validation, the
+#: simulator, the symbolic verifier and the autotuner's candidate space.
+NOT_ON_THE_COLD_PATH = {
+    "repro.tiling.validate",
+    "repro.tiling.schedule_arrays",
+    "repro.gpu.simulator",
+    "repro.verify.symbolic",
+    "repro.tuning.space",
+}
+
+
 @pytest.mark.parametrize("stencil", ["jacobi_1d", "fdtd_2d", "heat_3d"])
 def test_warm_compile_imports_no_numpy(stencil):
-    """A warm compile is five cache reads; it imports only what they need."""
+    """Neither a cold nor a warm compile imports NumPy.
+
+    A cold compile runs only pure-Python passes, the §3.7 tile table
+    included; a warm one is five cache reads and imports only what they need.
+    """
     probe = _main_probe("compile", stencil, "--show-cuda")
-    cold_output, _ = _run_probe(probe)
+    cold_output, cold = _run_probe(probe)
+    assert not _numpy_modules(cold)
+    assert not cold & NOT_ON_THE_COLD_PATH
     warm_output, loaded = _run_probe(probe)
     assert warm_output == cold_output
     assert {name for name in loaded if name.startswith("repro")} == (
@@ -226,6 +243,11 @@ def test_warm_compile_imports_no_numpy(stencil):
     )
     assert not _numpy_modules(loaded)
     assert not loaded & NOT_ON_THE_WARM_PATH
+
+
+def test_inspect_to_tiling_imports_no_numpy():
+    loaded = _modules_after(_main_probe("inspect", "heat_3d", "--stop-after", "tiling"))
+    assert "repro.tiling.tile_size" in loaded and not _numpy_modules(loaded)
 
 
 def test_list_imports_no_numpy():
@@ -687,6 +709,24 @@ def test_inspect_tiling_json_reports_pruned_reasons(capsys):
     assert pruned["shared_memory_overflow"] > 0
     assert pruned.keys() == {"shared_memory_overflow", "legality", "evaluated"}
     assert pruned["evaluated"] > 0
+
+
+def test_inspect_tiling_json_reports_the_runner_up_and_its_margin(capsys):
+    assert main(["inspect", "heat_3d", "--stop-after", "tiling", "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    tiling = payload["artifacts"]["tiling"]
+    runner_up = tiling["model_runner_up"]
+    assert runner_up.keys() == {
+        "tile_height", "tile_widths", "load_to_compute", "margin"
+    }
+    pick = tiling["model_loads_per_tile"] / tiling["model_iterations_per_tile"]
+    assert runner_up["margin"] == runner_up["load_to_compute"] - pick >= 0
+    assert [runner_up["tile_height"], *runner_up["tile_widths"]] != [
+        tiling["tile_height"], *tiling["tile_widths"]
+    ]
+    # Nested, so it adds no bench counter to the tiling pass.
+    (event,) = (event for event in payload["passes"] if event["name"] == "tiling")
+    assert not any(name.startswith("model_runner_up") for name in event["counters"])
 
 
 def test_explicit_widths_suppress_tuned_announcement(capsys):

@@ -143,6 +143,8 @@ class Search:
     legal: list
     rejections: dict
     best: TileSizes | None
+    #: The second-best legal point by the same key.
+    runner_up: TileSizes | None
 
 
 class TileModel:
@@ -191,7 +193,7 @@ class TileModel:
         grid = [TileSizes(h, tuple(widths)) for h, *widths in itertools.product(*axes)]
         figures, legal = {}, []
         rejections = {"shared_memory_overflow": 0, "legality": 0, "evaluated": 0}
-        best = best_key = None
+        best = best_key = runner_up = runner_up_key = None
         for sizes in grid:
             if (sizes.height + 1) % self.canonical.num_statements or not convex(
                 self.cone, sizes.height, sizes.w0
@@ -209,5 +211,8 @@ class TileModel:
             # Lower ratio, then more iterations; the first in grid order wins ties.
             key = (loads / iterations, -iterations)
             if best is None or key < best_key:
+                runner_up, runner_up_key = best, best_key
                 best, best_key = sizes, key
-        return Search(grid, figures, legal, rejections, best)
+            elif runner_up is None or key < runner_up_key:
+                runner_up, runner_up_key = sizes, key
+        return Search(grid, figures, legal, rejections, best, runner_up)

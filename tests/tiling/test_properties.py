@@ -7,6 +7,8 @@ dependence cones, tile sizes and windows of the iteration space:
 * the schedule is legal for every dependence inside the cone;
 * all full tiles contain the same number of integer points;
 * the tile shape point count matches the closed form of Section 3.7;
+* the integer row bounds, and the hexagon figures the §3.7 table takes as
+  linear in ``w0``, match the exact-rational oracle for rational slopes;
 * the classical tiling's skew keeps dependences within non-decreasing tiles.
 """
 
@@ -14,12 +16,16 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import oracle
 from hypothesis import given, settings, strategies as st
 
+from repro.model.preprocess import canonicalize
+from repro.stencils import get_stencil
 from repro.tiling.classical import ClassicalTiling
 from repro.tiling.cone import DependenceCone
 from repro.tiling.hex_schedule import HexagonalSchedule
-from repro.tiling.hexagon import HexagonalTileShape, minimal_width
+from repro.tiling.hexagon import HexagonalTileShape, minimal_width, row_bounds
+from repro.tiling.tile_size import TileSizeModel
 
 
 # Strategy: dependence cones from small distance-vector sets.
@@ -108,6 +114,36 @@ def test_unit_slope_point_count_closed_form(height, w0):
     """For δ0 = δ1 = 1 the hexagon holds 2(1 + 2h + h² + w0(h+1)) points (§3.7)."""
     shape = HexagonalTileShape(DependenceCone(Fraction(1), Fraction(1)), height, w0)
     assert shape.count() == 2 * (1 + 2 * height + height * height + w0 * (height + 1))
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    cone_and_distances=cones_and_distances(),
+    height=st.integers(min_value=0, max_value=16),
+    extra=st.integers(min_value=0, max_value=12),
+)
+def test_row_bounds_and_table_hexagons_match_the_oracle_for_rational_cones(
+    cone_and_distances, height, extra
+):
+    """No library stencil has a rational δ0 and only fdtd_2d a rational δ1.
+
+    The table counts a hexagon's points and ``b`` extent at ``w0 = 0`` and
+    adds ``w0`` per row and to the extent; both must equal the shape's own.
+    """
+    cone, _ = cone_and_distances
+    w0 = minimal_width(cone.delta0, cone.delta1, height) + extra
+    shape = HexagonalTileShape(cone, height, w0)
+    lower, upper = row_bounds(cone.delta0, cone.delta1, height, w0)
+    assert len(lower) == len(upper) == 2 * height + 2
+    for a, bounds in enumerate(zip(lower, upper)):
+        expected = oracle.row_range(shape, a)
+        assert bounds == (expected.start, expected.stop - 1)
+    model = TileSizeModel(canonicalize(get_stencil("jacobi_1d")))
+    model.cone = cone  # the hexagon figures read nothing else of the program
+    count, (extent,) = model.footprint(height, [w0])
+    (_, _), (b_min, b_max) = shape.bounding_box()
+    assert count == shape.count()
+    assert extent == b_max - b_min + 1
 
 
 @settings(max_examples=50, deadline=None)

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
-import numpy as np
+from dataclasses import replace
+
 import oracle
 import pytest
 
+from repro.api import TilingPlan
 from repro.frontend import parse_stencil
 from repro.gpu.device import GTX470, NVS5200M
 from repro.model.preprocess import canonicalize
@@ -44,7 +46,7 @@ def test_table_matches_the_scalar_oracle(name):
         for reuse in (True, False):
             table = model.table(device, reuse)
             expected = scalar.search(device, reuse)
-            grid = table.sizes(np.arange(table.iterations.size))
+            grid = table.sizes(range(len(table.iterations)))
             assert grid == expected.grid
             for row, sizes in enumerate(grid):
                 if sizes in expected.figures:
@@ -63,6 +65,10 @@ def test_table_matches_the_scalar_oracle(name):
             figures = (pick.iterations, pick.loads, pick.shared_memory_bytes)
             assert figures == expected.figures[expected.best]
             assert pick.rejections == expected.rejections
+            second = pick.runner_up
+            assert second is not None and second.sizes == expected.runner_up
+            figures = (second.iterations, second.loads, second.shared_memory_bytes)
+            assert figures == expected.figures[expected.runner_up]
 
 
 def test_estimate_matches_the_oracle_off_the_grid():
@@ -76,6 +82,17 @@ def test_estimate_matches_the_oracle_off_the_grid():
             assert figures == scalar.estimate(sizes, reuse)
     with pytest.raises(ValueError, match="convexity condition"):
         model.estimate(TileSizes.of(3, 8, 32))
+
+
+def test_a_lone_legal_point_has_no_runner_up():
+    """A device that fits only the smallest footprint leaves one legal point."""
+    canonical = _canonical("heat_2d")
+    table = TileSizeModel(canonical).table(GTX470)
+    smallest = min(table.shared_memory_bytes[row] for row in table.rows())
+    pick = select_tile_sizes(canonical, replace(GTX470, shared_memory_per_sm=smallest))
+    assert pick.rejections["evaluated"] == 1 and pick.runner_up is None
+    summary = TilingPlan("hybrid", pick.sizes, tiling=None, tile_cost=pick).summary()
+    assert "model_pruned" in summary and "model_runner_up" not in summary
 
 
 #: The model's picks, recorded before the table replaced the scalar search.
