@@ -20,6 +20,7 @@ drifting means the pipeline itself changed behaviour).
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass, field
 from collections.abc import Mapping
@@ -193,16 +194,25 @@ def _compare_entry(
 
 
 def parse_threshold(text: str) -> float:
-    """Parse ``"25%"`` or ``"0.25"`` into the fraction ``0.25``."""
+    """Parse ``"25%"`` or ``"0.25"`` into the fraction ``0.25``.
+
+    Only finite, non-negative values are thresholds: ``nan`` and ``inf``
+    would pass every score and a negative one would fail an equal score.
+    """
     stripped = text.strip()
     try:
         if stripped.endswith("%"):
-            return float(stripped[:-1]) / 100.0
-        return float(stripped)
+            value = float(stripped[:-1]) / 100.0
+        else:
+            value = float(stripped)
     except ValueError:
+        value = math.nan  # not a number: refused below with nan itself
+    if not (math.isfinite(value) and value >= 0):
         raise argparse.ArgumentTypeError(
-            f"expected a fraction like 0.25 or a percentage like 25%, got {text!r}"
+            "expected a non-negative fraction like 0.25 or a percentage like "
+            f"25%, got {text!r}"
         )
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -41,7 +41,7 @@ QUICK_STENCILS = ("jacobi_1d", "jacobi_2d", "heat_2d", "fdtd_2d", "laplacian_3d"
 # Small problem instances used by the simulate suite, by dimensionality:
 # (sizes, time steps).  Chosen to match the scale of the test suite so the
 # exhaustive validator stays fast.
-_SIMULATE_INSTANCES: dict[int, tuple[tuple[int, ...], int]] = {
+SIMULATE_INSTANCES: dict[int, tuple[tuple[int, ...], int]] = {
     1: ((128,), 16),
     2: ((16, 16), 6),
     3: ((10, 10, 10), 4),
@@ -153,7 +153,7 @@ def measure_simulate_stencil(
     from repro.tiling.validate import validate_hybrid_tiling
 
     definition = get_definition(name)
-    sizes, steps = _SIMULATE_INSTANCES[definition.dimensions]
+    sizes, steps = SIMULATE_INSTANCES[definition.dimensions]
     program = get_stencil(name, sizes=sizes, steps=steps)
     run = Session(disk_cache=disk_cache).run(program)
     tiling = run.artifact("tiling").tiling

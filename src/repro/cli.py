@@ -25,7 +25,7 @@ Examples
     hexcc bench --jobs 0   # fan the suites across every core
     hexcc cache stats      # on-disk compile cache usage (per-stage breakdown)
     hexcc cache clear      # drop every cached artefact
-    hexcc tune heat_3d --budget 32 --objective simulate --jobs 4
+    hexcc tune heat_3d --budget 32 --objective counters --jobs 2
     hexcc tune jacobi_2d --strategy hillclimb --seed 7
     hexcc compile heat_3d --tuned   # apply the best known configuration
     hexcc tune-table       # tuned-vs-model comparison across the database
@@ -462,7 +462,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _positive_int(text: str) -> int:
-    """Argparse type of a grid extent or step count (zero means no instances)."""
+    """Argparse type of a grid extent, step count or record limit."""
     try:
         value = int(text)
     except ValueError:
@@ -572,6 +572,7 @@ def _cmd_cache(args: argparse.Namespace) -> int:
 
 def _cmd_tune(args: argparse.Namespace) -> int:
     """Autotune one stencil and record the winner in the tuning database."""
+    from repro.bench.compare import parse_threshold
     from repro.tuning import (
         TuningDatabase,
         list_objectives,
@@ -593,6 +594,10 @@ def _cmd_tune(args: argparse.Namespace) -> int:
         )
     if args.budget <= 0:
         raise UsageError("--budget must be positive")
+    try:
+        max_regression = parse_threshold(args.max_regression)
+    except argparse.ArgumentTypeError as error:
+        raise UsageError(f"--max-regression: {error}") from None
     program = _get_stencil_checked(args.stencil)
     cache = _disk_cache(args)
     db_path = resolve_db_path(args.tuning_db) if args.check else (
@@ -647,12 +652,12 @@ def _cmd_tune(args: argparse.Namespace) -> int:
             )
             return EXIT_FAILURE
         reference = min(float(e["best"]["score"]) for e in stored)
-        limit = reference * (1.0 + args.max_regression)
+        limit = reference * (1.0 + max_regression)
         if result.best.score > limit:
             print(
                 f"check FAILED: best score {result.best.score:.6g} regresses the "
                 f"recorded {reference:.6g} by more than "
-                f"{args.max_regression:.0%} (limit {limit:.6g})",
+                f"{max_regression:.0%} (limit {limit:.6g})",
                 file=sys.stderr,
             )
             return EXIT_FAILURE
@@ -1027,7 +1032,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     tune_parser = sub.add_parser(
         "tune",
-        help="autotune tile sizes empirically and record the winner",
+        help="autotune tile sizes on the modelled GPU and record the winner",
     )
     tune_parser.add_argument("stencil")
     tune_parser.add_argument(
@@ -1036,7 +1041,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     tune_parser.add_argument(
         "--objective", default="model",
-        help="scoring objective: model, simulate or counters (default: model)",
+        help="scoring objective: model or counters (default: model)",
     )
     tune_parser.add_argument(
         "--budget", type=int, default=32, metavar="N",
@@ -1062,8 +1067,9 @@ def build_parser() -> argparse.ArgumentParser:
              "exit 1 when the found best regresses the recorded score",
     )
     tune_parser.add_argument(
-        "--max-regression", type=float, default=0.25, metavar="FRACTION",
-        help="allowed score regression for --check (default: 0.25)",
+        "--max-regression", default="0.25", metavar="FRACTION",
+        help="allowed score regression for --check, e.g. 0.25 or 25%% "
+             "(default: 0.25)",
     )
     tune_parser.add_argument(
         "--json", action="store_true",
@@ -1131,7 +1137,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="only show records of one kind (default: all)",
     )
     perf_history.add_argument(
-        "--limit", type=int, default=20, metavar="N",
+        "--limit", type=_positive_int, default=20, metavar="N",
         help="show the newest N records (default: 20)",
     )
     perf_history.add_argument(

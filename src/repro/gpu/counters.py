@@ -58,10 +58,6 @@ class PerformanceCounters:
             return 1.0
         return self.shared_load_transactions / self.shared_load_requests
 
-    @property
-    def dram_read_bytes(self) -> float:
-        return self.transferred_global_bytes
-
     # -- combination ----------------------------------------------------------------
 
     def add(self, other: "PerformanceCounters") -> "PerformanceCounters":

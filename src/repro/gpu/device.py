@@ -54,11 +54,6 @@ class GPUDevice:
             * self.shader_clock_ghz / 2.0  # banks run at the core (half-shader) clock
         )
 
-    @property
-    def flop_to_byte_ratio(self) -> float:
-        """Machine balance: flops available per DRAM byte."""
-        return self.peak_sp_gflops / self.dram_bandwidth_gbs
-
     def __str__(self) -> str:
         return (
             f"{self.name}: {self.cuda_cores} cores @ {self.shader_clock_ghz} GHz, "

@@ -56,28 +56,6 @@ class CoalescingModel:
             return 1.0
         return min(1.0, useful_bytes / transferred)
 
-    def warp_load_transactions(
-        self, elements: int, element_size: int, stride: int, aligned: bool
-    ) -> int:
-        """Transactions for one warp-wide load of ``elements`` values.
-
-        ``stride`` is the distance (in elements) between consecutive threads'
-        addresses; stride 1 is fully coalesced, larger strides degrade into
-        one transaction per ``line/element_size/stride`` threads, and very
-        large strides into one transaction per thread.
-        """
-        if elements <= 0:
-            return 0
-        line = self.device.cache_line_bytes
-        if stride <= 0:
-            return 1
-        span_bytes = elements * stride * element_size
-        transactions = (span_bytes + line - 1) // line
-        if not aligned:
-            transactions += 1
-        per_transaction = self.device.dram_transaction_bytes
-        return transactions * (line // per_transaction)
-
 
 @dataclass(frozen=True)
 class SharedMemoryModel:

@@ -152,7 +152,8 @@ class RunHistory:
     def records(
         self, kind: str | None = None, limit: int | None = None
     ) -> list[RunRecord]:
-        """All retained records, oldest first; malformed lines are skipped."""
+        """The newest ``limit`` retained records (all when ``None``), oldest
+        first; malformed lines are skipped."""
         out: list[RunRecord] = []
         try:
             lines = self.path.read_text(encoding="utf-8").splitlines()
@@ -178,8 +179,8 @@ class RunHistory:
                     data=data,
                 )
             )
-        if limit is not None and limit >= 0:
-            out = out[-limit:]
+        if limit is not None:
+            out = out[-limit:] if limit > 0 else []
         return out
 
     def select(self, selector: str, kind: str | None = None) -> RunRecord:

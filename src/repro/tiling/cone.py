@@ -83,9 +83,5 @@ class DependenceCone:
         """The generating rays ``(-1, -δ0)`` and ``(-1, δ1)`` of Figure 3."""
         return ((Fraction(-1), -self.delta0), (Fraction(-1), self.delta1))
 
-    def widening_per_time_step(self) -> Fraction:
-        """How much wider the region of dependence grows per time step."""
-        return self.delta0 + self.delta1
-
     def __str__(self) -> str:
         return f"DependenceCone(delta0={self.delta0}, delta1={self.delta1})"

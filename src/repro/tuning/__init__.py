@@ -1,22 +1,24 @@
-"""``repro.tuning`` — the empirical autotuning subsystem.
+"""``repro.tuning`` — the autotuning subsystem.
 
 The paper picks hybrid tile sizes with the closed-form load-to-compute model
-of Section 3.7; its strongest comparison points (Patus) win on some stencils
-by *measuring* instead of modelling.  This package closes that loop on top
-of the staged pipeline:
+of Section 3.7.  This package searches the same legal table and scores
+each candidate on the modelled GPU at paper scale, so a tuned pick never
+scores worse than the §3.7 pick under its objective, and any machine
+reproduces it:
 
 * :class:`~repro.tuning.space.CandidateSpace` — the legal tile-size /
   launch-config candidates: the legal rows of the §3.7 model's table
   (statement multiplicity, hexagon convexity, shared-memory fit);
 * search strategies (``grid`` / ``random`` / ``hillclimb``) behind a
   registry mirroring :mod:`repro.api.strategies`;
-* objectives (``model`` / ``simulate`` / ``counters``) scoring candidates
-  through :class:`repro.api.Session` runs that share the cached pipeline
-  prefix, fanned across processes by :mod:`repro.engine`;
+* two deterministic objectives (``model`` / ``counters``) scoring
+  candidates through :class:`repro.api.Session` runs that share the cached
+  pipeline prefix, fanned across processes by :mod:`repro.engine`;
 * :class:`~repro.tuning.db.TuningDatabase` — a schema-versioned, atomically
   written JSON database of best known configurations, keyed by (program
-  content digest, device, strategy), which ``Session(... ).run(tuned=True)``
-  and ``hexcc compile --tuned`` apply transparently.
+  content digest, device, strategy, objective), which
+  ``Session(...).run(tuned=True)`` and ``hexcc compile --tuned`` apply
+  transparently.
 """
 
 from typing import Any
@@ -32,7 +34,6 @@ _EXPORTS = {
     "TuningTrial": "repro.tuning.objectives",
     "evaluate_candidate": "repro.tuning.objectives",
     "list_objectives": "repro.tuning.objectives",
-    "register_objective": "repro.tuning.objectives",
     "Candidate": "repro.tuning.space",
     "CandidateSpace": "repro.tuning.space",
     "SearchStrategy": "repro.tuning.strategies",

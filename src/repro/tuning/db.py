@@ -15,21 +15,22 @@ disk cache and the bench reports — a ``kind`` marker plus a
           "digest": "<sha256 of the program content>",
           "device": "GTX 470", "strategy": "random",
           "objective": "model", "seed": 0, "budget": 32,
-          "evaluations": 33, "failures": 0,
-          "best": {"height": 2, "widths": [7, 10, 32],
-                    "threads": null, "score": 0.031},
-          "baseline": {"height": 2, "widths": [3, 4, 128], "score": 0.034}
+          "evaluations": 33, "failures": 0, "space_size": 1065,
+          "best": {"height": 0, "widths": [6, 7, 64],
+                   "threads": null, "score": 0.9094933150459805},
+          "baseline": {"height": 3, "widths": [5, 12, 32],
+                       "threads": null, "score": 1.260777649049541}
         }
       }
     }
 
 Entries are keyed by **(program content digest, device, strategy,
 objective)** — scores are only comparable within one objective, so a
-``model`` re-tune must never overwrite a recorded ``simulate`` measurement
-of the same strategy.  Entries
-contain no timestamps or environment data, so an identical ``(seed,
-budget)`` sweep reproduces a byte-identical entry — the reproducibility
-property the determinism tests pin.  Writes are atomic (temp file +
+``counters`` re-tune never overwrites a recorded ``model`` score of the
+same strategy.  Both objectives are deterministic and entries contain no
+timestamps or environment data, so an identical ``(seed, budget)`` sweep
+reproduces a byte-identical entry on any machine — the property the
+committed baseline's regeneration test pins.  Writes are atomic (temp file +
 ``os.replace``); a corrupt or foreign file reads as empty, never fatal.
 
 Database resolution for ``--tuned`` (first hit wins):
@@ -59,8 +60,9 @@ DB_KIND = "hexcc-tuning-db"
 #: Environment variable overriding the database location.
 TUNING_DB_ENV = "HEXCC_TUNING_DB"
 
-#: ``--tuned`` resolution prefers empirical scores over modelled ones.
-OBJECTIVE_PREFERENCE = ("simulate", "model", "counters")
+#: The objectives ``--tuned`` applies, most preferred first; entries of any
+#: other objective are listed by ``tune-table`` but never applied.
+OBJECTIVE_PREFERENCE = ("model", "counters")
 
 
 def default_db_path() -> Path:
@@ -205,13 +207,12 @@ class TuningDatabase:
         """The entry ``--tuned`` should apply for one (program, device).
 
         Scores are only comparable within one objective, so entries are
-        grouped by objective, the most empirical available objective wins
-        (:data:`OBJECTIVE_PREFERENCE`), and within it the lowest best score;
-        remaining ties break on the strategy name.  Fully deterministic.
+        grouped by objective, the first objective of
+        :data:`OBJECTIVE_PREFERENCE` with an entry wins, and within it the
+        lowest best score; remaining ties break on the strategy name.
+        ``None`` when no entry has one of those objectives.
         """
         matches = self.entries_for(digest, device)
-        if not matches:
-            return None
         for objective in OBJECTIVE_PREFERENCE:
             group = [e for e in matches if e.get("objective") == objective]
             if group:
@@ -222,13 +223,7 @@ class TuningDatabase:
                         str(e.get("strategy", "")),
                     ),
                 )
-        return min(
-            matches,
-            key=lambda e: (
-                float(e["best"].get("score", float("inf"))),
-                str(e.get("strategy", "")),
-            ),
-        )
+        return None
 
     def __len__(self) -> int:
         return len(self.entries)

@@ -1,13 +1,12 @@
-"""Pluggable tuning objectives: how one candidate configuration is scored.
+"""Tuning objectives: how one candidate configuration is scored.
 
-Every objective maps a candidate to a scalar **cost** (lower is better):
+Both objectives map a candidate to a scalar **cost** (lower is better), are
+deterministic and are evaluated on the modelled GPU at the paper-scale
+problem size — never by timing this host:
 
 * ``model`` — the roofline time estimate of
-  :class:`repro.gpu.perf_model.PerformanceModel` on the paper-scale problem
-  (deterministic; what the CI ``tune-smoke`` gate uses);
-* ``simulate`` — measured wall time of the functional simulator on a
-  scaled-down instance of the program (an *empirical* objective; noisy, so
-  it takes the best of ``repeats`` runs);
+  :class:`repro.gpu.perf_model.PerformanceModel` (what ``--tuned`` prefers
+  and what the CI ``tune-smoke`` gate uses);
 * ``counters`` — a counter-weighted traffic cost derived from the analytic
   execution counters (memory-system pressure per stencil update), cheaper
   than the full roofline conversion and independent of clock parameters.
@@ -24,21 +23,12 @@ evaluations across worker processes.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, replace
 from collections.abc import Callable, Mapping
 from typing import Any
 
 from repro import obs
 from repro.tuning.space import Candidate
-
-#: Small-instance shapes used by the ``simulate`` objective, by dimension —
-#: the same scale the bench simulate suite and the test suite run at.
-SIMULATE_INSTANCES: dict[int, tuple[tuple[int, ...], int]] = {
-    1: ((128,), 16),
-    2: ((16, 16), 6),
-    3: ((10, 10, 10), 4),
-}
 
 #: Weights of the ``counters`` objective, in relative cost per event.  DRAM
 #: transactions dominate (Section 6.2's bound-by analysis), L2 hits are an
@@ -64,7 +54,6 @@ class EvaluationJob:
     device: object  # GPUDevice
     config: object | None  # OptimizationConfig
     cache_root: str | None  # DiskCache root shared with the parent process
-    repeats: int = 2  # simulate-objective measurement repeats
 
 
 @dataclass(frozen=True)
@@ -84,8 +73,7 @@ class TuningTrial:
 
 #: One pipeline session per (cache root, device) per process: candidates
 #: evaluated by the same worker share the in-memory artifact LRU, so the
-#: canonicalize artifact — and the instance-enumeration memo hanging off its
-#: :class:`CanonicalForm` — is computed once per process, not per candidate.
+#: canonicalize artifact is computed once per process, not per candidate.
 _SESSIONS: dict[tuple[str | None, str], Any] = {}
 
 
@@ -156,89 +144,6 @@ def _score_counters(job: EvaluationJob) -> float:
     return cost / updates
 
 
-def _score_simulate(job: EvaluationJob) -> float:
-    """Measured wall time of the functional simulator on a small instance.
-
-    Only the simulation itself is timed.  The deterministic setup — the
-    compiled pipeline prefix and the columnar :class:`ScheduleArrays` of the
-    candidate — is shared through the per-pass disk cache (the schedule
-    arrays under a tuning-owned ``tuning-schedule`` stage key), so a warm
-    re-run of a sweep pays only the measured simulations.
-    """
-    from repro.gpu.simulator import FunctionalSimulator
-    from repro.stencils import get_definition, get_stencil
-    from repro.tiling.hybrid import HybridTiling
-
-    program = job.program
-    try:
-        definition = get_definition(program.name)
-        sizes, steps = SIMULATE_INSTANCES[definition.dimensions]
-        small = get_stencil(definition.name, sizes=sizes, steps=steps)
-    except KeyError:
-        # Not a library stencil (e.g. parsed from user C source): simulate
-        # the program at its own size.  Callers should keep it small.
-        small = program
-
-    session, cache = _session(job)
-    # Codegen is not needed to simulate; stop at the shared-memory plan.
-    run = session.run(
-        small,
-        tile_sizes=job.candidate.sizes,
-        config=job.config,
-        threads=job.candidate.threads,
-        stop_after="memory",
-    )
-    tiling = run.artifact("tiling").tiling
-    shared_canonical = run.artifact("canonicalize").canonical
-    if tiling.canonical is not shared_canonical:
-        # The tiling artifact came from the disk cache and carries its own
-        # unpickled CanonicalForm; re-anchor on the session-shared one so
-        # the instance-enumeration memo is shared across candidates.
-        tiling = HybridTiling(shared_canonical, run.artifact("tiling").sizes)
-    _install_schedule_arrays(tiling, run, cache)
-    plan = run.artifact("memory").plan
-    config = run.request.config
-    best = float("inf")
-    for _ in range(max(1, job.repeats)):
-        simulator = FunctionalSimulator(tiling, plan, config)
-        start = time.perf_counter()
-        simulator.run(seed=0)
-        best = min(best, time.perf_counter() - start)
-    _flush(cache)
-    return best
-
-
-def _install_schedule_arrays(tiling, run, cache) -> None:
-    """Fill the tiling's schedule-array memo from the disk cache, or warm it.
-
-    The columnar schedule is a pure function of (program content, tile
-    sizes, storage) and by far the most expensive part of a simulation-based
-    evaluation; caching it turns warm sweep re-runs into pure measurement.
-    """
-    from repro.api.session import program_digest
-    from repro.cache.keys import stage_key
-    from repro.tiling.schedule_arrays import ScheduleArrays
-
-    if cache is None:
-        tiling.schedule_arrays()
-        return
-    key = stage_key(
-        stage="tuning-schedule",
-        stage_schema=1,
-        strategy="hybrid",
-        parts=[
-            f"program={program_digest(run.artifact('parse').program)}",
-            f"tile-sizes={run.request.tile_sizes!r}",
-            f"storage={run.request.storage}",
-        ],
-    )
-    cached = cache.get(key, stage="tuning-schedule")
-    if isinstance(cached, ScheduleArrays):
-        tiling._schedule_arrays_cache = cached
-        return
-    cache.put(key, tiling.schedule_arrays(), stage="tuning-schedule")
-
-
 def _flush(cache) -> None:
     if cache is not None:
         cache.flush_stats()
@@ -246,25 +151,13 @@ def _flush(cache) -> None:
 
 _OBJECTIVES: dict[str, Callable[[EvaluationJob], float]] = {
     "model": _score_model,
-    "simulate": _score_simulate,
     "counters": _score_counters,
 }
 
 
 def list_objectives() -> list[str]:
-    """Names of the registered objectives, sorted."""
+    """Names of the objectives, sorted."""
     return sorted(_OBJECTIVES)
-
-
-def register_objective(
-    name: str, scorer: Callable[[EvaluationJob], float], replace: bool = False
-) -> None:
-    """Register a custom objective (must be importable in worker processes)."""
-    if not name:
-        raise ValueError("objectives must have a non-empty name")
-    if name in _OBJECTIVES and not replace:
-        raise ValueError(f"objective {name!r} is already registered")
-    _OBJECTIVES[name] = scorer
 
 
 def evaluate_candidate(job: EvaluationJob) -> TuningTrial:

@@ -17,8 +17,8 @@ Sweeps are **incremental**: every evaluated trial is stored in the shared
 :class:`~repro.cache.DiskCache` under a tuning-owned stage key
 (content-hashed over the program, the device, the objective, the
 configuration and the compiler code fingerprint, so a code change
-re-measures everything).  Re-running a sweep — same seed or a
-different strategy visiting overlapping candidates — only measures
+re-scores everything).  Re-running a sweep — same seed or a
+different strategy visiting overlapping candidates — only scores
 candidates never seen before; a fully warm re-run reduces to cache lookups.
 """
 
@@ -79,8 +79,8 @@ class TuningResult:
         """The tuning-database entry of this sweep.
 
         Deliberately free of timestamps, wall times and environment data:
-        an identical ``(seed, budget)`` sweep with a deterministic objective
-        must reproduce this entry byte for byte.
+        both objectives are deterministic, so an identical ``(seed,
+        budget)`` sweep reproduces this entry byte for byte.
         """
         return {
             "program": self.program_name,
@@ -171,7 +171,7 @@ def tune(
     Parameters mirror ``hexcc tune``.  ``disk_cache`` is shared with the
     worker processes (they reopen it by root path), so every candidate run
     resumes from the cached ``canonicalize`` artifact — and previously
-    evaluated trials are replayed from the cache instead of re-measured,
+    evaluated trials are replayed from the cache instead of re-scored,
     making warm sweep re-runs nearly free.
 
     A completed sweep is appended to the persistent run history; a sweep
@@ -278,7 +278,7 @@ def _tune_impl(
     cache_root = str(disk_cache.root) if disk_cache is not None else None
 
     def evaluate(batch: Sequence[Candidate]) -> list[TuningTrial]:
-        """Replay cached trials; measure (and record) only unseen candidates."""
+        """Replay cached trials; score (and record) only unseen candidates."""
         trials: list[TuningTrial | None] = [None] * len(batch)
         missing: list[tuple[int, Candidate]] = []
         for index, candidate in enumerate(batch):

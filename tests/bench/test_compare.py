@@ -1,5 +1,6 @@
 """Comparator tests: regression, improvement, missing-key and CLI behaviour."""
 
+import argparse
 import json
 
 import pytest
@@ -120,6 +121,14 @@ def test_parse_threshold(text, expected):
     assert parse_threshold(text) == pytest.approx(expected)
 
 
+@pytest.mark.parametrize("text", ["nan", "inf", "-inf", "-0.5", "-5%", "fast"])
+def test_parse_threshold_rejects_non_thresholds(text):
+    # nan and inf would pass every regression; a negative value fails an
+    # equal score.
+    with pytest.raises(argparse.ArgumentTypeError):
+        parse_threshold(text)
+
+
 def _write(tmp_path, name, report):
     path = tmp_path / name
     path.write_text(json.dumps(report))
@@ -134,6 +143,10 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert "REGRESSION" in capsys.readouterr().out
     # a generous threshold lets the 2x slowdown through
     assert main([good, bad, "--max-regression", "150%"]) == 0
+    # nan must not: it is a usage error, not a threshold every score passes
+    with pytest.raises(SystemExit) as exit_:
+        main([good, bad, "--max-regression", "nan"])
+    assert exit_.value.code == 2
 
 
 def test_cli_strict_counters(tmp_path):

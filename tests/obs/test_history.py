@@ -58,6 +58,12 @@ def test_records_filter_by_kind_and_limit(store):
     assert store.records(limit=1)[0].data["wall_ms"] == 6.0  # newest kept
 
 
+def test_records_limit_zero_is_empty(store):
+    store.append("compile", _compile_payload())
+    assert store.records(limit=0) == []
+    assert len(store.records(limit=5)) == 1
+
+
 def test_records_skip_malformed_and_foreign_lines(store):
     store.append("compile", _compile_payload())
     with open(store.path, "a") as handle:

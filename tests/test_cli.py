@@ -637,6 +637,33 @@ def test_compile_tuned_without_entry_falls_back(tmp_path, monkeypatch, capsys):
     assert "GStencils/s" in output
 
 
+def test_compile_tuned_never_applies_a_simulate_entry(tmp_path, capsys):
+    # A user database from before the simulate objective was retired still
+    # loads, but --tuned ignores its entries and compiles the §3.7 pick.
+    from repro.api.session import program_digest
+    from repro.stencils import get_stencil
+    from repro.tuning import TuningDatabase
+
+    db = TuningDatabase()
+    db.record({
+        "program": "jacobi_2d",
+        "digest": program_digest(get_stencil("jacobi_2d")),
+        "device": "GTX 470",
+        "strategy": "random",
+        "objective": "simulate",
+        "best": {"height": 1, "widths": [20, 32], "threads": None, "score": 1e-3},
+    })
+    path = db.save(tmp_path / "old.json")
+    assert main(["compile", "jacobi_2d"]) == 0
+    plain = capsys.readouterr().out
+    assert main(["compile", "jacobi_2d", "--tuned", "--tuning-db", str(path)]) == 0
+    output = capsys.readouterr().out
+    assert output.startswith("no tuned configuration recorded")
+    assert output.endswith(plain)
+    assert main(["tune-table", "--tuning-db", str(path)]) == 0
+    assert "simulate" in capsys.readouterr().out
+
+
 def test_compile_tuned_reads_committed_baseline(capsys):
     # No env override, no user db (cache dir is per-test): the resolution
     # chain ends at the committed package baseline, which covers heat_3d.
@@ -675,10 +702,18 @@ def test_tune_check_fails_without_recorded_entry(tmp_path, monkeypatch, capsys):
 def test_tune_usage_errors(capsys):
     assert main(["tune", "jacobi_2d", "--strategy", "bogus"]) == 2
     assert "unknown search strategy" in capsys.readouterr().err
-    assert main(["tune", "jacobi_2d", "--objective", "bogus"]) == 2
-    assert "unknown tuning objective" in capsys.readouterr().err
+    for objective in ("bogus", "simulate"):
+        assert main(["tune", "jacobi_2d", "--objective", objective]) == 2
+        err = capsys.readouterr().err
+        assert "unknown tuning objective" in err and "known: counters, model" in err
     assert main(["tune", "jacobi_2d", "--budget", "0"]) == 2
     assert main(["tune", "not_a_stencil"]) == 2
+    # A threshold that is not a finite, non-negative fraction would switch
+    # the --check gate off (nan, inf) or fail an equal score (negative).
+    for threshold in ("nan", "inf", "-0.5"):
+        args = ["tune", "jacobi_2d", "--check", "--max-regression", threshold]
+        assert main(args) == 2
+        assert "--max-regression" in capsys.readouterr().err
 
 
 def test_tune_table_command(tmp_path, monkeypatch, capsys):
@@ -844,6 +879,16 @@ def test_inspect_json_contains_span_derived_timings(capsys):
 def test_perf_history_empty(capsys):
     assert main(["perf", "history"]) == 0
     assert "no run history yet" in capsys.readouterr().out
+
+
+def test_perf_history_limit_must_be_positive(capsys):
+    assert main(["compile", "jacobi_1d", "--h", "1", "--widths", "4"]) == 0
+    capsys.readouterr()
+    for limit in ("0", "-1"):
+        assert main(["perf", "history", "--limit", limit]) == 2
+        assert "positive integer" in capsys.readouterr().err
+    assert main(["perf", "history", "--limit", "1", "--json"]) == 0
+    assert len(json.loads(capsys.readouterr().out)) == 1
 
 
 def test_compiles_land_in_perf_history(capsys):

@@ -90,14 +90,30 @@ def test_entries_key_on_strategy_and_objective():
     assert found is not None and found["best"]["score"] == 0.2
 
 
-def test_best_for_prefers_empirical_objectives():
+def test_best_for_prefers_model_over_counters():
     db = TuningDatabase()
-    db.record(_entry(strategy="grid", objective="model", score=0.001))
-    db.record(_entry(strategy="random", objective="simulate", score=0.9))
+    db.record(_entry(strategy="grid", objective="counters", score=0.001))
+    db.record(_entry(strategy="random", objective="model", score=0.9))
     best = db.best_for("d" * 64, "GTX 470")
-    # simulate wins despite the numerically smaller model score: the scores
+    # model wins despite the numerically smaller counters score: the scores
     # are not comparable across objectives.
-    assert best["objective"] == "simulate"
+    assert best["objective"] == "model"
+
+
+def test_best_for_never_applies_other_objectives():
+    # A user database may still hold entries of a retired objective: they
+    # load, but --tuned applies none of them.
+    db = TuningDatabase()
+    db.record(_entry(strategy="random", objective="simulate", score=0.1))
+    assert len(db) == 1
+    assert db.best_for("d" * 64, "GTX 470") is None
+
+
+def test_best_for_ignores_a_lower_scored_other_objective():
+    db = TuningDatabase()
+    db.record(_entry(strategy="random", objective="simulate", score=0.001))
+    db.record(_entry(strategy="grid", objective="model", score=0.9))
+    assert db.best_for("d" * 64, "GTX 470")["objective"] == "model"
 
 
 def test_best_for_picks_lowest_score_within_objective():
@@ -135,8 +151,9 @@ def test_resolution_chain(tmp_path, monkeypatch):
     assert resolve_db_path() == user_db
 
 
-def test_committed_baseline_is_valid_and_covers_the_library():
-    from repro.stencils import list_stencils
+def test_committed_baseline_is_valid_and_covers_the_library(tmp_path):
+    from repro.stencils import get_stencil, list_stencils
+    from repro.tuning import tune
 
     db = TuningDatabase.load(baseline_db_path())
     assert len(db) > 0
@@ -147,6 +164,15 @@ def test_committed_baseline_is_valid_and_covers_the_library():
             entry["digest"], entry["device"], entry["strategy"], entry["objective"]
         )
         assert entry["best"]["score"] <= entry["baseline"]["score"]
+    # Both objectives are deterministic, so any machine regenerates the
+    # committed file byte for byte (README: "Regenerating the baseline
+    # database").  A change that moves a model score fails here.
+    regenerated = TuningDatabase()
+    for name in list_stencils():
+        tune(get_stencil(name), strategy="random", objective="model", budget=32,
+             seed=0, db=regenerated)
+    saved = regenerated.save(tmp_path / "regenerated.json")
+    assert saved.read_bytes() == baseline_db_path().read_bytes()
 
 
 def test_malformed_entries_are_dropped_at_load(tmp_path):

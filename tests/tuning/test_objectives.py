@@ -1,31 +1,29 @@
-"""Tuning objectives: determinism, failure tolerance, cache behaviour."""
+"""Tuning objectives: determinism and failure tolerance."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.api.config import OptimizationConfig
-from repro.cache import DiskCache
 from repro.gpu.device import GTX470
 from repro.stencils import get_stencil
 from repro.tiling.hybrid import TileSizes
 from repro.tuning import Candidate, EvaluationJob, evaluate_candidate, list_objectives
-from repro.tuning.objectives import register_objective
 
 
-def _job(objective, candidate=None, cache_root=None, program=None):
+def _job(objective, candidate=None):
     return EvaluationJob(
-        program=program or get_stencil("jacobi_2d"),
+        program=get_stencil("jacobi_2d"),
         candidate=candidate or Candidate(TileSizes.of(2, 4, 64)),
         objective=objective,
         device=GTX470,
         config=OptimizationConfig.default(),
-        cache_root=cache_root,
+        cache_root=None,
     )
 
 
 def test_objective_registry():
-    assert list_objectives() == ["counters", "model", "simulate"]
+    assert list_objectives() == ["counters", "model"]
 
 
 def test_unknown_objective_raises():
@@ -56,21 +54,6 @@ def test_counters_objective_is_deterministic_and_positive():
     assert first.score == second.score
 
 
-def test_simulate_objective_measures_positive_wall_time(tmp_path):
-    trial = evaluate_candidate(
-        _job("simulate", cache_root=str(tmp_path / "cache"))
-    )
-    assert trial.ok
-    assert 0 < trial.score < 10.0
-
-
-def test_simulate_objective_caches_schedule_arrays(tmp_path):
-    cache_root = tmp_path / "cache"
-    evaluate_candidate(_job("simulate", cache_root=str(cache_root)))
-    stats = DiskCache(cache_root).stats()
-    assert stats.stages.get("tuning-schedule", {}).get("stores", 0) >= 1
-
-
 def test_pipeline_failure_becomes_failed_trial():
     # One width too few for a 2-D stencil: the tiling stage raises; the
     # evaluation must degrade to an infinite-score trial, not crash.
@@ -81,18 +64,3 @@ def test_pipeline_failure_becomes_failed_trial():
     assert trial.score == float("inf")
     assert trial.error
 
-
-def test_custom_objective_registration():
-    def flat(job):
-        return 42.0
-
-    register_objective("flat", flat)
-    try:
-        trial = evaluate_candidate(_job("flat"))
-        assert trial.ok and trial.score == 42.0
-        with pytest.raises(ValueError, match="already registered"):
-            register_objective("flat", flat)
-    finally:
-        from repro.tuning.objectives import _OBJECTIVES
-
-        _OBJECTIVES.pop("flat", None)

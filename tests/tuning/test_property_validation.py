@@ -14,6 +14,7 @@ import random
 
 import pytest
 
+from repro.bench.runner import SIMULATE_INSTANCES
 from repro.gpu.device import GTX470
 from repro.model.preprocess import canonicalize
 from repro.stencils import get_stencil, list_stencils
@@ -21,7 +22,6 @@ from repro.tiling.hybrid import HybridTiling
 from repro.tiling.tile_size import TileSizeModel
 from repro.tiling.validate import validate_hybrid_tiling
 from repro.tuning import CandidateSpace
-from repro.tuning.objectives import SIMULATE_INSTANCES
 
 #: Candidates sampled per stencil (seeded: the sample is stable across runs).
 SAMPLES = 3

@@ -22,7 +22,7 @@ def _db_for(program, height=1, widths=(3, 32), threads=None, score=0.25):
             "digest": program_digest(program),
             "device": GTX470.name,
             "strategy": "random",
-            "objective": "simulate",
+            "objective": "model",
             "seed": 0,
             "budget": 8,
             "evaluations": 9,
