@@ -250,7 +250,6 @@ class VerifyPass(Pass):
         plan: TilingPlan = artifacts["tiling"]
         with obs.span("verify.symbolic", strategy=plan.strategy):
             verdict = verify_tiling_plan(canonical.canonical, plan)
-        obs.count("verify.races", len(verdict.races), strategy=plan.strategy)
 
         lint = None
         code: GeneratedCode | None = artifacts.get("codegen")
@@ -262,7 +261,6 @@ class VerifyPass(Pass):
                     plan=memory.plan if memory is not None else None,
                     device=request.device,
                 )
-            obs.count("verify.lint.findings", len(lint.findings))
         return VerificationReport(strategy=plan.strategy, schedule=verdict, lint=lint)
 
 

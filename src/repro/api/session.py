@@ -27,6 +27,7 @@ What a run offers:
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 import time
 from collections import OrderedDict
@@ -67,9 +68,13 @@ def _fault_delays() -> dict[str, float]:
     for part in raw.split(","):
         name, _, amount = part.partition(":")
         try:
-            delays[name.strip()] = float(amount) / 1e3
+            milliseconds = float(amount)
         except ValueError:
             continue
+        # time.sleep refuses a negative, NaN or infinite length: skip them
+        # like unparseable amounts rather than fail the targeted pass.
+        if math.isfinite(milliseconds) and milliseconds >= 0:
+            delays[name.strip()] = milliseconds / 1e3
     return delays
 
 
@@ -214,7 +219,7 @@ class PipelineRun:
 
 
 class Session:
-    """A configured pipeline: device + strategy + caches + telemetry.
+    """A configured pipeline: device + strategy + caches + span recorder.
 
     Parameters
     ----------
@@ -232,12 +237,13 @@ class Session:
         the default resolution chain (``$HEXCC_TUNING_DB`` → the user
         database → the committed baseline shipped with the package).
     telemetry:
-        A :class:`repro.obs.Telemetry` receiving this session's spans and
-        metrics.  ``None`` (the default) uses whatever telemetry is ambient
-        at :meth:`run` time (see :func:`repro.obs.use`) — the shared no-op
-        unless a caller activated one.  An explicit telemetry is installed
-        as ambient for the duration of each run, so nested machinery (disk
-        cache, engine fan-outs, strategies) records into it too.
+        A span recorder (:class:`repro.obs.TraceRecorder`) receiving this
+        session's spans.  ``None`` (the default) uses whatever recorder is
+        ambient at :meth:`run` time (see :func:`repro.obs.use`) — the shared
+        no-op unless a caller activated one.  An explicit recorder is
+        installed as ambient for the duration of each run, so nested
+        machinery (disk cache, engine fan-outs, strategies) records into it
+        too.
     """
 
     #: Size of the in-memory pass-artifact LRU.
@@ -249,7 +255,7 @@ class Session:
         strategy: str = "hybrid",
         disk_cache: DiskCache | None = None,
         tuning_db: Any = None,
-        telemetry: obs.Telemetry | None = None,
+        telemetry: obs.NullRecorder | None = None,
     ) -> None:
         get_strategy(strategy)  # fail fast on unknown names
         self.device = device
@@ -364,14 +370,14 @@ class Session:
         )
         get_strategy(request.strategy)  # fail fast before running any pass
 
-        # The session's explicit telemetry wins; otherwise record into
+        # The session's explicit recorder wins; otherwise record into
         # whatever is ambient (the shared no-op unless a caller activated
         # one).  Installing it as ambient makes the nested machinery — disk
         # cache, strategies, engine fan-outs — record into the same trace.
-        telemetry = self.telemetry if self.telemetry is not None else obs.current()
+        recorder = self.telemetry if self.telemetry is not None else obs.current()
         label = program.name if isinstance(program, StencilProgram) else "<source>"
         stage_keys: dict[str, str] = {}
-        with obs.use(telemetry), telemetry.span(
+        with obs.use(recorder), recorder.span(
             "session.run",
             program=label,
             strategy=request.strategy,
@@ -380,19 +386,13 @@ class Session:
         ) as run_span:
             try:
                 artifacts, events = self._execute(
-                    request, stop, inject, telemetry, stage_keys
+                    request, stop, inject, recorder, stage_keys
                 )
             except StrategyError:
                 # An expected "this strategy cannot express that" outcome,
                 # not a pipeline fault: no crash report.
                 raise
             except Exception as error:
-                obs.event(
-                    "pipeline.error",
-                    level="error",
-                    program=label,
-                    error=f"{type(error).__name__}: {error}",
-                )
                 obs.log.attach_crash_report(
                     error,
                     obs.write_crash_report(
@@ -404,14 +404,11 @@ class Session:
                             "device": request.device.name,
                             "stop": stop,
                         },
-                        telemetry=telemetry,
+                        recorder=recorder,
                         stage_keys=stage_keys,
                     ),
                 )
                 raise
-        telemetry.metrics.observe(
-            "compile.wall_ms", run_span.duration_s * 1e3, stop=stop
-        )
         digest = (
             program_digest(artifacts["parse"].program)
             if "parse" in artifacts
@@ -462,10 +459,10 @@ class Session:
         request: CompilationRequest,
         stop: str,
         inject: Mapping[str, Any],
-        telemetry: obs.Telemetry,
+        recorder: obs.NullRecorder,
         stage_keys: dict[str, str] | None = None,
     ) -> tuple[dict[str, Any], list[PassEvent]]:
-        """The pass loop; every pass is timed through its telemetry span.
+        """The pass loop; every pass is timed through its span.
 
         ``stage_keys`` (when given) is filled with the cache key of every
         keyed pass as it runs, so a crash report can name the artifacts the
@@ -477,7 +474,7 @@ class Session:
         digest = ""
         fault_delays = _fault_delays()
         for pipeline_pass in PIPELINE_PASSES:
-            with telemetry.span(f"pass.{pipeline_pass.name}") as pass_span:
+            with recorder.span(f"pass.{pipeline_pass.name}") as pass_span:
                 delay = fault_delays.get(pipeline_pass.name)
                 if delay:
                     # Inside the span: the injected time shows up as this
@@ -514,18 +511,13 @@ class Session:
                 digest = program_digest(artifact.program)
             # The span is the single timing source: PassEvent.wall_s, the
             # trace, `hexcc profile` and the bench timings all agree.
-            event = PassEvent(
-                name=pipeline_pass.name,
-                wall_s=pass_span.duration_s,
-                source=source,
-                counters=_artifact_counters(artifact),
-            )
-            events.append(event)
-            obs.event(
-                "pass.done",
-                stage=pipeline_pass.name,
-                source=source,
-                wall_ms=round(event.wall_s * 1e3, 6),
+            events.append(
+                PassEvent(
+                    name=pipeline_pass.name,
+                    wall_s=pass_span.duration_s,
+                    source=source,
+                    counters=_artifact_counters(artifact),
+                )
             )
             if pipeline_pass.name == stop:
                 break

@@ -137,8 +137,8 @@ class DiskCache:
         """Fetch and unpickle one entry; corrupt or stale entries are dropped.
 
         ``stage`` (a pipeline pass name) attributes the hit/miss to a
-        per-stage counter for ``hexcc cache stats`` and to the telemetry
-        ``cache.hit``/``cache.miss`` metrics.
+        per-stage counter for ``hexcc cache stats``; the ``cache.get`` span
+        records the outcome (``hit``, ``miss`` or ``stale``).
         """
         with obs.span("cache.get", stage=stage) as span:
             path = self._path(key)
@@ -165,13 +165,11 @@ class DiskCache:
             span.set(outcome="hit", bytes=len(blob))
             self.hits += 1
             self._count_stage(stage, "hits")
-            obs.count("cache.hit", stage=stage)
             return payload
 
     def _miss(self, stage: str | None) -> None:
         self.misses += 1
         self._count_stage(stage, "misses")
-        obs.count("cache.miss", stage=stage)
 
     def put(self, key: str, payload: object, stage: str | None = None) -> None:
         """Atomically write one entry (last writer wins)."""
@@ -197,7 +195,6 @@ class DiskCache:
                 raise
             self.stores += 1
             self._count_stage(stage, "stores")
-            obs.count("cache.store", stage=stage)
 
     def _discard(self, path: Path) -> None:
         with contextlib.suppress(OSError):

@@ -472,6 +472,19 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _non_negative_int(text: str) -> int:
+    """Argparse type of ``--jobs``: a process count, ``0`` for every core."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative integer, got {text!r}"
+        )
+    return value
+
+
 def _sizes_arg(text: str) -> tuple[int, ...]:
     try:
         sizes = tuple(int(part) for part in text.split(","))
@@ -705,13 +718,13 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
     program = _get_stencil_checked(args.stencil)
     cache = _disk_cache(args)
-    telemetry = obs.Telemetry()
-    with obs.use(telemetry):
+    recorder = obs.TraceRecorder()
+    with obs.use(recorder):
         session = Session(
             device=_get_device_checked(args.device),
             strategy="hybrid",
             disk_cache=cache,
-            telemetry=telemetry,
+            telemetry=recorder,
         )
         # All six stages, so the trace covers the whole pipeline.
         session.run(program, stop_after="analysis")
@@ -723,8 +736,8 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         ]
         map_ordered(_trace_config_compile, tasks, jobs=args.jobs)
     _flush_cache(cache)
-    spans = telemetry.recorder.drain()
-    path = write_trace(args.output, spans, telemetry.metrics.snapshot())
+    spans = recorder.drain()
+    path = write_trace(args.output, spans)
     processes = len({span.pid for span in spans})
     print(
         f"wrote {path}: {len(spans)} spans across {processes} process(es); "
@@ -739,16 +752,16 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
     program = _get_stencil_checked(args.stencil)
     cache = _disk_cache(args)
-    telemetry = obs.Telemetry()
+    recorder = obs.TraceRecorder()
     session = Session(
         device=_get_device_checked(args.device),
         strategy="hybrid",
         disk_cache=cache,
-        telemetry=telemetry,
+        telemetry=recorder,
     )
     session.run(program, stop_after="analysis")
     _flush_cache(cache)
-    spans = telemetry.recorder.drain()
+    spans = recorder.drain()
     rows = profile_rows(spans)
     total = total_wall_s(spans)
     if args.json:
@@ -765,7 +778,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
                 }
                 for row in rows
             ],
-            "metrics": telemetry.metrics.snapshot(),
         }
         print(json.dumps(payload, indent=2))
     else:
@@ -844,12 +856,12 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     from repro.bench.runner import format_report, select_stencils
 
     suites = ("compile", "simulate") if args.suite == "all" else (args.suite,)
-    telemetry = obs.Telemetry() if args.trace is not None else None
+    recorder = obs.TraceRecorder() if args.trace is not None else None
     try:
         stencils = (
             select_stencils(args.stencils.split(",")) if args.stencils else None
         )
-        with obs.use(telemetry) if telemetry is not None else nullcontext():
+        with obs.use(recorder) if recorder is not None else nullcontext():
             report = run_bench(
                 BenchOptions(
                     suites=suites,
@@ -863,12 +875,10 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     except ValueError as error:
         raise UsageError(str(error)) from None
     print(format_report(report))
-    if telemetry is not None:
+    if recorder is not None:
         from repro.obs.export import write_trace
 
-        path = write_trace(
-            args.trace, telemetry.recorder.drain(), telemetry.metrics.snapshot()
-        )
+        path = write_trace(args.trace, recorder.drain())
         print(f"wrote {path}")
 
     if args.json is not None:
@@ -1104,7 +1114,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_device_argument(trace_parser)
     trace_parser.add_argument(
-        "--jobs", type=int, default=2, metavar="N",
+        "--jobs", type=_non_negative_int, default=2, metavar="N",
         help="worker processes for the configuration sweep "
              "(0 = all cores; default: 2)",
     )
@@ -1119,7 +1129,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_device_argument(profile_parser)
     profile_parser.add_argument(
         "--json", action="store_true",
-        help="emit the rows plus the metrics snapshot as JSON",
+        help="emit the rows as JSON",
     )
     _add_no_cache_argument(profile_parser)
     profile_parser.set_defaults(func=_cmd_profile)
@@ -1208,7 +1218,7 @@ def _add_device_argument(parser: argparse.ArgumentParser) -> None:
 
 def _add_jobs_argument(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
+        "--jobs", type=_non_negative_int, default=1, metavar="N",
         help="fan the work across N processes (0 = all cores; default: 1); "
              "results are identical for every N",
     )

@@ -15,10 +15,10 @@ Telemetry: when a trace is being recorded (:func:`repro.obs.current` is
 enabled), each parallel item is shipped with a :class:`~repro.obs.TraceContext`
 and executed in the worker under a fresh recorder rooted at an
 ``engine.worker`` span.  The worker's completed spans (carrying its real
-pid/tid) and its metrics snapshot ride back with the result and are stitched
-into the parent trace/registry — so a fanned-out run produces one coherent
-trace with per-process tracks.  With telemetry disabled (the default), the
-fan-out path is byte-for-byte the old one: no wrapping, no extra pickling.
+pid/tid) ride back with the result and are stitched into the parent trace —
+so a fanned-out run produces one coherent trace with per-process tracks.
+With telemetry disabled (the default), the fan-out path is byte-for-byte the
+old one: no wrapping, no extra pickling.
 """
 
 from __future__ import annotations
@@ -54,26 +54,24 @@ class _TracedTask:
 
 @dataclass(frozen=True)
 class _TracedOutcome:
-    """A worker's result plus the telemetry it produced while computing it."""
+    """A worker's result plus the spans it recorded while computing it."""
 
     result: Any
     spans: list
-    metrics: dict
-    events: tuple = ()  # the worker's event-log tail (obs.log.Event items)
 
 
 def _run_traced(task: _TracedTask) -> _TracedOutcome:
-    """Execute one item in a worker under a fresh, linked telemetry.
+    """Execute one item in a worker under a fresh, linked recorder.
 
     Runs in the worker process: the spans recorded here carry the worker's
     pid/tid, and the root ``engine.worker`` span is parented on the parent
-    process's fan-out span so the subtree stitches into one trace.  The
-    worker's event tail rides back too, and a worker that raises writes its
-    own crash report (the parent process never sees this worker's state).
+    process's fan-out span so the subtree stitches into one trace.  A worker
+    that raises writes its own crash report (the parent process never sees
+    this worker's state).
     """
-    telemetry = obs.Telemetry()
+    recorder = obs.TraceRecorder()
     try:
-        with obs.use(telemetry), telemetry.recorder.root_span(
+        with obs.use(recorder), recorder.root_span(
             "engine.worker", context=task.context, item=task.index
         ):
             result = task.function(task.item)
@@ -86,16 +84,11 @@ def _run_traced(task: _TracedTask) -> _TracedOutcome:
                 obs.write_crash_report(
                     error,
                     context={"operation": "engine.worker", "item": task.index},
-                    telemetry=telemetry,
+                    recorder=recorder,
                 ),
             )
         raise
-    return _TracedOutcome(
-        result=result,
-        spans=telemetry.recorder.drain(),
-        metrics=telemetry.metrics.snapshot(),
-        events=tuple(telemetry.events.tail()),
-    )
+    return _TracedOutcome(result=result, spans=recorder.drain())
 
 
 def map_ordered(
@@ -112,9 +105,9 @@ def map_ordered(
     """
     materialised: Sequence[_Item] = list(items)
     effective = resolve_jobs(jobs)
-    telemetry = obs.current()
+    recorder = obs.current()
     if effective <= 1 or len(materialised) <= 1:
-        if not telemetry.enabled:
+        if not recorder.enabled:
             return [function(item) for item in materialised]
         results: list[_Result] = []
         with obs.span("engine.map_ordered", jobs=1, items=len(materialised)):
@@ -123,7 +116,7 @@ def map_ordered(
                     results.append(function(item))
         return results
     workers = min(effective, len(materialised))
-    if not telemetry.enabled:
+    if not recorder.enabled:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             # Executor.map preserves submission order regardless of
             # completion order, which is the whole determinism story.
@@ -131,7 +124,7 @@ def map_ordered(
     with obs.span(
         "engine.map_ordered", jobs=workers, items=len(materialised)
     ) as fan_span:
-        context = telemetry.recorder.export_context()
+        context = recorder.export_context()
         tasks = [
             _TracedTask(function=function, item=item, index=index, context=context)
             for index, item in enumerate(materialised)
@@ -143,7 +136,5 @@ def map_ordered(
         results.append(outcome.result)
         # Worker roots carry parent_id from the exported context already;
         # adopt() re-parents only spans that lost their root (none here).
-        telemetry.recorder.adopt(outcome.spans, parent_id=fan_span.span_id)
-        telemetry.metrics.merge(outcome.metrics)
-        telemetry.events.extend(outcome.events)
+        recorder.adopt(outcome.spans, parent_id=fan_span.span_id)
     return results

@@ -1,8 +1,8 @@
 """Experiment harnesses regenerating every table and figure of the paper.
 
 Each module returns plain data structures (lists of row dictionaries) plus a
-formatter, so the same code backs the pytest benchmarks in ``benchmarks/``,
-the examples and EXPERIMENTS.md.
+formatter, so the same code backs the pytest benchmarks in ``benchmarks/``
+and the examples.
 """
 
 from typing import Any

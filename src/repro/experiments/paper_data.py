@@ -1,8 +1,8 @@
 """Numbers reported in the paper, kept for side-by-side comparison.
 
 These are transcribed from Tables 1, 2, 4 and 5 of the paper and are used by
-EXPERIMENTS.md and by the benchmarks to compare the *shape* of our model's
-results (who wins, by roughly what factor) against the published results.
+the benchmarks to compare the *shape* of our model's results (who wins, by
+roughly what factor) against the published results.
 They are never used as inputs to the model.
 """
 
@@ -62,7 +62,3 @@ PAPER_TILE_SIZES: dict[str, TileSizes] = {
     "heat_3d": TileSizes.of(2, 7, 10, 32),
     "gradient_3d": TileSizes.of(1, 3, 8, 32),
 }
-
-# Observations from the running text of Section 6 that benchmarks check.
-PAPER_TIME_STEPS_PER_TILE = {"2d": 8, "3d": 4}
-PAPER_HEAT3D_SPEEDUP_OVER_A = 2.5   # "overall speedup of 250%" (Section 6.2)

@@ -1,4 +1,4 @@
-"""Exporters: Chrome trace-event JSON and the metrics dump.
+"""Exporter: Chrome trace-event JSON.
 
 The trace format is the Trace Event Format consumed by Perfetto
 (https://ui.perfetto.dev) and chrome://tracing: a ``traceEvents`` list of
@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
-from collections.abc import Mapping, Sequence
+from collections.abc import Sequence
 from typing import Any
 
 from repro.obs.spans import Span
@@ -24,9 +24,7 @@ TRACE_KIND = "hexcc-trace"
 TRACE_SCHEMA_VERSION = 1
 
 
-def chrome_trace(
-    spans: Sequence[Span], metrics: Mapping[str, Any] | None = None
-) -> dict[str, Any]:
+def chrome_trace(spans: Sequence[Span]) -> dict[str, Any]:
     """Build a Chrome trace-event document from completed spans."""
     events: list[dict[str, Any]] = []
     main_pid = os.getpid()
@@ -66,7 +64,7 @@ def chrome_trace(
                 "args": args,
             }
         )
-    document: dict[str, Any] = {
+    return {
         "traceEvents": events,
         "displayTimeUnit": "ms",
         "otherData": {
@@ -76,27 +74,11 @@ def chrome_trace(
             "processes": len(seen_pids),
         },
     }
-    if metrics:
-        document["metrics"] = dict(metrics)
-    return document
 
 
-def write_trace(
-    path: str | Path,
-    spans: Sequence[Span],
-    metrics: Mapping[str, Any] | None = None,
-) -> Path:
+def write_trace(path: str | Path, spans: Sequence[Span]) -> Path:
     """Serialise a Chrome trace to ``path``; returns the written path."""
     destination = Path(path)
-    document = chrome_trace(spans, metrics)
-    destination.write_text(json.dumps(document, indent=2) + "\n")
+    destination.write_text(json.dumps(chrome_trace(spans), indent=2) + "\n")
     return destination
 
-
-def metrics_document(snapshot: Mapping[str, Any]) -> dict[str, Any]:
-    """Wrap a registry snapshot in a versioned, self-identifying envelope."""
-    return {
-        "kind": "hexcc-metrics",
-        "schema_version": 1,
-        "metrics": dict(snapshot),
-    }

@@ -1,48 +1,29 @@
-"""Structured event log, the flight recorder, and crash reports.
+"""Crash reports: the post-mortem a failing pass, sweep or worker leaves.
 
-The third telemetry plane next to spans and metrics: a stream of discrete,
-JSON-safe **events** (``{ts, name, level, span_id, trace_id, fields}``).
-Two consumers share one record type:
-
-* the **flight recorder** — a bounded in-memory ring of the last N events.
-  One process-global instance is always on (even with tracing disabled, a
-  deque append costs microseconds), so a crash report always has context;
-  an enabled :class:`~repro.obs.Telemetry` gets its own
-  :class:`EventLog` and engine workers ship their event tails back to the
-  parent next to their spans and metrics.
-* an optional **JSON-lines sink** — pass ``sink=`` to stream every event
-  to a file as it happens (one JSON object per line, append-only).
-
-**Crash reports**: when a pipeline pass, the tuner loop or an engine worker
-raises, :func:`write_crash_report` persists a post-mortem document — the
-exception and traceback, the last events, the open span stack, a metrics
-snapshot, and the artifact stage keys computed so far — under
-``$HEXCC_CACHE_DIR/crash/`` and returns its path (the CLI prints it).
-Reports are retained newest-first up to ``$HEXCC_CRASH_KEEP`` (default
-{DEFAULT_CRASH_KEEP}); writing is best-effort and never masks the original
-exception.
+When a pipeline pass, the tuner loop or an engine worker raises,
+:func:`write_crash_report` persists a post-mortem document — the exception
+and traceback, the operation context, the open span stack, and the
+artifact stage keys computed so far — under ``$HEXCC_CACHE_DIR/crash/`` and
+returns its path (the CLI prints it).  Reports are retained newest-first up
+to ``$HEXCC_CRASH_KEEP`` (default 20); writing is best-effort and never
+masks the original exception.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import threading
 import time
 import traceback
-from collections import deque
-from dataclasses import dataclass, field
 from pathlib import Path
-from collections.abc import Iterable, Mapping
+from collections.abc import Mapping
 from typing import Any
 
 #: Crash-report document identity.
 CRASH_KIND = "hexcc-crash"
-CRASH_SCHEMA_VERSION = 1
+CRASH_SCHEMA_VERSION = 2
 
 #: Retention knobs (see the README's Observability section).
-FLIGHT_RECORDER_SIZE_ENV = "HEXCC_FLIGHT_RECORDER_SIZE"
-DEFAULT_FLIGHT_RECORDER_SIZE = 256
 CRASH_KEEP_ENV = "HEXCC_CRASH_KEEP"
 DEFAULT_CRASH_KEEP = 20
 #: Set non-empty to suppress crash-report files entirely.
@@ -53,150 +34,6 @@ def _json_safe(value: Any) -> Any:
     if value is None or isinstance(value, (bool, int, float, str)):
         return value
     return str(value)
-
-
-@dataclass(frozen=True)
-class Event:
-    """One structured log record (immutable; picklable across processes)."""
-
-    ts_ns: int  # wall-clock nanoseconds
-    name: str
-    level: str  # "info" | "warn" | "error"
-    pid: int
-    span_id: str | None = None
-    trace_id: str | None = None
-    fields: Mapping[str, Any] = field(default_factory=dict)
-
-    def to_json(self) -> dict[str, Any]:
-        record: dict[str, Any] = {
-            "ts_ns": self.ts_ns,
-            "name": self.name,
-            "level": self.level,
-            "pid": self.pid,
-        }
-        if self.span_id is not None:
-            record["span_id"] = self.span_id
-        if self.trace_id is not None:
-            record["trace_id"] = self.trace_id
-        if self.fields:
-            record["fields"] = {k: _json_safe(v) for k, v in self.fields.items()}
-        return record
-
-
-class NullEventLog:
-    """The disabled log: every operation is a no-op."""
-
-    enabled = False
-
-    def emit(
-        self,
-        name: str,
-        level: str = "info",
-        span_id: str | None = None,
-        trace_id: str | None = None,
-        **fields: Any,
-    ) -> None:
-        pass
-
-    def extend(self, events: Iterable[Event]) -> None:
-        pass
-
-    def tail(self) -> list[Event]:
-        return []
-
-    def clear(self) -> None:
-        pass
-
-
-def flight_recorder_size() -> int:
-    """The flight-recorder capacity (``$HEXCC_FLIGHT_RECORDER_SIZE``)."""
-    raw = os.environ.get(FLIGHT_RECORDER_SIZE_ENV)
-    try:
-        size = int(raw) if raw else DEFAULT_FLIGHT_RECORDER_SIZE
-    except ValueError:
-        return DEFAULT_FLIGHT_RECORDER_SIZE
-    return max(1, size)
-
-
-class EventLog(NullEventLog):
-    """A bounded in-memory event ring with an optional JSONL file sink.
-
-    Thread-safe (one lock around the ring and the sink); the sink is opened
-    lazily on the first emit and every record is flushed, so a crash loses
-    at most the event being written.  Sink I/O errors disable the sink for
-    the rest of the log's life rather than failing the instrumented code.
-    """
-
-    enabled = True
-
-    def __init__(
-        self, capacity: int | None = None, sink: str | Path | None = None
-    ) -> None:
-        self._lock = threading.Lock()
-        self._tail: deque[Event] = deque(
-            maxlen=capacity if capacity is not None else flight_recorder_size()
-        )
-        self._sink_path = Path(sink) if sink is not None else None
-        self._sink_file: Any = None
-        self._sink_broken = False
-
-    @property
-    def capacity(self) -> int:
-        return self._tail.maxlen or 0
-
-    def emit(
-        self,
-        name: str,
-        level: str = "info",
-        span_id: str | None = None,
-        trace_id: str | None = None,
-        **fields: Any,
-    ) -> None:
-        event = Event(
-            ts_ns=time.time_ns(),
-            name=name,
-            level=level,
-            pid=os.getpid(),
-            span_id=span_id,
-            trace_id=trace_id,
-            fields=fields,
-        )
-        with self._lock:
-            self._tail.append(event)
-            self._write_sink(event)
-
-    def extend(self, events: Iterable[Event]) -> None:
-        """Adopt events recorded elsewhere (typically a worker's tail)."""
-        with self._lock:
-            for event in events:
-                self._tail.append(event)
-                self._write_sink(event)
-
-    def tail(self) -> list[Event]:
-        """The retained events, oldest first (bounded by the capacity)."""
-        with self._lock:
-            return list(self._tail)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._tail.clear()
-
-    def _write_sink(self, event: Event) -> None:
-        if self._sink_path is None or self._sink_broken:
-            return
-        try:
-            if self._sink_file is None:
-                self._sink_path.parent.mkdir(parents=True, exist_ok=True)
-                self._sink_file = open(self._sink_path, "a", encoding="utf-8")
-            self._sink_file.write(json.dumps(event.to_json()) + "\n")
-            self._sink_file.flush()
-        except OSError:
-            self._sink_broken = True
-
-
-#: The always-on process-global flight recorder: disabled telemetry shares
-#: it, so a crash report has a tail to dump even when nothing else records.
-FLIGHT_RECORDER = EventLog()
 
 
 def crash_report_dir() -> Path:
@@ -229,23 +66,22 @@ def write_crash_report(
     error: BaseException,
     *,
     context: Mapping[str, Any] | None = None,
-    telemetry: Any = None,
+    recorder: Any = None,
     stage_keys: Mapping[str, str] | None = None,
 ) -> Path | None:
     """Persist a post-mortem document for ``error``; returns its path.
 
-    ``telemetry`` defaults to the ambient one; its event tail, open span
-    stack and metrics snapshot are embedded.  Returns ``None`` when crash
-    reporting is disabled (``$HEXCC_CRASH_DISABLE``) or the report cannot
-    be written — never raises, so the original exception stays primary.
+    ``recorder`` defaults to the ambient span recorder; its open span stack
+    is embedded.  Returns ``None`` when crash reporting is disabled
+    (``$HEXCC_CRASH_DISABLE``) or the report cannot be written — never
+    raises, so the original exception stays primary.
     """
     if os.environ.get(CRASH_DISABLE_ENV):
         return None
     from repro import obs
 
-    if telemetry is None:
-        telemetry = obs.current()
-    events = telemetry.events.tail() or FLIGHT_RECORDER.tail()
+    if recorder is None:
+        recorder = obs.current()
     document = {
         "kind": CRASH_KIND,
         "schema_version": CRASH_SCHEMA_VERSION,
@@ -261,11 +97,8 @@ def write_crash_report(
         "context": {k: _json_safe(v) for k, v in (context or {}).items()},
         "span_stack": [
             {"span_id": span_id, "name": name}
-            for span_id, name in telemetry.recorder.open_spans()
+            for span_id, name in recorder.open_spans()
         ],
-        "trace_id": telemetry.recorder.trace_id,
-        "events": [event.to_json() for event in events],
-        "metrics": telemetry.metrics.snapshot(),
         "stage_keys": dict(stage_keys or {}),
     }
     try:

@@ -1,4 +1,4 @@
-"""Hierarchical spans: the trace side of the telemetry subsystem.
+"""Hierarchical spans: the one record of the telemetry subsystem.
 
 A **span** is one timed, named region of work with attributes and a parent
 link; the spans of one run form a tree (pipeline passes under the session
@@ -134,10 +134,6 @@ class NullRecorder:
 
     enabled = False
 
-    #: Disabled recorders have no trace identity; events logged against them
-    #: carry ``trace_id=None``.
-    trace_id: str | None = None
-
     def span(self, name: str, **attributes: Any) -> SpanHandle:
         return SpanHandle(self, name, attributes)
 
@@ -152,9 +148,6 @@ class NullRecorder:
 
     def _exit(self, handle: SpanHandle, end_perf_ns: int) -> None:
         pass
-
-    def current_span_id(self) -> str | None:
-        return None
 
     def open_spans(self) -> list[tuple[str, str]]:
         """``(span_id, name)`` of every currently open span, outermost first."""
@@ -186,9 +179,6 @@ class TraceRecorder(NullRecorder):
         # span's timestamp is monotonic *and* comparable across processes.
         self._epoch_wall_ns = time.time_ns()
         self._epoch_perf_ns = time.perf_counter_ns()
-        #: Identity of this trace (event-log records reference it); unique
-        #: per recorder because the span sequence is process-global.
-        self.trace_id: str | None = f"{self._pid:x}-t{next(_SPAN_SEQ)}"
 
     def span(self, name: str, **attributes: Any) -> SpanHandle:
         return SpanHandle(self, name, attributes)
@@ -200,17 +190,13 @@ class TraceRecorder(NullRecorder):
         parent = context.parent_id if context is not None else None
         return SpanHandle(self, name, attributes, parent_id=parent)
 
-    def current_span_id(self) -> str | None:
-        """Id of the innermost open span (for exporting a TraceContext)."""
-        return self._stack[-1][0] if self._stack else None
-
     def open_spans(self) -> list[tuple[str, str]]:
         """``(span_id, name)`` of every currently open span, outermost first."""
         return list(self._stack)
 
     def export_context(self) -> TraceContext:
         """The propagation context a worker process should record under."""
-        return TraceContext(parent_id=self.current_span_id())
+        return TraceContext(parent_id=self._stack[-1][0] if self._stack else None)
 
     def _enter(self, handle: SpanHandle) -> None:
         handle.span_id = f"{self._pid:x}-{next(_SPAN_SEQ)}"

@@ -86,8 +86,10 @@ def validate_spans(spans: Sequence[Any]) -> list[str]:
     return problems
 
 
-def validate_chrome_trace(document: Mapping[str, Any]) -> list[str]:
+def validate_chrome_trace(document: Any) -> list[str]:
     """Return every schema problem found (empty list = valid)."""
+    if not isinstance(document, Mapping):
+        return ["document is not a JSON object"]
     problems: list[str] = []
     events = document.get("traceEvents")
     if not isinstance(events, list):

@@ -291,10 +291,6 @@ def _tune_impl(
                     trials[index] = cached
                     continue
             missing.append((index, candidate))
-        obs.count("tune.trials", float(len(batch)), objective=objective)
-        obs.count(
-            "tune.trials_cached", float(len(batch) - len(missing)), objective=objective
-        )
         fresh = map_ordered(
             evaluate_candidate,
             [
@@ -336,9 +332,6 @@ def _tune_impl(
     ):
         trials = search.search(space, evaluate, budget, seed, start=start)
     succeeded = [trial for trial in trials if trial.ok]
-    obs.count(
-        "tune.failures", float(len(trials) - len(succeeded)), objective=objective
-    )
     best = min(
         succeeded + [baseline],
         key=lambda trial: (trial.score, trial.candidate.label()),

@@ -102,12 +102,12 @@ def test_session_telemetry_records_passes_cache_io_and_wall(program, tmp_path):
     from repro import obs
     from repro.cache import DiskCache
 
-    telemetry = obs.Telemetry()
+    recorder = obs.TraceRecorder()
     session = Session(
-        disk_cache=DiskCache(tmp_path / "hexcc"), telemetry=telemetry
+        disk_cache=DiskCache(tmp_path / "hexcc"), telemetry=recorder
     )
     session.run(program, tile_sizes=SIZES, stop_after="tiling")
-    spans = telemetry.recorder.drain()
+    spans = recorder.drain()
     names = {span.name for span in spans}
     assert {"session.run", "pass.parse", "pass.canonicalize", "pass.tiling"} <= names
     assert "cache.put" in names and "cache.serialize" in names
@@ -116,20 +116,25 @@ def test_session_telemetry_records_passes_cache_io_and_wall(program, tmp_path):
     for span in spans:
         if span.name == "cache.put":
             assert by_id[span.parent_id].name.startswith("pass.")
-    snapshot = telemetry.metrics.snapshot()
-    assert snapshot["counters"]["cache.store{stage=canonicalize}"] == 1.0
-    assert snapshot["histograms"]["compile.wall_ms{stop=tiling}"]["count"] == 1
+    stores = [
+        span for span in spans
+        if span.name == "cache.put" and span.attributes["stage"] == "canonicalize"
+    ]
+    assert len(stores) == 1
+    (run,) = [span for span in spans if span.name == "session.run"]
+    assert run.attributes["stop"] == "tiling"
+    assert run.duration_ns > 0
 
 
 def test_pass_events_and_spans_share_one_timing_source(program):
     """inspect/bench timings (PassEvent.wall_s) equal the span durations."""
     from repro import obs
 
-    telemetry = obs.Telemetry()
-    run = Session(telemetry=telemetry).run(program, tile_sizes=SIZES)
+    recorder = obs.TraceRecorder()
+    run = Session(telemetry=recorder).run(program, tile_sizes=SIZES)
     durations = {
         span.name: span.duration_s
-        for span in telemetry.recorder.drain()
+        for span in recorder.drain()
         if span.name.startswith("pass.")
     }
     for event in run.events:
@@ -139,10 +144,10 @@ def test_pass_events_and_spans_share_one_timing_source(program):
 def test_ambient_telemetry_is_used_when_none_is_passed(program):
     from repro import obs
 
-    telemetry = obs.Telemetry()
-    with obs.use(telemetry):
+    recorder = obs.TraceRecorder()
+    with obs.use(recorder):
         Session().run(program, tile_sizes=SIZES, stop_after="canonicalize")
-    names = [span.name for span in telemetry.recorder.drain()]
+    names = [span.name for span in recorder.drain()]
     assert "session.run" in names and "pass.canonicalize" in names
 
 

@@ -21,15 +21,14 @@ def _square(value: int) -> int:
 
 def _traced_square(value: int) -> int:
     with obs.span("work.square", value=value):
-        obs.count("work.items")
         return value * value
 
 
 def test_serial_tracing_wraps_items():
-    telemetry = obs.Telemetry()
-    with obs.use(telemetry):
+    recorder = obs.TraceRecorder()
+    with obs.use(recorder):
         assert map_ordered(_traced_square, [1, 2, 3], jobs=1) == [1, 4, 9]
-    spans = telemetry.recorder.drain()
+    spans = recorder.drain()
     by_name = {}
     for span in spans:
         by_name.setdefault(span.name, []).append(span)
@@ -37,17 +36,17 @@ def test_serial_tracing_wraps_items():
     assert fan.attributes == {"jobs": 1, "items": 3}
     assert len(by_name["engine.item"]) == 3
     assert all(s.parent_id == fan.span_id for s in by_name["engine.item"])
-    assert telemetry.metrics.snapshot()["counters"]["work.items"] == 3.0
+    assert len(by_name["work.square"]) == 3
 
 
 def test_parallel_workers_stitch_into_one_trace():
-    telemetry = obs.Telemetry()
+    recorder = obs.TraceRecorder()
     items = list(range(8))
-    with obs.use(telemetry):
+    with obs.use(recorder):
         results = map_ordered(_traced_square, items, jobs=2)
     assert results == [value * value for value in items]
 
-    spans = telemetry.recorder.drain()
+    spans = recorder.drain()
     ids = {span.span_id for span in spans}
     fans = [s for s in spans if s.name == "engine.map_ordered"]
     workers = [s for s in spans if s.name == "engine.worker"]
@@ -73,23 +72,18 @@ def test_parallel_workers_stitch_into_one_trace():
     # Span ids stay unique even though pool processes are reused across items.
     assert len(ids) == len(spans)
 
-    # Worker metrics merged into the parent registry.
-    counters = telemetry.metrics.snapshot()["counters"]
-    assert counters["work.items"] == float(len(items))
-
 
 def test_parallel_results_identical_with_and_without_tracing():
     items = list(range(6))
     plain = map_ordered(_square, items, jobs=2)
-    telemetry = obs.Telemetry()
-    with obs.use(telemetry):
+    with obs.use(obs.TraceRecorder()):
         traced = map_ordered(_square, items, jobs=2)
     assert traced == plain == [value * value for value in items]
 
 
 def test_disabled_telemetry_records_nothing():
     assert map_ordered(_traced_square, [1, 2], jobs=2) == [1, 4]
-    assert obs.current().recorder.drain() == []
+    assert obs.current().drain() == []
 
 
 def _span_tree(spans):
@@ -107,9 +101,9 @@ def test_traced_compile_structure_is_deterministic():
     program = get_stencil("jacobi_2d", sizes=(20, 18), steps=10)
     trees = []
     for _ in range(2):
-        telemetry = obs.Telemetry()
-        Session(telemetry=telemetry).run(program, stop_after="analysis")
-        trees.append(_span_tree(telemetry.recorder.drain()))
+        recorder = obs.TraceRecorder()
+        Session(telemetry=recorder).run(program, stop_after="analysis")
+        trees.append(_span_tree(recorder.drain()))
     assert trees[0] == trees[1]
     assert trees[0] == [
         ("pass.analysis", "session.run"),

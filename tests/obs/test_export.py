@@ -5,15 +5,16 @@ from __future__ import annotations
 import json
 import os
 
+import pytest
+
 from repro.obs.export import (
     TRACE_KIND,
     TRACE_SCHEMA_VERSION,
     chrome_trace,
-    metrics_document,
     write_trace,
 )
 from repro.obs.spans import TraceRecorder
-from repro.obs.validate import validate_chrome_trace
+from repro.obs.validate import main, validate_chrome_trace
 
 
 def _record_tree():
@@ -58,12 +59,9 @@ def test_non_scalar_attributes_are_stringified():
 
 
 def test_write_trace_roundtrips_through_the_validator(tmp_path):
-    path = write_trace(
-        tmp_path / "trace.json", _record_tree(), {"counters": {"cache.store": 1.0}}
-    )
+    path = write_trace(tmp_path / "trace.json", _record_tree())
     document = json.loads(path.read_text())
     assert validate_chrome_trace(document) == []
-    assert document["metrics"] == {"counters": {"cache.store": 1.0}}
 
 
 def test_validator_rejects_structural_problems():
@@ -88,6 +86,14 @@ def test_validator_rejects_structural_problems():
     assert any("span_id missing" in p for p in problems)
 
 
+@pytest.mark.parametrize("text", ["[]", "null", "3", '"x"'])
+def test_validator_reports_a_document_that_is_not_an_object(tmp_path, capsys, text):
+    path = tmp_path / "trace.json"
+    path.write_text(text)
+    assert main([str(path)]) == 1
+    assert "INVALID document is not a JSON object" in capsys.readouterr().err
+
+
 def test_validator_accepts_multi_process_traces():
     spans = _record_tree()
     foreign = [
@@ -104,13 +110,6 @@ def test_validator_accepts_multi_process_traces():
         e["args"]["name"] for e in document["traceEvents"] if e["ph"] == "M"
     }
     assert names == {"hexcc", f"hexcc worker {os.getpid() + 1}"}
-
-
-def test_metrics_document_envelope():
-    document = metrics_document({"counters": {"a": 1.0}})
-    assert document["kind"] == "hexcc-metrics"
-    assert document["schema_version"] == 1
-    assert document["metrics"] == {"counters": {"a": 1.0}}
 
 
 # -- deliberately corrupted traces ---------------------------------------------------

@@ -1,4 +1,4 @@
-"""The event log, the flight recorder and crash reports."""
+"""Crash reports: the document, its location, retention and writers."""
 
 from __future__ import annotations
 
@@ -8,137 +8,38 @@ import pytest
 
 from repro import obs
 from repro.obs.log import (
-    FLIGHT_RECORDER,
-    Event,
-    EventLog,
-    NullEventLog,
     attach_crash_report,
     crash_report_dir,
-    flight_recorder_size,
     write_crash_report,
 )
 
 
-@pytest.fixture(autouse=True)
-def _clean_flight_recorder():
-    FLIGHT_RECORDER.clear()
-    yield
-    FLIGHT_RECORDER.clear()
-
-
-def test_event_to_json_stringifies_non_scalar_fields():
-    event = Event(
-        ts_ns=7, name="x", level="info", pid=1,
-        span_id="s1", trace_id="t1", fields={"blob": b"x", "n": 3},
-    )
-    record = event.to_json()
-    assert record["span_id"] == "s1" and record["trace_id"] == "t1"
-    assert record["fields"] == {"blob": "b'x'", "n": 3}
-    json.dumps(record)  # must be JSON-safe
-
-
-def test_event_log_is_a_bounded_ring():
-    log = EventLog(capacity=3)
-    for i in range(5):
-        log.emit("e", i=i)
-    tail = log.tail()
-    assert [e.fields["i"] for e in tail] == [2, 3, 4]  # oldest first
-    assert log.capacity == 3
-
-
-def test_event_log_sink_writes_jsonl(tmp_path):
-    sink = tmp_path / "events.jsonl"
-    log = EventLog(capacity=8, sink=sink)
-    log.emit("a", k=1)
-    log.emit("b", level="warn")
-    lines = [json.loads(l) for l in sink.read_text().splitlines()]
-    assert [l["name"] for l in lines] == ["a", "b"]
-    assert lines[1]["level"] == "warn"
-
-
-def test_event_log_sink_failure_never_raises(tmp_path):
-    # Point the sink at a directory: open() fails, the sink goes dark, and
-    # the in-memory ring keeps working.
-    log = EventLog(capacity=4, sink=tmp_path)
-    log.emit("a")
-    log.emit("b")
-    assert [e.name for e in log.tail()] == ["a", "b"]
-
-
-def test_flight_recorder_size_env(monkeypatch):
-    monkeypatch.setenv("HEXCC_FLIGHT_RECORDER_SIZE", "17")
-    assert flight_recorder_size() == 17
-    monkeypatch.setenv("HEXCC_FLIGHT_RECORDER_SIZE", "junk")
-    assert flight_recorder_size() == 256
-    monkeypatch.setenv("HEXCC_FLIGHT_RECORDER_SIZE", "-3")
-    assert flight_recorder_size() == 1
-
-
-def test_null_event_log_is_inert():
-    log = NullEventLog()
-    log.emit("a")
-    log.extend([Event(ts_ns=0, name="x", level="info", pid=1)])
-    assert log.tail() == []
-    assert log.enabled is False
-
-
-def test_obs_event_records_into_the_flight_recorder_when_disabled():
-    # No telemetry activated: obs.event() still lands in the global ring.
-    obs.event("something.happened", detail=42)
-    (event,) = FLIGHT_RECORDER.tail()
-    assert event.name == "something.happened"
-    assert event.fields == {"detail": 42}
-    assert event.span_id is None and event.trace_id is None
-
-
-def test_obs_event_carries_the_active_span_and_trace(tmp_path):
-    telemetry = obs.Telemetry()
-    with obs.use(telemetry):
-        with telemetry.span("outer"):
-            obs.event("inside")
-    (event,) = telemetry.events.tail()
-    assert event.span_id is not None
-    assert event.trace_id == telemetry.recorder.trace_id
-    assert FLIGHT_RECORDER.tail() == []  # enabled telemetry has its own log
-
-
 def test_crash_report_document_and_location():
-    telemetry = obs.Telemetry()
-    with obs.use(telemetry):
-        with telemetry.span("session.run"):
-            obs.event("pass.done", stage="parse")
+    recorder = obs.TraceRecorder()
+    with obs.use(recorder):
+        with recorder.span("session.run"):
             error = RuntimeError("tiling exploded")
             path = write_crash_report(
                 error,
                 context={"operation": "compile", "program": "jacobi_2d"},
-                telemetry=telemetry,
+                recorder=recorder,
                 stage_keys={"parse": "k1"},
             )
     assert path is not None
     assert path.parent == crash_report_dir()  # under $HEXCC_CACHE_DIR/crash
     document = json.loads(path.read_text())
+    assert set(document) == {
+        "kind", "schema_version", "ts_ns", "pid", "error", "context",
+        "span_stack", "stage_keys",
+    }
     assert document["kind"] == "hexcc-crash"
-    assert document["schema_version"] == 1
+    assert document["schema_version"] == 2
     assert document["error"]["type"] == "RuntimeError"
     assert document["error"]["message"] == "tiling exploded"
     assert any("tiling exploded" in ln for ln in document["error"]["traceback"])
     assert document["context"]["program"] == "jacobi_2d"
     assert [s["name"] for s in document["span_stack"]] == ["session.run"]
-    assert document["trace_id"] == telemetry.recorder.trace_id
-    assert [e["name"] for e in document["events"]] == ["pass.done"]
     assert document["stage_keys"] == {"parse": "k1"}
-    assert "counters" in document["metrics"]
-
-
-def test_crash_report_falls_back_to_the_flight_recorder():
-    # With telemetry disabled the report still has an event tail: the
-    # always-on global ring.
-    obs.event("last.words")
-    path = write_crash_report(ValueError("boom"), context={})
-    assert path is not None
-    document = json.loads(path.read_text())
-    assert [e["name"] for e in document["events"]] == ["last.words"]
-    assert document["span_stack"] == []
 
 
 def test_crash_reports_are_pruned_to_the_keep_limit(monkeypatch):
@@ -175,7 +76,7 @@ def test_session_failure_writes_a_crash_report(monkeypatch, small_jacobi_2d):
     original = Session._fetch_or_run
     monkeypatch.setattr(Session, "_fetch_or_run", explode)
     with pytest.raises(RuntimeError) as excinfo:
-        Session(telemetry=obs.Telemetry()).run(small_jacobi_2d)
+        Session(telemetry=obs.TraceRecorder()).run(small_jacobi_2d)
     path = getattr(excinfo.value, "crash_report_path", None)
     assert path is not None
     document = json.loads(open(path).read())
@@ -184,13 +85,9 @@ def test_session_failure_writes_a_crash_report(monkeypatch, small_jacobi_2d):
     # The report names the stages that completed before the fault...
     assert "canonicalize" in document["stage_keys"]
     assert "tiling" not in document["stage_keys"]
-    # ...the span still open when the report was written (the pass span
-    # closed as the exception propagated out of it)...
+    # ...and the span still open when the report was written (the pass span
+    # closed as the exception propagated out of it).
     assert [s["name"] for s in document["span_stack"]] == ["session.run"]
-    # ...and the events leading up to it.
-    stages = [e["fields"]["stage"] for e in document["events"]
-              if e["name"] == "pass.done"]
-    assert stages == ["parse", "canonicalize"]
 
 
 def test_strategy_errors_do_not_produce_crash_reports(small_jacobi_2d):
@@ -201,3 +98,39 @@ def test_strategy_errors_do_not_produce_crash_reports(small_jacobi_2d):
             small_jacobi_2d, tile_sizes=TileSizes.of(2, 4)
         )
     assert not list(crash_report_dir().glob("crash-*.json"))
+
+
+def _fail_on_one(value: int) -> int:
+    if value == 1:
+        raise RuntimeError("synthetic worker fault")
+    return value
+
+
+def test_engine_worker_failure_writes_one_crash_report():
+    from repro.engine import map_ordered
+
+    with obs.use(obs.TraceRecorder()):
+        with pytest.raises(RuntimeError) as excinfo:
+            map_ordered(_fail_on_one, [0, 1, 2], jobs=2)
+    path = getattr(excinfo.value, "crash_report_path", None)
+    assert path is not None
+    (report,) = crash_report_dir().glob("crash-*.json")
+    assert str(report) == path
+    document = json.loads(report.read_text())
+    assert document["context"] == {"operation": "engine.worker", "item": 1}
+
+
+def test_tuning_failure_writes_one_crash_report(monkeypatch):
+    from repro.stencils import get_stencil
+    from repro.tuning import tuner
+
+    def explode(*args, **kwargs):
+        raise RuntimeError("synthetic space fault")
+
+    monkeypatch.setattr(tuner, "CandidateSpace", explode)
+    with pytest.raises(RuntimeError) as excinfo:
+        tuner.tune(get_stencil("jacobi_1d"), budget=2)
+    (report,) = crash_report_dir().glob("crash-*.json")
+    assert str(report) == excinfo.value.crash_report_path
+    document = json.loads(report.read_text())
+    assert document["context"]["operation"] == "tune"

@@ -75,17 +75,17 @@ def test_timestamps_are_wall_anchored_and_ordered():
 
 def test_ambient_telemetry_defaults_to_the_shared_noop():
     assert obs.current() is obs.NULL_TELEMETRY
-    telemetry = obs.Telemetry()
-    with obs.use(telemetry):
-        assert obs.current() is telemetry
+    recorder = obs.TraceRecorder()
+    with obs.use(recorder):
+        assert obs.current() is recorder
         with obs.span("ambient"):
             pass
     assert obs.current() is obs.NULL_TELEMETRY
-    assert [span.name for span in telemetry.recorder.drain()] == ["ambient"]
+    assert [span.name for span in recorder.drain()] == ["ambient"]
 
 
 def test_use_nests_and_restores():
-    outer, inner = obs.Telemetry(), obs.Telemetry()
+    outer, inner = obs.TraceRecorder(), obs.TraceRecorder()
     with obs.use(outer):
         with obs.use(inner):
             assert obs.current() is inner
