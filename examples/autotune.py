@@ -1,12 +1,13 @@
 #!/usr/bin/env python3
-"""Empirical autotuning: beat (or confirm) the §3.7 model with a search.
+"""Autotuning: beat (or confirm) the §3.7 model with a search.
 
 The paper selects tile sizes with the closed-form load-to-compute model;
 its auto-tuning competitors (Patus) sometimes win by measuring instead.
-``repro.tuning`` closes that loop:
+``repro.tuning`` searches on the modelled GPU instead:
 
 * take the legal candidate space from the model's own tile-size table,
-* spend a search budget (grid / random / hill-climbing) scoring candidates,
+* spend a search budget (grid / random / hill-climbing) scoring each tile
+  size by the roofline time the analysis pass reports for it,
 * record the winner in a persistent database that
   ``Session.run(tuned=True)`` / ``hexcc compile --tuned`` apply
   transparently.
@@ -40,14 +41,13 @@ def show_space() -> None:
 
 
 def search_and_apply(workdir: Path) -> None:
-    print("=== random search vs the model selection (model objective) ===")
+    print("=== random search vs the model selection (modelled GPU time) ===")
     program = get_stencil("jacobi_2d")
     cache = DiskCache(workdir / "cache")
     db = TuningDatabase()
     result = tune(
         program,
         strategy="random",
-        objective="model",
         budget=24,
         seed=0,
         disk_cache=cache,
@@ -68,7 +68,6 @@ def search_and_apply(workdir: Path) -> None:
     again = tune(
         program,
         strategy="random",
-        objective="model",
         budget=24,
         seed=0,
         disk_cache=cache,

@@ -187,11 +187,10 @@ class MemoryPlan:
 class GeneratedCode:
     """The generated CUDA source plus the core-loop instruction profiles."""
 
-    SCHEMA_VERSION = 1
+    SCHEMA_VERSION = 2
 
     cuda_source: str
     core_profiles: tuple[CoreLoopProfile, ...]
-    threads: tuple[int, ...] | None = None
 
     def summary(self) -> dict[str, Any]:
         return _json_safe(
@@ -199,7 +198,6 @@ class GeneratedCode:
                 "cuda_lines": self.cuda_source.count("\n") + 1,
                 "kernels": self.cuda_source.count("__global__"),
                 "core_profiles": [profile.statement for profile in self.core_profiles],
-                "threads": self.threads,
             }
         )
 

@@ -173,8 +173,7 @@ class CodegenPass(Pass):
     produces = GeneratedCode
 
     def key(self, request, artifacts, parent, program_digest):
-        parts = [_config_parts(request.config), f"threads={request.threads!r}"]
-        return self._stage_key(request, parts, parent)
+        return self._stage_key(request, [_config_parts(request.config)], parent)
 
     def run(self, request: Any, artifacts: Mapping[str, Any]) -> GeneratedCode:
         from repro.codegen.cuda import CudaCodeGenerator
@@ -182,9 +181,7 @@ class CodegenPass(Pass):
 
         plan: TilingPlan = artifacts["tiling"]
         memory: MemoryPlan = artifacts["memory"]
-        generator = CudaCodeGenerator(
-            plan.tiling, memory.plan, request.config, threads=request.threads
-        )
+        generator = CudaCodeGenerator(plan.tiling, memory.plan, request.config)
         profiles = analyze_core_loop(
             artifacts["parse"].program,
             unroll=request.config.unroll,
@@ -194,7 +191,6 @@ class CodegenPass(Pass):
         return GeneratedCode(
             cuda_source=generator.generate(),
             core_profiles=tuple(profiles),
-            threads=request.threads,
         )
 
 
@@ -231,7 +227,7 @@ class VerifyPass(Pass):
     Optional tail stage (the default ``stop_after`` of :meth:`Session.run`
     is still ``codegen``): proves the schedule orders every dependence for
     *all* problem sizes and lints the emitted CUDA.  Everything the verdict
-    depends on — program, tiling, config, threads, device — already flows
+    depends on — program, tiling, config, device — already flows
     in through the chained parent key, so no extra parts are needed.
     """
 

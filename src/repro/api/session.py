@@ -19,7 +19,7 @@ What a run offers:
   executed pass;
 * caching at **pass granularity** — unchanged prefixes of the pipeline are
   reused from the in-memory LRU or the disk cache even when downstream
-  options (optimisation configuration, thread shape, device) change;
+  options (optimisation configuration, device) change;
 * :meth:`PipelineRun.simulate_and_check` — functional simulation of the
   tiled program, checked against the NumPy reference interpreter.
 """
@@ -86,7 +86,6 @@ class CompilationRequest:
     tile_sizes: TileSizes | None
     config: OptimizationConfig
     storage: str
-    threads: tuple[int, ...] | None
     strategy: str
     device: GPUDevice
 
@@ -298,7 +297,6 @@ class Session:
         tile_sizes: TileSizes | None = None,
         config: OptimizationConfig | None = None,
         storage: str = "expanded",
-        threads: tuple[int, ...] | None = None,
         strategy: str | None = None,
         stop_after: str | None = None,
         inject: Mapping[str, Any] | None = None,
@@ -316,8 +314,6 @@ class Session:
             Optimisation configuration (paper's best, (f), when omitted).
         storage:
             Dependence storage model passed to the canonicaliser.
-        threads:
-            Thread-block shape override for code generation.
         strategy:
             Tiling strategy name for this run (session default when omitted).
         stop_after:
@@ -329,8 +325,8 @@ class Session:
             cached (their inputs are no longer derivable from the request).
         tuned:
             Apply the best known configuration from the session's tuning
-            database (see ``tuning_db``): the entry's tile sizes (and block
-            shape, unless ``threads`` is given) replace the model selection.
+            database (see ``tuning_db``): the entry's tile sizes replace the
+            model selection.
             Explicit ``tile_sizes`` always win; with no database entry the
             run falls back to the model selection unchanged.  Tuned runs
             carry explicit sizes, so their cache keys can never alias the
@@ -357,14 +353,11 @@ class Session:
             if tuned_entry is not None:
                 best = tuned_entry["best"]
                 tile_sizes = TileSizes(int(best["height"]), tuple(best["widths"]))
-                if threads is None and best.get("threads") is not None:
-                    threads = tuple(best["threads"])
         request = CompilationRequest(
             program=program,
             tile_sizes=tile_sizes,
             config=config or OptimizationConfig.default(),
             storage=storage,
-            threads=threads,
             strategy=strategy or self.strategy,
             device=self.device,
         )

@@ -1,8 +1,8 @@
 """Tuned-vs-model comparison table (``hexcc tune-table``).
 
-Every tuning-database entry records both the configuration the search found
-and the §3.7 model-selected baseline *scored under the same objective*, so
-the comparison needs no recompilation: the table is a pure view of the
+Every tuning-database entry records both the tile sizes the search found
+and the §3.7 model-selected baseline, each with its score, so the
+comparison needs no recompilation: the table is a pure view of the
 database, deterministic and instant.
 """
 
@@ -51,10 +51,7 @@ def tuned_rows(db: TuningDatabase, device: str | None = None) -> list[dict[str, 
 
 def _config_text(candidate: Mapping[str, Any]) -> str:
     widths = ",".join(str(w) for w in candidate.get("widths", []))
-    text = f"h={candidate.get('height', '?')} w={widths}"
-    if candidate.get("threads"):
-        text += " t=" + ",".join(str(t) for t in candidate["threads"])
-    return text
+    return f"h={candidate.get('height', '?')} w={widths}"
 
 
 def format_tuned_table(rows: Iterable[Mapping[str, Any]]) -> str:

@@ -25,7 +25,7 @@ Examples
     hexcc bench --jobs 0   # fan the suites across every core
     hexcc cache stats      # on-disk compile cache usage (per-stage breakdown)
     hexcc cache clear      # drop every cached artefact
-    hexcc tune heat_3d --budget 32 --objective counters --jobs 2
+    hexcc tune heat_3d --budget 32 --jobs 2
     hexcc tune jacobi_2d --strategy hillclimb --seed 7
     hexcc compile heat_3d --tuned   # apply the best known configuration
     hexcc tune-table       # tuned-vs-model comparison across the database
@@ -141,7 +141,12 @@ def _parse_tile_sizes(
         raise UsageError(
             f"--widths expects comma separated integers, got {args.widths!r}"
         ) from None
-    return TileSizes(default_height if args.h is None else args.h, widths)
+    try:
+        return TileSizes(default_height if args.h is None else args.h, widths)
+    except ValueError as error:
+        # A negative height or width: a malformed option, not a tiling the
+        # stencil rejects.
+        raise UsageError(str(error)) from None
 
 
 def _disk_cache(args: argparse.Namespace) -> DiskCache | None:
@@ -462,7 +467,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _positive_int(text: str) -> int:
-    """Argparse type of a grid extent, step count or record limit."""
+    """Argparse type of a grid extent, step count, record limit or repeat count."""
     try:
         value = int(text)
     except ValueError:
@@ -519,7 +524,13 @@ def _cmd_validate_file(args: argparse.Namespace) -> int:
     return _validate_and_report(_load_stencil_file(args), args)
 
 
+def _check_table_number(number: int) -> None:
+    if not 1 <= number <= 5:
+        raise UsageError(f"unknown table {number}; the paper has tables 1-5")
+
+
 def _render_table(number: int, jobs: int, cache: DiskCache | None) -> str:
+    _check_table_number(number)
     from repro.experiments import (
         format_comparison,
         format_table3,
@@ -543,9 +554,7 @@ def _render_table(number: int, jobs: int, cache: DiskCache | None) -> str:
         return format_table3(table3_characteristics())
     if number == 4:
         return format_table4(run_ablation(jobs=jobs, disk_cache=cache))
-    if number == 5:
-        return format_table5(run_counter_ablation(jobs=jobs, disk_cache=cache))
-    raise UsageError(f"unknown table {number}; the paper has tables 1-5")
+    return format_table5(run_counter_ablation(jobs=jobs, disk_cache=cache))
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
@@ -560,6 +569,8 @@ def _cmd_table(args: argparse.Namespace) -> int:
 
 def _cmd_tables(args: argparse.Namespace) -> int:
     numbers = args.numbers or [1, 2, 3, 4, 5]
+    for number in numbers:
+        _check_table_number(number)  # before any table is rendered
     cache = _disk_cache(args)
     try:
         for index, number in enumerate(numbers):
@@ -588,22 +599,16 @@ def _cmd_tune(args: argparse.Namespace) -> int:
     from repro.bench.compare import parse_threshold
     from repro.tuning import (
         TuningDatabase,
-        list_objectives,
         list_search_strategies,
         resolve_db_path,
         tune,
     )
-    from repro.tuning.db import default_db_path
+    from repro.tuning.db import OBJECTIVE, default_db_path
 
     if args.strategy not in list_search_strategies():
         raise UsageError(
             f"unknown search strategy {args.strategy!r}; "
             f"known: {', '.join(list_search_strategies())}"
-        )
-    if args.objective not in list_objectives():
-        raise UsageError(
-            f"unknown tuning objective {args.objective!r}; "
-            f"known: {', '.join(list_objectives())}"
         )
     if args.budget <= 0:
         raise UsageError("--budget must be positive")
@@ -621,12 +626,10 @@ def _cmd_tune(args: argparse.Namespace) -> int:
     result = tune(
         program,
         strategy=args.strategy,
-        objective=args.objective,
         budget=args.budget,
         seed=args.seed,
         jobs=args.jobs,
         device=_get_device_checked(args.device),
-        tune_threads=args.tune_threads,
         disk_cache=cache,
     )
     _flush_cache(cache)
@@ -635,11 +638,8 @@ def _cmd_tune(args: argparse.Namespace) -> int:
         payload = result.to_entry()
         payload["trials"] = [
             {
-                "height": trial.candidate.sizes.height,
-                "widths": list(trial.candidate.sizes.widths),
-                "threads": list(trial.candidate.threads)
-                if trial.candidate.threads is not None
-                else None,
+                "height": trial.candidate.height,
+                "widths": list(trial.candidate.widths),
                 "score": trial.score,
                 "ok": trial.ok,
             }
@@ -655,11 +655,11 @@ def _cmd_tune(args: argparse.Namespace) -> int:
         stored = [
             entry
             for entry in db.entries_for(result.digest, result.device)
-            if entry.get("objective") == result.objective
+            if entry.get("objective") == OBJECTIVE
         ]
         if not stored:
             print(
-                f"check: no {result.objective!r} entry for {result.program_name} "
+                f"check: no {OBJECTIVE!r} entry for {result.program_name} "
                 f"on {result.device} in {db_path}",
                 file=sys.stderr,
             )
@@ -1050,10 +1050,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="search strategy: grid, random or hillclimb (default: random)",
     )
     tune_parser.add_argument(
-        "--objective", default="model",
-        help="scoring objective: model or counters (default: model)",
-    )
-    tune_parser.add_argument(
         "--budget", type=int, default=32, metavar="N",
         help="evaluation budget (the model baseline is always scored extra)",
     )
@@ -1063,10 +1059,6 @@ def build_parser() -> argparse.ArgumentParser:
              "sweep (default: 0)",
     )
     _add_device_argument(tune_parser)
-    tune_parser.add_argument(
-        "--tune-threads", action="store_true",
-        help="also search thread-block shapes (launch configuration)",
-    )
     tune_parser.add_argument(
         "--tuning-db", default=None, metavar="PATH",
         help="database to update (default: $HEXCC_TUNING_DB or the user db)",
@@ -1184,7 +1176,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="CI mode: representative stencil subset, fewer repeats",
     )
     bench_parser.add_argument(
-        "--repeats", type=int, default=None,
+        "--repeats", type=_positive_int, default=None,
         help="measurement repeats per stencil (default: 3 quick, 5 full)",
     )
     bench_parser.add_argument(

@@ -88,16 +88,11 @@ class CudaCodeGenerator:
         tiling: HybridTiling,
         plan: SharedMemoryPlan,
         config: OptimizationConfig,
-        threads: tuple[int, ...] | None = None,
     ) -> None:
         self.tiling = tiling
         self.plan = plan
         self.config = config
         self.program: StencilProgram = tiling.canonical.program
-        if threads is None:
-            widths = tiling.sizes.widths
-            threads = tuple([1] * (len(widths) - 1) + [min(256, max(32, widths[-1]))])
-        self.threads = threads
 
     # -- public API -------------------------------------------------------------------
 
@@ -313,8 +308,9 @@ class CudaCodeGenerator:
             )
         emitter.blank()
         blocks = f"(N0 + {shape.space_period - 1}) / {shape.space_period}"
-        threads = ", ".join(str(t) for t in reversed(self.threads))
-        emitter.line(f"dim3 block({threads});")
+        widths = tiling.sizes.widths
+        threads = [min(256, max(32, widths[-1]))] + [1] * (len(widths) - 1)
+        emitter.line(f"dim3 block({', '.join(str(t) for t in threads)});")
         emitter.line(f"int grid = {blocks};")
         logical_extent = program.time_steps * tiling.num_statements
         time_tiles = (logical_extent + shape.time_period - 1) // shape.time_period + 1

@@ -293,8 +293,8 @@ def tune_record(
 ) -> dict[str, Any]:
     """Build the ``tune`` payload: the sweep summary, not every trial.
 
-    ``best_score`` is in the sweep's objective units (model cost or
-    measured seconds, whichever objective ran).
+    ``best_score`` is the best candidate's modelled GPU time in seconds
+    (the analysis pass's roofline estimate).
     """
     return {
         "program": program,

@@ -2,21 +2,22 @@
 
 The paper picks hybrid tile sizes with the closed-form load-to-compute model
 of Section 3.7.  This package searches the same legal table and scores
-each candidate on the modelled GPU at paper scale, so a tuned pick never
-scores worse than the §3.7 pick under its objective, and any machine
-reproduces it:
+each candidate tile size by the roofline time the analysis pass reports for
+it on the modelled GPU at paper scale, so a tuned pick never scores worse
+than the §3.7 pick, any machine reproduces it, and its recorded score is
+what ``hexcc compile --tuned`` prints:
 
-* :class:`~repro.tuning.space.CandidateSpace` — the legal tile-size /
-  launch-config candidates: the legal rows of the §3.7 model's table
-  (statement multiplicity, hexagon convexity, shared-memory fit);
-* search strategies (``grid`` / ``random`` / ``hillclimb``) behind a
-  registry mirroring :mod:`repro.api.strategies`;
-* two deterministic objectives (``model`` / ``counters``) scoring
-  candidates through :class:`repro.api.Session` runs that share the cached
+* :class:`~repro.tuning.space.CandidateSpace` — the legal tile sizes: the
+  legal rows of the §3.7 model's table (statement multiplicity, hexagon
+  convexity, shared-memory fit);
+* three search strategies (``grid`` / ``random`` / ``hillclimb``), looked
+  up by name;
+* :func:`~repro.tuning.objectives.evaluate_candidate` — scores one
+  candidate through a :class:`repro.api.Session` run that shares the cached
   pipeline prefix, fanned across processes by :mod:`repro.engine`;
 * :class:`~repro.tuning.db.TuningDatabase` — a schema-versioned, atomically
-  written JSON database of best known configurations, keyed by (program
-  content digest, device, strategy, objective), which
+  written JSON database of best known tile sizes, keyed by (program content
+  digest, device, strategy, objective), which
   ``Session(...).run(tuned=True)`` and ``hexcc compile --tuned`` apply
   transparently.
 """
@@ -33,13 +34,9 @@ _EXPORTS = {
     "EvaluationJob": "repro.tuning.objectives",
     "TuningTrial": "repro.tuning.objectives",
     "evaluate_candidate": "repro.tuning.objectives",
-    "list_objectives": "repro.tuning.objectives",
-    "Candidate": "repro.tuning.space",
     "CandidateSpace": "repro.tuning.space",
-    "SearchStrategy": "repro.tuning.strategies",
     "get_search_strategy": "repro.tuning.strategies",
     "list_search_strategies": "repro.tuning.strategies",
-    "register_search_strategy": "repro.tuning.strategies",
     "TuningResult": "repro.tuning.tuner",
     "tune": "repro.tuning.tuner",
 }

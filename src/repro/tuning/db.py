@@ -17,21 +17,23 @@ disk cache and the bench reports — a ``kind`` marker plus a
           "objective": "model", "seed": 0, "budget": 32,
           "evaluations": 33, "failures": 0, "space_size": 1065,
           "best": {"height": 0, "widths": [6, 7, 64],
-                   "threads": null, "score": 0.9094933150459805},
+                   "score": 0.9094933150459805},
           "baseline": {"height": 3, "widths": [5, 12, 32],
-                       "threads": null, "score": 1.260777649049541}
+                       "score": 1.260777649049541}
         }
       }
     }
 
 Entries are keyed by **(program content digest, device, strategy,
-objective)** — scores are only comparable within one objective, so a
-``counters`` re-tune never overwrites a recorded ``model`` score of the
-same strategy.  Both objectives are deterministic and entries contain no
-timestamps or environment data, so an identical ``(seed, budget)`` sweep
-reproduces a byte-identical entry on any machine — the property the
-committed baseline's regeneration test pins.  Writes are atomic (temp file +
-``os.replace``); a corrupt or foreign file reads as empty, never fatal.
+objective)**.  The tuner writes only ``model`` entries, scored by the
+analysis pass's roofline time; ``--tuned`` applies nothing else, so an
+entry of a retired objective (``simulate``, ``counters``) in an older user
+database is listed by ``tune-table`` but never applied.  The score is
+deterministic and entries contain no timestamps or environment data, so an
+identical ``(seed, budget)`` sweep reproduces a byte-identical entry on any
+machine — the property the committed baseline's regeneration test pins.
+Writes are atomic (temp file + ``os.replace``); a corrupt or foreign file
+reads as empty, never fatal.
 
 Database resolution for ``--tuned`` (first hit wins):
 
@@ -60,9 +62,9 @@ DB_KIND = "hexcc-tuning-db"
 #: Environment variable overriding the database location.
 TUNING_DB_ENV = "HEXCC_TUNING_DB"
 
-#: The objectives ``--tuned`` applies, most preferred first; entries of any
+#: The objective the tuner records and ``--tuned`` applies; entries of any
 #: other objective are listed by ``tune-table`` but never applied.
-OBJECTIVE_PREFERENCE = ("model", "counters")
+OBJECTIVE = "model"
 
 
 def default_db_path() -> Path:
@@ -100,7 +102,9 @@ def _entry_is_usable(entry: Any) -> bool:
     """Whether a loaded entry has everything ``--tuned`` resolution touches.
 
     The database is advisory: a hand-edited or foreign entry must be dropped
-    at load time, never crash ``Session.run(tuned=True)`` later.
+    at load time, never crash ``Session.run(tuned=True)`` later.  So is an
+    entry whose best carries a thread-block shape: its score was computed
+    for a launch the pipeline no longer emits.
     """
     if not isinstance(entry, Mapping):
         return False
@@ -108,7 +112,7 @@ def _entry_is_usable(entry: Any) -> bool:
         if not isinstance(entry.get(field), str):
             return False
     best = entry.get("best")
-    if not isinstance(best, Mapping):
+    if not isinstance(best, Mapping) or best.get("threads") is not None:
         return False
     try:
         float(best.get("score", float("inf")))
@@ -206,24 +210,23 @@ class TuningDatabase:
     def best_for(self, digest: str, device: str) -> dict[str, Any] | None:
         """The entry ``--tuned`` should apply for one (program, device).
 
-        Scores are only comparable within one objective, so entries are
-        grouped by objective, the first objective of
-        :data:`OBJECTIVE_PREFERENCE` with an entry wins, and within it the
-        lowest best score; remaining ties break on the strategy name.
-        ``None`` when no entry has one of those objectives.
+        Only :data:`OBJECTIVE` entries apply: the lowest best score wins,
+        and ties break on the strategy name.  ``None`` when there is none.
         """
-        matches = self.entries_for(digest, device)
-        for objective in OBJECTIVE_PREFERENCE:
-            group = [e for e in matches if e.get("objective") == objective]
-            if group:
-                return min(
-                    group,
-                    key=lambda e: (
-                        float(e["best"].get("score", float("inf"))),
-                        str(e.get("strategy", "")),
-                    ),
-                )
-        return None
+        group = [
+            entry
+            for entry in self.entries_for(digest, device)
+            if entry.get("objective") == OBJECTIVE
+        ]
+        if not group:
+            return None
+        return min(
+            group,
+            key=lambda e: (
+                float(e["best"].get("score", float("inf"))),
+                str(e.get("strategy", "")),
+            ),
+        )
 
     def __len__(self) -> int:
         return len(self.entries)

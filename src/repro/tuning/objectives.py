@@ -1,15 +1,12 @@
-"""Tuning objectives: how one candidate configuration is scored.
+"""The tuning objective: how one candidate tile size is scored.
 
-Both objectives map a candidate to a scalar **cost** (lower is better), are
-deterministic and are evaluated on the modelled GPU at the paper-scale
-problem size — never by timing this host:
-
-* ``model`` — the roofline time estimate of
-  :class:`repro.gpu.perf_model.PerformanceModel` (what ``--tuned`` prefers
-  and what the CI ``tune-smoke`` gate uses);
-* ``counters`` — a counter-weighted traffic cost derived from the analytic
-  execution counters (memory-system pressure per stencil update), cheaper
-  than the full roofline conversion and independent of clock parameters.
+A candidate's score is the number the analysis pass already reports for it:
+``run.artifact("analysis").report.total_time_s``, the roofline time
+estimate of :class:`repro.gpu.perf_model.PerformanceModel` on the target
+device at the paper-scale problem size (lower is better).  It is
+deterministic — never a timing of this host — so a recorded score equals
+what ``hexcc compile --tuned`` prints for the same sizes.  The database
+records it under the objective name ``model``.
 
 Candidates are evaluated through a :class:`repro.api.Session` resuming from
 the shared ``canonicalize`` artifact: the per-pass disk cache means the
@@ -22,26 +19,11 @@ evaluations across worker processes.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, replace
-from collections.abc import Callable, Mapping
+from dataclasses import dataclass
 from typing import Any
 
 from repro import obs
-from repro.tuning.space import Candidate
-
-#: Weights of the ``counters`` objective, in relative cost per event.  DRAM
-#: transactions dominate (Section 6.2's bound-by analysis), L2 hits are an
-#: order of magnitude cheaper, shared-memory traffic and instruction issue
-#: cost another order less.
-COUNTER_WEIGHTS: Mapping[str, float] = {
-    "dram_read_transactions": 1.0,
-    "dram_write_transactions": 1.0,
-    "l2_read_transactions": 0.1,
-    "shared_load_transactions": 0.01,
-    "shared_store_requests": 0.01,
-    "instructions": 0.001,
-}
+from repro.tiling.hybrid import TileSizes
 
 
 @dataclass(frozen=True)
@@ -49,8 +31,7 @@ class EvaluationJob:
     """Everything one candidate evaluation needs (picklable for the engine)."""
 
     program: object  # StencilProgram — picklable expression trees
-    candidate: Candidate
-    objective: str
+    candidate: TileSizes
     device: object  # GPUDevice
     config: object | None  # OptimizationConfig
     cache_root: str | None  # DiskCache root shared with the parent process
@@ -60,15 +41,15 @@ class EvaluationJob:
 class TuningTrial:
     """The outcome of evaluating one candidate."""
 
-    candidate: Candidate
+    candidate: TileSizes
     score: float
     ok: bool = True
     error: str | None = None
 
     def describe(self) -> str:
         if not self.ok:
-            return f"{self.candidate.label():<32} FAILED ({self.error})"
-        return f"{self.candidate.label():<32} {self.score:.6g}"
+            return f"{self.candidate!s:<32} FAILED ({self.error})"
+        return f"{self.candidate!s:<32} {self.score:.6g}"
 
 
 #: One pipeline session per (cache root, device) per process: candidates
@@ -87,77 +68,21 @@ def _session(job: EvaluationJob):
         cache = DiskCache(job.cache_root) if job.cache_root else None
         session = Session(device=job.device, strategy="hybrid", disk_cache=cache)
         _SESSIONS[key] = session
-    return session, session.disk_cache
+    return session
 
 
-def _threads_per_block(candidate: Candidate) -> int | None:
-    if candidate.threads is None:
-        return None
-    return math.prod(candidate.threads)
-
-
-def _score_model(job: EvaluationJob) -> float:
-    """Roofline total-time estimate at the paper-scale problem size."""
-    from repro.gpu.perf_model import PerformanceModel
-
-    session, cache = _session(job)
+def _score(job: EvaluationJob) -> float:
+    """The analysis pass's roofline time at the candidate's tile sizes."""
+    session = _session(job)
     run = session.run(
         job.program,
-        tile_sizes=job.candidate.sizes,
+        tile_sizes=job.candidate,
         config=job.config,
-        threads=job.candidate.threads,
         stop_after="analysis",
     )
-    bundle = run.artifact("analysis")
-    threads = _threads_per_block(job.candidate)
-    if threads is None:
-        score = bundle.report.total_time_s
-    else:
-        # Launch-config tuning: re-run the roofline conversion with the
-        # candidate's block size (occupancy changes, counters do not).
-        estimate = bundle.estimate
-        launch = replace(estimate.launch, threads_per_block=threads)
-        score = (
-            PerformanceModel(job.device).estimate(estimate.counters, launch).total_time_s
-        )
-    _flush(cache)
-    return score
-
-
-def _score_counters(job: EvaluationJob) -> float:
-    """Weighted memory-system pressure per stencil update."""
-    session, cache = _session(job)
-    run = session.run(
-        job.program,
-        tile_sizes=job.candidate.sizes,
-        config=job.config,
-        threads=job.candidate.threads,
-        stop_after="analysis",
-    )
-    counters = run.artifact("analysis").estimate.counters
-    updates = max(1.0, counters.stencil_updates)
-    cost = sum(
-        weight * getattr(counters, name, 0.0)
-        for name, weight in COUNTER_WEIGHTS.items()
-    )
-    _flush(cache)
-    return cost / updates
-
-
-def _flush(cache) -> None:
-    if cache is not None:
-        cache.flush_stats()
-
-
-_OBJECTIVES: dict[str, Callable[[EvaluationJob], float]] = {
-    "model": _score_model,
-    "counters": _score_counters,
-}
-
-
-def list_objectives() -> list[str]:
-    """Names of the objectives, sorted."""
-    return sorted(_OBJECTIVES)
+    if session.disk_cache is not None:
+        session.disk_cache.flush_stats()
+    return run.artifact("analysis").report.total_time_s
 
 
 def evaluate_candidate(job: EvaluationJob) -> TuningTrial:
@@ -167,17 +92,9 @@ def evaluate_candidate(job: EvaluationJob) -> TuningTrial:
     is reported as a failed trial so a sweep survives hostile corners of the
     space instead of aborting after hours of work.
     """
-    try:
-        scorer = _OBJECTIVES[job.objective]
-    except KeyError:
-        raise ValueError(
-            f"unknown tuning objective {job.objective!r}; known: {list_objectives()}"
-        ) from None
-    with obs.span(
-        "tune.trial", candidate=job.candidate.label(), objective=job.objective
-    ) as span:
+    with obs.span("tune.trial", candidate=str(job.candidate)) as span:
         try:
-            return TuningTrial(candidate=job.candidate, score=float(scorer(job)))
+            return TuningTrial(candidate=job.candidate, score=float(_score(job)))
         except Exception as error:  # noqa: BLE001 — any pipeline failure is data
             span.set(failed=True)
             return TuningTrial(

@@ -1,15 +1,14 @@
-"""Pluggable search strategies for the autotuner, selected by name.
+"""The autotuner's search strategies, selected by name.
 
-The registry mirrors :mod:`repro.api.strategies`: strategies are instances
-registered under a name, looked up by ``hexcc tune --strategy`` and the
-:func:`repro.tuning.tune` entry point.  Three strategies ship:
+``hexcc tune --strategy`` and the :func:`repro.tuning.tune` entry point look
+one of three strategies up by name:
 
 * ``grid`` — exhaustive enumeration of the candidate space; when the budget
   is smaller than the space, an evenly-strided deterministic subsample;
 * ``random`` — seeded sampling without replacement (``random.Random(seed)``,
   so identical seed + budget replays the identical trial sequence);
 * ``hillclimb`` — coordinate-descent: start from the model-selected
-  configuration (the §3.7 answer), evaluate the axis-aligned neighbours of
+  tile size (the §3.7 answer), evaluate the axis-aligned neighbours of
   the incumbent, move to the best improvement, repeat until the budget runs
   out or a local optimum is reached.
 
@@ -26,11 +25,12 @@ import random
 from abc import ABC, abstractmethod
 from collections.abc import Callable, Sequence
 
+from repro.tiling.hybrid import TileSizes
 from repro.tuning.objectives import TuningTrial
-from repro.tuning.space import Candidate, CandidateSpace
+from repro.tuning.space import CandidateSpace
 
 #: Signature of the batch-evaluation callback handed to strategies.
-Evaluator = Callable[[Sequence[Candidate]], list[TuningTrial]]
+Evaluator = Callable[[Sequence[TileSizes]], list[TuningTrial]]
 
 
 class SearchStrategy(ABC):
@@ -45,11 +45,11 @@ class SearchStrategy(ABC):
         evaluate: Evaluator,
         budget: int,
         seed: int,
-        start: Candidate | None = None,
+        start: TileSizes | None = None,
     ) -> list[TuningTrial]:
         """Run the search and return every trial, in evaluation order.
 
-        ``start`` is the model-selected configuration, a member of the space
+        ``start`` is the model-selected tile size, a member of the space
         (``None`` when the caller has none); strategies that exploit a
         starting point (hill climbing) begin there.
         """
@@ -107,9 +107,9 @@ class HillClimbSearch(SearchStrategy):
         if start is None:
             start = candidates[random.Random(seed).randrange(len(candidates))]
         trials: list[TuningTrial] = []
-        visited: set[Candidate] = set()
+        visited: set[TileSizes] = set()
 
-        def run_batch(batch: list[Candidate]) -> list[TuningTrial]:
+        def run_batch(batch: list[TileSizes]) -> list[TuningTrial]:
             remaining = budget - len(trials)
             batch = [c for c in batch if c not in visited][:remaining]
             if not batch:
@@ -134,19 +134,11 @@ class HillClimbSearch(SearchStrategy):
         return trials
 
 
-_REGISTRY: dict[str, SearchStrategy] = {}
-
-
-def register_search_strategy(
-    strategy: SearchStrategy, replace: bool = False
-) -> SearchStrategy:
-    """Add a search strategy to the registry (keyed by ``strategy.name``)."""
-    if not strategy.name:
-        raise ValueError("search strategies must set a non-empty name")
-    if strategy.name in _REGISTRY and not replace:
-        raise ValueError(f"search strategy {strategy.name!r} is already registered")
-    _REGISTRY[strategy.name] = strategy
-    return strategy
+_REGISTRY: dict[str, SearchStrategy] = {
+    "grid": GridSearch(),
+    "random": RandomSearch(),
+    "hillclimb": HillClimbSearch(),
+}
 
 
 def get_search_strategy(name: str) -> SearchStrategy:
@@ -160,10 +152,6 @@ def get_search_strategy(name: str) -> SearchStrategy:
 
 
 def list_search_strategies() -> list[str]:
-    """Names of the registered search strategies, sorted."""
+    """Names of the search strategies, sorted."""
     return sorted(_REGISTRY)
 
-
-register_search_strategy(GridSearch())
-register_search_strategy(RandomSearch())
-register_search_strategy(HillClimbSearch())

@@ -3,10 +3,11 @@
 :func:`tune` is the programmatic counterpart of ``hexcc tune``: it derives
 the legal candidate space from the program (:mod:`repro.tuning.space`),
 spends an evaluation budget with a named search strategy
-(:mod:`repro.tuning.strategies`), scores candidates with a named objective
-(:mod:`repro.tuning.objectives`) fanned across worker processes by
-:func:`repro.engine.map_ordered`, and returns a :class:`TuningResult` that
-can be recorded into the persistent :class:`repro.tuning.db.TuningDatabase`.
+(:mod:`repro.tuning.strategies`), scores each candidate tile size by the
+analysis pass's roofline time (:mod:`repro.tuning.objectives`) fanned across
+worker processes by :func:`repro.engine.map_ordered`, and returns a
+:class:`TuningResult` that can be recorded into the persistent
+:class:`repro.tuning.db.TuningDatabase`.
 
 The model-selected configuration (the paper's §3.7 answer) is always
 evaluated *in addition to* the strategy's budget, so the search result can
@@ -15,11 +16,11 @@ including that baseline.
 
 Sweeps are **incremental**: every evaluated trial is stored in the shared
 :class:`~repro.cache.DiskCache` under a tuning-owned stage key
-(content-hashed over the program, the device, the objective, the
-configuration and the compiler code fingerprint, so a code change
-re-scores everything).  Re-running a sweep — same seed or a
-different strategy visiting overlapping candidates — only scores
-candidates never seen before; a fully warm re-run reduces to cache lookups.
+(content-hashed over the program, the device, the configuration, the
+candidate and the compiler code fingerprint, so a code change re-scores
+everything).  Re-running a sweep — same seed or a different strategy
+visiting overlapping candidates — only scores candidates never seen before;
+a fully warm re-run reduces to cache lookups.
 """
 
 from __future__ import annotations
@@ -37,14 +38,10 @@ from repro.cache.keys import stage_key
 from repro.engine import map_ordered
 from repro.gpu.device import GPUDevice, GTX470
 from repro.model.program import StencilProgram
-from repro.tuning.db import TuningDatabase
-from repro.tuning.objectives import (
-    EvaluationJob,
-    TuningTrial,
-    evaluate_candidate,
-    list_objectives,
-)
-from repro.tuning.space import Candidate, CandidateSpace
+from repro.tiling.hybrid import TileSizes
+from repro.tuning.db import OBJECTIVE, TuningDatabase
+from repro.tuning.objectives import EvaluationJob, TuningTrial, evaluate_candidate
+from repro.tuning.space import CandidateSpace
 from repro.tuning.strategies import get_search_strategy
 
 
@@ -58,7 +55,6 @@ class TuningResult:
     digest: str
     device: str
     strategy: str
-    objective: str
     seed: int
     budget: int
     trials: list[TuningTrial]
@@ -79,8 +75,8 @@ class TuningResult:
         """The tuning-database entry of this sweep.
 
         Deliberately free of timestamps, wall times and environment data:
-        both objectives are deterministic, so an identical ``(seed,
-        budget)`` sweep reproduces this entry byte for byte.
+        the score is deterministic, so an identical ``(seed, budget)`` sweep
+        reproduces this entry byte for byte.
         """
         return {
             "program": self.program_name,
@@ -89,7 +85,7 @@ class TuningResult:
             "digest": self.digest,
             "device": self.device,
             "strategy": self.strategy,
-            "objective": self.objective,
+            "objective": OBJECTIVE,
             "seed": self.seed,
             "budget": self.budget,
             "evaluations": len(self.trials) + 1,  # + the model baseline
@@ -102,8 +98,7 @@ class TuningResult:
     def describe(self) -> str:
         lines = [
             f"tuned {self.program_name} on {self.device} "
-            f"(strategy={self.strategy}, objective={self.objective}, "
-            f"seed={self.seed}, budget={self.budget})",
+            f"(strategy={self.strategy}, seed={self.seed}, budget={self.budget})",
             f"  space      : {self.space_size} candidates "
             f"({_format_rejections(self.rejections)})",
             f"  evaluated  : {len(self.trials) + 1} "
@@ -118,11 +113,8 @@ class TuningResult:
 
 def _candidate_entry(trial: TuningTrial) -> dict[str, Any]:
     return {
-        "height": trial.candidate.sizes.height,
-        "widths": list(trial.candidate.sizes.widths),
-        "threads": list(trial.candidate.threads)
-        if trial.candidate.threads is not None
-        else None,
+        "height": trial.candidate.height,
+        "widths": list(trial.candidate.widths),
         "score": trial.score,
     }
 
@@ -134,9 +126,7 @@ def _format_rejections(rejections: Mapping[str, int]) -> str:
     return "pruned: " + ", ".join(f"{k}={v}" for k, v in sorted(pruned.items()))
 
 
-def _trial_key(
-    digest: str, device: GPUDevice, objective: str, config, candidate: Candidate
-) -> str:
+def _trial_key(digest: str, device: GPUDevice, config, candidate: TileSizes) -> str:
     """Disk-cache key of one evaluated trial (chained like a pipeline stage)."""
     return stage_key(
         stage="tuning-trial",
@@ -145,7 +135,6 @@ def _trial_key(
         parts=[
             f"program={digest}",
             f"device={device.name}",
-            f"objective={objective}",
             f"config={config!r}",
             f"candidate={candidate!r}",
         ],
@@ -156,13 +145,11 @@ def tune(
     program: StencilProgram,
     *,
     strategy: str = "random",
-    objective: str = "model",
     budget: int = 32,
     seed: int = 0,
     jobs: int = 1,
     device: GPUDevice = GTX470,
     config: OptimizationConfig | None = None,
-    tune_threads: bool = False,
     disk_cache: DiskCache | None = None,
     db: TuningDatabase | None = None,
 ) -> TuningResult:
@@ -182,13 +169,11 @@ def tune(
         result = _tune_impl(
             program,
             strategy=strategy,
-            objective=objective,
             budget=budget,
             seed=seed,
             jobs=jobs,
             device=device,
             config=config,
-            tune_threads=tune_threads,
             disk_cache=disk_cache,
             db=db,
         )
@@ -204,7 +189,6 @@ def tune(
                     "operation": "tune",
                     "program": program.name,
                     "strategy": strategy,
-                    "objective": objective,
                     "budget": budget,
                     "seed": seed,
                 },
@@ -225,15 +209,12 @@ def _record_tune_history(result: TuningResult) -> None:
         "tune",
         history.tune_record(
             program=result.program_name,
-            strategy_space=f"{result.strategy}/{result.objective}",
+            strategy_space=f"{result.strategy}/{OBJECTIVE}",
             trials=len(result.trials) + 1,  # + the model baseline
             best_score=result.best.score,
             best_config={
-                "height": result.best.candidate.sizes.height,
-                "widths": list(result.best.candidate.sizes.widths),
-                "threads": list(result.best.candidate.threads)
-                if result.best.candidate.threads is not None
-                else None,
+                "height": result.best.candidate.height,
+                "widths": list(result.best.candidate.widths),
             },
         ),
     )
@@ -243,20 +224,14 @@ def _tune_impl(
     program: StencilProgram,
     *,
     strategy: str,
-    objective: str,
     budget: int,
     seed: int,
     jobs: int,
     device: GPUDevice,
     config: OptimizationConfig | None,
-    tune_threads: bool,
     disk_cache: DiskCache | None,
     db: TuningDatabase | None,
 ) -> TuningResult:
-    if objective not in list_objectives():
-        raise ValueError(
-            f"unknown tuning objective {objective!r}; known: {list_objectives()}"
-        )
     search = get_search_strategy(strategy)
     config = config or OptimizationConfig.default()
     started = time.perf_counter()
@@ -272,19 +247,18 @@ def _tune_impl(
         canonical,
         device,
         inter_tile_reuse=config.inter_tile_reuse != "none",
-        tune_threads=tune_threads,
     )
 
     cache_root = str(disk_cache.root) if disk_cache is not None else None
 
-    def evaluate(batch: Sequence[Candidate]) -> list[TuningTrial]:
+    def evaluate(batch: Sequence[TileSizes]) -> list[TuningTrial]:
         """Replay cached trials; score (and record) only unseen candidates."""
         trials: list[TuningTrial | None] = [None] * len(batch)
-        missing: list[tuple[int, Candidate]] = []
+        missing: list[tuple[int, TileSizes]] = []
         for index, candidate in enumerate(batch):
             if disk_cache is not None:
                 cached = disk_cache.get(
-                    _trial_key(digest, device, objective, config, candidate),
+                    _trial_key(digest, device, config, candidate),
                     stage="tuning-trial",
                 )
                 if isinstance(cached, TuningTrial):
@@ -297,7 +271,6 @@ def _tune_impl(
                 EvaluationJob(
                     program=program,
                     candidate=candidate,
-                    objective=objective,
                     device=device,
                     config=config,
                     cache_root=cache_root,
@@ -310,7 +283,7 @@ def _tune_impl(
             trials[index] = trial
             if disk_cache is not None:
                 disk_cache.put(
-                    _trial_key(digest, device, objective, config, candidate),
+                    _trial_key(digest, device, config, candidate),
                     trial,
                     stage="tuning-trial",
                 )
@@ -320,21 +293,20 @@ def _tune_impl(
     # from the same table: always evaluated, and handed to strategies that
     # exploit a starting point.
     model_plan = session.run(program, config=config, stop_after="tiling")
-    start = Candidate(sizes=model_plan.artifact("tiling").sizes)
+    start = model_plan.artifact("tiling").sizes
     baseline = evaluate([start])[0]
 
     with obs.span(
         "tune.search",
         program=program.name,
         strategy=strategy,
-        objective=objective,
         budget=budget,
     ):
         trials = search.search(space, evaluate, budget, seed, start=start)
     succeeded = [trial for trial in trials if trial.ok]
     best = min(
         succeeded + [baseline],
-        key=lambda trial: (trial.score, trial.candidate.label()),
+        key=lambda trial: (trial.score, str(trial.candidate)),
     )
 
     result = TuningResult(
@@ -344,7 +316,6 @@ def _tune_impl(
         digest=digest,
         device=device.name,
         strategy=strategy,
-        objective=objective,
         seed=seed,
         budget=budget,
         trials=trials,

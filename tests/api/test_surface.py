@@ -74,8 +74,8 @@ def test_session_signatures_are_pinned():
         "self", "device", "strategy", "disk_cache", "tuning_db", "telemetry",
     ]
     assert _parameter_names(api.Session.run) == [
-        "self", "program", "tile_sizes", "config", "storage", "threads",
-        "strategy", "stop_after", "inject", "tuned",
+        "self", "program", "tile_sizes", "config", "storage", "strategy",
+        "stop_after", "inject", "tuned",
     ]
 
 
@@ -96,7 +96,7 @@ def test_artifact_fields_are_pinned():
             "strategy", "sizes", "tiling", "tile_cost", "supports_codegen", "details",
         ],
         api.MemoryPlan: ["plan"],
-        api.GeneratedCode: ["cuda_source", "core_profiles", "threads"],
+        api.GeneratedCode: ["cuda_source", "core_profiles"],
         api.AnalysisBundle: ["estimate", "report", "device_name"],
         api.VerificationReport: ["strategy", "schedule", "lint"],
     }

@@ -4,6 +4,8 @@ import json
 
 from pathlib import Path
 
+import pytest
+
 from repro.bench.runner import BenchOptions, run_bench
 from repro.bench.schema import load_report
 from repro.cli import main
@@ -51,6 +53,20 @@ def test_hexcc_bench_rejects_unknown_stencil(tmp_path, capsys):
                  "--json", str(tmp_path / "x.json")])
     assert code == 2
     assert "no_such_stencil" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("repeats", ["0", "-5"])
+def test_hexcc_bench_rejects_non_positive_repeats(tmp_path, repeats, capsys):
+    # A count below one is refused before anything is measured, not
+    # clamped to a single repeat.
+    out = tmp_path / "x.json"
+    code = main(["bench", "--stencils", "jacobi_1d", "--repeats", repeats,
+                 "--json", str(out)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--repeats" in captured.err
+    assert not out.exists()
 
 
 def test_checked_in_baseline_is_schema_valid():

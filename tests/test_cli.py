@@ -1,18 +1,23 @@
 """Tests for the hexcc command-line interface."""
 
+import hashlib
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
 import pytest
 
 from repro.cli import build_parser, main
+from repro.stencils import list_stencils
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 EXAMPLE_SOURCE = GOLDEN.parents[1] / "examples" / "custom_stencil.c"
 SRC = GOLDEN.parents[1] / "src"
+#: Known answers of the end-to-end benchmark, read (never written) here.
+E2E_GOLDEN = GOLDEN.parents[1] / "benchmarks" / "e2e" / "golden.json"
 
 
 def _run_probe(code: str) -> tuple[str, set[str]]:
@@ -72,6 +77,21 @@ def test_compile_stdout_is_pinned(capsys):
     assert main(argv) == 0
     expected = (GOLDEN / "compile_jacobi_1d.txt").read_text(encoding="utf-8")
     assert capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize("device", ["gtx470", "nvs5200m"])
+@pytest.mark.parametrize("stencil", list_stencils())
+def test_library_compile_cuda_is_pinned(stencil, device, capsys):
+    """The CUDA and tile sizes of every library compile match the e2e answers."""
+    argv = ["compile", stencil, "--device", device, "--show-cuda", "--no-cache"]
+    assert main(argv) == 0
+    output = capsys.readouterr().out
+    expected = json.loads(E2E_GOLDEN.read_text(encoding="utf-8"))
+    known = expected[f"compile/{stencil}/{device}"]
+    cuda = output[output.index("/* Generated by"):]
+    assert hashlib.sha256(cuda.encode()).hexdigest() == known["cuda_sha256"]
+    sizes = re.search(r"^\s*tile sizes\s*:\s*(.+)$", output, re.MULTILINE)
+    assert sizes is not None and sizes.group(1) == known["tile_sizes"]
 
 
 def test_validate_stdout_is_pinned(capsys):
@@ -412,6 +432,11 @@ def test_tables_command_is_jobs_invariant(capsys):
 def test_tables_command_rejects_unknown_number(capsys):
     assert main(["tables", "9"]) == 2
     assert "unknown table" in capsys.readouterr().err
+    # Every number is checked before any table is rendered.
+    assert main(["tables", "3", "9"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unknown table 9; the paper has tables 1-5" in captured.err
 
 
 # -- hexcc inspect -------------------------------------------------------------------
@@ -510,6 +535,17 @@ def test_bad_stop_after_is_a_usage_error():
 def test_malformed_widths_is_a_usage_error(capsys):
     assert main(["compile", "jacobi_1d", "--widths", "x,y"]) == 2
     assert "--widths" in capsys.readouterr().err
+    # A negative height or width is malformed whatever the stencil.
+    cases = [
+        (["--h", "-1", "--widths", "4,32"], "tile height h must be non-negative"),
+        (["--widths=-4,32"], "tile widths must be non-negative"),
+    ]
+    for command in ("compile", "validate", "verify", "inspect"):
+        for sizes, message in cases:
+            assert main([command, "jacobi_2d", *sizes]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert message in captured.err
 
 
 def test_invalid_tiling_parameters_are_a_compile_failure(capsys):
@@ -628,8 +664,7 @@ def test_help_exits_zero(capsys):
 def test_tune_command_records_and_reports(tmp_path, monkeypatch, capsys):
     db_path = tmp_path / "tuning.json"
     monkeypatch.setenv("HEXCC_TUNING_DB", str(db_path))
-    code = main(["tune", "jacobi_2d", "--budget", "4", "--objective", "model",
-                 "--seed", "3"])
+    code = main(["tune", "jacobi_2d", "--budget", "4", "--seed", "3"])
     assert code == 0
     output = capsys.readouterr().out
     assert "tuned jacobi_2d" in output
@@ -641,7 +676,7 @@ def test_tune_command_records_and_reports(tmp_path, monkeypatch, capsys):
 def test_tune_then_compile_tuned_applies_the_entry(tmp_path, monkeypatch, capsys):
     db_path = tmp_path / "tuning.json"
     monkeypatch.setenv("HEXCC_TUNING_DB", str(db_path))
-    assert main(["tune", "heat_2d", "--budget", "4", "--objective", "model"]) == 0
+    assert main(["tune", "heat_2d", "--budget", "4"]) == 0
     capsys.readouterr()
     assert main(["compile", "heat_2d", "--tuned"]) == 0
     assert "applying tuned configuration" in capsys.readouterr().out
@@ -691,8 +726,7 @@ def test_compile_tuned_reads_committed_baseline(capsys):
 
 def test_tune_json_output(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("HEXCC_TUNING_DB", str(tmp_path / "tuning.json"))
-    assert main(["tune", "jacobi_1d", "--budget", "3", "--objective", "model",
-                 "--json"]) == 0
+    assert main(["tune", "jacobi_1d", "--budget", "3", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out.split("recorded the winner")[0])
     assert payload["program"] == "jacobi_1d"
     assert payload["seed"] == 0
@@ -702,7 +736,7 @@ def test_tune_json_output(tmp_path, monkeypatch, capsys):
 def test_tune_check_passes_against_fresh_db(tmp_path, monkeypatch, capsys):
     db_path = tmp_path / "tuning.json"
     monkeypatch.setenv("HEXCC_TUNING_DB", str(db_path))
-    args = ["tune", "jacobi_2d", "--budget", "4", "--objective", "model"]
+    args = ["tune", "jacobi_2d", "--budget", "4"]
     assert main(args) == 0
     capsys.readouterr()
     assert main(args + ["--check"]) == 0
@@ -711,8 +745,7 @@ def test_tune_check_passes_against_fresh_db(tmp_path, monkeypatch, capsys):
 
 def test_tune_check_fails_without_recorded_entry(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("HEXCC_TUNING_DB", str(tmp_path / "missing.json"))
-    code = main(["tune", "jacobi_2d", "--budget", "3", "--objective", "model",
-                 "--check"])
+    code = main(["tune", "jacobi_2d", "--budget", "3", "--check"])
     assert code == 1
     assert "no 'model' entry" in capsys.readouterr().err
 
@@ -720,10 +753,12 @@ def test_tune_check_fails_without_recorded_entry(tmp_path, monkeypatch, capsys):
 def test_tune_usage_errors(capsys):
     assert main(["tune", "jacobi_2d", "--strategy", "bogus"]) == 2
     assert "unknown search strategy" in capsys.readouterr().err
-    for objective in ("bogus", "simulate"):
-        assert main(["tune", "jacobi_2d", "--objective", objective]) == 2
+    # The score is the analysis pass's roofline time and a candidate is a
+    # tile size: there is no objective or thread-shape option to give.
+    for option in (["--objective", "model"], ["--tune-threads"]):
+        assert main(["tune", "jacobi_2d", *option]) == 2
         err = capsys.readouterr().err
-        assert "unknown tuning objective" in err and "known: counters, model" in err
+        assert f"unrecognized arguments: {' '.join(option)}" in err
     assert main(["tune", "jacobi_2d", "--budget", "0"]) == 2
     assert main(["tune", "not_a_stencil"]) == 2
     # A threshold that is not a finite, non-negative fraction would switch
@@ -737,7 +772,7 @@ def test_tune_usage_errors(capsys):
 def test_tune_table_command(tmp_path, monkeypatch, capsys):
     db_path = tmp_path / "tuning.json"
     monkeypatch.setenv("HEXCC_TUNING_DB", str(db_path))
-    assert main(["tune", "jacobi_2d", "--budget", "4", "--objective", "model"]) == 0
+    assert main(["tune", "jacobi_2d", "--budget", "4"]) == 0
     capsys.readouterr()
     assert main(["tune-table"]) == 0
     output = capsys.readouterr().out

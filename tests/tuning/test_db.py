@@ -24,10 +24,8 @@ def _entry(program="heat_3d", device="GTX 470", strategy="random",
         "budget": 8,
         "evaluations": 9,
         "failures": 0,
-        "best": {"height": 2, "widths": [7, 10, 32], "threads": None,
-                 "score": score},
-        "baseline": {"height": 2, "widths": [3, 4, 128], "threads": None,
-                     "score": score * 2},
+        "best": {"height": 2, "widths": [7, 10, 32], "score": score},
+        "baseline": {"height": 2, "widths": [3, 4, 128], "score": score * 2},
     }
 
 
@@ -90,21 +88,12 @@ def test_entries_key_on_strategy_and_objective():
     assert found is not None and found["best"]["score"] == 0.2
 
 
-def test_best_for_prefers_model_over_counters():
-    db = TuningDatabase()
-    db.record(_entry(strategy="grid", objective="counters", score=0.001))
-    db.record(_entry(strategy="random", objective="model", score=0.9))
-    best = db.best_for("d" * 64, "GTX 470")
-    # model wins despite the numerically smaller counters score: the scores
-    # are not comparable across objectives.
-    assert best["objective"] == "model"
-
-
-def test_best_for_never_applies_other_objectives():
+@pytest.mark.parametrize("objective", ["simulate", "counters"])
+def test_best_for_never_applies_other_objectives(objective):
     # A user database may still hold entries of a retired objective: they
     # load, but --tuned applies none of them.
     db = TuningDatabase()
-    db.record(_entry(strategy="random", objective="simulate", score=0.1))
+    db.record(_entry(strategy="random", objective=objective, score=0.1))
     assert len(db) == 1
     assert db.best_for("d" * 64, "GTX 470") is None
 
@@ -164,13 +153,13 @@ def test_committed_baseline_is_valid_and_covers_the_library(tmp_path):
             entry["digest"], entry["device"], entry["strategy"], entry["objective"]
         )
         assert entry["best"]["score"] <= entry["baseline"]["score"]
-    # Both objectives are deterministic, so any machine regenerates the
-    # committed file byte for byte (README: "Regenerating the baseline
-    # database").  A change that moves a model score fails here.
+    # The score is deterministic, so any machine regenerates the committed
+    # file byte for byte (README: "Regenerating the baseline database").  A
+    # change that moves a model score fails here.
     regenerated = TuningDatabase()
     for name in list_stencils():
-        tune(get_stencil(name), strategy="random", objective="model", budget=32,
-             seed=0, db=regenerated)
+        tune(get_stencil(name), strategy="random", budget=32, seed=0,
+             db=regenerated)
     saved = regenerated.save(tmp_path / "regenerated.json")
     assert saved.read_bytes() == baseline_db_path().read_bytes()
 
@@ -191,3 +180,17 @@ def test_malformed_entries_are_dropped_at_load(tmp_path):
     loaded = TuningDatabase.load(path)
     assert len(loaded) == 1
     assert loaded.best_for("e" * 64, "GTX 470") is None
+
+
+@pytest.mark.parametrize("threads", [None, [1, 64]])
+def test_entries_with_a_thread_shape_are_never_applied(tmp_path, threads):
+    # A best scored for a thread-block shape describes a launch the pipeline
+    # no longer emits: the entry is dropped at load.  A null shape, as
+    # written before the shape axis was removed, still applies.
+    db = TuningDatabase()
+    entry = _entry()
+    entry["best"] = {**entry["best"], "threads": threads}
+    db.record(entry)
+    loaded = TuningDatabase.load(db.save(tmp_path / "shaped.json"))
+    applied = loaded.best_for("d" * 64, "GTX 470")
+    assert (applied is None) == (threads is not None)

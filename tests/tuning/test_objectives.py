@@ -1,55 +1,35 @@
-"""Tuning objectives: determinism and failure tolerance."""
+"""The tuning score: determinism, failure tolerance, agreement with analysis."""
 
 from __future__ import annotations
 
 import pytest
 
+from repro.api import Session
 from repro.api.config import OptimizationConfig
 from repro.gpu.device import GTX470
 from repro.stencils import get_stencil
 from repro.tiling.hybrid import TileSizes
-from repro.tuning import Candidate, EvaluationJob, evaluate_candidate, list_objectives
+from repro.tuning import (
+    EvaluationJob,
+    TuningDatabase,
+    baseline_db_path,
+    evaluate_candidate,
+)
 
 
-def _job(objective, candidate=None):
+def _job(candidate=None):
     return EvaluationJob(
         program=get_stencil("jacobi_2d"),
-        candidate=candidate or Candidate(TileSizes.of(2, 4, 64)),
-        objective=objective,
+        candidate=candidate or TileSizes.of(2, 4, 64),
         device=GTX470,
         config=OptimizationConfig.default(),
         cache_root=None,
     )
 
 
-def test_objective_registry():
-    assert list_objectives() == ["counters", "model"]
-
-
-def test_unknown_objective_raises():
-    with pytest.raises(ValueError, match="unknown tuning objective"):
-        evaluate_candidate(_job("wall-clock"))
-
-
 def test_model_objective_is_deterministic():
-    first = evaluate_candidate(_job("model"))
-    second = evaluate_candidate(_job("model"))
-    assert first.ok and first.score > 0
-    assert first.score == second.score
-
-
-def test_model_objective_threads_change_the_score():
-    plain = evaluate_candidate(_job("model"))
-    threaded = evaluate_candidate(
-        _job("model", candidate=Candidate(TileSizes.of(2, 4, 64), threads=(1, 32)))
-    )
-    assert threaded.ok
-    assert threaded.score != plain.score
-
-
-def test_counters_objective_is_deterministic_and_positive():
-    first = evaluate_candidate(_job("counters"))
-    second = evaluate_candidate(_job("counters"))
+    first = evaluate_candidate(_job())
+    second = evaluate_candidate(_job())
     assert first.ok and first.score > 0
     assert first.score == second.score
 
@@ -57,10 +37,23 @@ def test_counters_objective_is_deterministic_and_positive():
 def test_pipeline_failure_becomes_failed_trial():
     # One width too few for a 2-D stencil: the tiling stage raises; the
     # evaluation must degrade to an infinite-score trial, not crash.
-    trial = evaluate_candidate(
-        _job("model", candidate=Candidate(TileSizes.of(2, 4)))
-    )
+    trial = evaluate_candidate(_job(candidate=TileSizes.of(2, 4)))
     assert not trial.ok
     assert trial.score == float("inf")
     assert trial.error
 
+
+_BASELINE = TuningDatabase.load(baseline_db_path())
+
+
+@pytest.mark.parametrize(
+    "entry", sorted(_BASELINE, key=lambda e: e["program"]), ids=lambda e: e["program"]
+)
+def test_baseline_scores_are_the_analysis_pass_time(entry):
+    """A recorded score is what the analysis pass reports at those sizes."""
+    program = get_stencil(entry["program"])
+    session = Session(GTX470)
+    for recorded in (entry["best"], entry["baseline"]):
+        sizes = TileSizes(recorded["height"], tuple(recorded["widths"]))
+        run = session.run(program, tile_sizes=sizes, stop_after="analysis")
+        assert run.artifact("analysis").report.total_time_s == recorded["score"]

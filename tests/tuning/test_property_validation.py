@@ -46,11 +46,11 @@ def test_searchable_configurations_are_valid(name):
     small = canonicalize(get_stencil(name, sizes=sizes, steps=steps))
 
     for candidate in _sampled_candidates(space):
-        estimate = model.estimate(candidate.sizes, inter_tile_reuse=True)
+        estimate = model.estimate(candidate, inter_tile_reuse=True)
         assert estimate.shared_memory_bytes <= GTX470.shared_memory_per_sm, (
-            f"{name}: {candidate.label()} overflows shared memory"
+            f"{name}: {candidate} overflows shared memory"
         )
-        report = validate_hybrid_tiling(HybridTiling(small, candidate.sizes))
+        report = validate_hybrid_tiling(HybridTiling(small, candidate))
         assert report.ok, (
-            f"{name}: {candidate.label()} fails validation: {report.violations}"
+            f"{name}: {candidate} fails validation: {report.violations}"
         )

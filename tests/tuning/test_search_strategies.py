@@ -15,11 +15,9 @@ from repro.tuning import (
     TuningDatabase,
     get_search_strategy,
     list_search_strategies,
-    register_search_strategy,
     tune,
 )
 from repro.tuning.objectives import TuningTrial
-from repro.tuning.strategies import SearchStrategy
 
 
 @pytest.fixture(scope="module")
@@ -32,7 +30,7 @@ def _fake_evaluate(batch):
     return [
         TuningTrial(
             candidate=c,
-            score=c.sizes.height * 100 + sum(c.sizes.widths),
+            score=c.height * 100 + sum(c.widths),
         )
         for c in batch
     ]
@@ -47,11 +45,6 @@ def test_registry_lists_builtins():
 def test_unknown_strategy_raises():
     with pytest.raises(ValueError, match="unknown search strategy"):
         get_search_strategy("simulated-annealing")
-
-
-def test_duplicate_registration_raises():
-    with pytest.raises(ValueError, match="already registered"):
-        register_search_strategy(get_search_strategy("grid"))
 
 
 def test_grid_respects_budget_and_covers_ends(space):
@@ -113,7 +106,6 @@ def test_tune_identical_seed_budget_byte_identical_entry(tmp_path):
         result = tune(
             program,
             strategy="random",
-            objective="model",
             budget=6,
             seed=11,
             disk_cache=cache,
@@ -127,7 +119,6 @@ def test_tune_seed_is_recorded_in_the_db(tmp_path):
     result = tune(
         get_stencil("jacobi_1d"),
         strategy="random",
-        objective="model",
         budget=4,
         seed=23,
         db=db,
@@ -136,22 +127,3 @@ def test_tune_seed_is_recorded_in_the_db(tmp_path):
     assert entry is not None
     assert entry["seed"] == 23
     assert entry["budget"] == 4
-
-
-def test_custom_strategy_registration(space):
-    class FirstOnly(SearchStrategy):
-        name = "first-only"
-
-        def search(self, space, evaluate, budget, seed, start=None):
-            return evaluate(space.enumerate()[:1])
-
-    try:
-        register_search_strategy(FirstOnly())
-        trials = get_search_strategy("first-only").search(
-            space, _fake_evaluate, 5, seed=0
-        )
-        assert len(trials) == 1
-    finally:
-        from repro.tuning.strategies import _REGISTRY
-
-        _REGISTRY.pop("first-only", None)

@@ -14,7 +14,7 @@ from repro.tiling.tile_size import (
     TileSizeModel,
     select_tile_sizes,
 )
-from repro.tuning import Candidate, CandidateSpace
+from repro.tuning import CandidateSpace
 
 
 @pytest.fixture(scope="module")
@@ -32,7 +32,7 @@ def test_every_candidate_fits_shared_memory(heat3d_canonical):
     model = TileSizeModel(heat3d_canonical)
     assert len(space) > 0
     for candidate in space:
-        estimate = model.estimate(candidate.sizes, inter_tile_reuse=True)
+        estimate = model.estimate(candidate, inter_tile_reuse=True)
         assert estimate.shared_memory_bytes <= GTX470.shared_memory_per_sm
 
 
@@ -41,9 +41,9 @@ def test_every_candidate_satisfies_convexity(heat3d_canonical):
     model = TileSizeModel(heat3d_canonical)
     for candidate in space:
         floor = minimal_width(
-            model.cone.delta0, model.cone.delta1, candidate.sizes.height
+            model.cone.delta0, model.cone.delta1, candidate.height
         )
-        assert candidate.sizes.w0 >= floor
+        assert candidate.w0 >= floor
 
 
 def test_multi_statement_heights_are_statement_multiples(fdtd_canonical):
@@ -51,14 +51,14 @@ def test_multi_statement_heights_are_statement_multiples(fdtd_canonical):
     k = fdtd_canonical.num_statements
     assert k == 3
     for candidate in space:
-        assert (candidate.sizes.height + 1) % k == 0
+        assert (candidate.height + 1) % k == 0
     assert space.rejections[PRUNE_LEGALITY] > 0
 
 
 def test_inner_width_is_full_warps(heat3d_canonical):
     space = CandidateSpace(heat3d_canonical, GTX470)
     for candidate in space:
-        assert candidate.sizes.widths[-1] % GTX470.warp_size == 0
+        assert candidate.widths[-1] % GTX470.warp_size == 0
 
 
 def test_shared_memory_prunes_are_counted(heat3d_canonical):
@@ -84,25 +84,6 @@ def test_enumeration_is_deterministic(heat3d_canonical):
     assert first == second
 
 
-def test_tune_threads_adds_launch_variants(heat3d_canonical):
-    plain = CandidateSpace(heat3d_canonical, GTX470)
-    threaded = CandidateSpace(heat3d_canonical, GTX470, tune_threads=True)
-    assert len(threaded) > len(plain)
-    shapes = {candidate.threads for candidate in threaded}
-    assert None in shapes
-    assert any(shape is not None for shape in shapes)
-    for candidate in threaded:
-        if candidate.threads is not None:
-            assert 1 <= _product(candidate.threads) <= GTX470.max_threads_per_block
-
-
-def _product(values):
-    out = 1
-    for value in values:
-        out *= value
-    return out
-
-
 def test_neighbours_are_axis_aligned_members(heat3d_canonical):
     space = CandidateSpace(heat3d_canonical, GTX470)
     members = set(space.enumerate())
@@ -115,8 +96,8 @@ def test_neighbours_are_axis_aligned_members(heat3d_canonical):
         differing = sum(
             a != b
             for a, b in zip(
-                (neighbour.sizes.height, *neighbour.sizes.widths),
-                (candidate.sizes.height, *candidate.sizes.widths),
+                (neighbour.height, *neighbour.widths),
+                (candidate.height, *candidate.widths),
             )
         )
         assert differing == 1
@@ -129,7 +110,7 @@ def test_model_pick_is_a_member_of_the_space(name):
         for reuse in (True, False):
             pick = select_tile_sizes(canonical, device, inter_tile_reuse=reuse)
             space = CandidateSpace(canonical, device, inter_tile_reuse=reuse)
-            assert Candidate(pick.sizes) in space.enumerate()
+            assert pick.sizes in space.enumerate()
             assert space.rejections == pick.rejections
 
 
@@ -151,16 +132,7 @@ def test_rejections_do_not_affect_estimate_equality(heat3d_canonical):
 def test_1d_space_has_no_warp_constraint():
     canonical = canonicalize(get_stencil("jacobi_1d"))
     space = CandidateSpace(canonical, GTX470)
-    assert any(c.sizes.widths[-1] % GTX470.warp_size != 0 for c in space)
-
-
-def test_candidate_label_mentions_threads():
-    from repro.tiling.hybrid import TileSizes
-
-    plain = Candidate(TileSizes.of(2, 4, 32))
-    threaded = Candidate(TileSizes.of(2, 4, 32), threads=(1, 64))
-    assert "threads" not in plain.label()
-    assert "threads=(1, 64)" in threaded.label()
+    assert any(c.widths[-1] % GTX470.warp_size != 0 for c in space)
 
 
 def test_3d_sweep_explores_all_w0_values(heat3d_canonical):

@@ -12,7 +12,7 @@ from repro.tiling.hybrid import TileSizes
 from repro.tuning import TuningDatabase, tune
 
 
-def _db_for(program, height=1, widths=(3, 32), threads=None, score=0.25):
+def _db_for(program, height=1, widths=(3, 32), score=0.25):
     db = TuningDatabase()
     db.record(
         {
@@ -27,18 +27,8 @@ def _db_for(program, height=1, widths=(3, 32), threads=None, score=0.25):
             "budget": 8,
             "evaluations": 9,
             "failures": 0,
-            "best": {
-                "height": height,
-                "widths": list(widths),
-                "threads": list(threads) if threads else None,
-                "score": score,
-            },
-            "baseline": {
-                "height": 2,
-                "widths": [4, 128],
-                "threads": None,
-                "score": score * 2,
-            },
+            "best": {"height": height, "widths": list(widths), "score": score},
+            "baseline": {"height": 2, "widths": [4, 128], "score": score * 2},
         }
     )
     return db
@@ -51,14 +41,6 @@ def test_session_applies_tuned_sizes():
     assert run.request.tile_sizes == TileSizes.of(1, 3, 32)
     assert run.tuned_entry is not None
     assert run.tuned_entry["best"]["score"] == 0.25
-
-
-def test_session_applies_tuned_threads():
-    program = get_stencil("jacobi_2d", sizes=(64, 64), steps=8)
-    session = Session(tuning_db=_db_for(program, threads=(1, 64)))
-    run = session.run(program, stop_after="codegen", tuned=True)
-    assert run.request.threads == (1, 64)
-    assert run.artifact("codegen").threads == (1, 64)
 
 
 def test_explicit_sizes_beat_the_database():
@@ -112,7 +94,7 @@ def test_tuned_tiling_key_never_aliases_model_selected():
     def request(sizes):
         return CompilationRequest(
             program=program, tile_sizes=sizes, config=config, storage="expanded",
-            threads=None, strategy="hybrid", device=GTX470,
+            strategy="hybrid", device=GTX470,
         )
 
     auto_key = tiling_pass.key(request(None), {}, "parentkey", digest)
@@ -159,7 +141,6 @@ def test_tune_records_applicable_entry_end_to_end(tmp_path):
     result = tune(
         program,
         strategy="grid",
-        objective="model",
         budget=5,
         seed=0,
         disk_cache=DiskCache(tmp_path / "cache"),
@@ -168,5 +149,4 @@ def test_tune_records_applicable_entry_end_to_end(tmp_path):
     session = Session(tuning_db=db)
     run = session.run(program, stop_after="tiling", tuned=True)
     assert run.tuned_entry is not None
-    best = result.best.candidate
-    assert run.request.tile_sizes == best.sizes
+    assert run.request.tile_sizes == result.best.candidate
