@@ -297,7 +297,11 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
 
 
 def _verify_one(session: Session, program, strategy: str, tile_sizes, mutation):
-    """One (stencil, strategy) verification; returns a VerificationReport."""
+    """One (stencil, strategy) verification; returns a VerificationReport.
+
+    A mutation with nothing to perturb in this stencil's schedule (an
+    inner-tiling mutant on a 1-D stencil) raises :class:`UsageError`.
+    """
     from repro.api import VerificationReport
     from repro.verify import verify_hybrid, verify_tiling_plan
     from repro.verify.symbolic import HybridScheduleModel
@@ -397,11 +401,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         for program in programs:
             try:
                 report = _verify_one(session, program, strategy, tile_sizes, mutation)
-            except StrategyError as error:
+            except (StrategyError, UsageError) as error:
                 if not multi:
                     raise
                 # Strategies that cannot express this stencil (e.g. diamond on
-                # higher-order time) are skipped, not failed, in sweeps.
+                # higher-order time) and mutations it gives nothing to perturb
+                # are skipped, not failed, in sweeps.
                 results.append(
                     {
                         "stencil": program.name,
@@ -461,7 +466,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         skipped = len(results) - checked
         tail = f"{checked} verified, {failures} failed"
         if skipped:
-            tail += f", {skipped} skipped (strategy not applicable)"
+            what = "mutation or strategy" if mutation else "strategy"
+            tail += f", {skipped} skipped ({what} not applicable)"
         print(tail)
     return EXIT_FAILURE if failures else EXIT_OK
 

@@ -13,12 +13,24 @@ are exact functions of the residues ``λ = (l + h + 1) mod P_t`` and
 ``T`` and ``S0`` cancel out of every comparison between a dependence's sink
 ``(l, s0)`` and its source ``(l - dl, s0 - ds0)``.  Every residue class is
 inhabited on all sufficiently large grids, so checking the finitely many
-``(λ, μ)`` classes is a sound **and complete** decision procedure.  The
-classical inner dimensions contribute, per class, a small set of possible
-tile displacements ``ΔS_i ∈ {q, q+1}`` derived from the admissible residues
-of the skewed numerator; the lexicographic intra-block check enumerates the
-(at most ``2^(n-1)``) combinations.  The classical and diamond schedules
-reduce the same way over ``l mod lcm(P, k)`` (and ``s0 mod size``).
+``(λ, μ)`` classes is a sound **and complete** decision procedure.
+
+The classes are checked a row at a time, not one by one.  Along a row ``λ``
+everything about a point's phase box but ``μ`` is fixed: its time-tile
+offset, its local time and a shift, so that the box coordinate is
+``(μ + shift) mod P_s`` and the ``S0`` offset ``(μ + shift) // P_s``.
+The offset steps only where ``μ + shift`` wraps, and membership flips only
+at the box's row bounds, so each row splits into a few runs of ``μ`` on
+which a point's assignment is constant.  The check weighs each run by its
+length and takes its first ``μ`` as the witness, which is the class a
+row-major visit of every class would have met first.
+
+The classical inner dimensions contribute, per class, a small set of
+possible tile displacements ``ΔS_i ∈ {q, q+1}`` derived from the admissible
+residues of the skewed numerator; the lexicographic intra-block check
+enumerates the (at most ``2^(n-1)``) combinations.  The classical and
+diamond schedules reduce the same way over ``l mod lcm(P, k)`` (and
+``s0 mod size``).
 
 A dependence is **ordered** when, in every residue class, the source's
 schedule coordinates strictly precede the sink's at a *sequential* level
@@ -39,8 +51,6 @@ from dataclasses import dataclass
 from collections.abc import Iterable, Sequence
 from typing import TYPE_CHECKING, Any
 
-import numpy as np
-
 from repro.verify.report import (
     Instance,
     RaceFinding,
@@ -54,9 +64,8 @@ if TYPE_CHECKING:  # imported lazily at runtime to keep layering loose
     from repro.tiling.diamond import DiamondTiling
     from repro.tiling.hybrid import HybridTiling
 
-#: Cap on reported races per dependence and coverage findings per model —
-#: one witness proves the schedule wrong; thousands restate it.
-_MAX_RACES_PER_DEPENDENCE = 1
+#: Cap on reported coverage findings of each kind (gap, overlap) — one
+#: witness proves the schedule wrong; thousands restate it.
 _MAX_COVERAGE_FINDINGS = 3
 
 
@@ -141,63 +150,6 @@ class HybridScheduleModel:
                 for classical in tiling.classical
             ),
         )
-
-    def contains(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Vectorised membership test of the hexagonal tile shape."""
-        lower = np.asarray(self.row_lower)
-        upper = np.asarray(self.row_upper)
-        in_rows = (a >= 0) & (a < self.time_period)
-        clipped = np.where(in_rows, a, 0)
-        return in_rows & (b >= lower[clipped]) & (b <= upper[clipped])
-
-
-@dataclass(frozen=True)
-class _Assignment:
-    """Phase/tile displacement of one point, per residue class (arrays)."""
-
-    claimed: np.ndarray   # bool — some phase box contains the point
-    phase: np.ndarray     # 0 (blue) / 1 (green) where claimed
-    t_offset: np.ndarray  # time-tile index relative to the symbolic base T
-    s_offset: np.ndarray  # S0 index relative to the symbolic base S
-    local_a: np.ndarray   # local time within the claiming phase box
-
-
-def _assign_relative(
-    model: HybridScheduleModel, lam: np.ndarray, mu: np.ndarray, dl: int, ds: int
-) -> _Assignment:
-    """Assign the point displaced by ``(-dl, -ds)`` from the class anchor.
-
-    ``(lam, mu)`` are the anchor's phase-0 residues; all returned tile
-    indices are offsets against the anchor's symbolic ``(T, S)``, which is
-    what makes the comparison size-independent.
-    """
-    p_t, p_s = model.time_period, model.space_period
-    half = model.height + 1
-    offset = model.phase0_offset
-
-    raw0 = lam - dl
-    e0 = raw0 // p_t
-    a0 = raw0 - e0 * p_t
-    n0 = mu - ds + e0 * model.drift
-    s0_off = n0 // p_s
-    b0 = n0 - s0_off * p_s
-    in_p0 = model.contains(a0, b0)
-
-    raw1 = lam - dl - half
-    e1 = raw1 // p_t
-    a1 = raw1 - e1 * p_t
-    n1 = mu - offset - ds + e1 * model.drift
-    s1_off = n1 // p_s
-    b1 = n1 - s1_off * p_s
-    in_p1 = model.contains(a1, b1)
-
-    return _Assignment(
-        claimed=in_p0 | in_p1,
-        phase=np.where(in_p0, 0, 1),
-        t_offset=np.where(in_p0, e0, e1),
-        s_offset=np.where(in_p0, s0_off, s1_off),
-        local_a=np.where(in_p0, a0, a1),
-    )
 
 
 def _admissible_displacements(
@@ -303,45 +255,115 @@ def _reconstruct_pair(
 
 # -- hybrid verification --------------------------------------------------------------
 
+#: One phase box a displaced point of row ``λ`` may fall in:
+#: ``(t_offset, local_a, shift, lower, upper)``.  The point at ``μ`` has box
+#: coordinate ``(μ + shift) mod P_s`` and ``S0`` offset ``(μ + shift) // P_s``,
+#: and the box holds it iff ``lower <= (μ + shift) mod P_s <= upper``.
+_Box = tuple[int, int, int, int, int]
+#: Where a point lands, relative to the class anchor's symbolic ``(T, S)``:
+#: ``(t_offset, phase, s_offset, local_a)``.
+_Claim = tuple[int, int, int, int]
+#: One run of classes: its row ``λ``, first ``μ``, and the sink's and the
+#: source's claims, the same on every class of the run.
+_Witness = tuple[int, int, _Claim, _Claim]
+
+
+def _phase_boxes(
+    model: HybridScheduleModel, lam: int, dl: int, ds: int
+) -> tuple[_Box, _Box]:
+    """The two phase boxes of the point displaced by ``(-dl, -ds)`` from row ``λ``.
+
+    All tile indices are offsets against the anchor's symbolic ``(T, S)``,
+    which is what makes the comparison size-independent.  The row bounds
+    are clipped to the box coordinates ``[0, P_s)`` (mutants shift them
+    outside it).
+    """
+    p_t, p_s = model.time_period, model.space_period
+
+    def box(raw: int, offset: int) -> _Box:
+        t_offset, local_a = divmod(raw, p_t)
+        shift = t_offset * model.drift - offset - ds
+        lower = max(model.row_lower[local_a], 0)
+        upper = min(model.row_upper[local_a], p_s - 1)
+        return t_offset, local_a, shift, lower, upper
+
+    return (
+        box(lam - dl, 0),
+        box(lam - dl - model.height - 1, model.phase0_offset),
+    )
+
+
+def _cuts(boxes: Sequence[_Box], p_s: int) -> set[int]:
+    """Every ``μ`` at which a point's claim may change along its row.
+
+    Membership of a box flips where the box coordinate reaches ``lower`` or
+    passes ``upper``.  The ``S0`` offset steps where the coordinate wraps
+    from ``P_s - 1`` to 0, which inside a box is at ``lower = 0`` or past
+    ``upper = P_s - 1``: a cut already.
+    """
+    return {
+        (edge - shift) % p_s
+        for _, _, shift, lower, upper in boxes
+        if lower <= upper
+        for edge in (lower, upper + 1)
+    }
+
+
+def _runs(cuts: set[int], p_s: int) -> Iterable[tuple[int, int]]:
+    """The ``[start, stop)`` runs of ``μ ∈ [0, P_s)`` between sorted cuts."""
+    edges = sorted(cuts | {0})
+    return zip(edges, [*edges[1:], p_s])
+
+
+def _claim(boxes: Sequence[_Box], mu: int, p_s: int) -> _Claim | None:
+    """The first phase box holding the point at ``μ``, or ``None``."""
+    for phase, (t_offset, local_a, shift, lower, upper) in enumerate(boxes):
+        s_offset, b = divmod(mu + shift, p_s)
+        if lower <= b <= upper:
+            return t_offset, phase, s_offset, local_a
+    return None
+
 
 def _check_coverage(
     model: HybridScheduleModel,
     canonical: "CanonicalForm",
-    lam: np.ndarray,
-    mu: np.ndarray,
-    sink: _Assignment,
+    rows: Sequence[tuple[_Box, _Box]],
 ) -> tuple[bool, list[RaceFinding]]:
     """Prove the two phases partition the ``(l, s0)`` plane, symbolically.
 
     Residue classes again: for every ``(λ, μ)`` exactly one of the two phase
     boxes must claim the point.  Holds for every grid iff it holds per class.
-    ``sink`` is the undisplaced assignment of every class.
+    ``rows`` holds the undisplaced phase boxes of every row ``λ``.
     """
-    p_t, p_s = model.time_period, model.space_period
-    # Recompute the two memberships separately to distinguish gaps from
-    # overlaps (the assignment collapses them into "claimed").
-    half = model.height + 1
-    e1 = np.where(lam >= half, 0, -1)
-    a1 = (lam - half) % p_t
-    n1 = mu - model.phase0_offset + e1 * model.drift
-    b1 = n1 % p_s
-    in_p0 = model.contains(lam, mu)
-    in_p1 = model.contains(a1, b1)
-    gaps = ~in_p0 & ~in_p1
-    overlaps = in_p0 & in_p1
+    p_s = model.space_period
+    found: dict[str, list[tuple[int, int, int]]] = {"no phase": [], "both phases": []}
+    for lam, boxes in enumerate(rows):
+        for start, stop in _runs(_cuts(boxes, p_s), p_s):
+            in_p0, in_p1 = (
+                lower <= (start + shift) % p_s <= upper
+                for _, _, shift, lower, upper in boxes
+            )
+            if in_p0 != in_p1:
+                continue
+            witnesses = found["both phases" if in_p0 else "no phase"]
+            # The sink's claim: the first phase that holds it, else phase 1.
+            phase = 0 if in_p0 else 1
+            stop = min(stop, start + _MAX_COVERAGE_FINDINGS - len(witnesses))
+            witnesses.extend((lam, mu, phase) for mu in range(start, stop))
     findings: list[RaceFinding] = []
-    for kind, mask in (("no phase", gaps), ("both phases", overlaps)):
-        for index in np.flatnonzero(mask)[:_MAX_COVERAGE_FINDINGS]:
+    for kind, witnesses in found.items():
+        for lam, mu, phase in witnesses:
+            local = (0, phase, 0, rows[lam][phase][1])
             witness, _ = _reconstruct_pair(
                 canonical,
                 model,
-                int(lam[index]),
-                int(mu[index]),
+                lam,
+                mu,
                 [0] * len(model.inner),
                 0,
                 (0,) * (len(model.inner) + 1),
-                (0, int(sink.phase[index]), 0, int(sink.local_a[index])),
-                (0, int(sink.phase[index]), 0, int(sink.local_a[index])),
+                local,
+                local,
             )
             findings.append(
                 RaceFinding(
@@ -349,9 +371,8 @@ def _check_coverage(
                     dependence="<coverage>",
                     level="coverage",
                     message=(
-                        f"phase partition broken: point (λ={int(lam[index])}, "
-                        f"μ={int(mu[index])}) of the (l, s0) plane is claimed "
-                        f"by {kind}"
+                        f"phase partition broken: point (λ={lam}, μ={mu}) of "
+                        f"the (l, s0) plane is claimed by {kind}"
                     ),
                     sink=witness,
                 )
@@ -359,11 +380,97 @@ def _check_coverage(
     return not findings, findings
 
 
+def _race(
+    canonical: "CanonicalForm",
+    model: HybridScheduleModel,
+    dependence: Any,
+    witness: _Witness,
+    level: str,
+    message: str,
+    rhos: Sequence[int] | None = None,
+) -> RaceFinding:
+    """The finding of one witness run, with its counterexample pair.
+
+    ``rhos`` are the sink's inner numerator residues, by default the least
+    ones at its local time.
+    """
+    lam, mu, sink, source = witness
+    if rhos is None:
+        rhos = [dim.base_residue(sink[3]) for dim in model.inner]
+    src_instance, sink_instance = _reconstruct_pair(
+        canonical,
+        model,
+        lam,
+        mu,
+        rhos,
+        dependence.time_distance,
+        dependence.space_distances,
+        sink,
+        source,
+    )
+    return RaceFinding(
+        strategy="hybrid",
+        dependence=str(dependence),
+        level=level,
+        message=message.format(source=src_instance, sink=sink_instance),
+        source=src_instance,
+        sink=sink_instance,
+    )
+
+
+def _intra_tile_race(
+    canonical: "CanonicalForm",
+    model: HybridScheduleModel,
+    dependence: Any,
+    same_tile: Iterable[_Witness],
+) -> RaceFinding | None:
+    """The first same-tile witness the in-kernel loop nest fails to order.
+
+    The intra-tile verdict depends on the local-time pair alone, and inside
+    one tile the source's local time is the sink's minus ``dl``, so
+    ``same_tile`` holds one witness per sink local time: its first class.
+    """
+    for witness in same_tile:
+        _, _, sink, source = witness
+        u_sink, u_src = sink[3], source[3]
+        per_dim = [
+            _admissible_displacements(dim, distance, u_sink, u_src)
+            for dim, distance in zip(model.inner, dependence.space_distances[1:])
+        ]
+        for combo in itertools.product(*per_dim):
+            deltas = [value for value, _ in combo]
+            level = _lex_violation(deltas, u_src - u_sink, model)
+            if level is None:
+                continue
+            key_src = (*deltas, u_src)
+            key_sink = (*([0] * len(deltas)), u_sink)
+            if level == "barrier" and not model.barrier_per_step:
+                text = (
+                    f"dependence {dependence} violated inside tile: "
+                    f"no barrier orders local time {u_src} before "
+                    f"{u_sink} ({{source}} -> {{sink}})"
+                )
+            else:
+                text = (
+                    f"dependence {dependence} violated inside tile: "
+                    f"source inner coordinates {key_src} do not "
+                    f"precede {key_sink} ({{source}} -> {{sink}})"
+                )
+            rhos = [rho for _, rho in combo]
+            return _race(canonical, model, dependence, witness, level, text, rhos)
+    return None
+
+
 def verify_hybrid(
     canonical: "CanonicalForm",
     tiling_or_model: "HybridTiling | HybridScheduleModel",
 ) -> ScheduleVerdict:
-    """Decide legality of the hybrid schedule for all problem sizes."""
+    """Decide legality of the hybrid schedule for all problem sizes.
+
+    Each dependence reports at most one race: the first class, in row-major
+    ``(λ, μ)`` order, that executes the source after the sink; else the
+    first that crosses concurrent blocks; else the first intra-tile race.
+    """
     if isinstance(tiling_or_model, HybridScheduleModel):
         model = tiling_or_model
     else:
@@ -379,11 +486,10 @@ def verify_hybrid(
     names = _statement_names(canonical)
     name_to_index = {name: index for index, name in enumerate(names)}
 
-    lam, mu = np.meshgrid(np.arange(p_t), np.arange(p_s), indexing="ij")
-    lam, mu = lam.ravel(), mu.ravel()
-    sink = _assign_relative(model, lam, mu, 0, 0)
-    coverage_ok, findings = _check_coverage(model, canonical, lam, mu, sink)
-    sink_rank = np.where(sink.phase == model.phase_order[0], 0, 1)
+    rows = [_phase_boxes(model, lam, 0, 0) for lam in range(p_t)]
+    row_cuts = [_cuts(boxes, p_s) for boxes in rows]
+    coverage_ok, findings = _check_coverage(model, canonical, rows)
+    first_phase = model.phase_order[0]
 
     classes_checked = 0
     for dependence in canonical.dependences:
@@ -394,127 +500,53 @@ def verify_hybrid(
         if (sink_index - dl) % k != source_index:
             # No instance pair realises this combination of statement slots.
             continue
-        mask = ((lam - half) % k == sink_index) & sink.claimed
-        source = _assign_relative(model, lam, mu, dl, ds[0])
-        mask &= source.claimed  # unclaimed points are coverage findings
-        classes_checked += int(mask.sum())
-        src_rank = np.where(source.phase == model.phase_order[0], 0, 1)
+        after: _Witness | None = None
+        crossing: _Witness | None = None
+        same_tile: dict[int, _Witness] = {}
+        # Only rows whose sink slot (λ - h - 1) mod k is the sink statement.
+        for lam in range((sink_index + half) % k, p_t, k):
+            sink_boxes = rows[lam]
+            source_boxes = _phase_boxes(model, lam, dl, ds[0])
+            cuts = row_cuts[lam] | _cuts(source_boxes, p_s)
+            for start, stop in _runs(cuts, p_s):
+                sink = _claim(sink_boxes, start, p_s)
+                source = _claim(source_boxes, start, p_s)
+                if sink is None or source is None:
+                    continue  # unclaimed points are coverage findings
+                classes_checked += stop - start
+                # Keep the first witness of each level, in row-major order.
+                witness = (lam, start, sink, source)
+                # The sequential outer levels: time tile T, then phase rank.
+                sink_outer = (sink[0], sink[1] != first_phase)
+                source_outer = (source[0], source[1] != first_phase)
+                if source_outer > sink_outer:
+                    after = after or witness
+                elif source_outer < sink_outer:
+                    continue  # ordered by T or by phase
+                elif source[2] != sink[2]:
+                    crossing = crossing or witness
+                else:
+                    same_tile.setdefault(sink[3], witness)
 
-        outer_after = (source.t_offset > sink.t_offset) | (
-            (source.t_offset == sink.t_offset) & (src_rank > sink_rank)
-        )
-        outer_equal = (source.t_offset == sink.t_offset) & (src_rank == sink_rank)
-        crosses = outer_equal & (source.s_offset != sink.s_offset)
-        same_tile = outer_equal & (source.s_offset == sink.s_offset)
-
-        races: list[RaceFinding] = []
-
-        def record(
-            index: int,
-            level: str,
-            message: str,
-            rhos: Sequence[int],
-        ) -> None:
-            src_instance, sink_instance = _reconstruct_pair(
-                canonical,
-                model,
-                int(lam[index]),
-                int(mu[index]),
-                rhos,
-                dl,
-                ds,
-                (
-                    int(sink.t_offset[index]),
-                    int(sink.phase[index]),
-                    int(sink.s_offset[index]),
-                    int(sink.local_a[index]),
-                ),
-                (
-                    int(source.t_offset[index]),
-                    int(source.phase[index]),
-                    int(source.s_offset[index]),
-                    int(source.local_a[index]),
-                ),
-            )
-            races.append(
-                RaceFinding(
-                    strategy="hybrid",
-                    dependence=str(dependence),
-                    level=level,
-                    message=message.format(
-                        source=src_instance, sink=sink_instance
-                    ),
-                    source=src_instance,
-                    sink=sink_instance,
-                )
-            )
-
-        for index in np.flatnonzero(mask & outer_after):
-            level = (
-                "time_tile"
-                if source.t_offset[index] != sink.t_offset[index]
-                else "phase"
-            )
-            rhos = [dim.base_residue(int(sink.local_a[index])) for dim in model.inner]
-            record(
-                index,
-                level,
+        race: RaceFinding | None
+        if after is not None:
+            _, _, sink, source = after
+            race = _race(
+                canonical, model, dependence, after,
+                "time_tile" if source[0] != sink[0] else "phase",
                 f"dependence {dependence} violated: source tile of {{source}} "
                 f"executes after sink tile of {{sink}}",
-                rhos,
             )
-            break
-        if not races:
-            for index in np.flatnonzero(mask & crosses):
-                rhos = [
-                    dim.base_residue(int(sink.local_a[index])) for dim in model.inner
-                ]
-                record(
-                    index,
-                    "block",
-                    f"dependence {dependence} crosses concurrent blocks: "
-                    f"{{source}} -> {{sink}}",
-                    rhos,
-                )
-                break
-        if not races:
-            # The intra-tile verdict depends on the local-time pair alone, and
-            # inside one tile the source's local time is the sink's minus dl:
-            # decide each sink local time once, at its first class.
-            same = np.flatnonzero(mask & same_tile)
-            _, first = np.unique(sink.local_a[same], return_index=True)
-            for index in same[np.sort(first)]:
-                u_sink = int(sink.local_a[index])
-                u_src = int(source.local_a[index])
-                per_dim = [
-                    _admissible_displacements(dim, distance, u_sink, u_src)
-                    for dim, distance in zip(model.inner, ds[1:])
-                ]
-                for combo in itertools.product(*per_dim):
-                    deltas = [value for value, _ in combo]
-                    level = _lex_violation(deltas, u_src - u_sink, model)
-                    if level is None:
-                        continue
-                    rhos = [rho for _, rho in combo]
-                    key_src = (*deltas, u_src)
-                    key_sink = (*([0] * len(deltas)), u_sink)
-                    if level == "barrier" and not model.barrier_per_step:
-                        text = (
-                            f"dependence {dependence} violated inside tile: "
-                            f"no barrier orders local time {u_src} before "
-                            f"{u_sink} ({{source}} -> {{sink}})"
-                        )
-                    else:
-                        text = (
-                            f"dependence {dependence} violated inside tile: "
-                            f"source inner coordinates {key_src} do not "
-                            f"precede {key_sink} ({{source}} -> {{sink}})"
-                        )
-                    record(index, level, text, rhos)
-                    break
-                if races:
-                    break
-        findings.extend(races[:_MAX_RACES_PER_DEPENDENCE])
+        elif crossing is not None:
+            race = _race(
+                canonical, model, dependence, crossing, "block",
+                f"dependence {dependence} crosses concurrent blocks: "
+                f"{{source}} -> {{sink}}",
+            )
+        else:
+            race = _intra_tile_race(canonical, model, dependence, same_tile.values())
+        if race is not None:
+            findings.append(race)
 
     ordering = [f for f in findings if f.level != "coverage"]
     coverage = [f for f in findings if f.level == "coverage"]

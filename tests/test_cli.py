@@ -39,9 +39,9 @@ def _modules_after(code: str) -> set[str]:
     return _run_probe(code)[1]
 
 
-def _main_probe(*argv: str) -> str:
-    """Probe code running ``hexcc argv`` in-process; a nonzero exit raises."""
-    return f"from repro.cli import main\nassert main({list(argv)!r}) == 0"
+def _main_probe(*argv: str, code: int = 0) -> str:
+    """Probe code running ``hexcc argv`` in-process; another exit code raises."""
+    return f"from repro.cli import main\nassert main({list(argv)!r}) == {code}"
 
 
 def _numpy_modules(modules: set[str]) -> set[str]:
@@ -262,6 +262,20 @@ def test_warm_compile_imports_no_numpy(stencil):
     )
     assert not _numpy_modules(loaded)
     assert not loaded & NOT_ON_THE_WARM_PATH
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (("verify", "heat_2d", "--strategy", "all"), 0),
+        (("verify", "jacobi_2d", "--mutate", "grown-hexagon"), 1),
+        (("verify", "all", "--strategy", "all"), 0),
+    ],
+)
+def test_verify_imports_no_numpy(argv, code):
+    """The symbolic checks, the CUDA lint and the mutation corpus are pure Python."""
+    loaded = _modules_after(_main_probe(*argv, code=code))
+    assert "repro.verify.symbolic" in loaded and not _numpy_modules(loaded)
 
 
 def test_inspect_to_tiling_imports_no_numpy():
@@ -1099,6 +1113,21 @@ def test_verify_usage_errors(capsys):
         captured = capsys.readouterr()
         assert "needs an inner tiled dimension" in captured.err
         assert "verified" not in captured.out
+
+
+def test_verify_all_skips_stencils_a_mutation_cannot_apply_to(capsys):
+    """A sweep kills the mutant where it applies and skips the 1-D stencils."""
+    assert main(["verify", "all", "--mutate", "flipped-tile-order", "--json"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["ok"] is False
+    skipped = {
+        row["stencil"]: row["skipped"] for row in payload["results"] if "skipped" in row
+    }
+    assert sorted(skipped) == ["higher_order_time", "jacobi_1d", "wide_1d"]
+    assert all("needs an inner tiled dimension" in text for text in skipped.values())
+    verified = [row for row in payload["results"] if "skipped" not in row]
+    assert len(verified) == 8
+    assert all(row["summary"]["ok"] is False for row in verified)
 
 
 def test_verify_all_json_is_pinned(capsys):
