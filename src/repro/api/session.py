@@ -241,8 +241,7 @@ class Session:
         ambient at :meth:`run` time (see :func:`repro.obs.use`) — the shared
         no-op unless a caller activated one.  An explicit recorder is
         installed as ambient for the duration of each run, so nested
-        machinery (disk cache, engine fan-outs, strategies) records into it
-        too.
+        machinery (disk cache, strategies) records into it too.
     """
 
     #: Size of the in-memory pass-artifact LRU.
@@ -366,7 +365,7 @@ class Session:
         # The session's explicit recorder wins; otherwise record into
         # whatever is ambient (the shared no-op unless a caller activated
         # one).  Installing it as ambient makes the nested machinery — disk
-        # cache, strategies, engine fan-outs — record into the same trace.
+        # cache, strategies — record into the same trace.
         recorder = self.telemetry if self.telemetry is not None else obs.current()
         label = program.name if isinstance(program, StencilProgram) else "<source>"
         stage_keys: dict[str, str] = {}

@@ -14,25 +14,21 @@ Two suites measure the cost of this reproduction's own machinery:
   on small problem instances (the same configuration the test suite uses).
   The recorded counters are the simulator's exact counters.
 
-Both suites fan across the execution engine (:mod:`repro.engine`) when
-``jobs > 1``; results are assembled in input order, so the report content is
-identical for every job count.  Wall times are wall-clock and therefore
-machine-dependent; counters are deterministic and double as a semantic
-fingerprint of the pipeline.
+Both suites measure one stencil after another in this process, in input
+order.  Wall times are wall-clock and therefore machine-dependent; counters
+are deterministic and double as a semantic fingerprint of the pipeline.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import asdict, dataclass
-from functools import partial
 from collections.abc import Sequence
 from typing import Any
 
 from repro import obs
 from repro.bench.schema import make_report, timing_entry
 from repro.cache import DiskCache
-from repro.engine import map_ordered
 
 # Stencils exercised by ``--quick`` (CI): the Figure-1 stencil, a dense 2-D
 # stencil, the multi-statement kernel, one 3-D stencil and the 1-D case.
@@ -56,7 +52,6 @@ class BenchOptions:
     quick: bool = False
     repeats: int | None = None  # per-suite default when None
     stencils: tuple[str, ...] | None = None  # library selection when None
-    jobs: int = 1  # process-pool width; 0/None = all cores
     disk_cache: DiskCache | None = None  # shared artefact cache, if any
 
     def effective_repeats(self) -> int:
@@ -86,11 +81,8 @@ def _time_call(function) -> tuple[float, Any]:
 
 def measure_compile_stencil(
     name: str, repeats: int, disk_cache: DiskCache | None = None
-) -> tuple[str, dict[str, Any], dict[str, int]]:
-    """One compile-suite measurement (picklable; runs in engine workers).
-
-    Returns ``(stencil, report_entry, cache_counters)``.
-    """
+) -> dict[str, Any]:
+    """One compile-suite measurement: the stencil's report entry."""
     from repro.api import Session
     from repro.codegen.analysis import AnalyticProfiler
     from repro.stencils import get_stencil
@@ -123,7 +115,7 @@ def measure_compile_stencil(
     estimate = AnalyticProfiler(
         tiling, run.artifact("memory").plan, config, run.request.device
     ).estimate()
-    entry = {
+    return {
         "wall_s": timing_entry(runs),
         "timings": {
             stage: timing_entry(values) for stage, values in stage_runs.items()
@@ -140,13 +132,12 @@ def measure_compile_stencil(
             "config": config.label,
         },
     }
-    return name, entry, _flush_cache(disk_cache)
 
 
 def measure_simulate_stencil(
     name: str, repeats: int, disk_cache: DiskCache | None = None
-) -> tuple[str, dict[str, Any], dict[str, int]]:
-    """One simulate-suite measurement (picklable; runs in engine workers)."""
+) -> dict[str, Any]:
+    """One simulate-suite measurement: the stencil's report entry."""
     from repro.api import Session
     from repro.gpu.simulator import FunctionalSimulator
     from repro.stencils import get_definition, get_stencil
@@ -186,7 +177,7 @@ def measure_simulate_stencil(
             validate_runs.append(elapsed_validate)
             simulate_runs.append(elapsed_simulate)
             total_runs.append(elapsed_validate + elapsed_simulate)
-    entry = {
+    return {
         "wall_s": timing_entry(total_runs),
         "stages": {
             "validate_s": timing_entry(validate_runs),
@@ -201,37 +192,6 @@ def measure_simulate_stencil(
             "partial_tiles": simulation.partial_tiles,
         },
     }
-    return name, entry, _flush_cache(disk_cache)
-
-
-def _flush_cache(disk_cache: DiskCache | None) -> dict[str, int]:
-    """Persist and return one measurement's disk-cache counters."""
-    if disk_cache is None:
-        return {}
-    counters = {
-        "hits": disk_cache.hits,
-        "misses": disk_cache.misses,
-        "stores": disk_cache.stores,
-    }
-    disk_cache.flush_stats()
-    return counters
-
-
-def _run_suite(
-    measure,
-    stencils: Sequence[str],
-    repeats: int,
-    options: BenchOptions,
-    cache_totals: dict[str, int],
-) -> dict[str, dict[str, Any]]:
-    """Fan one suite over the engine; results assembled in input order."""
-    task = partial(measure, repeats=repeats, disk_cache=options.disk_cache)
-    results: dict[str, dict[str, Any]] = {}
-    for name, entry, cache_counters in map_ordered(task, stencils, jobs=options.jobs):
-        results[name] = entry
-        for counter, value in cache_counters.items():
-            cache_totals[counter] = cache_totals.get(counter, 0) + value
-    return results
 
 
 def run_bench(options: BenchOptions) -> dict[str, Any]:
@@ -241,24 +201,29 @@ def run_bench(options: BenchOptions) -> dict[str, Any]:
         raise ValueError(f"unknown bench suites {unknown}; known: compile, simulate")
     repeats = options.effective_repeats()
     stencils = options.effective_stencils()
+    measures = {
+        "compile": measure_compile_stencil,
+        "simulate": measure_simulate_stencil,
+    }
     suites: dict[str, dict[str, Any]] = {}
-    cache_totals: dict[str, int] = {}
+    cache = options.disk_cache
     with obs.span(
         "bench.run", suites=",".join(options.suites), stencils=len(stencils)
     ):
-        if "compile" in options.suites:
-            suites["compile"] = _run_suite(
-                measure_compile_stencil, stencils, repeats, options, cache_totals
-            )
-        if "simulate" in options.suites:
-            suites["simulate"] = _run_suite(
-                measure_simulate_stencil, stencils, repeats, options, cache_totals
-            )
+        for suite, measure in measures.items():
+            if suite in options.suites:
+                suites[suite] = {
+                    name: measure(name, repeats, cache) for name in stencils
+                }
     report = make_report(suites, quick=options.quick, repeats=repeats)
-    if options.disk_cache is not None:
-        for counter in ("hits", "misses", "stores"):
-            cache_totals.setdefault(counter, 0)
-        report["disk_cache"] = {"root": str(options.disk_cache.root), **cache_totals}
+    if cache is not None:
+        report["disk_cache"] = {
+            "root": str(cache.root),
+            "hits": cache.hits,
+            "misses": cache.misses,
+            "stores": cache.stores,
+        }
+        cache.flush_stats()
     _record_bench_history(options, suites)
     return report
 

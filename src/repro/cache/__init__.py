@@ -3,8 +3,8 @@
 The in-memory pass-artifact LRU of :class:`repro.api.Session` dies with the
 interpreter; this package adds the on-disk layer underneath it (the PyOP2
 model: array-level execution plus disk-cached compiled artefacts), so
-repeated ``hexcc`` / bench / experiment invocations — and the worker
-processes of the parallel execution engine — skip recompilation entirely.
+repeated ``hexcc`` / bench / experiment invocations skip recompilation
+entirely.
 """
 
 from typing import Any

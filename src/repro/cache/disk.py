@@ -2,8 +2,8 @@
 
 Entries are pickled payloads wrapped in a ``(kind, schema_version, payload)``
 envelope and written atomically (temp file + ``os.replace``), so concurrent
-writers — the process-pool workers of :mod:`repro.engine` — can share one
-cache directory without locking: the worst case is the same artefact being
+writers — separate ``hexcc`` processes pointed at one cache directory — can
+share it without locking: the worst case is the same artefact being
 compiled twice, never a torn read.
 
 Robustness rules:

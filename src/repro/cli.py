@@ -20,12 +20,11 @@ Examples
     hexcc compile-file examples/custom_stencil.c --show-cuda
     hexcc validate-file examples/custom_stencil.c --sizes 16,16 --steps 6
     hexcc table 1          # regenerate Table 1 (GTX 470 comparison)
-    hexcc tables --jobs 4  # regenerate Tables 1-5 across 4 processes
+    hexcc tables           # regenerate Tables 1-5
     hexcc bench --quick --json bench_out.json   # performance report (CI)
-    hexcc bench --jobs 0   # fan the suites across every core
     hexcc cache stats      # on-disk compile cache usage (per-stage breakdown)
     hexcc cache clear      # drop every cached artefact
-    hexcc tune heat_3d --budget 32 --jobs 2
+    hexcc tune heat_3d --budget 32
     hexcc tune jacobi_2d --strategy hillclimb --seed 7
     hexcc compile heat_3d --tuned   # apply the best known configuration
     hexcc tune-table       # tuned-vs-model comparison across the database
@@ -466,8 +465,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         skipped = len(results) - checked
         tail = f"{checked} verified, {failures} failed"
         if skipped:
-            what = "mutation or strategy" if mutation else "strategy"
-            tail += f", {skipped} skipped ({what} not applicable)"
+            # Each SKIP row above says why it was skipped.
+            tail += f", {skipped} skipped"
         print(tail)
     return EXIT_FAILURE if failures else EXIT_OK
 
@@ -480,19 +479,6 @@ def _positive_int(text: str) -> int:
         value = 0
     if value <= 0:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return value
-
-
-def _non_negative_int(text: str) -> int:
-    """Argparse type of ``--jobs``: a process count, ``0`` for every core."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = -1
-    if value < 0:
-        raise argparse.ArgumentTypeError(
-            f"expected a non-negative integer, got {text!r}"
-        )
     return value
 
 
@@ -535,7 +521,7 @@ def _check_table_number(number: int) -> None:
         raise UsageError(f"unknown table {number}; the paper has tables 1-5")
 
 
-def _render_table(number: int, jobs: int, cache: DiskCache | None) -> str:
+def _render_table(number: int, cache: DiskCache | None) -> str:
     _check_table_number(number)
     from repro.experiments import (
         format_comparison,
@@ -549,24 +535,20 @@ def _render_table(number: int, jobs: int, cache: DiskCache | None) -> str:
     )
 
     if number == 1:
-        return format_comparison(
-            run_comparison(GTX470, jobs=jobs, disk_cache=cache), GTX470
-        )
+        return format_comparison(run_comparison(GTX470, disk_cache=cache), GTX470)
     if number == 2:
-        return format_comparison(
-            run_comparison(NVS5200M, jobs=jobs, disk_cache=cache), NVS5200M
-        )
+        return format_comparison(run_comparison(NVS5200M, disk_cache=cache), NVS5200M)
     if number == 3:
         return format_table3(table3_characteristics())
     if number == 4:
-        return format_table4(run_ablation(jobs=jobs, disk_cache=cache))
-    return format_table5(run_counter_ablation(jobs=jobs, disk_cache=cache))
+        return format_table4(run_ablation(disk_cache=cache))
+    return format_table5(run_counter_ablation(disk_cache=cache))
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
     cache = _disk_cache(args)
     try:
-        text = _render_table(args.number, args.jobs, cache)
+        text = _render_table(args.number, cache)
     finally:
         _flush_cache(cache)
     print(text)
@@ -582,7 +564,7 @@ def _cmd_tables(args: argparse.Namespace) -> int:
         for index, number in enumerate(numbers):
             if index:
                 print()
-            print(_render_table(number, args.jobs, cache))
+            print(_render_table(number, cache))
     finally:
         _flush_cache(cache)
     return EXIT_OK
@@ -634,7 +616,6 @@ def _cmd_tune(args: argparse.Namespace) -> int:
         strategy=args.strategy,
         budget=args.budget,
         seed=args.seed,
-        jobs=args.jobs,
         device=_get_device_checked(args.device),
         disk_cache=cache,
     )
@@ -703,50 +684,26 @@ def _cmd_tune_table(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _trace_config_compile(job: tuple[str, str, str | None]) -> str:
-    """Compile one Table-4 configuration (picklable; runs in engine workers)."""
-    from repro.api.config import table4_configurations
-
-    stencil, label, cache_root = job
-    cache = DiskCache(cache_root) if cache_root else None
-    config = table4_configurations()[label]
-    Session(disk_cache=cache).run(get_stencil(stencil), config=config)
-    if cache is not None:
-        cache.flush_stats()
-    return label
-
-
 def _cmd_trace(args: argparse.Namespace) -> int:
-    """Record one fully-traced compile plus a fanned-out configuration sweep."""
-    from repro.api.config import table4_configurations
-    from repro.engine import map_ordered
+    """Record one fully-traced compile (the run ``hexcc profile`` ranks)."""
     from repro.obs.export import write_trace
 
     program = _get_stencil_checked(args.stencil)
     cache = _disk_cache(args)
     recorder = obs.TraceRecorder()
-    with obs.use(recorder):
-        session = Session(
-            device=_get_device_checked(args.device),
-            strategy="hybrid",
-            disk_cache=cache,
-            telemetry=recorder,
-        )
-        # All six stages, so the trace covers the whole pipeline.
-        session.run(program, stop_after="analysis")
-        # Fan the six Table-4 configurations across worker processes so the
-        # trace shows stitched per-process tracks (engine.worker subtrees).
-        cache_root = str(cache.root) if cache is not None else None
-        tasks = [
-            (program.name, label, cache_root) for label in table4_configurations()
-        ]
-        map_ordered(_trace_config_compile, tasks, jobs=args.jobs)
+    session = Session(
+        device=_get_device_checked(args.device),
+        strategy="hybrid",
+        disk_cache=cache,
+        telemetry=recorder,
+    )
+    # All six stages, so the trace covers the whole pipeline.
+    session.run(program, stop_after="analysis")
     _flush_cache(cache)
     spans = recorder.drain()
     path = write_trace(args.output, spans)
-    processes = len({span.pid for span in spans})
     print(
-        f"wrote {path}: {len(spans)} spans across {processes} process(es); "
+        f"wrote {path}: {len(spans)} spans; "
         f"open in https://ui.perfetto.dev or chrome://tracing"
     )
     return EXIT_OK
@@ -874,7 +831,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                     quick=args.quick,
                     repeats=args.repeats,
                     stencils=stencils,
-                    jobs=args.jobs,
                     disk_cache=_disk_cache(args),
                 )
             )
@@ -1024,7 +980,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     table_parser = sub.add_parser("table", help="regenerate one of the paper's tables")
     table_parser.add_argument("number", type=int)
-    _add_jobs_argument(table_parser)
     _add_no_cache_argument(table_parser)
     table_parser.set_defaults(func=_cmd_table)
 
@@ -1036,7 +991,6 @@ def build_parser() -> argparse.ArgumentParser:
         "numbers", type=int, nargs="*",
         help="table numbers to regenerate (default: 1 2 3 4 5)",
     )
-    _add_jobs_argument(tables_parser)
     _add_no_cache_argument(tables_parser)
     tables_parser.set_defaults(func=_cmd_tables)
 
@@ -1083,7 +1037,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--json", action="store_true",
         help="emit the database entry plus every trial as JSON",
     )
-    _add_jobs_argument(tune_parser)
     _add_no_cache_argument(tune_parser)
     tune_parser.set_defaults(func=_cmd_tune)
 
@@ -1103,7 +1056,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     trace_parser = sub.add_parser(
         "trace",
-        help="record a Chrome trace of a compile plus a fanned-out config sweep",
+        help="record a Chrome trace of one compile",
     )
     trace_parser.add_argument("stencil")
     trace_parser.add_argument(
@@ -1111,11 +1064,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="trace file to write (Chrome trace-event JSON; default: trace.json)",
     )
     _add_device_argument(trace_parser)
-    trace_parser.add_argument(
-        "--jobs", type=_non_negative_int, default=2, metavar="N",
-        help="worker processes for the configuration sweep "
-             "(0 = all cores; default: 2)",
-    )
     _add_no_cache_argument(trace_parser)
     trace_parser.set_defaults(func=_cmd_trace)
 
@@ -1201,7 +1149,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--trace", default=None, metavar="PATH",
         help="also record the run as a Chrome trace and write it to PATH",
     )
-    _add_jobs_argument(bench_parser)
     _add_no_cache_argument(bench_parser)
     bench_parser.set_defaults(func=_cmd_bench)
     return parser
@@ -1211,14 +1158,6 @@ def _add_device_argument(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--device", default="gtx470",
         help="target GPU: gtx470 or nvs5200m (default: gtx470)",
-    )
-
-
-def _add_jobs_argument(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--jobs", type=_non_negative_int, default=1, metavar="N",
-        help="fan the work across N processes (0 = all cores; default: 1); "
-             "results are identical for every N",
     )
 
 

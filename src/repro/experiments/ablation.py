@@ -3,11 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 from repro.cache import DiskCache
 from repro.api import Session
-from repro.engine import map_ordered
 from repro.experiments.paper_data import PAPER_TABLE4, PAPER_TABLE5, PAPER_TILE_SIZES
 from repro.gpu.device import GPUDevice, GTX470, NVS5200M
 from repro.api import table4_configurations
@@ -34,10 +32,9 @@ def ablation_rows_for_device(
     tile_sizes: TileSizes | None = None,
     disk_cache: DiskCache | None = None,
 ) -> list[AblationRow]:
-    """Table 4 rows of one device (picklable engine task).
+    """Table 4 rows of one device.
 
-    The configurations of one device stay sequential: each row's speedup
-    column refers to the previous configuration.
+    Each row's speedup column refers to the previous configuration.
     """
     tile_sizes = tile_sizes or PAPER_TILE_SIZES[benchmark]
     program = get_stencil(benchmark)
@@ -63,8 +60,6 @@ def ablation_rows_for_device(
             )
         )
         previous = report.gflops
-    if disk_cache is not None:
-        disk_cache.flush_stats()
     return rows
 
 
@@ -72,21 +67,14 @@ def run_ablation(
     benchmark: str = "heat_3d",
     devices: tuple[GPUDevice, ...] = (NVS5200M, GTX470),
     tile_sizes: TileSizes | None = None,
-    jobs: int = 1,
     disk_cache: DiskCache | None = None,
 ) -> list[AblationRow]:
-    """Reproduce Table 4: GFLOPS of heat 3D under configurations (a)-(f).
-
-    ``jobs`` fans the per-device sweep over the execution engine with
-    deterministic row ordering.
-    """
-    task = partial(
-        ablation_rows_for_device,
-        benchmark=benchmark,
-        tile_sizes=tile_sizes,
-        disk_cache=disk_cache,
-    )
-    return [row for rows in map_ordered(task, devices, jobs=jobs) for row in rows]
+    """Reproduce Table 4: GFLOPS of heat 3D under configurations (a)-(f)."""
+    return [
+        row
+        for device in devices
+        for row in ablation_rows_for_device(device, benchmark, tile_sizes, disk_cache)
+    ]
 
 
 def counter_row_for_config(
@@ -96,7 +84,7 @@ def counter_row_for_config(
     tile_sizes: TileSizes | None = None,
     disk_cache: DiskCache | None = None,
 ) -> dict[str, object]:
-    """One Table 5 row (picklable engine task)."""
+    """One Table 5 row."""
     tile_sizes = tile_sizes or PAPER_TILE_SIZES[benchmark]
     program = get_stencil(benchmark)
     config = table4_configurations()[label]
@@ -106,8 +94,6 @@ def counter_row_for_config(
     estimate = run.artifact("analysis").estimate
     table5 = estimate.counters.as_table5_row()
     paper = PAPER_TABLE5.get(label, {})
-    if disk_cache is not None:
-        disk_cache.flush_stats()
     return {
         "configuration": label,
         "gld_inst_32bit": table5["gld_inst_32bit"],
@@ -123,23 +109,13 @@ def run_counter_ablation(
     benchmark: str = "heat_3d",
     device: GPUDevice = GTX470,
     tile_sizes: TileSizes | None = None,
-    jobs: int = 1,
     disk_cache: DiskCache | None = None,
 ) -> list[dict[str, object]]:
-    """Reproduce Table 5: performance counters for configurations (a)-(f).
-
-    ``jobs`` fans the per-configuration sweep over the execution engine with
-    deterministic row ordering.
-    """
-    task = partial(
-        counter_row_for_config,
-        benchmark=benchmark,
-        device=device,
-        tile_sizes=tile_sizes,
-        disk_cache=disk_cache,
-    )
-    labels = list(table4_configurations())
-    return map_ordered(task, labels, jobs=jobs)
+    """Reproduce Table 5: performance counters for configurations (a)-(f)."""
+    return [
+        counter_row_for_config(label, benchmark, device, tile_sizes, disk_cache)
+        for label in table4_configurations()
+    ]
 
 
 def format_table4(rows: list[AblationRow]) -> str:

@@ -3,12 +3,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 from repro.baselines import OvertileBaseline, Par4AllBaseline, PPCGBaseline, PatusBaseline
 from repro.cache import DiskCache
 from repro.api import Session
-from repro.engine import map_ordered
 from repro.experiments.paper_data import (
     PAPER_TABLE1_GTX470,
     PAPER_TABLE2_NVS5200,
@@ -43,7 +41,7 @@ def comparison_rows_for_benchmark(
     include_patus: bool = False,
     disk_cache: DiskCache | None = None,
 ) -> list[ComparisonRow]:
-    """All (tool, benchmark) rows of one benchmark (picklable engine task)."""
+    """All (tool, benchmark) rows of one benchmark."""
     reference = _paper_reference(device)
     baselines = {
         "ppcg": PPCGBaseline(),
@@ -102,8 +100,6 @@ def comparison_rows_for_benchmark(
         if row.gstencils_per_second is not None and ppcg_gs:
             row.speedup_over_ppcg = row.gstencils_per_second / ppcg_gs
         rows.append(row)
-    if disk_cache is not None:
-        disk_cache.flush_stats()
     return rows
 
 
@@ -111,7 +107,6 @@ def run_comparison(
     device: GPUDevice = GTX470,
     benchmarks: list[str] | None = None,
     include_patus: bool = False,
-    jobs: int = 1,
     disk_cache: DiskCache | None = None,
 ) -> list[ComparisonRow]:
     """Run the Table 1 / Table 2 comparison on one device.
@@ -119,17 +114,15 @@ def run_comparison(
     Every tool (hybrid compiler and baseline models) is evaluated on the
     paper-sized problem instances through the same analytic GPU model, so the
     comparison reflects differences between the tiling strategies rather than
-    tuned constants.  ``jobs`` fans the per-benchmark sweep over the
-    execution engine; the row order is identical for every job count.
+    tuned constants.
     """
-    benchmarks = benchmarks or paper_benchmarks()
-    task = partial(
-        comparison_rows_for_benchmark,
-        device=device,
-        include_patus=include_patus,
-        disk_cache=disk_cache,
-    )
-    return [row for rows in map_ordered(task, benchmarks, jobs=jobs) for row in rows]
+    return [
+        row
+        for benchmark in benchmarks or paper_benchmarks()
+        for row in comparison_rows_for_benchmark(
+            benchmark, device, include_patus, disk_cache
+        )
+    ]
 
 
 def format_comparison(rows: list[ComparisonRow], device: GPUDevice) -> str:

@@ -1,4 +1,4 @@
-"""Memory-system model: global-memory coalescing and shared-memory banks.
+"""Memory-system model: global-memory coalescing and shared-memory capacity.
 
 The model captures the effects the paper's Section 4.2/6.2 optimisations are
 about:
@@ -11,10 +11,11 @@ about:
   multiple of the cache line waste the remainder of the line unless loads are
   restricted to full rows (the inter-tile reuse configurations (e)/(f) reach
   100% efficiency this way);
-* **shared-memory bank conflicts** — the static inter-tile reuse mapping of
-  Section 4.2.2 places the same global element at a fixed shared location,
-  which makes the stencil's shared accesses stride across banks and double the
-  replay rate (the "shared loads per request" column of Table 5).
+* **shared-memory capacity** — whether a block's shared allocation fits an
+  SM, and how many such blocks can be resident at once.  (The bank-conflict
+  replay of the static inter-tile reuse mapping of Section 4.2.2, the
+  "shared loads per request" column of Table 5, is charged by
+  :mod:`repro.codegen.analysis`.)
 """
 
 from __future__ import annotations
@@ -48,35 +49,12 @@ class CoalescingModel:
         transactions_per_line = line // self.device.dram_transaction_bytes
         return lines * transactions_per_line
 
-    def row_efficiency(self, useful_bytes: int, row_bytes: int, aligned: bool) -> float:
-        """Fraction of transferred bytes that were actually requested."""
-        transactions = self.row_transactions(row_bytes, aligned)
-        transferred = transactions * self.device.dram_transaction_bytes
-        if transferred <= 0:
-            return 1.0
-        return min(1.0, useful_bytes / transferred)
-
 
 @dataclass(frozen=True)
 class SharedMemoryModel:
-    """Bank-conflict model of shared-memory accesses."""
+    """Capacity model of shared memory: allocation fit and occupancy."""
 
     device: GPUDevice
-    banks: int = 32
-
-    def load_replay_factor(self, access_stride: int) -> float:
-        """Average transactions per shared-load request for a given stride.
-
-        Stride 1 (and any stride coprime with the number of banks) is
-        conflict free; an even stride of ``s`` makes ``gcd(s, banks)`` threads
-        hit the same bank, multiplying the replay rate accordingly.
-        """
-        from math import gcd
-
-        if access_stride <= 0:
-            return 1.0
-        conflict = gcd(access_stride, self.banks)
-        return float(max(1, conflict))
 
     def fits(self, bytes_needed: int) -> bool:
         """Whether a per-block shared allocation fits the SM's shared memory."""

@@ -4,13 +4,12 @@ The span is the one telemetry record (see :doc:`the README's Observability
 section <README>`):
 
 * **spans** (:mod:`repro.obs.spans`) — hierarchical timed regions threaded
-  through the pass pipeline, the disk cache, the execution engine (with
-  cross-process propagation), the tuner and the bench runner;
+  through the pass pipeline, the disk cache, the tuner and the bench runner;
 * **exporters** (:mod:`repro.obs.export`, :mod:`repro.obs.profile`) —
   Chrome trace-event JSON (open in Perfetto or chrome://tracing) and the
   inclusive/exclusive profile table behind ``hexcc profile``;
 * **crash reports** (:mod:`repro.obs.log`) — the post-mortem document a
-  failing pass, tuning sweep or engine worker leaves behind.
+  failing pass or tuning sweep leaves behind.
 
 Exactly one span recorder is **ambient** at any point (a :mod:`contextvars`
 variable, so activations nest correctly); the default is
@@ -26,7 +25,7 @@ Usage::
     recorder = obs.TraceRecorder()
     with obs.use(recorder):
         with obs.span("my.work", items=3):
-            ...  # sessions, caches and engine fan-outs record here
+            ...  # sessions, caches and tuning sweeps record here
 
     obs.export.write_trace("trace.json", recorder.drain())
 """
@@ -45,7 +44,6 @@ from repro.obs.spans import (
     NullRecorder,
     Span,
     SpanHandle,
-    TraceContext,
     TraceRecorder,
 )
 
@@ -54,7 +52,6 @@ __all__ = [
     "NullRecorder",
     "Span",
     "SpanHandle",
-    "TraceContext",
     "TraceRecorder",
     "attrib",
     "current",

@@ -3,16 +3,15 @@
 The trace format is the Trace Event Format consumed by Perfetto
 (https://ui.perfetto.dev) and chrome://tracing: a ``traceEvents`` list of
 complete-duration (``"ph": "X"``) events with microsecond timestamps, plus
-``"M"`` metadata events naming each process.  Span ids and parent links ride
-in each event's ``args`` so the structure survives the export (and the CI
-trace-smoke job can check that every reference resolves, see
-:mod:`repro.obs.validate`).
+one ``"M"`` metadata event naming the process ``hexcc``.  Span ids and
+parent links ride in each event's ``args`` so the structure survives the
+export (and the CI trace-smoke job can check that every reference resolves,
+see :mod:`repro.obs.validate`).
 """
 
 from __future__ import annotations
 
 import json
-import os
 from pathlib import Path
 from collections.abc import Sequence
 from typing import Any
@@ -27,7 +26,6 @@ TRACE_SCHEMA_VERSION = 1
 def chrome_trace(spans: Sequence[Span]) -> dict[str, Any]:
     """Build a Chrome trace-event document from completed spans."""
     events: list[dict[str, Any]] = []
-    main_pid = os.getpid()
     seen_pids: dict[int, None] = {}
     for span in spans:
         seen_pids.setdefault(span.pid, None)
@@ -38,9 +36,7 @@ def chrome_trace(spans: Sequence[Span]) -> dict[str, Any]:
                 "ph": "M",
                 "pid": pid,
                 "tid": 0,
-                "args": {
-                    "name": "hexcc" if pid == main_pid else f"hexcc worker {pid}"
-                },
+                "args": {"name": "hexcc"},
             }
         )
     for span in spans:

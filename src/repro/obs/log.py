@@ -1,6 +1,6 @@
-"""Crash reports: the post-mortem a failing pass, sweep or worker leaves.
+"""Crash reports: the post-mortem a failing pass or tuning sweep leaves.
 
-When a pipeline pass, the tuner loop or an engine worker raises,
+When a pipeline pass or the tuner loop raises,
 :func:`write_crash_report` persists a post-mortem document — the exception
 and traceback, the operation context, the open span stack, and the
 artifact stage keys computed so far — under ``$HEXCC_CACHE_DIR/crash/`` and

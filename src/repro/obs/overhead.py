@@ -1,7 +1,7 @@
 """The disabled-telemetry overhead gate (``python -m repro.obs.overhead``).
 
 The telemetry hooks are always compiled in: every pipeline pass, cache
-access and engine fan-out opens a span on the ambient recorder, which
+access and tuning trial opens a span on the ambient recorder, which
 defaults to the shared no-op one.  This gate bounds what that costs when
 **disabled**:
 

@@ -6,10 +6,9 @@ itself.  For a single-process trace the exclusive times of all spans sum to
 the inclusive time of the roots (total wall time), which is what makes the
 ranking trustworthy: nothing is double-counted, nothing is hidden.
 
-Concurrent subtrees (engine workers overlapping their parent fan-out span)
-can push a parent's naive exclusive time negative; it is clamped at zero,
-so multi-process traces still rank sensibly even though worker wall time
-does not sum into the parent's timeline.
+A hand-assembled trace whose children overlap (their durations sum past
+the parent's) would push the parent's naive exclusive time negative; it is
+clamped at zero.
 """
 
 from __future__ import annotations

@@ -2,9 +2,8 @@
 
 A **span** is one timed, named region of work with attributes and a parent
 link; the spans of one run form a tree (pipeline passes under the session
-run, cache I/O under the pass that triggered it, worker roots under the
-engine fan-out that spawned them).  Two recorder implementations share one
-handle type:
+run, cache I/O under the pass that triggered it).  Two recorder
+implementations share one handle type:
 
 * :class:`TraceRecorder` — retains completed spans for export
   (:mod:`repro.obs.export`) and aggregation (:mod:`repro.obs.profile`);
@@ -16,14 +15,7 @@ handle type:
 Timing discipline: **durations** come from the monotonic
 ``perf_counter_ns`` clock; **timestamps** are wall-clock-anchored (each
 recorder pins ``time_ns`` against ``perf_counter_ns`` once at construction)
-so spans recorded by different processes land on one shared timeline in a
-Chrome trace.
-
-Cross-process propagation: a parent process exports a :class:`TraceContext`
-(its current span id) into each engine worker; the worker records into its
-own fresh recorder under a root span parented on that id, then ships the
-completed spans back (they are plain picklable objects carrying the
-worker's real pid/tid) for the parent to :meth:`TraceRecorder.adopt`.
+so a Chrome trace shows spans at the time of day they ran.
 """
 
 from __future__ import annotations
@@ -37,15 +29,14 @@ from collections.abc import Mapping
 from typing import Any
 
 #: Process-global span sequence.  Ids are ``{pid:x}-{seq}``; the sequence
-#: must be shared by every recorder in the process because pool workers are
-#: reused — a fresh recorder per task with a private counter would mint
-#: colliding ids under the same pid.
+#: is shared by every recorder in the process, so spans of two recorders
+#: (say, a session's own and the ambient one) never mint the same id.
 _SPAN_SEQ = itertools.count(1)
 
 
 @dataclass(frozen=True)
 class Span:
-    """One completed span (immutable; picklable across processes)."""
+    """One completed span (immutable)."""
 
     name: str
     span_id: str
@@ -66,13 +57,6 @@ class Span:
         if self.error:
             label += f" ERROR({self.error})"
         return label
-
-
-@dataclass(frozen=True)
-class TraceContext:
-    """What a worker process needs to link its spans into the parent trace."""
-
-    parent_id: str | None
 
 
 class SpanHandle:
@@ -99,13 +83,12 @@ class SpanHandle:
         recorder: "NullRecorder",
         name: str,
         attributes: dict[str, Any],
-        parent_id: str | None = None,
     ) -> None:
         self._recorder = recorder
         self.name = name
         self.attributes = attributes
         self.span_id: str | None = None
-        self.parent_id = parent_id
+        self.parent_id: str | None = None
         self._start_perf_ns = 0
         self.duration_s = 0.0
         self.error: str | None = None
@@ -137,11 +120,6 @@ class NullRecorder:
     def span(self, name: str, **attributes: Any) -> SpanHandle:
         return SpanHandle(self, name, attributes)
 
-    def root_span(
-        self, name: str, context: TraceContext | None = None, **attributes: Any
-    ) -> SpanHandle:
-        return SpanHandle(self, name, attributes)
-
     # The handle protocol: nothing to do when disabled.
     def _enter(self, handle: SpanHandle) -> None:
         pass
@@ -156,16 +134,12 @@ class NullRecorder:
     def drain(self) -> list[Span]:
         return []
 
-    def adopt(self, spans: list[Span], parent_id: str | None = None) -> None:
-        pass
-
 
 class TraceRecorder(NullRecorder):
     """Retains completed spans and maintains the open-span parent stack.
 
     The stack is per-recorder and not synchronised: one recorder serves one
-    thread of control (engine workers are separate *processes*, each with
-    its own recorder).  The recorded ``tid`` still distinguishes threads if
+    thread of control.  The recorded ``tid`` still distinguishes threads if
     a recorder is ever shared.
     """
 
@@ -176,31 +150,20 @@ class TraceRecorder(NullRecorder):
         self._pid = os.getpid()
         self._stack: list[tuple[str, str]] = []  # (span_id, name), innermost last
         # Pin the wall clock against the monotonic clock once, so every
-        # span's timestamp is monotonic *and* comparable across processes.
+        # span's timestamp is monotonic *and* anchored to the time of day.
         self._epoch_wall_ns = time.time_ns()
         self._epoch_perf_ns = time.perf_counter_ns()
 
     def span(self, name: str, **attributes: Any) -> SpanHandle:
         return SpanHandle(self, name, attributes)
 
-    def root_span(
-        self, name: str, context: TraceContext | None = None, **attributes: Any
-    ) -> SpanHandle:
-        """A span explicitly parented on a (possibly foreign) span id."""
-        parent = context.parent_id if context is not None else None
-        return SpanHandle(self, name, attributes, parent_id=parent)
-
     def open_spans(self) -> list[tuple[str, str]]:
         """``(span_id, name)`` of every currently open span, outermost first."""
         return list(self._stack)
 
-    def export_context(self) -> TraceContext:
-        """The propagation context a worker process should record under."""
-        return TraceContext(parent_id=self._stack[-1][0] if self._stack else None)
-
     def _enter(self, handle: SpanHandle) -> None:
         handle.span_id = f"{self._pid:x}-{next(_SPAN_SEQ)}"
-        if handle.parent_id is None and self._stack:
+        if self._stack:
             handle.parent_id = self._stack[-1][0]
         self._stack.append((handle.span_id, handle.name))
 
@@ -229,25 +192,3 @@ class TraceRecorder(NullRecorder):
         """Return every completed span and clear the buffer."""
         spans, self.spans = self.spans, []
         return spans
-
-    def adopt(self, spans: list[Span], parent_id: str | None = None) -> None:
-        """Attach spans recorded elsewhere (worker processes) to this trace.
-
-        Foreign spans keep their own ids, pids and tids; roots among them
-        (``parent_id is None``) are re-parented on ``parent_id`` so the
-        worker subtrees hang off the span that spawned the fan-out.
-        """
-        for span in spans:
-            if span.parent_id is None and parent_id is not None:
-                span = Span(
-                    name=span.name,
-                    span_id=span.span_id,
-                    parent_id=parent_id,
-                    start_ns=span.start_ns,
-                    duration_ns=span.duration_ns,
-                    pid=span.pid,
-                    tid=span.tid,
-                    attributes=span.attributes,
-                    error=span.error,
-                )
-            self.spans.append(span)

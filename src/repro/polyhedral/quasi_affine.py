@@ -7,18 +7,12 @@ represented here as small expression trees that can be
 * evaluated exactly on integer points (used by the schedule engine, the
   validators and the functional GPU simulator), and
 * pretty-printed as C/CUDA expressions (used by the code generator).
-
-Rational coefficients are handled by scaling: ``floor((s + (n/d)*u) / w)`` is
-emitted as ``floordiv(d*s + n*u, d*w)`` which is exact for integer inputs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from collections.abc import Mapping
-
-Number = int | Fraction
 
 
 def _coerce(value: "QExpr | int") -> "QExpr":
@@ -205,72 +199,3 @@ def qvar(name: str) -> QVar:
 def qconst(value: int) -> QConst:
     """Shorthand constructor for a constant node."""
     return QConst(int(value))
-
-
-def affine_combination(
-    terms: Mapping[str, Number], constant: Number = 0
-) -> tuple[QExpr, int]:
-    """Build a scaled integer expression from rational-coefficient terms.
-
-    Returns ``(expr, scale)`` such that ``expr = scale * (sum terms + constant)``
-    with all emitted coefficients integral.  Used to translate expressions such
-    as ``s + δ·u`` (with rational ``δ``) into exact integer arithmetic.
-    """
-    fractions = {name: Fraction(value) for name, value in terms.items()}
-    constant_fraction = Fraction(constant)
-    scale = constant_fraction.denominator
-    for value in fractions.values():
-        scale = _lcm(scale, value.denominator)
-    expr: QExpr = qconst(int(constant_fraction * scale))
-    for name, value in fractions.items():
-        coefficient = int(value * scale)
-        if coefficient == 0:
-            continue
-        expr = expr + QMul(qvar(name), coefficient)
-    return expr, scale
-
-
-def floor_of_rational_affine(
-    terms: Mapping[str, Number], constant: Number, divisor: Number
-) -> QExpr:
-    """Quasi-affine floor of ``(sum terms + constant) / divisor`` with rationals.
-
-    The expression is scaled so the division is by a positive integer.
-    """
-    divisor_fraction = Fraction(divisor)
-    if divisor_fraction <= 0:
-        raise ValueError("divisor must be positive")
-    numerator, scale = affine_combination(terms, constant)
-    scaled_divisor = divisor_fraction * scale
-    if scaled_divisor.denominator != 1:
-        extra = scaled_divisor.denominator
-        numerator = QMul(numerator, extra) if extra != 1 else numerator
-        scaled_divisor = scaled_divisor * extra
-    return QFloorDiv(numerator, int(scaled_divisor))
-
-
-def mod_of_rational_affine(
-    terms: Mapping[str, Number], constant: Number, modulus: Number
-) -> QExpr:
-    """Quasi-affine ``(sum terms + constant) mod modulus`` with rational terms.
-
-    The result is returned scaled back down only when the scale is 1;
-    otherwise the caller receives the scaled remainder, which is still a
-    faithful intra-tile coordinate (it preserves ordering and uniqueness).
-    """
-    modulus_fraction = Fraction(modulus)
-    if modulus_fraction <= 0:
-        raise ValueError("modulus must be positive")
-    numerator, scale = affine_combination(terms, constant)
-    scaled_modulus = modulus_fraction * scale
-    if scaled_modulus.denominator != 1:
-        extra = scaled_modulus.denominator
-        numerator = QMul(numerator, extra)
-        scaled_modulus = scaled_modulus * extra
-    return QMod(numerator, int(scaled_modulus))
-
-
-def _lcm(a: int, b: int) -> int:
-    from math import gcd
-
-    return a // gcd(a, b) * b

@@ -68,17 +68,6 @@ class DependenceCone:
 
     # -- queries -----------------------------------------------------------------
 
-    @property
-    def is_pointwise(self) -> bool:
-        """True when the stencil has no spatial spread along this dimension."""
-        return self.delta0 == 0 and self.delta1 == 0
-
-    def contains_distance(self, dt: int, ds: int) -> bool:
-        """Whether the distance ``(dt, ds)`` satisfies the cone bounds."""
-        if dt <= 0:
-            return False
-        return ds <= self.delta0 * dt and ds >= -self.delta1 * dt
-
     def opposite_rays(self) -> tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]:
         """The generating rays ``(-1, -δ0)`` and ``(-1, δ1)`` of Figure 3."""
         return ((Fraction(-1), -self.delta0), (Fraction(-1), self.delta1))

@@ -132,14 +132,5 @@ class DiamondTiling:
                 widths.append(len(row))
         return min(widths) if widths else 0
 
-    def legality_ok(self, distance_vectors: list[tuple[int, int]]) -> bool:
-        """Whether wavefront-sequential execution of the tiling is legal."""
-        for dl, ds in distance_vectors:
-            if dl <= 0:
-                return False
-            if abs(ds) > dl:
-                return False
-        return True
-
     def __repr__(self) -> str:
         return f"DiamondTiling(size={self.size})"

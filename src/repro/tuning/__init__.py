@@ -13,8 +13,8 @@ what ``hexcc compile --tuned`` prints:
 * three search strategies (``grid`` / ``random`` / ``hillclimb``), looked
   up by name;
 * :func:`~repro.tuning.objectives.evaluate_candidate` — scores one
-  candidate through a :class:`repro.api.Session` run that shares the cached
-  pipeline prefix, fanned across processes by :mod:`repro.engine`;
+  candidate through an ordinary :class:`repro.api.Session` run; a sweep
+  scores all of its candidates on one session, in one process;
 * :class:`~repro.tuning.db.TuningDatabase` — a schema-versioned, atomically
   written JSON database of best known tile sizes, keyed by (program content
   digest, device, strategy, objective), which
@@ -31,7 +31,6 @@ _EXPORTS = {
     "baseline_db_path": "repro.tuning.db",
     "default_db_path": "repro.tuning.db",
     "resolve_db_path": "repro.tuning.db",
-    "EvaluationJob": "repro.tuning.objectives",
     "TuningTrial": "repro.tuning.objectives",
     "evaluate_candidate": "repro.tuning.objectives",
     "CandidateSpace": "repro.tuning.space",

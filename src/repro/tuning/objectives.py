@@ -8,33 +8,25 @@ deterministic — never a timing of this host — so a recorded score equals
 what ``hexcc compile --tuned`` prints for the same sizes.  The database
 records it under the objective name ``model``.
 
-Candidates are evaluated through a :class:`repro.api.Session` resuming from
-the shared ``canonicalize`` artifact: the per-pass disk cache means the
-parse/canonicalize prefix is computed once per sweep and every repeated
-candidate costs almost nothing — which is what makes warm re-runs of a whole
-sweep cheap.  :func:`evaluate_candidate` is a module-level function over a
-picklable job description so :func:`repro.engine.map_ordered` can fan
-evaluations across worker processes.
+The tuner scores every candidate in its own process on one in-memory
+:class:`repro.api.Session`, whose pass LRU keeps the ``canonicalize``
+artifact, so each candidate costs only its tiling, memory, codegen and
+analysis passes.  Nothing of a scored candidate is written to disk but its
+``tuning-trial`` cache entry (see :mod:`repro.tuning.tuner`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
+from typing import TYPE_CHECKING
 
 from repro import obs
 from repro.tiling.hybrid import TileSizes
 
-
-@dataclass(frozen=True)
-class EvaluationJob:
-    """Everything one candidate evaluation needs (picklable for the engine)."""
-
-    program: object  # StencilProgram — picklable expression trees
-    candidate: TileSizes
-    device: object  # GPUDevice
-    config: object | None  # OptimizationConfig
-    cache_root: str | None  # DiskCache root shared with the parent process
+if TYPE_CHECKING:
+    from repro.api.config import OptimizationConfig
+    from repro.api.session import Session
+    from repro.model.program import StencilProgram
 
 
 @dataclass(frozen=True)
@@ -52,53 +44,30 @@ class TuningTrial:
         return f"{self.candidate!s:<32} {self.score:.6g}"
 
 
-#: One pipeline session per (cache root, device) per process: candidates
-#: evaluated by the same worker share the in-memory artifact LRU, so the
-#: canonicalize artifact is computed once per process, not per candidate.
-_SESSIONS: dict[tuple[str | None, str], Any] = {}
-
-
-def _session(job: EvaluationJob):
-    from repro.api import Session
-    from repro.cache import DiskCache
-
-    key = (job.cache_root, job.device.name)
-    session = _SESSIONS.get(key)
-    if session is None:
-        cache = DiskCache(job.cache_root) if job.cache_root else None
-        session = Session(device=job.device, strategy="hybrid", disk_cache=cache)
-        _SESSIONS[key] = session
-    return session
-
-
-def _score(job: EvaluationJob) -> float:
-    """The analysis pass's roofline time at the candidate's tile sizes."""
-    session = _session(job)
-    run = session.run(
-        job.program,
-        tile_sizes=job.candidate,
-        config=job.config,
-        stop_after="analysis",
-    )
-    if session.disk_cache is not None:
-        session.disk_cache.flush_stats()
-    return run.artifact("analysis").report.total_time_s
-
-
-def evaluate_candidate(job: EvaluationJob) -> TuningTrial:
+def evaluate_candidate(
+    session: Session,
+    program: StencilProgram,
+    candidate: TileSizes,
+    config: OptimizationConfig | None = None,
+) -> TuningTrial:
     """Score one candidate; failures become infinite-cost trials, not crashes.
 
-    A candidate that the pipeline rejects (degenerate tiling, planner error)
-    is reported as a failed trial so a sweep survives hostile corners of the
-    space instead of aborting after hours of work.
+    The score is the analysis pass's roofline time at the candidate's tile
+    sizes.  A candidate that the pipeline rejects (degenerate tiling,
+    planner error) is reported as a failed trial so a sweep survives hostile
+    corners of the space instead of aborting after hours of work.
     """
-    with obs.span("tune.trial", candidate=str(job.candidate)) as span:
+    with obs.span("tune.trial", candidate=str(candidate)) as span:
         try:
-            return TuningTrial(candidate=job.candidate, score=float(_score(job)))
+            run = session.run(
+                program, tile_sizes=candidate, config=config, stop_after="analysis"
+            )
+            score = float(run.artifact("analysis").report.total_time_s)
+            return TuningTrial(candidate=candidate, score=score)
         except Exception as error:  # noqa: BLE001 — any pipeline failure is data
             span.set(failed=True)
             return TuningTrial(
-                candidate=job.candidate,
+                candidate=candidate,
                 score=float("inf"),
                 ok=False,
                 error=f"{type(error).__name__}: {error}",

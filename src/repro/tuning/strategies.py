@@ -12,10 +12,9 @@ one of three strategies up by name:
   the incumbent, move to the best improvement, repeat until the budget runs
   out or a local optimum is reached.
 
-A strategy receives an ``evaluate`` callback taking a *batch* of candidates;
-batches are fanned across worker processes by the tuner, so strategies
-should propose as many independent candidates per round as they can.
-Every strategy is deterministic for a fixed ``(seed, budget)`` — the
+A strategy receives an ``evaluate`` callback taking a *batch* of candidates
+(the candidates of one round that do not depend on each other's scores) and
+returning their trials in order.  Every strategy is deterministic for a fixed ``(seed, budget)`` — the
 property the tuning database's byte-identical-entry test pins.
 """
 
@@ -91,7 +90,7 @@ class HillClimbSearch(SearchStrategy):
     """Coordinate-descent from the model-selected configuration.
 
     Each round evaluates all unvisited axis-aligned neighbours of the
-    incumbent in one parallel batch, then moves to the best strictly
+    incumbent in one batch, then moves to the best strictly
     improving one.  The walk stops at a local optimum or when the budget is
     exhausted.  Ties break on the enumeration order of the space, keeping
     the walk deterministic; ``seed`` selects the starting point only when no

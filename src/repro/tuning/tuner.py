@@ -4,8 +4,8 @@
 the legal candidate space from the program (:mod:`repro.tuning.space`),
 spends an evaluation budget with a named search strategy
 (:mod:`repro.tuning.strategies`), scores each candidate tile size by the
-analysis pass's roofline time (:mod:`repro.tuning.objectives`) fanned across
-worker processes by :func:`repro.engine.map_ordered`, and returns a
+analysis pass's roofline time (:mod:`repro.tuning.objectives`) on one
+in-memory :class:`~repro.api.Session` in this process, and returns a
 :class:`TuningResult` that can be recorded into the persistent
 :class:`repro.tuning.db.TuningDatabase`.
 
@@ -18,9 +18,10 @@ Sweeps are **incremental**: every evaluated trial is stored in the shared
 :class:`~repro.cache.DiskCache` under a tuning-owned stage key
 (content-hashed over the program, the device, the configuration, the
 candidate and the compiler code fingerprint, so a code change re-scores
-everything).  Re-running a sweep — same seed or a different strategy
-visiting overlapping candidates — only scores candidates never seen before;
-a fully warm re-run reduces to cache lookups.
+everything).  That entry is the only per-candidate disk record: the scoring
+session has no disk cache.  Re-running a sweep — same seed or a different
+strategy visiting overlapping candidates — only scores candidates never
+seen before; a fully warm re-run reduces to cache lookups.
 """
 
 from __future__ import annotations
@@ -35,12 +36,11 @@ from repro.api.config import OptimizationConfig
 from repro.api.session import Session, program_digest
 from repro.cache import DiskCache
 from repro.cache.keys import stage_key
-from repro.engine import map_ordered
 from repro.gpu.device import GPUDevice, GTX470
 from repro.model.program import StencilProgram
 from repro.tiling.hybrid import TileSizes
 from repro.tuning.db import OBJECTIVE, TuningDatabase
-from repro.tuning.objectives import EvaluationJob, TuningTrial, evaluate_candidate
+from repro.tuning.objectives import TuningTrial, evaluate_candidate
 from repro.tuning.space import CandidateSpace
 from repro.tuning.strategies import get_search_strategy
 
@@ -147,7 +147,6 @@ def tune(
     strategy: str = "random",
     budget: int = 32,
     seed: int = 0,
-    jobs: int = 1,
     device: GPUDevice = GTX470,
     config: OptimizationConfig | None = None,
     disk_cache: DiskCache | None = None,
@@ -155,11 +154,11 @@ def tune(
 ) -> TuningResult:
     """Autotune one stencil program; optionally record into ``db``.
 
-    Parameters mirror ``hexcc tune``.  ``disk_cache`` is shared with the
-    worker processes (they reopen it by root path), so every candidate run
-    resumes from the cached ``canonicalize`` artifact — and previously
-    evaluated trials are replayed from the cache instead of re-scored,
-    making warm sweep re-runs nearly free.
+    Parameters mirror ``hexcc tune``.  ``disk_cache`` holds the pipeline
+    prefix (``canonicalize`` and the model's tiling) and one
+    ``tuning-trial`` entry per scored candidate: previously evaluated trials
+    are replayed from it instead of re-scored, making warm sweep re-runs
+    nearly free.
 
     A completed sweep is appended to the persistent run history; a sweep
     that dies writes a crash report (see :mod:`repro.obs.log`) before the
@@ -171,7 +170,6 @@ def tune(
             strategy=strategy,
             budget=budget,
             seed=seed,
-            jobs=jobs,
             device=device,
             config=config,
             disk_cache=disk_cache,
@@ -226,7 +224,6 @@ def _tune_impl(
     strategy: str,
     budget: int,
     seed: int,
-    jobs: int,
     device: GPUDevice,
     config: OptimizationConfig | None,
     disk_cache: DiskCache | None,
@@ -236,8 +233,7 @@ def _tune_impl(
     config = config or OptimizationConfig.default()
     started = time.perf_counter()
 
-    # One shared pipeline prefix: parse + canonicalize once, so the space and
-    # every candidate evaluation reuse the same cached artifact.
+    # The pipeline prefix, disk-cached: the space and the model plan read it.
     session = Session(device=device, strategy="hybrid", disk_cache=disk_cache)
     prefix = session.run(program, config=config, stop_after="canonicalize")
     canonical = prefix.artifact("canonicalize").canonical
@@ -249,45 +245,25 @@ def _tune_impl(
         inter_tile_reuse=config.inter_tile_reuse != "none",
     )
 
-    cache_root = str(disk_cache.root) if disk_cache is not None else None
+    # Candidates are scored in memory: their pass artifacts are not worth a
+    # disk write, because the trial entry already makes a re-run free.
+    scorer = Session(device=device, strategy="hybrid")
 
     def evaluate(batch: Sequence[TileSizes]) -> list[TuningTrial]:
         """Replay cached trials; score (and record) only unseen candidates."""
-        trials: list[TuningTrial | None] = [None] * len(batch)
-        missing: list[tuple[int, TileSizes]] = []
-        for index, candidate in enumerate(batch):
+        trials: list[TuningTrial] = []
+        for candidate in batch:
+            key = _trial_key(digest, device, config, candidate)
             if disk_cache is not None:
-                cached = disk_cache.get(
-                    _trial_key(digest, device, config, candidate),
-                    stage="tuning-trial",
-                )
+                cached = disk_cache.get(key, stage="tuning-trial")
                 if isinstance(cached, TuningTrial):
-                    trials[index] = cached
+                    trials.append(cached)
                     continue
-            missing.append((index, candidate))
-        fresh = map_ordered(
-            evaluate_candidate,
-            [
-                EvaluationJob(
-                    program=program,
-                    candidate=candidate,
-                    device=device,
-                    config=config,
-                    cache_root=cache_root,
-                )
-                for _, candidate in missing
-            ],
-            jobs=jobs,
-        )
-        for (index, candidate), trial in zip(missing, fresh):
-            trials[index] = trial
+            trial = evaluate_candidate(scorer, program, candidate, config)
             if disk_cache is not None:
-                disk_cache.put(
-                    _trial_key(digest, device, config, candidate),
-                    trial,
-                    stage="tuning-trial",
-                )
-        return [trial for trial in trials if trial is not None]
+                disk_cache.put(key, trial, stage="tuning-trial")
+            trials.append(trial)
+        return trials
 
     # The §3.7 model selection — a member of the space, since the model picks
     # from the same table: always evaluated, and handed to strategies that

@@ -12,9 +12,9 @@ definitions, and checks four rule families against the declared
     hardware, since barriers must be reached by every thread.
 ``shared-bank-conflict`` (warning; error at replay >= 8)
     A warp accessing a ``__shared__`` array with element stride ``s``
-    replays the access ``gcd(s, 32)`` times (the model
-    :class:`repro.gpu.memory.SharedMemoryModel` uses); column-major
-    walks over row-major tiles are the classic instance.
+    replays the access ``gcd(s, 32)`` times (that many of its threads
+    share each of the 32 banks it touches); column-major walks over
+    row-major tiles are the classic instance.
 ``shared-oob`` (error)
     A subscript that is a literal, or a loop variable with provable
     non-negative start and literal exclusive bound, reaching outside the

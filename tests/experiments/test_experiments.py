@@ -18,6 +18,7 @@ from repro.experiments import (
     run_counter_ablation,
     table3_characteristics,
 )
+from repro.cache import DiskCache
 from repro.gpu.device import GTX470, NVS5200M
 from repro.api import OptimizationConfig, table4_configurations
 from repro.stencils import paper_benchmarks
@@ -109,6 +110,25 @@ def test_counter_ablation_matches_table5_shape():
     # The static mapping (e) pays shared-memory bank conflicts, (f) does not.
     assert by_config["e"]["shared_loads_per_request"] > by_config["f"]["shared_loads_per_request"]
     assert "Table 5" in format_table5(rows)
+
+
+@pytest.mark.parametrize(
+    "sweep",
+    [
+        lambda cache: run_ablation(devices=(GTX470,), disk_cache=cache),
+        lambda cache: run_counter_ablation(device=GTX470, disk_cache=cache),
+    ],
+    ids=["ablation", "counter_ablation"],
+)
+def test_experiment_sweeps_are_cache_invariant(sweep, tmp_path):
+    """Tables 4 and 5 read the same from a cold, a warm and no disk cache."""
+    uncached = sweep(None)
+    cold = DiskCache(tmp_path / "hexcc")
+    assert sweep(cold) == uncached
+    assert cold.stores > 0
+    warm = DiskCache(tmp_path / "hexcc")
+    assert sweep(warm) == uncached
+    assert warm.stores == 0 and warm.misses == 0 and warm.hits > 0
 
 
 def test_figure2_matches_paper_instruction_mix():

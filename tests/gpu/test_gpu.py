@@ -43,17 +43,11 @@ def test_coalescing_aligned_rows_use_fewer_transactions():
     aligned = model.row_transactions(128, aligned=True)
     unaligned = model.row_transactions(128, aligned=False)
     assert aligned < unaligned
-    assert model.row_efficiency(128, 128, aligned=True) == 1.0
-    assert model.row_efficiency(128, 128, aligned=False) < 1.0
     assert model.row_transactions(0, aligned=True) == 0
 
 
 def test_shared_memory_bank_conflicts():
     model = SharedMemoryModel(GTX470)
-    assert model.load_replay_factor(1) == 1.0
-    assert model.load_replay_factor(33) == 1.0    # coprime with 32 banks
-    assert model.load_replay_factor(2) == 2.0
-    assert model.load_replay_factor(32) == 32.0
     assert model.fits(40 * 1024)
     assert not model.fits(64 * 1024)
     assert model.occupancy_limit(20 * 1024) == 2

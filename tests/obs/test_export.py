@@ -106,10 +106,9 @@ def test_validator_accepts_multi_process_traces():
     ]
     document = chrome_trace(spans + foreign)
     assert validate_chrome_trace(document) == []
-    names = {
-        e["args"]["name"] for e in document["traceEvents"] if e["ph"] == "M"
-    }
-    assert names == {"hexcc", f"hexcc worker {os.getpid() + 1}"}
+    metadata = [e for e in document["traceEvents"] if e["ph"] == "M"]
+    assert {e["pid"] for e in metadata} == {os.getpid(), os.getpid() + 1}
+    assert {e["args"]["name"] for e in metadata} == {"hexcc"}
 
 
 # -- deliberately corrupted traces ---------------------------------------------------

@@ -100,24 +100,33 @@ def test_strategy_errors_do_not_produce_crash_reports(small_jacobi_2d):
     assert not list(crash_report_dir().glob("crash-*.json"))
 
 
-def _fail_on_one(value: int) -> int:
-    if value == 1:
-        raise RuntimeError("synthetic worker fault")
-    return value
+def test_candidate_fault_becomes_a_failed_trial_with_one_crash_report(monkeypatch):
+    """A scored candidate's pipeline fault is reported, and the sweep goes on."""
+    from repro.api import Session
+    from repro.stencils import get_stencil
+    from repro.tuning import tune
 
+    analyses = []
 
-def test_engine_worker_failure_writes_one_crash_report():
-    from repro.engine import map_ordered
+    def explode_second_analysis(self, pipeline_pass, key, request, artifacts):
+        if pipeline_pass.name == "analysis":
+            analyses.append(request)
+            if len(analyses) == 2:  # the first candidate after the baseline
+                raise RuntimeError("synthetic analysis fault")
+        return original(self, pipeline_pass, key, request, artifacts)
 
-    with obs.use(obs.TraceRecorder()):
-        with pytest.raises(RuntimeError) as excinfo:
-            map_ordered(_fail_on_one, [0, 1, 2], jobs=2)
-    path = getattr(excinfo.value, "crash_report_path", None)
-    assert path is not None
+    original = Session._fetch_or_run
+    monkeypatch.setattr(Session, "_fetch_or_run", explode_second_analysis)
+    result = tune(get_stencil("jacobi_1d"), strategy="grid", budget=4)
+    entry = result.to_entry()
+    assert entry["evaluations"] == len(analyses) == 5
+    assert entry["failures"] == 1
+    (failed,) = [trial for trial in result.trials if not trial.ok]
+    assert failed.error == "RuntimeError: synthetic analysis fault"
     (report,) = crash_report_dir().glob("crash-*.json")
-    assert str(report) == path
     document = json.loads(report.read_text())
-    assert document["context"] == {"operation": "engine.worker", "item": 1}
+    assert document["context"]["operation"] == "compile"
+    assert document["context"]["program"] == "jacobi_1d"
 
 
 def test_tuning_failure_writes_one_crash_report(monkeypatch):

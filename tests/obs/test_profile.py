@@ -54,14 +54,14 @@ def test_same_name_spans_aggregate():
 
 
 def test_concurrent_children_clamp_exclusive_at_zero():
-    # Worker subtrees overlap their fan-out span: children sum past the parent.
+    # A hand-assembled trace whose children sum past their parent.
     spans = [
-        _span("engine.map_ordered", "1", None, 100),
-        _span("engine.worker", "w1", "1", 90, pid=2),
-        _span("engine.worker", "w2", "1", 80, pid=3),
+        _span("parent", "1", None, 100),
+        _span("child", "c1", "1", 90, pid=2),
+        _span("child", "c2", "1", 80, pid=3),
     ]
     rows = {row.name: row for row in profile_rows(spans)}
-    assert rows["engine.map_ordered"].exclusive_s == 0.0
+    assert rows["parent"].exclusive_s == 0.0
 
 
 def test_unresolvable_parents_count_as_roots():

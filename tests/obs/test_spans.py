@@ -8,7 +8,7 @@ import pickle
 import pytest
 
 from repro import obs
-from repro.obs.spans import NullRecorder, Span, TraceContext, TraceRecorder
+from repro.obs.spans import NullRecorder, TraceRecorder
 
 
 def test_nested_spans_record_parent_links():
@@ -92,43 +92,63 @@ def test_use_nests_and_restores():
         assert obs.current() is outer
 
 
-def test_adopt_reparents_foreign_roots_only():
-    recorder = TraceRecorder()
-    with recorder.span("fan") as fan:
-        pass
-    foreign_root = Span(
-        name="engine.worker", span_id="aa-1", parent_id=None,
-        start_ns=0, duration_ns=10, pid=1, tid=1, attributes={},
-    )
-    foreign_child = Span(
-        name="pass.parse", span_id="aa-2", parent_id="aa-1",
-        start_ns=0, duration_ns=5, pid=1, tid=1, attributes={},
-    )
-    recorder.adopt([foreign_root, foreign_child], parent_id=fan.span_id)
-    by_id = {span.span_id: span for span in recorder.drain()}
-    assert by_id["aa-1"].parent_id == fan.span_id
-    assert by_id["aa-2"].parent_id == "aa-1"  # untouched
-
-
-def test_root_span_links_to_an_exported_context():
-    parent = TraceRecorder()
-    with parent.span("engine.map_ordered"):
-        context = parent.export_context()
-    assert isinstance(context, TraceContext)
-    # The context is what crosses the process boundary: it must pickle.
-    context = pickle.loads(pickle.dumps(context))
-    worker = TraceRecorder()
-    with worker.root_span("engine.worker", context=context, item=0):
-        pass
-    (root,) = worker.drain()
-    (fan,) = parent.drain()
-    assert root.parent_id == fan.span_id
-    assert root.attributes == {"item": 0}
-
-
 def test_spans_are_picklable():
     recorder = TraceRecorder()
     with recorder.span("work", detail="x"):
         pass
     (span,) = recorder.drain()
     assert pickle.loads(pickle.dumps(span)) == span
+
+
+def _span_tree(spans):
+    """(name, parent-name) edges — the structure, stripped of ids/timing."""
+    names = {span.span_id: span.name for span in spans}
+    return sorted(
+        (span.name, names.get(span.parent_id)) for span in spans
+    )
+
+
+def test_traced_compile_structure_is_deterministic():
+    """The span tree of a library-stencil compile is pinned and repeatable."""
+    from repro.api import Session
+    from repro.stencils import get_stencil
+
+    program = get_stencil("jacobi_2d", sizes=(20, 18), steps=10)
+    trees = []
+    for _ in range(2):
+        recorder = obs.TraceRecorder()
+        Session(telemetry=recorder).run(program, stop_after="analysis")
+        trees.append(_span_tree(recorder.drain()))
+    assert trees[0] == trees[1]
+    assert trees[0] == [
+        ("pass.analysis", "session.run"),
+        ("pass.canonicalize", "session.run"),
+        ("pass.codegen", "session.run"),
+        ("pass.memory", "session.run"),
+        ("pass.parse", "session.run"),
+        ("pass.tiling", "session.run"),
+        ("session.run", None),
+    ]
+
+
+def test_tracing_does_not_change_results(small_jacobi_2d):
+    from repro.api import Session
+
+    plain = Session().run(small_jacobi_2d, stop_after="analysis")
+    recorder = obs.TraceRecorder()
+    traced = Session(telemetry=recorder).run(small_jacobi_2d, stop_after="analysis")
+    assert recorder.drain()
+    for stage in ("tiling", "codegen"):
+        assert repr(traced.artifact(stage)) == repr(plain.artifact(stage))
+    assert (
+        traced.artifact("analysis").report.total_time_s
+        == plain.artifact("analysis").report.total_time_s
+    )
+
+
+def test_disabled_telemetry_records_nothing(small_jacobi_2d):
+    from repro.api import Session
+
+    Session().run(small_jacobi_2d, stop_after="analysis")
+    assert not obs.current().enabled
+    assert obs.current().drain() == []

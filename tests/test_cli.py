@@ -139,9 +139,9 @@ def test_empty_instances_are_usage_errors(argv, message, capsys):
     assert "GStencils/s" not in captured.out
 
 
-@pytest.mark.parametrize("number", ["1", "2"])
+@pytest.mark.parametrize("number", ["1", "2", "3", "4", "5"])
 def test_comparison_table_stdout_is_pinned(number, capsys):
-    """Every cell of Tables 1 and 2 is printed whole, brackets closed."""
+    """Every table prints as recorded; Tables 1 and 2 print every cell whole."""
     assert main(["table", number, "--no-cache"]) == 0
     expected = (GOLDEN / f"table_{number}.txt").read_text(encoding="utf-8")
     assert capsys.readouterr().out == expected
@@ -434,13 +434,13 @@ def test_no_cache_flag_bypasses_the_disk_cache(tmp_path, monkeypatch, capsys):
     assert "entries    : 0" in capsys.readouterr().out
 
 
-def test_tables_command_is_jobs_invariant(capsys):
-    assert main(["tables", "3", "--jobs", "1"]) == 0
-    serial = capsys.readouterr().out
-    assert main(["tables", "3", "--jobs", "2"]) == 0
-    parallel = capsys.readouterr().out
-    assert serial == parallel
-    assert "laplacian_2d" in serial
+def test_tables_command_prints_every_pinned_table(capsys):
+    assert main(["tables", "--no-cache"]) == 0
+    expected = "\n".join(
+        (GOLDEN / f"table_{number}.txt").read_text(encoding="utf-8")
+        for number in range(1, 6)
+    )
+    assert capsys.readouterr().out == expected
 
 
 def test_tables_command_rejects_unknown_number(capsys):
@@ -468,11 +468,36 @@ def test_tables_command_rejects_unknown_number(capsys):
     ids=lambda argv: argv[0],
 )
 def test_negative_jobs_is_a_usage_error(argv, capsys):
-    """``--jobs 0`` means every core; a negative count is refused up front."""
-    assert main([*argv, "--jobs", "-1"]) == 2
+    """Every command runs in one process: a script passing ``--jobs`` fails loudly."""
+    assert main([*argv, "--jobs", "2"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "expected a non-negative integer, got '-1'" in captured.err
+    # `tables` takes the 2 as a table number and refuses `--jobs` alone.
+    assert "unrecognized arguments: --jobs" in captured.err
+
+
+#: Modules of a process pool; no ``hexcc`` command loads any of them.
+_POOL_MODULE_PREFIXES = ("multiprocessing", "concurrent", "repro.engine")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("tables", "3"),
+        ("tune", "jacobi_1d", "--budget", "4"),
+        ("bench", "--quick", "--suite", "compile", "--repeats", "1",
+         "--stencils", "jacobi_1d"),
+        ("trace", "jacobi_2d"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_sweeps_run_in_one_process(argv, tmp_path):
+    """Tables, tuning, bench and trace load no process-pool module."""
+    # bench and trace write their reports into the working directory.
+    code = f"import os\nos.chdir({str(tmp_path)!r})\n" + _main_probe(*argv)
+    loaded = _modules_after(code)
+    assert "repro.cli" in loaded
+    assert not {name for name in loaded if name.startswith(_POOL_MODULE_PREFIXES)}
 
 
 def test_inspect_stop_after_tiling_json_reports_exactly_the_passes_run(capsys):
@@ -848,31 +873,48 @@ def test_trace_command_writes_a_valid_chrome_trace(tmp_path, capsys):
     from repro.obs.validate import validate_chrome_trace
 
     out = tmp_path / "trace.json"
-    assert main(["trace", "jacobi_2d", "-o", str(out), "--jobs", "2"]) == 0
+    assert main(["trace", "jacobi_2d", "-o", str(out)]) == 0
     assert "wrote" in capsys.readouterr().out
     document = json.loads(out.read_text())
     assert validate_chrome_trace(document) == []
 
     events = [e for e in document["traceEvents"] if e["ph"] == "X"]
     names = {e["name"] for e in events}
-    # All six pipeline passes, cache I/O and the engine fan-out are traced.
+    # All six pipeline passes and the cache I/O of one compile are traced.
     assert {f"pass.{stage}" for stage in (
         "parse", "canonicalize", "tiling", "memory", "codegen", "analysis",
     )} <= names
-    assert {"session.run", "cache.put", "engine.map_ordered", "engine.worker"} <= names
-    # --jobs 2 really fanned across distinct worker processes.
-    worker_pids = {e["pid"] for e in events if e["name"] == "engine.worker"}
-    assert len(worker_pids) == 2
+    assert {"session.run", "cache.put"} <= names
+    # One process, named once.
+    assert {e["pid"] for e in events} == {os.getpid()}
+    assert document["otherData"]["processes"] == 1
 
 
 def test_trace_command_serial_without_cache(tmp_path, capsys):
     out = tmp_path / "trace.json"
-    assert main(["trace", "heat3d", "-o", str(out), "--jobs", "1",
-                 "--no-cache"]) == 0
+    assert main(["trace", "heat3d", "-o", str(out), "--no-cache"]) == 0
     document = json.loads(out.read_text())
     names = {e["name"] for e in document["traceEvents"]}
     assert "cache.put" not in names  # --no-cache: no disk-cache I/O
-    assert "engine.item" in names  # serial fan-out still traced
+    assert "pass.analysis" in names
+
+
+def test_trace_command_records_one_compile(tmp_path, capsys):
+    out = tmp_path / "trace.json"
+    assert main(["trace", "jacobi_2d", "-o", str(out), "--no-cache"]) == 0
+    events = [
+        e for e in json.loads(out.read_text())["traceEvents"] if e["ph"] == "X"
+    ]
+    assert f"{len(events)} spans" in capsys.readouterr().out
+    ids = [e["args"]["span_id"] for e in events]
+    assert len(ids) == len(set(ids))
+    # One session.run root; each of the six passes once, directly under it.
+    (root,) = [e for e in events if e["args"]["parent_id"] is None]
+    assert root["name"] == "session.run"
+    passes = [e for e in events if e["name"].startswith("pass.")]
+    stages = ("parse", "canonicalize", "tiling", "memory", "codegen", "analysis")
+    assert sorted(e["name"] for e in passes) == sorted(f"pass.{s}" for s in stages)
+    assert {e["args"]["parent_id"] for e in passes} == {root["args"]["span_id"]}
 
 
 def test_profile_command_table(capsys):
@@ -1061,7 +1103,26 @@ def test_verify_all_strategies_skips_inapplicable_combos(capsys):
     # construction rejects; a sweep reports the skip instead of failing.
     assert main(["verify", "higher_order_time", "--strategy", "all"]) == 0
     output = capsys.readouterr().out
-    assert "SKIP" in output and "skipped (strategy not applicable)" in output
+    assert "SKIP" in output
+    assert output.endswith("2 verified, 0 failed, 1 skipped\n")
+
+
+def test_verify_sweep_tail_leaves_the_reason_to_the_skip_rows(capsys):
+    """Tile sizes that do not fit a stencil skip it; each SKIP row says why."""
+    assert main(["verify", "all", "--h", "3", "--widths", "4,8"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == "4 verified, 0 failed, 7 skipped"
+    reasons = {
+        line.split()[0]: line.partition(" SKIP ")[2]
+        for line in lines
+        if " SKIP " in line
+    }
+    assert len(reasons) == 7
+    # h + 1 = 4 does not divide among fdtd_2d's three statements...
+    assert "multiple of the number of statements (3)" in reasons.pop("fdtd_2d")
+    # ...and two widths fit neither the 1-D nor the 3-D stencils.
+    assert all("tile widths (one per space dimension), got 2" in reason
+               for reason in reasons.values())
 
 
 def test_verify_single_inapplicable_combo_propagates(capsys):

@@ -19,7 +19,6 @@ def test_cone_from_symmetric_stencil():
     cone = DependenceCone.from_distance_vectors([(1, 1), (1, -1), (1, 0)])
     assert cone.delta0 == 1
     assert cone.delta1 == 1
-    assert not cone.is_pointwise
 
 
 def test_cone_paper_example():
@@ -54,14 +53,6 @@ def test_cone_rejects_invalid_distances():
         DependenceCone.from_distance_vectors([])
     with pytest.raises(ValueError):
         DependenceCone(Fraction(-1), Fraction(0))
-
-
-def test_cone_contains_distance():
-    cone = DependenceCone(Fraction(1), Fraction(2))
-    assert cone.contains_distance(1, 1)
-    assert cone.contains_distance(1, -2)
-    assert not cone.contains_distance(1, 2)
-    assert not cone.contains_distance(0, 0)
 
 
 def test_minimal_width_paper_example():

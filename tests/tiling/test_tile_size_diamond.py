@@ -98,13 +98,6 @@ def test_diamond_assignment_and_wavefront():
     assert tiling.wavefront(assignment) == assignment.wave - assignment.position
 
 
-def test_diamond_legality_check():
-    tiling = DiamondTiling(4)
-    assert tiling.legality_ok([(1, 1), (1, -1)])
-    assert not tiling.legality_ok([(1, 2)])
-    assert not tiling.legality_ok([(0, 1)])
-
-
 def test_diamond_requires_unit_slopes():
     from repro.tiling.cone import DependenceCone
     from fractions import Fraction

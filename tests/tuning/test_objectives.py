@@ -9,27 +9,21 @@ from repro.api.config import OptimizationConfig
 from repro.gpu.device import GTX470
 from repro.stencils import get_stencil
 from repro.tiling.hybrid import TileSizes
-from repro.tuning import (
-    EvaluationJob,
-    TuningDatabase,
-    baseline_db_path,
-    evaluate_candidate,
-)
+from repro.tuning import TuningDatabase, baseline_db_path, evaluate_candidate
 
 
-def _job(candidate=None):
-    return EvaluationJob(
-        program=get_stencil("jacobi_2d"),
-        candidate=candidate or TileSizes.of(2, 4, 64),
-        device=GTX470,
-        config=OptimizationConfig.default(),
-        cache_root=None,
+def _evaluate(candidate=None):
+    return evaluate_candidate(
+        Session(GTX470),
+        get_stencil("jacobi_2d"),
+        candidate or TileSizes.of(2, 4, 64),
+        OptimizationConfig.default(),
     )
 
 
 def test_model_objective_is_deterministic():
-    first = evaluate_candidate(_job())
-    second = evaluate_candidate(_job())
+    first = _evaluate()
+    second = _evaluate()
     assert first.ok and first.score > 0
     assert first.score == second.score
 
@@ -37,7 +31,7 @@ def test_model_objective_is_deterministic():
 def test_pipeline_failure_becomes_failed_trial():
     # One width too few for a 2-D stencil: the tiling stage raises; the
     # evaluation must degrade to an infinite-score trial, not crash.
-    trial = evaluate_candidate(_job(candidate=TileSizes.of(2, 4)))
+    trial = _evaluate(candidate=TileSizes.of(2, 4))
     assert not trial.ok
     assert trial.score == float("inf")
     assert trial.error

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import json
+import os
 
 import pytest
 
+from repro import obs
 from repro.cache import DiskCache
 from repro.gpu.device import GTX470
 from repro.model.preprocess import canonicalize
@@ -112,6 +114,76 @@ def test_tune_identical_seed_budget_byte_identical_entry(tmp_path):
         )
         entries.append(json.dumps(result.to_entry(), sort_keys=True).encode())
     assert entries[0] == entries[1]
+
+
+def test_warm_rerun_of_a_sweep_scores_nothing(tmp_path):
+    """A re-run replays every trial from its cache entry and scores none."""
+    program = get_stencil("jacobi_2d")
+    root = tmp_path / "cache"
+    sweep = dict(strategy="random", budget=6, seed=0)
+    first = tune(program, **sweep, disk_cache=DiskCache(root))
+    before = DiskCache(root).stats().stages["tuning-trial"]
+    recorder = obs.TraceRecorder()
+    with obs.use(recorder):
+        second = tune(program, **sweep, disk_cache=DiskCache(root))
+    after = DiskCache(root).stats().stages["tuning-trial"]
+
+    assert not [span for span in recorder.drain() if span.name == "tune.trial"]
+    evaluations = second.to_entry()["evaluations"]
+    assert after["hits"] - before["hits"] == evaluations
+    assert after["misses"] == before["misses"]
+    assert after["stores"] == before["stores"]
+    assert second.to_entry() == first.to_entry()
+
+
+@pytest.mark.parametrize("strategy", ["grid", "random", "hillclimb"])
+def test_tune_entry_is_cache_invariant(strategy, tmp_path):
+    """No cache, a cold cache and a warm cache give the same entry."""
+    program = get_stencil("jacobi_2d")
+    sweep = dict(strategy=strategy, budget=6, seed=0)
+    uncached = tune(program, **sweep).to_entry()
+    root = tmp_path / "cache"
+    assert tune(program, **sweep, disk_cache=DiskCache(root)).to_entry() == uncached
+    assert tune(program, **sweep, disk_cache=DiskCache(root)).to_entry() == uncached
+
+
+def test_scored_candidates_leave_only_their_trial_entries(tmp_path):
+    """The scoring session has no disk cache: no per-candidate pass artefacts."""
+    root = tmp_path / "cache"
+    result = tune(
+        get_stencil("jacobi_2d"),
+        strategy="random",
+        budget=6,
+        seed=0,
+        disk_cache=DiskCache(root),
+    )
+    stages = DiskCache(root).stats().stages
+    # The prefix session stores canonicalize and the model's tiling plan.
+    assert set(stages) == {"canonicalize", "tiling", "tuning-trial"}
+    assert stages["canonicalize"]["stores"] == 1
+    assert stages["tiling"]["stores"] == 1
+    assert stages["tuning-trial"]["stores"] == result.to_entry()["evaluations"]
+
+
+def test_traced_sweep_records_one_trial_span_per_scored_candidate():
+    recorder = obs.TraceRecorder()
+    with obs.use(recorder):
+        result = tune(get_stencil("jacobi_2d"), strategy="random", budget=6, seed=0)
+    spans = recorder.drain()
+    ids = {span.span_id for span in spans}
+    assert len(ids) == len(spans)
+    assert all(span.parent_id is None or span.parent_id in ids for span in spans)
+    assert {span.pid for span in spans} == {os.getpid()}
+
+    (search,) = [span for span in spans if span.name == "tune.search"]
+    trials = [span for span in spans if span.name == "tune.trial"]
+    scored = [result.baseline, *result.trials]
+    assert sorted(span.attributes["candidate"] for span in trials) == sorted(
+        str(trial.candidate) for trial in scored
+    )
+    # The model baseline is scored before the search, every other candidate in it.
+    within = [span for span in trials if span.parent_id == search.span_id]
+    assert len(within) == len(result.trials)
 
 
 def test_tune_seed_is_recorded_in_the_db(tmp_path):
