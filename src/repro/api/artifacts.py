@@ -15,16 +15,16 @@ stage                 artifact                wraps
 ``verify``            :class:`VerificationReport` race + lint verdicts
 ====================  ======================  ==============================
 
-Every artifact is a frozen dataclass, carries a ``SCHEMA_VERSION`` class
-attribute (mixed into its pass-level cache key, so an incompatible layout
-change can never be served from a stale cache entry) and offers a
-``summary()`` of JSON-safe scalars used by ``hexcc inspect`` and the
+Every artifact is a frozen record (:mod:`repro._record`) with a
+``SCHEMA_VERSION`` class attribute (mixed into its pass-level cache key, so
+an incompatible layout change can never be served from a stale cache entry)
+and a ``summary()`` of JSON-safe scalars used by ``hexcc inspect`` and the
 instrumentation events.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from repro._record import dataclass
 from collections.abc import Mapping
 from typing import TYPE_CHECKING, Any
 

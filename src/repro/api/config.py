@@ -17,8 +17,7 @@ row    configuration
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-
+from repro._record import dataclass, replace
 from repro.tiling.hybrid import TileSizes
 
 __all__ = ["OptimizationConfig", "TileSizes", "table4_configurations"]

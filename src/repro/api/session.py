@@ -31,11 +31,11 @@ import math
 import os
 import time
 from collections import OrderedDict
-from dataclasses import dataclass, field
 from collections.abc import Mapping
 from typing import TYPE_CHECKING, Any
 
 from repro import obs
+from repro._record import dataclass, field
 from repro.api.artifacts import STAGE_ARTIFACTS, STAGES
 from repro.api.config import OptimizationConfig
 from repro.api.errors import PipelineError, SimulationMismatchError, StrategyError

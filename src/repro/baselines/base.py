@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from repro._record import dataclass
 from repro.gpu.counters import PerformanceCounters
 from repro.gpu.device import GPUDevice
 from repro.gpu.perf_model import LaunchConfiguration, PerformanceModel, PerformanceReport

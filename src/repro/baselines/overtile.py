@@ -19,8 +19,7 @@ not able to effectively exploit time tiling for 3D kernels").
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from repro._record import dataclass
 from repro.baselines.base import BaselineCompiler, BaselineResult
 from repro.codegen.kernel_ir import analyze_core_loop, average_instructions_per_point
 from repro.gpu.counters import PerformanceCounters

@@ -22,10 +22,10 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass, field
 from collections.abc import Mapping
 from typing import Any
 
+from repro._record import dataclass, field
 from repro.bench.schema import SchemaError, load_report
 from repro.obs.attrib import Attribution, attribute_entries
 

@@ -22,11 +22,11 @@ are deterministic and double as a semantic fingerprint of the pipeline.
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass
 from collections.abc import Sequence
 from typing import Any
 
 from repro import obs
+from repro._record import dataclass, fields
 from repro.bench.schema import make_report, timing_entry
 from repro.cache import DiskCache
 
@@ -70,7 +70,7 @@ class BenchOptions:
 
 
 def _counters_dict(counters: Any) -> dict[str, float]:
-    return {name: float(value) for name, value in asdict(counters).items()}
+    return {item.name: float(getattr(counters, item.name)) for item in fields(counters)}
 
 
 def _time_call(function) -> tuple[float, Any]:

@@ -23,10 +23,10 @@ import json
 import os
 import pickle
 import tempfile
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro import obs
+from repro._record import dataclass, field
 
 #: Bump when the pickled artefact layout changes incompatibly; old entries
 #: are then ignored (and garbage collected) instead of being unpickled.

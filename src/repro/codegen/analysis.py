@@ -12,8 +12,8 @@ substitution for the missing GPU hardware documented in DESIGN.md.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
+from repro._record import dataclass
 from repro.codegen.kernel_ir import (
     analyze_core_loop,
     average_instructions_per_point,

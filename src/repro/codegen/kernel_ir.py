@@ -18,8 +18,7 @@ point of the unrolled inner loop,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from repro._record import dataclass
 from repro.model.program import StencilProgram, StencilStatement
 
 

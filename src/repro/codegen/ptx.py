@@ -12,8 +12,7 @@ numbers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from repro._record import dataclass
 from repro.codegen.kernel_ir import analyze_core_loop
 from repro.model.expr import BinOp, Call, Constant, FieldRead, walk
 from repro.model.program import StencilProgram, StencilStatement

@@ -19,8 +19,7 @@ builds on.  On top of the box the plan captures the paper's refinements:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from repro._record import dataclass
 from repro.model.program import StencilProgram
 from repro.api.config import OptimizationConfig
 from repro.tiling.hybrid import HybridTiling

@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from repro._record import dataclass
 from repro.cache import DiskCache
 from repro.api import Session
 from repro.experiments.paper_data import PAPER_TABLE4, PAPER_TABLE5, PAPER_TILE_SIZES

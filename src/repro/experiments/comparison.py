@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from repro._record import dataclass
 from repro.baselines import OvertileBaseline, Par4AllBaseline, PPCGBaseline, PatusBaseline
 from repro.cache import DiskCache
 from repro.api import Session

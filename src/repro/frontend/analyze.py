@@ -17,8 +17,7 @@ pointing at the offending token:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from repro._record import dataclass
 from repro.frontend.ast import (
     CArrayRef,
     CAssign,

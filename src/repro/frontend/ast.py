@@ -9,7 +9,7 @@ of its first token so later stages can point diagnostics at the source.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from repro._record import dataclass, field
 
 
 @dataclass(frozen=True)

@@ -12,8 +12,7 @@ Comments are skipped but recorded (in order) so the parser can use a leading
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from repro._record import dataclass
 from repro.frontend.errors import StencilSyntaxError
 
 # Multi-character operators first so maximal munch works by construction.

@@ -17,7 +17,7 @@ performance model needs them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from repro._record import dataclass, fields
 
 
 @dataclass

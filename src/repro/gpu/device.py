@@ -12,7 +12,7 @@ they are taken from the public NVIDIA specifications of the two boards.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from repro._record import dataclass
 
 
 @dataclass(frozen=True)

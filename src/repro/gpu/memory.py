@@ -20,8 +20,7 @@ about:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from repro._record import dataclass
 from repro.gpu.device import GPUDevice
 
 

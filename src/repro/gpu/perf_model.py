@@ -17,8 +17,7 @@ constants.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
+from repro._record import dataclass, field
 from repro.gpu.counters import PerformanceCounters
 from repro.gpu.device import GPUDevice
 from repro.gpu.memory import SharedMemoryModel

@@ -28,11 +28,11 @@ arithmetic in the same association order as a point-at-a-time execution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from collections.abc import Mapping, Sequence
 
 import numpy as np
 
+from repro._record import dataclass
 from repro.codegen.shared_mem import SharedMemoryPlan
 from repro.gpu.counters import PerformanceCounters
 from repro.model.expr import FieldRead

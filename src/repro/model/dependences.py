@@ -22,9 +22,9 @@ yield the same cone.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from collections.abc import Iterable, Sequence
 
+from repro._record import dataclass
 from repro.model.program import StencilProgram
 
 

@@ -16,7 +16,7 @@ tree serves three purposes:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from repro._record import dataclass
 from collections.abc import Callable, Iterable, Sequence
 
 ReadCallback = Callable[["FieldRead"], object]

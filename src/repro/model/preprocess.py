@@ -10,10 +10,10 @@ packages everything the tiling algorithms need.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from collections.abc import Sequence
 
+from repro._record import dataclass
 from repro.model.dependences import (
     Dependence,
     DependenceError,
@@ -121,7 +121,7 @@ class CanonicalForm:
                 blocks.append(block)
             cached = np.concatenate(blocks)
             cached.setflags(write=False)
-            # The dataclass is frozen; stash the memo directly in __dict__.
+            # The record is frozen; stash the memo directly in __dict__.
             object.__setattr__(self, "_instances_array_cache", cached)
         return cached
 

@@ -15,10 +15,10 @@ validated against.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from collections.abc import Mapping, Sequence
 from typing import TYPE_CHECKING
 
+from repro._record import dataclass
 from repro.model.expr import (
     BinOp,
     Call,

@@ -24,7 +24,7 @@ largest delta in the direction of the total change.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from repro._record import dataclass
 from statistics import median
 from collections.abc import Mapping, Sequence
 from typing import Any

@@ -28,7 +28,7 @@ import hashlib
 import json
 import os
 import time
-from dataclasses import dataclass
+from repro._record import dataclass
 from pathlib import Path
 from collections.abc import Iterable, Mapping, Sequence
 from typing import Any

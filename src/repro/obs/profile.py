@@ -13,9 +13,9 @@ clamped at zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from collections.abc import Sequence
 
+from repro._record import dataclass
 from repro.obs.spans import Span
 
 

@@ -24,7 +24,7 @@ import itertools
 import os
 import threading
 import time
-from dataclasses import dataclass
+from repro._record import dataclass
 from collections.abc import Mapping
 from typing import Any
 

@@ -7,8 +7,7 @@ more natural comparison forms used throughout the tiling code.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from repro._record import dataclass
 from repro.polyhedral.affine import LinearExpr, Rational
 
 

@@ -11,7 +11,7 @@ represented here as small expression trees that can be
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from repro._record import dataclass
 from collections.abc import Mapping
 
 

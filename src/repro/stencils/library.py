@@ -21,9 +21,9 @@ gradient 3D              7             20  384³          128
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from collections.abc import Callable, Sequence
 
+from repro._record import dataclass
 from repro.model.expr import Call, Constant, Expr, FieldRead
 from repro.model.program import StencilProgram, StencilStatement
 

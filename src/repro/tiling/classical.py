@@ -24,9 +24,9 @@ expressions emitted into the generated code.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
+from repro._record import dataclass
 from repro.polyhedral.quasi_affine import QExpr, QFloorDiv, QMod, QMul, qvar
 
 

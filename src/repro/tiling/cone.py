@@ -16,7 +16,7 @@ computes.  The LP formulation is kept as a cross-check in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from repro._record import dataclass
 from fractions import Fraction
 from collections.abc import Iterable, Sequence
 

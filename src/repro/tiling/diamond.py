@@ -19,9 +19,9 @@ benchmarks can measure those differences quantitatively.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from collections.abc import Iterator
 
+from repro._record import dataclass
 from repro.tiling.cone import DependenceCone
 
 

@@ -34,10 +34,10 @@ to the phase whose hexagon constraints it satisfies in the local coordinates
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from collections.abc import Iterator
 from typing import TYPE_CHECKING
 
+from repro._record import dataclass
 from repro.polyhedral.quasi_affine import QExpr, QFloorDiv, QMod, qconst, qvar
 from repro.tiling.hexagon import HexagonalTileShape
 

@@ -26,12 +26,12 @@ width parameter must satisfy the convexity condition (1):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from collections.abc import Iterator
 from typing import TYPE_CHECKING
 
+from repro._record import dataclass
 from repro.polyhedral.affine import LinearExpr
 from repro.polyhedral.constraint import Constraint
 from repro.tiling.cone import DependenceCone

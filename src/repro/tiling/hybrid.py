@@ -23,9 +23,9 @@ Execution semantics on the GPU (Section 4.1):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from repro._record import dataclass
 from repro.model.preprocess import CanonicalForm
 from repro.polyhedral.quasi_affine import QExpr, qvar
 from repro.tiling.classical import ClassicalTiling

@@ -12,7 +12,7 @@ at a time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from repro._record import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np

@@ -40,10 +40,10 @@ from __future__ import annotations
 import heapq
 import math
 from itertools import compress
-from dataclasses import dataclass, field, replace
 from collections.abc import Iterable, Mapping, Sequence
 from typing import TYPE_CHECKING
 
+from repro._record import dataclass, field, replace
 from repro.model.preprocess import CanonicalForm
 from repro.tiling.cone import DependenceCone
 from repro.tiling.hexagon import minimal_width, row_bounds

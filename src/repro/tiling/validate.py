@@ -24,10 +24,9 @@ Three properties are checked:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
+from repro._record import dataclass, field
 from repro.model.preprocess import statement_boxes
 from repro.tiling.hybrid import HybridTiling
 from repro.tiling.schedule_arrays import lexicographic_less

@@ -17,10 +17,10 @@ analysis passes.  Nothing of a scored candidate is written to disk but its
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro import obs
+from repro._record import dataclass
 from repro.tiling.hybrid import TileSizes
 
 if TYPE_CHECKING:

@@ -27,11 +27,11 @@ seen before; a fully warm re-run reduces to cache lookups.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 from collections.abc import Mapping, Sequence
 from typing import Any
 
 from repro import obs
+from repro._record import dataclass, field
 from repro.api.config import OptimizationConfig
 from repro.api.session import Session, program_digest
 from repro.cache import DiskCache

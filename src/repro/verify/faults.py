@@ -40,9 +40,9 @@ differential test uses to cross-check the enumerated validator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from collections.abc import Callable
 
+from repro._record import dataclass, replace
 from repro.verify.symbolic import HybridScheduleModel
 
 MutationFn = Callable[[HybridScheduleModel], HybridScheduleModel]

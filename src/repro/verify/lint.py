@@ -37,9 +37,9 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
 from typing import Any
 
+from repro._record import dataclass, field
 from repro.verify.report import LintFinding, LintReport
 
 _WARP = 32

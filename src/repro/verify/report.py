@@ -12,13 +12,13 @@ Two families of results:
   static linter (:mod:`repro.verify.lint`), each finding carrying a rule
   name, a severity and a source span into the generated text.
 
-Both are plain frozen dataclasses so they can ride inside the cached
-``verify`` pipeline artifact (:class:`repro.api.artifacts.VerificationReport`).
+Both are frozen records (:mod:`repro._record`) so they can ride inside the
+cached ``verify`` artifact (:class:`repro.api.artifacts.VerificationReport`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from repro._record import dataclass, field
 from typing import Any
 
 #: Ordering levels a race can violate, outermost first.  ``coverage`` is not

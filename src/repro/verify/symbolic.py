@@ -47,10 +47,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from collections.abc import Iterable, Sequence
 from typing import TYPE_CHECKING, Any
 
+from repro._record import dataclass
 from repro.verify.report import (
     Instance,
     RaceFinding,

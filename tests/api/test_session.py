@@ -45,11 +45,11 @@ def test_full_run_produces_every_typed_artifact(program):
 
 
 def test_artifacts_are_frozen(program):
-    import dataclasses
+    from repro._record import FrozenInstanceError
 
     run = Session().run(program, tile_sizes=SIZES, stop_after="tiling")
     plan = run.artifact("tiling")
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(FrozenInstanceError):
         plan.strategy = "other"
 
 

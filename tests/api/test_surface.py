@@ -87,7 +87,7 @@ def test_pipeline_run_surface_is_pinned():
 
 
 def test_artifact_fields_are_pinned():
-    from dataclasses import fields
+    from repro._record import fields
 
     expected = {
         api.ParsedProgram: ["program", "source"],
@@ -106,7 +106,7 @@ def test_artifact_fields_are_pinned():
 
 
 def test_optimization_config_fields_are_pinned():
-    from dataclasses import fields
+    from repro._record import fields
 
     assert [f.name for f in fields(api.OptimizationConfig)] == [
         "use_shared_memory",

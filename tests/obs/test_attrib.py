@@ -129,10 +129,13 @@ def test_injected_delay_is_attributed_to_the_right_pass(
     from repro.api import Session
     from repro.obs.history import RunHistory
 
+    # The first compile of a process pays the first-use imports of the
+    # passes, which would shrink the measured delta; it is not compared.
+    Session().run(small_jacobi_2d)
     Session().run(small_jacobi_2d)
     monkeypatch.setenv("HEXCC_FAULT_DELAY", "tiling:40")
     Session().run(small_jacobi_2d)
-    old, new = RunHistory().records(kind="compile")
+    old, new = RunHistory().records(kind="compile")[-2:]
     attribution = attribute_records(old.data, new.data)
     assert attribution.guilty == "tiling"
     assert attribution.guilty_share > 0.5

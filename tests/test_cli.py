@@ -166,6 +166,7 @@ def test_cli_import_loads_no_polyhedral_enumerator():
 WARM_COMPILE_MODULES = {
     "repro",
     "repro._lazy",
+    "repro._record",
     "repro.api",
     "repro.api.artifacts",
     "repro.api.config",
@@ -262,6 +263,25 @@ def test_warm_compile_imports_no_numpy(stencil):
     )
     assert not _numpy_modules(loaded)
     assert not loaded & NOT_ON_THE_WARM_PATH
+
+
+#: The standard library's record machinery: ``dataclasses`` compiles each
+#: record class's methods with ``exec`` at import, and it loads ``inspect``.
+#: ``src/`` declares its records through ``repro._record`` instead.
+RECORD_MACHINERY = {"dataclasses", "inspect"}
+
+
+def test_requests_load_no_record_machinery():
+    """A cold and a warm compile and a verify load neither ``dataclasses`` nor
+    ``inspect``."""
+    compile_heat_3d = _main_probe("compile", "heat_3d", "--show-cuda")
+    cold = _modules_after(compile_heat_3d)
+    warm = _modules_after(compile_heat_3d)
+    verify = _modules_after(_main_probe("verify", "heat_2d", "--strategy", "all"))
+    assert "repro.verify.symbolic" in verify
+    assert not cold & (NOT_ON_THE_COLD_PATH | RECORD_MACHINERY)
+    assert not warm & RECORD_MACHINERY
+    assert not verify & RECORD_MACHINERY
 
 
 @pytest.mark.parametrize(

@@ -1,9 +1,8 @@
 """Unit tests for tile-size selection (§3.7) and the diamond-tiling comparison."""
 
-from dataclasses import replace
-
 import pytest
 
+from repro._record import replace
 from repro.gpu.device import GTX470
 from repro.model.preprocess import canonicalize
 from repro.stencils import get_stencil

@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import oracle
 import pytest
 
+from repro._record import replace
 from repro.api import TilingPlan
 from repro.frontend import parse_stencil
 from repro.gpu.device import GTX470, NVS5200M

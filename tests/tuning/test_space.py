@@ -69,7 +69,7 @@ def test_shared_memory_prunes_are_counted(heat3d_canonical):
 
 
 def test_smaller_shared_memory_shrinks_the_space(heat3d_canonical):
-    from dataclasses import replace
+    from repro._record import replace
 
     big = CandidateSpace(heat3d_canonical, GTX470)
     tiny_device = replace(NVS5200M, shared_memory_per_sm=16 * 1024)

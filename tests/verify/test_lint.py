@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import json
+import pathlib
+
 import pytest
 
 from repro.api import (
@@ -10,7 +13,13 @@ from repro.api import (
     list_stencils,
     table4_configurations,
 )
+from repro.gpu.device import get_device
 from repro.verify import lint_cuda
+
+#: ``LintReport.summary()`` of the verify pass for each library kernel
+#: (``<stencil>/<device>``, 11 stencils on the GTX 470 and the NVS 5200M),
+#: recorded before any rewrite of the lint: a rewrite must reproduce it.
+LINT_REPORTS = pathlib.Path(__file__).resolve().parents[1] / "golden/lint_reports.json"
 
 #: A deliberately broken kernel exercising every rule family with known spans.
 BAD_KERNEL = """\
@@ -54,6 +63,15 @@ def test_library_codegen_is_lint_clean(name):
     assert report.warnings == ()
     assert report.kernels  # the scan actually entered the kernels
     assert report.lines_scanned > 0
+
+
+@pytest.mark.parametrize("device", ["gtx470", "nvs5200m"])
+@pytest.mark.parametrize("name", list_stencils())
+def test_library_lint_reports_are_pinned(name, device):
+    expected = json.loads(LINT_REPORTS.read_text(encoding="utf-8"))
+    assert len(expected) == 2 * len(list_stencils())
+    run = Session(device=get_device(device)).run(get_stencil(name), stop_after="verify")
+    assert run.artifact("verify").lint.summary() == expected[f"{name}/{device}"]
 
 
 @pytest.mark.parametrize("label", sorted(table4_configurations()))

@@ -97,7 +97,7 @@ def test_coverage_findings_report_unclaimed_points():
 
 def test_misaligned_statement_slots_are_rejected():
     canonical, model = _small_model()
-    from dataclasses import replace
+    from repro._record import replace
 
     # fdtd-style multi-statement programs need (h+1) % k == 0; fake a
     # three-statement model at h=1 to hit the guard.
