@@ -69,7 +69,7 @@ def main() -> None:
             full.artifact("memory").plan,
             full.request.config,
             device,
-        ).estimate()
+        ).estimate(full.artifact("codegen").core_profiles)
         print(estimate.performance(device).summary())
 
     print("\nfirst lines of the generated CUDA code:")

@@ -19,5 +19,5 @@ setup(
     package_data={"repro.tuning": ["TUNING_baseline.json"]},
     python_requires=">=3.10",
     install_requires=["numpy"],
-    entry_points={"console_scripts": ["hexcc=repro.cli:main"]},
+    entry_points={"console_scripts": ["hexcc=repro.cli:process_main"]},
 )

@@ -90,19 +90,24 @@ class OptimizationConfig:
     @property
     def label(self) -> str:
         """The Table 4 row label of this configuration, if it is one of them."""
-        for label, config in table4_configurations().items():
+        for label, config in _TABLE4.items():
             if config == self:
                 return label
         return "custom"
 
 
+#: The six configurations of Table 4 by row label, built once: every CUDA
+#: header and compile report reads a :attr:`OptimizationConfig.label`.
+_TABLE4: dict[str, OptimizationConfig] = {
+    "a": OptimizationConfig.config_a(),
+    "b": OptimizationConfig.config_b(),
+    "c": OptimizationConfig.config_c(),
+    "d": OptimizationConfig.config_d(),
+    "e": OptimizationConfig.config_e(),
+    "f": OptimizationConfig.config_f(),
+}
+
+
 def table4_configurations() -> dict[str, OptimizationConfig]:
     """The six configurations of Table 4, keyed by their row label."""
-    return {
-        "a": OptimizationConfig.config_a(),
-        "b": OptimizationConfig.config_b(),
-        "c": OptimizationConfig.config_c(),
-        "d": OptimizationConfig.config_d(),
-        "e": OptimizationConfig.config_e(),
-        "f": OptimizationConfig.config_f(),
-    }
+    return dict(_TABLE4)

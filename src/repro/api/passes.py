@@ -209,10 +209,11 @@ class AnalysisPass(Pass):
 
         plan: TilingPlan = artifacts["tiling"]
         memory: MemoryPlan = artifacts["memory"]
+        code: GeneratedCode = artifacts["codegen"]
         profiler = AnalyticProfiler(
             plan.tiling, memory.plan, request.config, request.device
         )
-        estimate = profiler.estimate()
+        estimate = profiler.estimate(code.core_profiles)
         report = PerformanceModel(request.device).estimate(
             estimate.counters, estimate.launch
         )

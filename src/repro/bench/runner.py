@@ -114,7 +114,7 @@ def measure_compile_stencil(
     config = run.request.config
     estimate = AnalyticProfiler(
         tiling, run.artifact("memory").plan, config, run.request.device
-    ).estimate()
+    ).estimate(run.artifact("codegen").core_profiles)
     return {
         "wall_s": timing_entry(runs),
         "timings": {

@@ -15,8 +15,8 @@ compiler code itself (:func:`code_fingerprint`).
 from __future__ import annotations
 
 import hashlib
+import os
 from functools import lru_cache
-from pathlib import Path
 
 from repro.cache.disk import SCHEMA_VERSION
 
@@ -33,13 +33,23 @@ def code_fingerprint() -> str:
     import repro
 
     digest = hashlib.sha256()
-    root = Path(repro.__file__).resolve().parent
+    root = os.path.dirname(os.path.realpath(repro.__file__))
     try:
-        sources = sorted(root.rglob("*.py"))
-        for path in sources:
-            digest.update(str(path.relative_to(root)).encode())
+        # Every ``*.py`` file below ``root``, ordered by its path's parts (the
+        # order of sorted ``pathlib`` paths, so ``a/b.py`` precedes ``a.py``);
+        # each contributes its relative path, a NUL byte and its bytes.
+        # ``os.walk`` and plain ``open`` do this at about two thirds of the
+        # cost of ``Path.rglob`` and ``read_bytes``.
+        sources: list[tuple[str, ...]] = []
+        for directory, _, files in os.walk(root):
+            relative = os.path.relpath(directory, root)
+            parts = () if relative == os.curdir else tuple(relative.split(os.sep))
+            sources.extend((*parts, name) for name in files if name.endswith(".py"))
+        for parts in sorted(sources):
+            digest.update(os.sep.join(parts).encode())
             digest.update(b"\0")
-            digest.update(path.read_bytes())
+            with open(os.path.join(root, *parts), "rb") as handle:
+                digest.update(handle.read())
     except OSError:
         # Unreadable tree (unusual packaging): fall back to the version
         # string rather than failing compilation.

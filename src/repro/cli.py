@@ -47,6 +47,7 @@ invocations skip unchanged pipeline prefixes.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -1231,5 +1232,21 @@ def _print_crash_report_path(error: BaseException) -> None:
         print(f"crash report: {path}", file=sys.stderr)
 
 
+def process_main() -> int:
+    """The ``hexcc`` process: :func:`main` on ``sys.argv``, then a cheap exit.
+
+    While the interpreter shuts down it runs full cyclic collections over
+    every object the process loaded, and the process ends only after them.
+    ``gc.freeze()`` moves those objects into the collector's permanent
+    generation, which shutdown collections skip; exit handlers, stream
+    flushes and reference-count deallocation still run.  Only whole-process
+    entries (``python -m repro.cli`` and the ``hexcc`` script) call this:
+    in-process callers of :func:`main` keep their collector as it was.
+    """
+    code = main()
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(process_main())

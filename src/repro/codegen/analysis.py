@@ -12,10 +12,11 @@ substitution for the missing GPU hardware documented in DESIGN.md.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 
 from repro._record import dataclass
 from repro.codegen.kernel_ir import (
-    analyze_core_loop,
+    CoreLoopProfile,
     average_instructions_per_point,
     average_loads_after_reuse,
 )
@@ -97,7 +98,13 @@ class AnalyticProfiler:
 
     # -- the profile -----------------------------------------------------------------------
 
-    def estimate(self) -> ExecutionEstimate:
+    def estimate(self, profiles: Sequence[CoreLoopProfile]) -> ExecutionEstimate:
+        """The counters and launch of the whole run.
+
+        ``profiles`` are the program's core-loop profiles under this
+        configuration, as the codegen pass stores them
+        (``GeneratedCode.core_profiles``).
+        """
         program = self.program
         config = self.config
         plan = self.plan
@@ -105,12 +112,6 @@ class AnalyticProfiler:
 
         updates = float(program.stencil_updates())
         flops = float(program.flops_total())
-        profiles = analyze_core_loop(
-            program,
-            unroll=config.unroll,
-            separate_full_partial=config.separate_full_partial,
-            use_shared_memory=config.use_shared_memory,
-        )
         instructions_per_point = average_instructions_per_point(profiles)
         loads_after_reuse = average_loads_after_reuse(profiles)
         avg_reads_per_point = sum(s.loads for s in program.statements) / len(

@@ -18,6 +18,8 @@ point of the unrolled inner loop,
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 from repro._record import dataclass
 from repro.model.program import StencilProgram, StencilStatement
 
@@ -122,14 +124,14 @@ def analyze_core_loop(
     return profiles
 
 
-def average_instructions_per_point(profiles: list[CoreLoopProfile]) -> float:
+def average_instructions_per_point(profiles: Sequence[CoreLoopProfile]) -> float:
     """Average instruction count per stencil point across statements."""
     if not profiles:
         return 0.0
     return sum(p.instructions_per_point for p in profiles) / len(profiles)
 
 
-def average_loads_after_reuse(profiles: list[CoreLoopProfile]) -> float:
+def average_loads_after_reuse(profiles: Sequence[CoreLoopProfile]) -> float:
     """Average per-point shared loads after register reuse."""
     if not profiles:
         return 0.0

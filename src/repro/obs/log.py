@@ -14,7 +14,6 @@ from __future__ import annotations
 import json
 import os
 import time
-import traceback
 from pathlib import Path
 from collections.abc import Mapping
 from typing import Any
@@ -78,6 +77,10 @@ def write_crash_report(
     """
     if os.environ.get(CRASH_DISABLE_ENV):
         return None
+    # Imported here: ``traceback`` loads ``linecache``, ``tokenize`` and
+    # ``textwrap`` (3-5 ms a process), which only a crash needs.
+    import traceback
+
     from repro import obs
 
     if recorder is None:

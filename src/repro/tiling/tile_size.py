@@ -37,7 +37,6 @@ load-to-compute ratio, and the autotuner's candidate space
 
 from __future__ import annotations
 
-import heapq
 import math
 from itertools import compress
 from collections.abc import Iterable, Mapping, Sequence
@@ -358,7 +357,10 @@ def select_tile_sizes(
             f"{PRUNE_LEGALITY}={pruned[PRUNE_LEGALITY]})"
         )
     # Lowest ratio, then more iterations, then grid order (nsmallest is
-    # stable: it equals sorted(...)[:2]).
+    # stable: it equals sorted(...)[:2]).  Imported here: a warm compile
+    # reads the pick from the cache and never searches.
+    import heapq
+
     iterations, loads = table.iterations, table.loads
     best, *runner_up = heapq.nsmallest(
         2, rows, key=lambda row: (loads[row] / iterations[row], -iterations[row])

@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -40,6 +44,36 @@ def test_crash_report_document_and_location():
     assert document["context"]["program"] == "jacobi_2d"
     assert [s["name"] for s in document["span_stack"]] == ["session.run"]
     assert document["stage_keys"] == {"parse": "k1"}
+
+
+def test_a_raised_error_reports_its_frames_in_a_fresh_process(tmp_path):
+    """Only writing a report loads ``traceback``, and the report still holds
+    the raised error's frames with their source lines."""
+    script = tmp_path / "crash.py"
+    script.write_text(
+        "import sys\n"
+        "from repro.obs.log import write_crash_report\n"
+        "assert 'traceback' not in sys.modules\n"
+        "def explode():\n"
+        "    raise RuntimeError('tiling exploded')\n"
+        "try:\n"
+        "    explode()\n"
+        "except RuntimeError as error:\n"
+        "    print(write_crash_report(error))\n"
+    )
+    src = Path(__file__).resolve().parents[2] / "src"
+    result = subprocess.run(
+        [sys.executable, str(script)],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    lines = json.loads(Path(result.stdout.strip()).read_text())["error"]["traceback"]
+    assert lines[0] == "Traceback (most recent call last):\n"
+    assert any("in explode" in ln and "raise RuntimeError('tiling exploded')" in ln
+               for ln in lines)
+    assert lines[-1] == "RuntimeError: tiling exploded\n"
 
 
 def test_crash_reports_are_pruned_to_the_keep_limit(monkeypatch):

@@ -1,5 +1,6 @@
 """Tests for the hexcc command-line interface."""
 
+import gc
 import hashlib
 import json
 import os
@@ -10,6 +11,7 @@ import sys
 
 import pytest
 
+from repro import cli
 from repro.cli import build_parser, main
 from repro.stencils import list_stencils
 
@@ -245,24 +247,32 @@ NOT_ON_THE_COLD_PATH = {
 }
 
 
+#: What only a crash report needs: ``traceback`` and the source-line
+#: machinery it loads.  ``repro.obs.log`` imports it when it writes a report.
+CRASH_REPORT_MACHINERY = {"traceback", "linecache", "tokenize"}
+
+
 @pytest.mark.parametrize("stencil", ["jacobi_1d", "fdtd_2d", "heat_3d"])
 def test_warm_compile_imports_no_numpy(stencil):
     """Neither a cold nor a warm compile imports NumPy.
 
     A cold compile runs only pure-Python passes, the §3.7 tile table
-    included; a warm one is five cache reads and imports only what they need.
+    included; a warm one is five cache reads and imports only what they need:
+    not even ``heapq``, which only the tile-size search uses.  Neither loads
+    the crash-report machinery.
     """
     probe = _main_probe("compile", stencil, "--show-cuda")
     cold_output, cold = _run_probe(probe)
     assert not _numpy_modules(cold)
-    assert not cold & NOT_ON_THE_COLD_PATH
+    assert not cold & (NOT_ON_THE_COLD_PATH | CRASH_REPORT_MACHINERY)
     warm_output, loaded = _run_probe(probe)
     assert warm_output == cold_output
     assert {name for name in loaded if name.startswith("repro")} == (
         WARM_COMPILE_MODULES
     )
     assert not _numpy_modules(loaded)
-    assert not loaded & NOT_ON_THE_WARM_PATH
+    assert not loaded & (NOT_ON_THE_WARM_PATH | CRASH_REPORT_MACHINERY)
+    assert "heapq" not in loaded
 
 
 #: The standard library's record machinery: ``dataclasses`` compiles each
@@ -273,15 +283,16 @@ RECORD_MACHINERY = {"dataclasses", "inspect"}
 
 def test_requests_load_no_record_machinery():
     """A cold and a warm compile and a verify load neither ``dataclasses`` nor
-    ``inspect``."""
+    ``inspect``, nor the crash-report machinery; a warm compile no ``heapq``."""
     compile_heat_3d = _main_probe("compile", "heat_3d", "--show-cuda")
     cold = _modules_after(compile_heat_3d)
     warm = _modules_after(compile_heat_3d)
     verify = _modules_after(_main_probe("verify", "heat_2d", "--strategy", "all"))
     assert "repro.verify.symbolic" in verify
-    assert not cold & (NOT_ON_THE_COLD_PATH | RECORD_MACHINERY)
-    assert not warm & RECORD_MACHINERY
-    assert not verify & RECORD_MACHINERY
+    unused = RECORD_MACHINERY | CRASH_REPORT_MACHINERY
+    assert not cold & (NOT_ON_THE_COLD_PATH | unused)
+    assert not warm & (unused | {"heapq"})
+    assert not verify & unused
 
 
 @pytest.mark.parametrize(
@@ -687,11 +698,19 @@ def test_unknown_device_is_a_usage_error(argv, capsys):
 
 @pytest.mark.parametrize(
     "argv",
-    [["list"], ["compile", "jacobi_1d", "--show-cuda"]],
-    ids=lambda argv: argv[0],
+    [
+        ["list"],
+        ["compile", "jacobi_1d", "--show-cuda"],
+        ["compile", "heat_3d", "--show-cuda"],
+    ],
+    ids=["list", "compile", "compile-past-the-stdout-buffer"],
 )
 def test_closed_stdout_pipe_exits_one_silently(argv):
-    """``hexcc ... | head`` once printed ``error: : Broken pipe``."""
+    """``hexcc ... | head`` once printed ``error: : Broken pipe``.
+
+    heat_3d's CUDA is longer than the 8 KB stdout buffer, so the write fails
+    while ``main`` is still printing, as it does behind ``head -2``; the
+    shorter outputs fail at the flush that ends ``main``."""
     read_end, write_end = os.pipe()
     os.close(read_end)  # every write to stdout now fails with EPIPE
     try:
@@ -706,6 +725,75 @@ def test_closed_stdout_pipe_exits_one_silently(argv):
         os.close(write_end)
     assert result.stderr == ""
     assert result.returncode == 1
+
+
+def test_process_main_freezes_the_heap_once_after_main(monkeypatch, capsys):
+    """The process entry returns main's code and freezes the collector's heap
+    once, after main returns; main itself never freezes it."""
+    events = []
+    monkeypatch.setattr(gc, "freeze", lambda: events.append("freeze"))
+    real_main = cli.main
+
+    def recording_main(argv=None):
+        code = real_main(argv)
+        events.append(("main", code))
+        return code
+
+    monkeypatch.setattr(cli, "main", recording_main)
+    for argv, code in [(["list"], 0), (["compile", "nosuch"], 2)]:
+        events.clear()
+        monkeypatch.setattr(sys, "argv", ["hexcc", *argv])
+        assert cli.process_main() == code
+        assert events == [("main", code), "freeze"]
+
+    events.clear()
+    assert real_main(["compile", "heat_3d", "--show-cuda"]) == 0
+    assert real_main(["verify", "jacobi_2d", "--mutate", "grown-hexagon"]) == 1
+    assert real_main(["compile", "nosuch"]) == 2
+    assert events == []
+
+
+def test_both_process_entries_are_process_main():
+    """``python -m repro.cli`` exits with a frozen heap, and the ``hexcc``
+    console script names the same entry."""
+    probe = (
+        "import atexit, gc, runpy, sys\n"
+        "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0))\n"
+        "sys.argv = ['hexcc', 'list']\n"
+        "runpy.run_module('repro.cli', run_name='__main__')\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 0
+    assert result.stdout.splitlines()[-1] == "frozen True"
+    setup = (SRC.parent / "setup.py").read_text()
+    assert '"hexcc=repro.cli:process_main"' in setup
+
+
+def test_the_process_exits_like_main(capsys):
+    """``python -m repro.cli`` prints what ``main`` prints and exits with its
+    code."""
+    commands = [
+        (["compile", "heat_3d", "--show-cuda"], 0),
+        (["verify", "jacobi_2d", "--mutate", "grown-hexagon", "--json"], 1),
+        (["compile", "nosuch"], 2),
+    ]
+    for argv, code in commands:
+        assert main(argv) == code
+        expected = capsys.readouterr()
+        result = subprocess.run(
+            [sys.executable, "-m", "repro.cli", *argv],
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+            capture_output=True,
+            text=True,
+        )
+        assert (result.stdout, result.stderr, result.returncode) == (
+            expected.out, expected.err, code
+        )
 
 
 def test_missing_command_is_a_usage_error():

@@ -18,7 +18,7 @@ def _estimate(run, device):
         run.artifact("memory").plan,
         run.request.config,
         device,
-    ).estimate()
+    ).estimate(run.artifact("codegen").core_profiles)
 
 
 def test_compile_validate_simulate_jacobi():
