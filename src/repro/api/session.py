@@ -377,7 +377,7 @@ class Session:
             stop=stop,
         ) as run_span:
             try:
-                artifacts, events = self._execute(
+                artifacts, events, digest = self._execute(
                     request, stop, inject, recorder, stage_keys
                 )
             except StrategyError:
@@ -401,11 +401,6 @@ class Session:
                     ),
                 )
                 raise
-        digest = (
-            program_digest(artifacts["parse"].program)
-            if "parse" in artifacts
-            else ""
-        )
         self._record_history(request, label, digest, stop, run_span, events)
         return PipelineRun(
             request, artifacts, events, stop, tuned_entry=tuned_entry, digest=digest
@@ -453,12 +448,13 @@ class Session:
         inject: Mapping[str, Any],
         recorder: obs.NullRecorder,
         stage_keys: dict[str, str] | None = None,
-    ) -> tuple[dict[str, Any], list[PassEvent]]:
+    ) -> tuple[dict[str, Any], list[PassEvent], str]:
         """The pass loop; every pass is timed through its span.
 
-        ``stage_keys`` (when given) is filled with the cache key of every
-        keyed pass as it runs, so a crash report can name the artifacts the
-        run had already produced.
+        Returns the artifacts, one event per pass and the parsed program's
+        :func:`program_digest`.  ``stage_keys`` (when given) is filled with
+        the cache key of every keyed pass as it runs, so a crash report can
+        name the artifacts the run had already produced.
         """
         artifacts: dict[str, Any] = {}
         events: list[PassEvent] = []
@@ -513,7 +509,7 @@ class Session:
             )
             if pipeline_pass.name == stop:
                 break
-        return artifacts, events
+        return artifacts, events, digest
 
     # -- cache layering -----------------------------------------------------------
 

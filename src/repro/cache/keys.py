@@ -35,20 +35,20 @@ def code_fingerprint() -> str:
     digest = hashlib.sha256()
     root = os.path.dirname(os.path.realpath(repro.__file__))
     try:
-        # Every ``*.py`` file below ``root``, ordered by its path's parts (the
-        # order of sorted ``pathlib`` paths, so ``a/b.py`` precedes ``a.py``);
-        # each contributes its relative path, a NUL byte and its bytes.
-        # ``os.walk`` and plain ``open`` do this at about two thirds of the
-        # cost of ``Path.rglob`` and ``read_bytes``.
-        sources: list[tuple[str, ...]] = []
+        # Every ``*.py`` file below ``root`` in the order of its relative
+        # path; each contributes that path, a NUL byte and its bytes.
+        sources: list[str] = []
         for directory, _, files in os.walk(root):
             relative = os.path.relpath(directory, root)
-            parts = () if relative == os.curdir else tuple(relative.split(os.sep))
-            sources.extend((*parts, name) for name in files if name.endswith(".py"))
-        for parts in sorted(sources):
-            digest.update(os.sep.join(parts).encode())
+            sources.extend(
+                os.path.normpath(os.path.join(relative, name))
+                for name in files
+                if name.endswith(".py")
+            )
+        for path in sorted(sources):
+            digest.update(path.encode())
             digest.update(b"\0")
-            with open(os.path.join(root, *parts), "rb") as handle:
+            with open(os.path.join(root, path), "rb") as handle:
                 digest.update(handle.read())
     except OSError:
         # Unreadable tree (unusual packaging): fall back to the version

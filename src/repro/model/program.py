@@ -108,9 +108,18 @@ class StencilStatement:
         return gather_reads(self.expr)
 
     @property
-    def unique_reads(self) -> list[FieldRead]:
-        """Distinct reads (what must be loaded at least once per point)."""
-        return distinct_reads(self.expr)
+    def unique_reads(self) -> tuple[FieldRead, ...]:
+        """Distinct reads (what must be loaded at least once per point).
+
+        Computed once per statement and cached.
+        """
+        cached = self.__dict__.get("_unique_reads_cache")
+        if cached is None:
+            cached = tuple(distinct_reads(self.expr))
+            # The record is frozen; stash the memo directly in __dict__,
+            # where the record's equality and hash do not look.
+            object.__setattr__(self, "_unique_reads_cache", cached)
+        return cached
 
     @property
     def flops(self) -> int:
@@ -132,6 +141,12 @@ class StencilStatement:
             for offset in read.offsets:
                 radius = max(radius, abs(offset))
         return radius
+
+    def __getstate__(self) -> dict:
+        """Drop the distinct-read memo when pickling."""
+        state = self.__dict__.copy()
+        state.pop("_unique_reads_cache", None)
+        return state
 
 
 class StencilProgram:

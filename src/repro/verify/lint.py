@@ -31,12 +31,18 @@ on library codegen is part of the acceptance bar, teeth are demonstrated
 on fixtures.  Accesses whose subscript count differs from the declared
 rank (the illustrative partial indexing the boundary code emits) are
 likewise skipped.
+
+Each kernel is read once: one pass over its ``;``, ``{`` and ``}`` (outside
+parentheses) cuts it into statements and block headers.  What depends on
+a text alone (a header's kind, a statement's accesses, an expression's
+operands) is parsed once per lint; only the dataflow runs at each visit.
 """
 
 from __future__ import annotations
 
 import math
 import re
+from collections.abc import Callable
 from typing import Any
 
 from repro._record import dataclass, field
@@ -44,23 +50,39 @@ from repro.verify.report import LintFinding, LintReport
 
 _WARP = 32
 
-_DECL_RE = re.compile(
-    r"^(?:int|unsigned|long|short|size_t|float|double)\s+(\w+)\s*=\s*(.+)$"
+#: The scalar types a declaration ``type name = value`` may start with.
+_TYPES = frozenset({"int", "unsigned", "long", "short", "size_t", "float", "double"})
+
+#: A comment; an unterminated block comment runs to the end of the text.
+_COMMENT_RE = re.compile(
+    r"//[^\n]*|/\*[^*]*\*+(?:[^/*][^*]*\*+)*/|/\*.*", re.DOTALL
 )
-_ASSIGN_RE = re.compile(r"^(\w+)\s*=\s*(.+)$")
+#: An array access: a name directly followed by its first subscript.
+_ACCESS_RE = re.compile(r"\b(\w+)\[")
 _SHARED_RE = re.compile(r"__shared__\s+\w+\s+(\w+)((?:\[\d+\])+)")
 _KERNEL_RE = re.compile(r"__global__\s+\w+\s+(\w+)\s*\(([^)]*)\)")
-_FOR_RE = re.compile(r"^for\s*\((.*)$", re.DOTALL)
-_IF_RE = re.compile(r"^(?:\}?\s*else\s+)?if\s*\((.*)$", re.DOTALL)
 _TOKEN_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*(?:\.[xyz])?|\d+")
-_INT_RE = re.compile(r"^\d+$")
+#: What may end a statement or open or close a block, all as ``;``.
+_BOUNDARIES = str.maketrans("{}", ";;")
+
+#: For each separator set ``_split_top`` splits at: brackets as
+#: parentheses, and every separator as the first.
+_SPLIT_TABLES = {
+    separators: str.maketrans(
+        {"[": "(", "]": ")", **{char: separators[0] for char in separators[1:]}}
+    )
+    for separators in ("+-", "*", ",", ";")
+}
 
 
-@dataclass
 class _Context:
-    kind: str        # "kernel" | "function" | "if" | "else" | "for" | "block"
-    divergent: bool
-    line: int
+    """An open block; ``at`` is where its header starts in the scanned text."""
+
+    __slots__ = ("kind", "divergent", "at")
+
+    def __init__(self, kind: str, divergent: bool, at: int):
+        self.kind = kind  # "kernel" | "function" | "if" | "else" | "for" | "block"
+        self.divergent, self.at = divergent, at
 
 
 @dataclass
@@ -74,6 +96,8 @@ class _KernelState:
     strides: dict[str, int] = field(default_factory=dict)
     #: loop variables with a provable range [0, bound).
     bounds: dict[str, int] = field(default_factory=dict)
+    #: ``_Linter._analyse`` results under the current ``strides`` and ``uniform``.
+    analysed: dict[str, tuple[int | None, int | None]] = field(default_factory=dict)
 
     @classmethod
     def fresh(cls, name: str | None, is_kernel: bool) -> "_KernelState":
@@ -88,144 +112,179 @@ class _KernelState:
         return state
 
 
-def _strip_comments(source: str) -> str:
-    """Blank out comments, preserving line structure and column offsets."""
-    out: list[str] = []
-    i, n = 0, len(source)
-    while i < n:
-        ch = source[i]
-        if ch == "/" and i + 1 < n and source[i + 1] == "*":
-            end = source.find("*/", i + 2)
-            end = n if end < 0 else end + 2
-            out.append("".join(c if c == "\n" else " " for c in source[i:end]))
-            i = end
-        elif ch == "/" and i + 1 < n and source[i + 1] == "/":
-            end = source.find("\n", i)
-            end = n if end < 0 else end
-            out.append(" " * (end - i))
-            i = end
-        else:
-            out.append(ch)
-            i += 1
-    return "".join(out)
+def _blank(comment: re.Match[str]) -> str:
+    """Spaces in place of a comment, keeping its newlines."""
+    text = comment.group()
+    if "\n" not in text:
+        return " " * len(text)
+    return "\n".join(" " * len(line) for line in text.split("\n"))
+
+
+def _strip_directives(text: str) -> str:
+    """Empty every preprocessor line (it would bleed into the next statement)."""
+    pieces: list[str] = []
+    begin = 0
+    at = text.find("#")
+    while at >= 0:
+        start = text.rfind("\n", 0, at) + 1
+        end = text.find("\n", at)
+        end = len(text) if end < 0 else end
+        if not text[start:at].strip():
+            pieces.append(text[begin:start])
+            begin = end
+        at = text.find("#", end)
+    pieces.append(text[begin:])
+    return "".join(pieces)
+
+
+def _is_word(text: str) -> bool:
+    """``text`` matches ``\\w+``."""
+    return text.replace("_", "a").isalnum()
 
 
 def _split_top(text: str, separators: str) -> list[str]:
-    """Split on any of ``separators`` at bracket depth zero."""
+    """Split on any of ``separators`` at bracket depth zero.
+
+    Each part after the first starts with its separator.  Only separators
+    are visited, the depth at each counted since the one before.
+    """
+    probe = text.translate(_SPLIT_TABLES[separators])
+    mark = separators[0]
     parts: list[str] = []
-    depth = 0
-    current: list[str] = []
-    for ch in text:
-        if ch in "([":
-            depth += 1
-        elif ch in ")]":
-            depth -= 1
-        if depth == 0 and ch in separators:
-            parts.append("".join(current))
-            current = [ch]  # keep the separator as a prefix of the next part
-        else:
-            current.append(ch)
-    parts.append("".join(current))
+    begin = counted = depth = 0
+    at = probe.find(mark)
+    while at >= 0:
+        depth += probe.count("(", counted, at) - probe.count(")", counted, at)
+        counted = at
+        if not depth:
+            parts.append(text[begin:at])
+            begin = at
+        at = probe.find(mark, at + 1)
+    parts.append(text[begin:])
     return parts
 
 
-class _ExprInfo:
-    """What the dataflow knows about one integer expression."""
-
-    __slots__ = ("divergent", "stride", "value")
-
-    def __init__(self, divergent: bool, stride: int | None, value: int | None):
-        self.divergent = divergent
-        self.stride = stride  # thread stride along threadIdx.x; None = unknown
-        self.value = value    # constant value when provable
+def _token_set(text: str) -> frozenset[str]:
+    """The names and integer literals ``text`` mentions."""
+    return frozenset(_TOKEN_RE.findall(text))
 
 
-def _analyse(expr: str, state: _KernelState) -> _ExprInfo:
-    expr = expr.strip()
-    if not expr:
-        return _ExprInfo(False, 0, None)
-    tokens = _TOKEN_RE.findall(expr)
-    divergent = any(t in state.divergent for t in tokens)
-    if _INT_RE.match(expr):
-        return _ExprInfo(False, 0, int(expr))
-    # Additive decomposition at depth 0; each term multiplicative.
-    stride: int | None = 0
-    for part in _split_top(expr, "+-"):
-        sign = -1 if part.startswith("-") else 1
-        term = part.lstrip("+-").strip()
-        if not term:
-            continue
-        term_stride = _term_stride(term, state)
-        if term_stride is None or stride is None:
-            stride = None
-        else:
-            stride += sign * term_stride
-    return _ExprInfo(divergent, stride, None)
+#: One ``name[...]`` access of a statement: the name, its column, its
+#: stripped subscripts, and the outer and innermost coordinates a global
+#: access is judged by (``None`` when it has none).
+_Access = tuple[str, int, list[str], "tuple[list[str], str] | None"]
 
 
-def _term_stride(term: str, state: _KernelState) -> int | None:
-    """Thread stride of one multiplicative term, or None when unknown."""
-    if "/" in term or "%" in term:
-        info_tokens = _TOKEN_RE.findall(term)
-        if all(t in state.uniform or _INT_RE.match(t) for t in info_tokens):
-            return 0
-        return None
-    constant = 1
-    varying: int | None = None
-    unquantified = False  # uniform factor of unknown magnitude
-    for factor in (f.lstrip("*").strip() for f in _split_top(term, "*")):
-        if not factor:
-            continue
-        if factor.startswith("(") and factor.endswith(")"):
-            inner = _analyse(factor[1:-1], state)
-            if inner.stride is None:
-                return None
-            if inner.stride == 0:
-                if inner.value is not None:
-                    constant *= inner.value
-                else:
-                    unquantified = True
-            elif varying is not None:
-                return None
-            else:
-                varying = inner.stride
-        elif _INT_RE.match(factor):
-            constant *= int(factor)
-        elif factor in state.strides and state.strides[factor] != 0:
-            if varying is not None:
-                return None
-            varying = state.strides[factor]
-        elif factor in state.uniform or factor in state.strides:
-            unquantified = True
-        else:
-            return None
-    if varying is None:
-        return 0
-    if unquantified:
-        return None
-    return varying * constant
-
-
-def _subscripts(text: str, start: int) -> tuple[list[str], int]:
+def _subscripts(text: str, start: int) -> list[str]:
     """Consecutive ``[expr]`` groups beginning at ``text[start]``."""
     groups: list[str] = []
-    i = start
-    while i < len(text) and text[i] == "[":
-        depth = 0
-        j = i
-        while j < len(text):
-            if text[j] == "[":
-                depth += 1
-            elif text[j] == "]":
-                depth -= 1
-                if depth == 0:
-                    break
-            j += 1
-        if depth != 0:
+    while text.startswith("[", start):
+        # The first ``]`` that closes every ``[`` since ``start``.
+        close = text.find("]", start)
+        while close >= 0 and text.count("[", start, close) - text.count(
+            "]", start, close
+        ) != 1:
+            close = text.find("]", close + 1)
+        if close < 0:
             break
-        groups.append(text[i + 1:j])
-        i = j + 1
-    return groups, i
+        groups.append(text[start + 1:close])
+        start = close + 1
+    return groups
+
+
+def _coordinates(subscripts: list[str]) -> tuple[list[str], str] | None:
+    """The outer and innermost coordinates of a global access; an address
+    helper ``f(a, b, c)`` has its arguments as coordinates, ``c`` innermost."""
+    if not subscripts:
+        return None
+    head, paren, rest = subscripts[-1].partition("(")
+    if not (paren and rest.endswith(")") and _is_word(head.rstrip())):
+        return subscripts[:-1], subscripts[-1]
+    parts = (a.strip().lstrip(",").strip() for a in _split_top(rest[:-1], ","))
+    args = [a for a in parts if a]
+    return (args[:-1], args[-1]) if args else None
+
+
+def _parse_accesses(stmt: str) -> list[_Access]:
+    accesses: list[_Access] = []
+    for match in _ACCESS_RE.finditer(stmt):
+        subscripts = [g.strip() for g in _subscripts(stmt, match.end() - 1)]
+        accesses.append(
+            (match.group(1), match.start(), subscripts, _coordinates(subscripts))
+        )
+    return accesses
+
+
+def _assignment(text: str) -> tuple[str, str] | None:
+    """``(name, value)`` of a stripped ``name = value``, else ``None``."""
+    name, equals, value = text.partition("=")
+    name, value = name.rstrip(), value.lstrip()
+    if equals and value and _is_word(name):
+        return name, value
+    return None
+
+
+def _definition(text: str) -> tuple[str, str] | None:
+    """``(name, value)`` of a stripped ``[type] name = value``, else ``None``."""
+    words = text.split(None, 1)
+    if len(words) == 2 and words[0] in _TYPES:
+        declared = _assignment(words[1])
+        if declared is not None:
+            return declared
+    return _assignment(text)
+
+
+def _parse_loop(inside: str) -> tuple[str, str, int | None] | None:
+    """``(counter, start, bound)`` of a ``for`` header's inside; the bound of
+    ``counter < literal`` counts only from a literal or thread-index start."""
+    parts = [p.lstrip(";").strip() for p in _split_top(inside, ";")]
+    init = _definition(parts[0]) if len(parts) >= 2 else None
+    if init is None:
+        return None
+    var, start = init[0], init[1].strip()
+    head, less, bound = parts[1].partition("<")
+    bound = bound.lstrip()
+    if (
+        less and head.rstrip() == var and bound.isdecimal()
+        and (start.isdecimal() or start.startswith("threadIdx"))
+    ):
+        return var, start, int(bound)
+    return var, start, None
+
+
+def _parse_header(header: str) -> tuple[str, str | None, Any]:
+    """``(kind, condition, detail)`` of a stripped block header: the condition
+    decides divergence (``if``, ``for``, ``while`` as a ``for``); the detail is
+    a kernel's name and ``(parameter, is_pointer)`` pairs, or a loop's counter."""
+    kernel = _KERNEL_RE.search(header)
+    if kernel is not None:
+        params = []
+        for param in kernel.group(2).split(","):
+            pieces = param.replace("*", " * ").split()
+            if pieces:
+                params.append((pieces[-1], "*" in pieces))
+        return "kernel", None, (kernel.group(1), params)
+    if "=" not in header:
+        # A function definition: ``type name(`` with words and spaces only
+        # before its first parenthesis.
+        head, paren, _ = header.partition("(")
+        words = head.split()
+        if paren and len(words) >= 2 and all(map(_is_word, words)):
+            return "function", None, None
+    # ``[} else] if (``: a chained ``else if`` is an ``if``.
+    rest = (header[1:] if header.startswith("}") else header).lstrip()
+    rest = rest[4:].lstrip() if rest[:4] == "else" and rest[4:5].isspace() else header
+    if rest.startswith("if") and rest[2:].lstrip().startswith("("):
+        return "if", rest[2:].lstrip()[1:].rstrip(") {"), None
+    if header.startswith("else"):
+        return "else", None, None
+    rest = header[3:].lstrip()
+    if header.startswith("for") and rest.startswith("("):
+        inside = rest[1:].rstrip(") {")
+        return "for", inside, _parse_loop(inside)
+    if header.startswith("while"):
+        return "for", header, None
+    return "block", None, None
 
 
 class _Linter:
@@ -234,12 +293,30 @@ class _Linter:
         self.findings: list[LintFinding] = []
         self.kernels: list[str] = []
         self.notes: list[str] = []
+        self.text = ""
+        self.state = _KernelState.fresh(None, False)
+        self.stack: list[_Context] = []
+        self.last_popped: _Context | None = None
         self._seen: set[tuple[str, int, int]] = set()
+        self._parses: dict[tuple[Any, ...], Any] = {}
+
+    def _parse(self, parse: Callable[..., Any], *args: str) -> Any:
+        """``parse(*args)``, computed once per lint: a parse reads text only."""
+        key = (parse, *args)
+        if key not in self._parses:
+            self._parses[key] = parse(*args)
+        return self._parses[key]
+
+    def _line(self, at: int) -> int:
+        """The line of offset ``at`` of the scanned text."""
+        return self.text.count("\n", 0, at) + 1
 
     def report(
         self, rule: str, severity: str, message: str,
-        line: int, col: int, width: int, snippet: str,
+        at: int, col: int, width: int, snippet: str,
     ) -> None:
+        """Record a finding in the statement starting at offset ``at``."""
+        line = self._line(at)
         key = (rule, line, col)
         if key in self._seen:
             return
@@ -252,103 +329,230 @@ class _Linter:
             )
         )
 
+    # -- the scan ---------------------------------------------------------------------
+
+    def scan(self, text: str) -> None:
+        """Visit every statement and block boundary of comment-free ``text``."""
+        self.text = text
+        start = 0    # where the pending statement or header begins
+        counted = 0  # parentheses are counted up to here
+        depth = 0
+        first = 0    # where the last non-blank statement or header starts
+        probe = text.translate(_BOUNDARIES)
+        at = -1
+        while (at := probe.find(";", at + 1)) >= 0:
+            depth += text.count("(", counted, at) - text.count(")", counted, at)
+            counted = at
+            if depth:
+                continue
+            body = text[start:at].lstrip()
+            if body:
+                first = at - len(body)
+            start = at + 1
+            boundary = text[at]
+            if boundary == ";":
+                if body:
+                    self.statement(body.replace("\n", " ") + ";", first)
+            elif boundary == "{":
+                self.stack.append(self.open(body.replace("\n", " ").rstrip(), first))
+            elif self.stack:
+                self.last_popped = self.stack.pop()
+                if self.last_popped.kind in ("kernel", "function"):
+                    self.state = _KernelState.fresh(None, False)
+
+    def open(self, header: str, at: int) -> _Context:
+        """The context a block header opens."""
+        kind, condition, detail = self._parse(_parse_header, header)
+        if kind == "kernel":
+            name, params = detail
+            self.state = state = _KernelState.fresh(name, True)
+            self.kernels.append(name)
+            for param, is_pointer in params:
+                if is_pointer:
+                    state.pointers.add(param)
+                state.uniform.add(param)
+        elif kind == "function":
+            self.state = _KernelState.fresh(None, False)
+        if kind == "else":
+            popped = self.last_popped
+            divergent = bool(popped and popped.kind == "if" and popped.divergent)
+        else:
+            divergent = condition is not None and self._diverges(condition)
+        if kind == "for" and detail is not None:
+            var, start, bound = detail
+            self._define(var, start)
+            if bound is not None:
+                self.state.bounds[var] = bound
+        return _Context(kind, divergent, at)
+
+    def _diverges(self, text: str) -> bool:
+        return not self.state.divergent.isdisjoint(self._parse(_token_set, text))
+
+    def _uniform(self, tokens: frozenset[str]) -> bool:
+        """Every name among ``tokens`` is uniform (integer literals always are)."""
+        return all(map(str.isdecimal, tokens.difference(self.state.uniform)))
+
     # -- statement handling ---------------------------------------------------------
 
-    def statement(
-        self, text: str, line: int, stack: list[_Context], state: _KernelState
-    ) -> None:
-        stripped = text.strip()
-        if not stripped or stripped.startswith("#"):
+    def statement(self, stripped: str, at: int) -> None:
+        if stripped.startswith("#"):
             return
-        shared = _SHARED_RE.search(stripped)
+        state = self.state
+        shared = _SHARED_RE.search(stripped) if "__shared__" in stripped else None
         if shared is not None:
-            name, dims = shared.group(1), shared.group(2)
-            state.shared[name] = tuple(
-                int(d) for d in re.findall(r"\[(\d+)\]", dims)
+            state.shared[shared.group(1)] = tuple(
+                int(d) for d in shared.group(2)[1:-1].split("][")
             )
             return
         if "__syncthreads" in stripped and state.is_kernel:
-            divergent = [ctx for ctx in stack if ctx.divergent]
+            divergent = [ctx for ctx in self.stack if ctx.divergent]
             if divergent:
                 where = divergent[-1]
                 self.report(
                     "sync-divergence", "error",
                     "__syncthreads() under divergent control flow (the "
-                    f"{where.kind} opened at line {where.line} has a "
+                    f"{where.kind} opened at line {self._line(where.at)} has a "
                     "thread-dependent condition): threads that skip the "
                     "barrier deadlock the block",
-                    line, 0, len(stripped), stripped,
+                    at, 0, len(stripped), stripped,
                 )
-        self._scan_accesses(stripped, line, state)
-        decl = _DECL_RE.match(stripped.rstrip(";").strip())
-        target = decl or _ASSIGN_RE.match(stripped.rstrip(";").strip())
-        if target is not None and "[" not in target.group(1):
-            self._define(target.group(1), target.group(2), state)
+        if state.is_kernel and "[" in stripped:
+            self._scan_accesses(stripped, at)
+        target = _definition(stripped.rstrip(";").strip())
+        if target is not None:
+            self._define(*target)
 
-    def _define(self, name: str, expr: str, state: _KernelState) -> None:
-        info = _analyse(expr, state)
+    def _define(self, name: str, expr: str) -> None:
+        state = self.state
+        stride, value = self._analyse(expr)
+        tokens = self._parse(_token_set, expr)
+        divergent = value is None and not state.divergent.isdisjoint(tokens)
+        before = (name in state.uniform, state.strides.get(name))
         state.divergent.discard(name)
         state.uniform.discard(name)
         state.strides.pop(name, None)
         state.bounds.pop(name, None)
-        if info.divergent:
+        if divergent:
             state.divergent.add(name)
-        tokens = _TOKEN_RE.findall(expr)
-        if tokens and all(
-            t in state.uniform or _INT_RE.match(t) for t in tokens
-        ):
+        if tokens and self._uniform(tokens):
             state.uniform.add(name)
-        if info.stride is not None:
-            state.strides[name] = info.stride
+        if stride is not None:
+            state.strides[name] = stride
+        if (name in state.uniform, state.strides.get(name)) != before:
+            state.analysed.clear()  # what the analyses read of ``name`` changed
+
+    # -- expression analysis --------------------------------------------------------
+
+    def _analyse(self, expr: str) -> tuple[int | None, int | None]:
+        """``(thread stride, constant value)`` of an integer expression.
+
+        The stride is along ``threadIdx.x``; ``None`` means unknown, and the
+        value is known only for an integer literal.
+        """
+        analysed = self.state.analysed
+        if expr not in analysed:
+            analysed[expr] = self._additive(expr.strip())
+        return analysed[expr]
+
+    def _additive(self, expr: str) -> tuple[int | None, int | None]:
+        if not expr:
+            return 0, None
+        if expr.isdecimal():
+            return 0, int(expr)
+        # Additive decomposition at depth 0; each term multiplicative.
+        stride = 0
+        for part in self._parse(_split_top, expr, "+-"):
+            term = part.lstrip("+-").strip()
+            if not term:
+                continue
+            term_stride = self._term_stride(term)
+            if term_stride is None:
+                return None, None
+            stride += -term_stride if part.startswith("-") else term_stride
+        return stride, None
+
+    def _term_stride(self, term: str) -> int | None:
+        """Thread stride of one multiplicative term, or None when unknown."""
+        state = self.state
+        if "/" in term or "%" in term:
+            return 0 if self._uniform(self._parse(_token_set, term)) else None
+        constant = 1
+        varying: int | None = None
+        unquantified = False  # uniform factor of unknown magnitude
+        for factor in self._parse(_split_top, term, "*"):
+            factor = factor.lstrip("*").strip()
+            if not factor:
+                continue
+            if factor.startswith("(") and factor.endswith(")"):
+                inner_stride, inner_value = self._analyse(factor[1:-1])
+                if inner_stride is None:
+                    return None
+                if inner_stride == 0:
+                    if inner_value is not None:
+                        constant *= inner_value
+                    else:
+                        unquantified = True
+                elif varying is not None:
+                    return None
+                else:
+                    varying = inner_stride
+            elif factor.isdecimal():
+                constant *= int(factor)
+            elif state.strides.get(factor):
+                if varying is not None:
+                    return None
+                varying = state.strides[factor]
+            elif factor in state.uniform or factor in state.strides:
+                unquantified = True
+            else:
+                return None
+        if varying is None:
+            return 0
+        if unquantified:
+            return None
+        return varying * constant
 
     # -- access rules ---------------------------------------------------------------
 
-    def _scan_accesses(self, stmt: str, line: int, state: _KernelState) -> None:
-        if not state.is_kernel:
-            return
-        for name, extents in state.shared.items():
-            for match in re.finditer(rf"\b{re.escape(name)}\[", stmt):
-                groups, _ = _subscripts(stmt, match.end() - 1)
-                self._check_shared(
-                    name, extents, groups, stmt, line, match.start(), state
-                )
-        for name in state.pointers:
-            for match in re.finditer(rf"\b{re.escape(name)}\[", stmt):
-                groups, _ = _subscripts(stmt, match.end() - 1)
-                self._check_global(name, groups, stmt, line, match.start(), state)
+    def _scan_accesses(self, stmt: str, at: int) -> None:
+        state = self.state
+        for name, col, subscripts, coordinates in self._parse(_parse_accesses, stmt):
+            extents = state.shared.get(name)
+            if extents is not None:
+                self._check_shared(name, extents, subscripts, stmt, at, col)
+            if coordinates is not None and name in state.pointers:
+                self._check_global(name, *coordinates, stmt, at, col)
 
     def _check_shared(
-        self, name: str, extents: tuple[int, ...], groups: list[str],
-        stmt: str, line: int, col: int, state: _KernelState,
+        self, name: str, extents: tuple[int, ...], subscripts: list[str],
+        stmt: str, at: int, col: int,
     ) -> None:
-        if len(groups) != len(extents):
+        if len(subscripts) != len(extents):
             return  # partial indexing: element address is not determined
+        analysed = [self._analyse(expr) for expr in subscripts]
         # Out-of-bounds: literals and bounded loop variables.
-        for axis, (expr, extent) in enumerate(zip(groups, extents)):
-            expr = expr.strip()
-            info = _analyse(expr, state)
+        for axis, (expr, extent, (_, value)) in enumerate(
+            zip(subscripts, extents, analysed)
+        ):
             peak: int | None = None
-            if info.value is not None:
-                peak = info.value
-            elif expr in state.bounds:
-                peak = state.bounds[expr] - 1
+            if value is not None:
+                peak = value
+            elif expr in self.state.bounds:
+                peak = self.state.bounds[expr] - 1
             if peak is not None and peak >= extent:
                 self.report(
                     "shared-oob", "error",
                     f"index {expr} reaches {peak} on axis {axis} of "
                     f"{name}[{']['.join(str(e) for e in extents)}] "
                     f"(extent {extent}): statically out of bounds",
-                    line, col, len(name), stmt,
+                    at, col, len(name), stmt,
                 )
         # Bank conflicts: element stride of a warp across the access.
-        stride: int | None = 0
-        for axis, expr in enumerate(groups):
-            info = _analyse(expr, state)
-            if info.stride is None:
+        stride = 0
+        for axis, (axis_stride, _) in enumerate(analysed):
+            if axis_stride is None:
                 return  # unprovable — stay silent
-            pitch = math.prod(extents[axis + 1:])
-            assert stride is not None
-            stride += info.stride * pitch
+            stride += axis_stride * math.prod(extents[axis + 1:])
         if stride == 0:
             return
         replay = math.gcd(abs(stride), self.warp)
@@ -359,49 +563,31 @@ class _Linter:
                 f"{replay}-way shared-memory bank conflict: a warp accesses "
                 f"{name} with element stride {stride} "
                 f"(gcd({abs(stride)}, {self.warp}) = {replay} replays)",
-                line, col, len(name), stmt,
+                at, col, len(name), stmt,
             )
 
     def _check_global(
-        self, name: str, groups: list[str], stmt: str, line: int, col: int,
-        state: _KernelState,
+        self, name: str, outer: list[str], inner: str, stmt: str, at: int, col: int
     ) -> None:
-        if not groups:
-            return
-        inner = groups[-1].strip()
-        call = re.match(r"^\w+\s*\((.*)\)$", inner)
-        if call is not None:
-            # Index through an address helper: the last argument is the
-            # innermost (contiguous) coordinate.
-            parts = [
-                a.strip().lstrip(",").strip()
-                for a in _split_top(call.group(1), ",")
-            ]
-            args = [a for a in parts if a]
-            if not args:
-                return
-            outer, inner = args[:-1], args[-1]
-        else:
-            outer = [g.strip() for g in groups[:-1]]
         for position, expr in enumerate(outer):
-            info = _analyse(expr, state)
-            if info.stride is not None and info.stride != 0:
+            stride, _ = self._analyse(expr)
+            if stride is not None and stride != 0:
                 self.report(
                     "global-uncoalesced", "warning",
                     f"thread-varying index {expr!r} in non-innermost "
                     f"position {position} of access to {name}: warps touch "
                     "one DRAM transaction per thread",
-                    line, col, len(name), stmt,
+                    at, col, len(name), stmt,
                 )
-        info = _analyse(inner, state)
-        if info.stride is not None and abs(info.stride) > 1:
+        stride, _ = self._analyse(inner)
+        if stride is not None and abs(stride) > 1:
             self.report(
                 "global-uncoalesced", "warning",
                 f"innermost index of {name} has thread stride "
-                f"{info.stride} elements: accesses of one warp span "
-                f"{abs(info.stride)}x more DRAM transactions than a unit "
+                f"{stride} elements: accesses of one warp span "
+                f"{abs(stride)}x more DRAM transactions than a unit "
                 "stride",
-                line, col, len(name), stmt,
+                at, col, len(name), stmt,
             )
 
 
@@ -416,6 +602,7 @@ def lint_cuda(
     ``device`` (a :class:`repro.gpu.device.GPUDevice`) enable the
     cross-checks that need pipeline context — shared-memory capacity
     against the target SM, and the warp size used by the bank model.
+    Findings are ordered by severity (errors first), line, column and rule.
     """
     warp = getattr(device, "warp_size", _WARP) or _WARP
     linter = _Linter(warp)
@@ -427,131 +614,19 @@ def lint_cuda(
                 "shared-capacity", "error",
                 f"declared shared memory ({used} B/block) exceeds the "
                 f"{device.name} SM capacity ({budget} B)",
-                1, 0, 0, "",
+                0, 0, 0, "",
             )
 
-    text = _strip_comments(source)
-    # Blank preprocessor lines: they end without ';' and would otherwise
-    # bleed into the following statement buffer.
-    text = "\n".join(
-        "" if stripped.lstrip().startswith("#") else stripped
-        for stripped in text.split("\n")
-    )
-    lines = text.count("\n") + 1
-    stack: list[_Context] = []
-    state = _KernelState.fresh(None, False)
-    last_popped: _Context | None = None
-    buffer: list[str] = []
-    line = 1
-    paren_depth = 0
-    stmt_line = 1
-
-    def classify(header: str) -> _Context:
-        nonlocal state
-        header = header.strip()
-        kernel = _KERNEL_RE.search(header)
-        if kernel is not None:
-            state = _KernelState.fresh(kernel.group(1), True)
-            linter.kernels.append(kernel.group(1))
-            for param in kernel.group(2).split(","):
-                param = param.strip()
-                if not param:
-                    continue
-                pieces = param.replace("*", " * ").split()
-                if "*" in pieces:
-                    state.pointers.add(pieces[-1])
-                state.uniform.add(pieces[-1])
-            return _Context("kernel", False, stmt_line)
-        if re.match(r"^\w[\w\s]*\s+\w+\s*\(", header) and "=" not in header:
-            state = _KernelState.fresh(None, False)
-            return _Context("function", False, stmt_line)
-        if_match = _IF_RE.match(header)
-        if if_match is not None:
-            condition = if_match.group(1).rstrip(") {")
-            info = _analyse_condition(condition, state)
-            return _Context("if", info, stmt_line)
-        if header.startswith("else"):
-            inherited = bool(
-                last_popped and last_popped.kind == "if" and last_popped.divergent
-            )
-            return _Context("else", inherited, stmt_line)
-        for_match = _FOR_RE.match(header)
-        if for_match is not None:
-            inside = for_match.group(1).rstrip(") {")
-            divergent = _analyse_condition(inside, state)
-            _register_loop(inside, state)
-            return _Context("for", divergent, stmt_line)
-        if header.startswith("while"):
-            return _Context("for", _analyse_condition(header, state), stmt_line)
-        return _Context("block", False, stmt_line)
-
-    def _analyse_condition(text_: str, st: _KernelState) -> bool:
-        return any(t in st.divergent for t in _TOKEN_RE.findall(text_))
-
-    def _register_loop(inside: str, st: _KernelState) -> None:
-        parts = _split_top(inside, ";")
-        parts = [p.lstrip(";").strip() for p in parts]
-        if len(parts) < 2:
-            return
-        init = _DECL_RE.match(parts[0]) or _ASSIGN_RE.match(parts[0])
-        if init is None:
-            return
-        var, start = init.group(1), init.group(2).strip()
-        linter_state_define(var, start, st)
-        bound = re.match(rf"^{re.escape(var)}\s*<\s*(\d+)$", parts[1])
-        nonneg = _INT_RE.match(start) or start.startswith("threadIdx")
-        if bound is not None and nonneg and (
-            not _INT_RE.match(start) or int(start) >= 0
-        ):
-            st.bounds[var] = int(bound.group(1))
-
-    def linter_state_define(var: str, expr: str, st: _KernelState) -> None:
-        linter._define(var, expr, st)
-
-    has_content = False
-
-    def _push(ch: str) -> None:
-        nonlocal has_content, stmt_line
-        if not has_content and not ch.isspace():
-            stmt_line = line
-            has_content = True
-        buffer.append(ch)
-
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            buffer.append(" ")
-        elif ch == "(":
-            paren_depth += 1
-            _push(ch)
-        elif ch == ")":
-            paren_depth -= 1
-            _push(ch)
-        elif ch == ";" and paren_depth == 0:
-            buffer.append(ch)
-            linter.statement("".join(buffer), stmt_line, stack, state)
-            buffer, has_content = [], False
-        elif ch == "{" and paren_depth == 0:
-            stack.append(classify("".join(buffer)))
-            buffer, has_content = [], False
-        elif ch == "}" and paren_depth == 0:
-            if stack:
-                last_popped = stack.pop()
-                if last_popped.kind in ("kernel", "function"):
-                    state = _KernelState.fresh(None, False)
-            buffer, has_content = [], False
-        else:
-            _push(ch)
-        i += 1
-
+    text = _strip_directives(_COMMENT_RE.sub(_blank, source))
+    linter.scan(text)
     return LintReport(
         findings=tuple(
-            sorted(linter.findings, key=lambda f: (f.severity != "error", f.line))
+            sorted(
+                linter.findings,
+                key=lambda f: (f.severity, f.line, f.col, f.rule),
+            )
         ),
-        lines_scanned=lines,
+        lines_scanned=text.count("\n") + 1,
         kernels=tuple(linter.kernels),
         notes=tuple(linter.notes),
     )

@@ -309,10 +309,11 @@ def _cuts(boxes: Sequence[_Box], p_s: int) -> set[int]:
     }
 
 
-def _runs(cuts: set[int], p_s: int) -> Iterable[tuple[int, int]]:
-    """The ``[start, stop)`` runs of ``μ ∈ [0, P_s)`` between sorted cuts."""
+def _runs(cuts: set[int], period: int) -> Iterable[tuple[int, int]]:
+    """The ``[start, stop)`` runs of a residue in ``[0, period)`` between
+    sorted cuts: ``μ`` along a hybrid row, ``σ`` along a diamond row."""
     edges = sorted(cuts | {0})
-    return zip(edges, [*edges[1:], p_s])
+    return zip(edges, [*edges[1:], period])
 
 
 def _claim(boxes: Sequence[_Box], mu: int, p_s: int) -> _Claim | None:
@@ -730,6 +731,28 @@ def _classical_race(
 # -- diamond verification -------------------------------------------------------------
 
 
+def _diamond_level(dependence: Any, d0: int, d1: int) -> tuple[str, str] | None:
+    """The level and message of a diamond race at tile displacement
+    ``(ΔD0, ΔD1)``, or ``None`` when the schedule orders the dependence."""
+    wave = d0 - d1
+    if wave > 0:
+        return "wavefront", (
+            f"dependence {dependence} violated: source wavefront "
+            f"{wave:+d} executes after sink wavefront"
+        )
+    if wave == 0 and (d0 != 0 or d1 != 0):
+        return "block", (
+            f"dependence {dependence} crosses concurrent diamond "
+            f"tiles (ΔD0={d0}, ΔD1={d1})"
+        )
+    if d0 == 0 and d1 == 0 and dependence.time_distance <= 0:
+        return "barrier", (
+            f"dependence {dependence} violated inside tile: no "
+            f"time step separates source from sink"
+        )
+    return None
+
+
 def verify_diamond(
     canonical: "CanonicalForm", tiling: "DiamondTiling"
 ) -> ScheduleVerdict:
@@ -738,6 +761,17 @@ def verify_diamond(
     Execution model: wavefronts ``W = D0 - D1`` are sequential, tiles on one
     wavefront are concurrent, and within a tile the ``l`` steps are
     barrier-stepped with all space dimensions mapped to parallel threads.
+
+    A class ``(λ, σ)`` has the sink residues ``α = (σ + λ) mod size`` and
+    ``β = (σ - λ) mod size``, and with ``ds0 + dl = a*size + r`` and
+    ``ds0 - dl = b*size + s`` its displacements are ``ΔD0 = -a`` if
+    ``α >= r`` else ``-a - 1``, and ``ΔD1 = -b`` if ``β >= s`` else
+    ``-b - 1``.  A dependence none of whose four displacements races is
+    ordered in every class.  Otherwise each row ``λ`` splits where ``α`` or
+    ``β`` wraps or passes its offset, into at most five runs of ``σ`` with
+    one verdict each: a run counts all its classes, and a racing run has
+    its first ``σ`` as the witness, the class a visit of every ``σ`` in
+    order would have stopped at.
     """
     size = tiling.size
     k = canonical.num_statements
@@ -754,46 +788,37 @@ def verify_diamond(
         source_index = name_to_index[dependence.source]
         if (sink_index - dl) % k != source_index:
             continue
+        rows = range(sink_index, span, k)
+        a, r = divmod(ds0 + dl, size)
+        b, s = divmod(ds0 - dl, size)
+        if not any(
+            _diamond_level(dependence, d0, d1)
+            for d0 in (-a, -a - 1)
+            for d1 in (-b, -b - 1)
+        ):
+            classes_checked += len(rows) * size
+            continue
         found = False
-        for lam in range(sink_index, span, k):
+        for lam in rows:
             if found:
                 break
-            for sigma in range(size):
+            cuts = {-lam % size, (r - lam) % size, lam % size, (s + lam) % size}
+            for sigma, stop in _runs(cuts, size):
+                d0 = -a if (sigma + lam) % size >= r else -a - 1
+                d1 = -b if (sigma - lam) % size >= s else -b - 1
+                race = _diamond_level(dependence, d0, d1)
+                if race is None:
+                    classes_checked += stop - sigma
+                    continue
                 classes_checked += 1
-                alpha = (sigma + lam) % size
-                beta = (sigma - lam) % size
-                d0 = (alpha - (ds0 + dl)) // size
-                d1 = (beta - (ds0 - dl)) // size
-                wave = d0 - d1
-                level: str | None = None
-                if wave > 0:
-                    level = "wavefront"
-                    message = (
-                        f"dependence {dependence} violated: source wavefront "
-                        f"{wave:+d} executes after sink wavefront"
+                races.append(
+                    _diamond_race(
+                        canonical, tiling, lam, sigma, dl,
+                        dependence.space_distances, dependence, *race,
                     )
-                elif wave == 0 and (d0 != 0 or d1 != 0):
-                    level = "block"
-                    message = (
-                        f"dependence {dependence} crosses concurrent diamond "
-                        f"tiles (ΔD0={d0}, ΔD1={d1})"
-                    )
-                elif d0 == 0 and d1 == 0 and dl <= 0:
-                    level = "barrier"
-                    message = (
-                        f"dependence {dependence} violated inside tile: no "
-                        f"time step separates source from sink"
-                    )
-                if level is not None:
-                    races.append(
-                        _diamond_race(
-                            canonical, tiling, lam, sigma, dl,
-                            dependence.space_distances, dependence, level,
-                            message,
-                        )
-                    )
-                    found = True
-                    break
+                )
+                found = True
+                break
 
     return ScheduleVerdict(
         strategy="diamond",

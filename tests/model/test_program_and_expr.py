@@ -1,5 +1,7 @@
 """Unit tests for the stencil program model and expression trees."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,18 @@ def test_distinct_reads_deduplicates():
     centre = FieldRead("A", (0, 0))
     expr = centre + centre + FieldRead("A", (1, 0))
     assert len(distinct_reads(expr)) == 2
+
+
+def test_unique_reads_are_computed_once_and_kept_out_of_pickles_and_equality():
+    statement = get_stencil("heat_3d").statements[0]
+    unread = pickle.dumps(statement)
+    reads = statement.unique_reads
+    assert isinstance(reads, tuple)
+    assert reads == tuple(distinct_reads(statement.expr))
+    assert statement.unique_reads is reads
+    assert pickle.dumps(statement) == unread
+    restored = pickle.loads(unread)
+    assert restored == statement and hash(restored) == hash(statement)
 
 
 def test_call_validation():

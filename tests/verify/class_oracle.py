@@ -1,4 +1,4 @@
-"""Brute-force oracle for the symbolic hybrid race check: one class at a time.
+"""Brute-force oracles for the symbolic race checks: one class at a time.
 
 ``verify_hybrid_by_class`` decides the hybrid schedule the way the verifier
 did before it worked over row runs: it assigns every one of the
@@ -8,11 +8,18 @@ ordering level in row-major order.  It shares the counterexample
 reconstruction and the intra-tile displacement check with
 :mod:`repro.verify.symbolic`, not the class assignment, so its verdict must
 equal :func:`repro.verify.symbolic.verify_hybrid`'s field for field.
+
+``verify_diamond_by_class`` is the diamond check as it was before it
+decided each row ``λ`` by runs of ``σ``: it computes the tile displacement
+of every ``(λ, σ)`` class.  It shares the counterexample reconstruction
+with :mod:`repro.verify.symbolic`, so its verdict must equal
+:func:`repro.verify.symbolic.verify_diamond`'s field for field.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -22,6 +29,7 @@ from repro.verify.report import RaceFinding, ScheduleVerdict, VerificationError
 from repro.verify.symbolic import (
     HybridScheduleModel,
     _admissible_displacements,
+    _diamond_race,
     _lex_violation,
     _reconstruct_pair,
     _statement_names,
@@ -289,4 +297,77 @@ def verify_hybrid_by_class(
             "counterexamples are stated at small tile indices and hold on "
             "every grid large enough to contain them",
         ),
+    )
+
+
+def verify_diamond_by_class(canonical, tiling) -> ScheduleVerdict:
+    """Decide legality of the diamond schedule for all problem sizes.
+
+    Execution model: wavefronts ``W = D0 - D1`` are sequential, tiles on one
+    wavefront are concurrent, and within a tile the ``l`` steps are
+    barrier-stepped with all space dimensions mapped to parallel threads.
+    """
+    size = tiling.size
+    k = canonical.num_statements
+    names = _statement_names(canonical)
+    name_to_index = {name: index for index, name in enumerate(names)}
+    span = math.lcm(size, k)
+
+    races: list[RaceFinding] = []
+    classes_checked = 0
+    for dependence in canonical.dependences:
+        dl = dependence.time_distance
+        ds0 = dependence.space_distances[0]
+        sink_index = name_to_index[dependence.sink]
+        source_index = name_to_index[dependence.source]
+        if (sink_index - dl) % k != source_index:
+            continue
+        found = False
+        for lam in range(sink_index, span, k):
+            if found:
+                break
+            for sigma in range(size):
+                classes_checked += 1
+                alpha = (sigma + lam) % size
+                beta = (sigma - lam) % size
+                d0 = (alpha - (ds0 + dl)) // size
+                d1 = (beta - (ds0 - dl)) // size
+                wave = d0 - d1
+                level: str | None = None
+                if wave > 0:
+                    level = "wavefront"
+                    message = (
+                        f"dependence {dependence} violated: source wavefront "
+                        f"{wave:+d} executes after sink wavefront"
+                    )
+                elif wave == 0 and (d0 != 0 or d1 != 0):
+                    level = "block"
+                    message = (
+                        f"dependence {dependence} crosses concurrent diamond "
+                        f"tiles (ΔD0={d0}, ΔD1={d1})"
+                    )
+                elif d0 == 0 and d1 == 0 and dl <= 0:
+                    level = "barrier"
+                    message = (
+                        f"dependence {dependence} violated inside tile: no "
+                        f"time step separates source from sink"
+                    )
+                if level is not None:
+                    races.append(
+                        _diamond_race(
+                            canonical, tiling, lam, sigma, dl,
+                            dependence.space_distances, dependence, level,
+                            message,
+                        )
+                    )
+                    found = True
+                    break
+
+    return ScheduleVerdict(
+        strategy="diamond",
+        dependences_checked=len(canonical.dependences),
+        classes_checked=classes_checked,
+        races=tuple(races),
+        coverage_ok=True,
+        notes=("diamond tiles partition the (l, s0) plane by construction",),
     )
