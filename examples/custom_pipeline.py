@@ -7,8 +7,9 @@ The staged pipeline step by step, using only :mod:`repro.api`:
    :class:`TilingPlan` artifact;
 2. re-enter the pipeline with a *hand-modified* tiling plan (a different
    hexagon height) via artifact injection and compare the generated CUDA;
-3. select tiling strategies by name — the paper's ``hybrid`` scheme versus
-   the ``diamond`` comparison strategy of Section 5;
+3. select tiling strategies by name, one ``Session`` per strategy — the
+   paper's ``hybrid`` scheme versus the ``diamond`` comparison strategy of
+   Section 5;
 4. read the per-pass instrumentation events (wall time, cache provenance,
    artifact counters) that every run records.
 
@@ -62,11 +63,12 @@ def main() -> None:
     print("injected pipeline simulates correctly")
     print()
 
-    # 3. Strategies are selected by name, not by class wiring.
-    print("=== strategy registry: hybrid vs diamond peak width ===")
+    # 3. A session runs one strategy, selected by name.
+    print("=== strategies: hybrid vs diamond peak width ===")
     for strategy in ("hybrid", "diamond"):
-        run = session.run(program, tile_sizes=TileSizes.of(2, 3, 8),
-                          strategy=strategy, stop_after="tiling")
+        run = Session(strategy=strategy).run(
+            program, tile_sizes=TileSizes.of(2, 3, 8), stop_after="tiling"
+        )
         details = run.artifact("tiling").details or {}
         print(f"  {strategy:<9} peak width {details.get('peak_width')}"
               f"  concurrent start: {details.get('concurrent_start')}")

@@ -11,9 +11,8 @@ and downstream users) program against it:
   :class:`TilingPlan` → :class:`MemoryPlan` → :class:`GeneratedCode` →
   :class:`AnalysisBundle` → :class:`VerificationReport`) and the
   :data:`STAGES` ordering;
-* the strategy registry (:func:`register_strategy`, :func:`get_strategy`,
-  :func:`list_strategies`) selecting ``hybrid`` / ``classical`` / ``diamond``
-  tilings by name;
+* the three tiling strategies, ``hybrid`` / ``classical`` / ``diamond``,
+  looked up by name (:func:`get_strategy`, :func:`list_strategies`);
 * the compilation options (:class:`OptimizationConfig`, :class:`TileSizes`,
   :func:`table4_configurations`).
 
@@ -42,9 +41,7 @@ _EXPORTS = {
     "GeneratedCode": "repro.api.artifacts",
     "AnalysisBundle": "repro.api.artifacts",
     "VerificationReport": "repro.api.artifacts",
-    # strategy registry
-    "TilingStrategy": "repro.api.strategies",
-    "register_strategy": "repro.api.strategies",
+    # tiling strategies
     "get_strategy": "repro.api.strategies",
     "list_strategies": "repro.api.strategies",
     # compilation options

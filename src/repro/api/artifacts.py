@@ -88,10 +88,9 @@ class ParsedProgram:
 class CanonicalIR:
     """The canonical schedule space and dependence analysis (Section 3.2)."""
 
-    SCHEMA_VERSION = 2
+    SCHEMA_VERSION = 3
 
     canonical: CanonicalForm
-    storage: str
 
     def summary(self) -> dict[str, Any]:
         canonical = self.canonical
@@ -102,7 +101,6 @@ class CanonicalIR:
                 "dependences": len(canonical.dependences),
                 "distance_vectors": [list(v) for v in canonical.distance_vectors],
                 "logical_time_extent": canonical.logical_time_extent,
-                "storage": self.storage,
             }
         )
 
@@ -271,14 +269,3 @@ class VerificationReport:
                 ]
         return _json_safe(data)
 
-
-#: Artifact class produced by each stage, in pipeline order.
-STAGE_ARTIFACTS: dict[str, type] = {
-    "parse": ParsedProgram,
-    "canonicalize": CanonicalIR,
-    "tiling": TilingPlan,
-    "memory": MemoryPlan,
-    "codegen": GeneratedCode,
-    "analysis": AnalysisBundle,
-    "verify": VerificationReport,
-}

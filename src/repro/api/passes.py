@@ -40,11 +40,6 @@ class Pass:
 
     name: str = ""
     produces: type = object
-    #: Whether this pass participates in caching at all.  A *cacheable* pass
-    #: whose :meth:`key` returns ``None`` additionally breaks the key chain:
-    #: its output is not derivable from the request, so downstream passes
-    #: must not be cached either.
-    cacheable: bool = True
 
     def key(
         self,
@@ -53,7 +48,7 @@ class Pass:
         parent: str | None,
         program_digest: str,
     ) -> str | None:
-        """Cache key of this pass's artifact; ``None`` marks it uncacheable."""
+        """Cache key of this pass's artifact; ``None``: never cached."""
         return None
 
     def run(self, request: Any, artifacts: Mapping[str, Any]) -> Any:
@@ -75,11 +70,10 @@ class ParsePass(Pass):
     name = "parse"
     produces = ParsedProgram
 
-    # Never cached: wrapping an in-memory program is free, and parsing is a
-    # tiny fraction of a compilation — caching it would only duplicate the
-    # program object on disk.  The chain stays intact: the parsed program's
-    # content reaches every downstream key through the program digest.
-    cacheable = False
+    # Never cached (no key): wrapping an in-memory program is free, and
+    # parsing is a tiny fraction of a compilation — caching it would only
+    # duplicate the program object on disk.  The parsed program's content
+    # reaches every downstream key through the program digest.
 
     def run(self, request: Any, artifacts: Mapping[str, Any]) -> ParsedProgram:
         program = request.program
@@ -97,18 +91,13 @@ class CanonicalizePass(Pass):
     produces = CanonicalIR
 
     def key(self, request, artifacts, parent, program_digest):
-        return self._stage_key(
-            request,
-            [f"program={program_digest}", f"storage={request.storage}"],
-            parent,
-        )
+        return self._stage_key(request, [f"program={program_digest}"], parent)
 
     def run(self, request: Any, artifacts: Mapping[str, Any]) -> CanonicalIR:
         from repro.model.preprocess import canonicalize
 
         parsed: ParsedProgram = artifacts["parse"]
-        canonical = canonicalize(parsed.program, storage=request.storage)
-        return CanonicalIR(canonical=canonical, storage=request.storage)
+        return CanonicalIR(canonical=canonicalize(parsed.program))
 
 
 class TilingPass(Pass):
@@ -118,13 +107,6 @@ class TilingPass(Pass):
     produces = TilingPlan
 
     def key(self, request, artifacts, parent, program_digest):
-        strategy = get_strategy(request.strategy)
-        if not type(strategy).__module__.startswith("repro."):
-            # User-registered strategy: its code is outside the repro package,
-            # so the code fingerprint cannot see edits to it.  Returning None
-            # makes this pass (and everything downstream) uncacheable rather
-            # than risking a stale plan served for changed strategy code.
-            return None
         if request.tile_sizes is not None:
             sizes_part = f"tile-sizes={request.tile_sizes!r}"
         else:

@@ -36,7 +36,7 @@ from typing import TYPE_CHECKING, Any
 
 from repro import obs
 from repro._record import dataclass, field
-from repro.api.artifacts import STAGE_ARTIFACTS, STAGES
+from repro.api.artifacts import STAGES
 from repro.api.config import OptimizationConfig
 from repro.api.errors import PipelineError, SimulationMismatchError, StrategyError
 from repro.api.passes import PIPELINE_PASSES
@@ -85,7 +85,6 @@ class CompilationRequest:
     program: StencilProgram | str
     tile_sizes: TileSizes | None
     config: OptimizationConfig
-    storage: str
     strategy: str
     device: GPUDevice
 
@@ -144,6 +143,7 @@ class PipelineRun:
         stop_after: str,
         tuned_entry: Mapping[str, Any] | None = None,
         digest: str = "",
+        wall_s: float = 0.0,
     ) -> None:
         self.request = request
         self.artifacts = artifacts
@@ -154,6 +154,9 @@ class PipelineRun:
         self.tuned_entry = tuned_entry
         #: Content digest of the compiled program (keys run-history records).
         self.digest = digest
+        #: Wall time of the whole run: the duration of its ``session.run``
+        #: span.
+        self.wall_s = wall_s
 
     def artifact(self, stage: str) -> Any:
         """The artifact one stage produced; raises if the stage did not run."""
@@ -170,10 +173,6 @@ class PipelineRun:
     def stages_run(self) -> tuple[str, ...]:
         """Names of the passes that actually ran, in order."""
         return tuple(event.name for event in self.events)
-
-    def timings(self) -> dict[str, float]:
-        """Per-pass wall time in seconds, keyed by pass name."""
-        return {event.name: event.wall_s for event in self.events}
 
     def simulate_and_check(self, seed: int = 0) -> SimulationResult:
         """Simulate the tiled program and compare it with the NumPy reference.
@@ -218,15 +217,18 @@ class PipelineRun:
 
 
 class Session:
-    """A configured pipeline: device + strategy + caches + span recorder.
+    """A configured pipeline: device + strategy + caches.
+
+    Its spans go to the recorder ambient at :meth:`run` time (see
+    :func:`repro.obs.use`), the shared no-op unless a caller activated one.
 
     Parameters
     ----------
     device:
         Target GPU model (defaults to the paper's GTX 470).
     strategy:
-        Default tiling strategy name (``"hybrid"``, ``"classical"``,
-        ``"diamond"`` or any registered name); overridable per run.
+        Tiling strategy name of every run: ``"hybrid"``, ``"classical"`` or
+        ``"diamond"``.
     disk_cache:
         Optional persistent artefact cache shared across processes; artifacts
         are stored at pass granularity.
@@ -235,13 +237,6 @@ class Session:
         :class:`repro.tuning.TuningDatabase`, a path to one, or ``None`` for
         the default resolution chain (``$HEXCC_TUNING_DB`` → the user
         database → the committed baseline shipped with the package).
-    telemetry:
-        A span recorder (:class:`repro.obs.TraceRecorder`) receiving this
-        session's spans.  ``None`` (the default) uses whatever recorder is
-        ambient at :meth:`run` time (see :func:`repro.obs.use`) — the shared
-        no-op unless a caller activated one.  An explicit recorder is
-        installed as ambient for the duration of each run, so nested
-        machinery (disk cache, strategies) records into it too.
     """
 
     #: Size of the in-memory pass-artifact LRU.
@@ -253,14 +248,12 @@ class Session:
         strategy: str = "hybrid",
         disk_cache: DiskCache | None = None,
         tuning_db: Any = None,
-        telemetry: obs.NullRecorder | None = None,
     ) -> None:
         get_strategy(strategy)  # fail fast on unknown names
         self.device = device
         self.strategy = strategy
         self.disk_cache = disk_cache
         self.tuning_db = tuning_db
-        self.telemetry = telemetry
         self._artifact_cache: OrderedDict[str, Any] = OrderedDict()
 
     # -- tuned-config resolution --------------------------------------------------
@@ -284,10 +277,6 @@ class Session:
             program_digest(program), self.device.name
         )
 
-    def cache_clear(self) -> None:
-        """Drop every memoised pass artifact (in-memory layer only)."""
-        self._artifact_cache.clear()
-
     # -- the pass manager ---------------------------------------------------------
 
     def run(
@@ -295,8 +284,6 @@ class Session:
         program: StencilProgram | str,
         tile_sizes: TileSizes | None = None,
         config: OptimizationConfig | None = None,
-        storage: str = "expanded",
-        strategy: str | None = None,
         stop_after: str | None = None,
         inject: Mapping[str, Any] | None = None,
         tuned: bool = False,
@@ -311,10 +298,6 @@ class Session:
             Explicit ``h, w0..wn``; strategy/model-selected when omitted.
         config:
             Optimisation configuration (paper's best, (f), when omitted).
-        storage:
-            Dependence storage model passed to the canonicaliser.
-        strategy:
-            Tiling strategy name for this run (session default when omitted).
         stop_after:
             Last stage to execute (``"codegen"`` by default; use
             ``"analysis"`` for the full pipeline).
@@ -335,12 +318,13 @@ class Session:
         if stop not in STAGES:
             raise ValueError(f"unknown pipeline stage {stop!r}; known: {list(STAGES)}")
         inject = dict(inject or {})
+        produces = {p.name: p.produces for p in PIPELINE_PASSES}
         for stage, artifact in inject.items():
-            if stage not in STAGES:
+            if stage not in produces:
                 raise ValueError(
                     f"cannot inject unknown stage {stage!r}; known: {list(STAGES)}"
                 )
-            expected = STAGE_ARTIFACTS[stage]
+            expected = produces[stage]
             if not isinstance(artifact, expected):
                 raise PipelineError(
                     f"injected artifact for stage {stage!r} must be a "
@@ -356,20 +340,14 @@ class Session:
             program=program,
             tile_sizes=tile_sizes,
             config=config or OptimizationConfig.default(),
-            storage=storage,
-            strategy=strategy or self.strategy,
+            strategy=self.strategy,
             device=self.device,
         )
-        get_strategy(request.strategy)  # fail fast before running any pass
 
-        # The session's explicit recorder wins; otherwise record into
-        # whatever is ambient (the shared no-op unless a caller activated
-        # one).  Installing it as ambient makes the nested machinery — disk
-        # cache, strategies — record into the same trace.
-        recorder = self.telemetry if self.telemetry is not None else obs.current()
+        recorder = obs.current()
         label = program.name if isinstance(program, StencilProgram) else "<source>"
         stage_keys: dict[str, str] = {}
-        with obs.use(recorder), recorder.span(
+        with recorder.span(
             "session.run",
             program=label,
             strategy=request.strategy,
@@ -401,44 +379,14 @@ class Session:
                     ),
                 )
                 raise
-        self._record_history(request, label, digest, stop, run_span, events)
         return PipelineRun(
-            request, artifacts, events, stop, tuned_entry=tuned_entry, digest=digest
-        )
-
-    def _record_history(
-        self,
-        request: CompilationRequest,
-        label: str,
-        digest: str,
-        stop: str,
-        run_span: Any,
-        events: list[PassEvent],
-    ) -> None:
-        """Append this run to the persistent history (best-effort, O(1))."""
-        from repro.obs import history
-
-        if not history.history_enabled():
-            return
-        history.RunHistory().append(
-            "compile",
-            history.compile_record(
-                program=label,
-                digest=digest,
-                strategy=request.strategy,
-                device=request.device.name,
-                stop=stop,
-                wall_ms=run_span.duration_s * 1e3,
-                passes=[
-                    {
-                        "name": event.name,
-                        "wall_ms": round(event.wall_s * 1e3, 6),
-                        "source": event.source,
-                        "counters": dict(event.counters),
-                    }
-                    for event in events
-                ],
-            ),
+            request,
+            artifacts,
+            events,
+            stop,
+            tuned_entry=tuned_entry,
+            digest=digest,
+            wall_s=run_span.duration_s,
         )
 
     def _execute(
@@ -458,7 +406,7 @@ class Session:
         """
         artifacts: dict[str, Any] = {}
         events: list[PassEvent] = []
-        parent_key: str | None = ""  # "" = pipeline root; None = uncacheable
+        parent_key: str | None = ""  # "" = pipeline root; None = after injection
         digest = ""
         fault_delays = _fault_delays()
         for pipeline_pass in PIPELINE_PASSES:
@@ -474,22 +422,17 @@ class Session:
                     parent_key = None  # downstream keys are no longer derivable
                 else:
                     key = None
-                    if parent_key is not None and pipeline_pass.cacheable:
+                    if parent_key is not None:
                         key = pipeline_pass.key(
                             request, artifacts, parent_key or None, digest
                         )
-                        if key is None:
-                            # A cacheable pass that cannot key its output
-                            # (e.g. a user-registered strategy whose code the
-                            # fingerprint cannot see): stop caching from here.
-                            parent_key = None
                     artifact, source = self._fetch_or_run(
                         pipeline_pass, key, request, artifacts
                     )
                     if key is not None:
-                        # Uncacheable-by-design passes (parse) leave the chain
-                        # intact: their content reaches downstream keys via
-                        # the program digest.
+                        # The parse pass has no key and leaves the chain
+                        # intact: its content reaches downstream keys via the
+                        # program digest.
                         parent_key = key
                         if stage_keys is not None:
                             stage_keys[pipeline_pass.name] = key

@@ -1,21 +1,24 @@
-"""Pluggable tiling strategies, selected by name.
+"""The tiling strategies, selected by name.
 
-The paper's compiler hardwires the hybrid hexagonal/classical tiling; the
-staged API instead looks the tiling stage up in a registry, so a
-:class:`~repro.api.session.Session` can be pointed at ``hybrid`` (the paper's
-scheme, full code generation), ``classical`` (time-skewed parallelogram
-tiling) or ``diamond`` (Bandishti-style diamond tiling, Section 5) — or at a
-user-registered strategy — without any call-site rewiring.
+The paper's compiler has one flow, the hybrid hexagonal/classical tiling;
+Section 5 compares it against classical and diamond tiling.  A
+:class:`~repro.api.session.Session` is pointed at one of the three by
+name: ``hybrid`` (the paper's scheme, full code generation), ``classical``
+(time-skewed parallelogram tiling) or ``diamond`` (Bandishti-style diamond
+tiling).
 
 Only ``hybrid`` plans support the downstream ``memory``/``codegen`` stages;
 the comparison strategies produce analysis-grade :class:`TilingPlan`
 artifacts for ``stop_after="tiling"`` inspection, mirroring how the paper
 uses them (qualitative comparison, Tables in Section 5).
+
+Each strategy's ``plan(request, canonical)`` reads the ``tile_sizes``,
+``config`` and ``device`` fields of the session's
+:class:`~repro.api.session.CompilationRequest`.
 """
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
 from typing import TYPE_CHECKING, Any
 
 from repro.api.artifacts import TilingPlan
@@ -23,54 +26,40 @@ from repro.api.errors import StrategyError
 
 if TYPE_CHECKING:
     from repro.model.preprocess import CanonicalForm
+    from repro.tiling.hybrid import TileSizes
+    from repro.tiling.tile_size import TileCostEstimate
 
 
-class TilingStrategy(ABC):
-    """One way of tiling the canonical iteration space.
+def _sizes(
+    request: Any, canonical: CanonicalForm
+) -> tuple[TileSizes, TileCostEstimate | None]:
+    """The request's tile sizes, or the §3.7 load-to-compute model's pick
+    together with the model's estimate."""
+    if request.tile_sizes is not None:
+        return request.tile_sizes, None
+    from repro.tiling.tile_size import select_tile_sizes
 
-    Subclasses set :attr:`name` (the registry key) and implement
-    :meth:`plan`.  ``request`` is the session's
-    :class:`~repro.api.session.CompilationRequest`; strategies read its
-    ``tile_sizes``, ``config`` and ``device`` fields.
-    """
-
-    name: str = ""
-    #: Whether plans of this strategy can continue into memory/codegen.
-    supports_codegen: bool = False
-
-    @abstractmethod
-    def plan(self, request: Any, canonical: CanonicalForm) -> TilingPlan:
-        """Build the tiling plan for one canonicalised program."""
-
-    def _model_sizes(self, request: Any, canonical: CanonicalForm):
-        """Tile sizes via the §3.7 load-to-compute model (shared helper)."""
-        from repro.tiling.tile_size import select_tile_sizes
-
-        try:
-            return select_tile_sizes(
-                canonical,
-                request.device,
-                inter_tile_reuse=request.config.inter_tile_reuse != "none",
-            )
-        except ValueError as error:
-            # No tile fits the device: a property of the program, not a fault.
-            raise StrategyError(str(error)) from error
+    try:
+        tile_cost = select_tile_sizes(
+            canonical,
+            request.device,
+            inter_tile_reuse=request.config.inter_tile_reuse != "none",
+        )
+    except ValueError as error:
+        # No tile fits the device: a property of the program, not a fault.
+        raise StrategyError(str(error)) from error
+    return tile_cost.sizes, tile_cost
 
 
-class HybridStrategy(TilingStrategy):
+class HybridStrategy:
     """The paper's hybrid hexagonal/classical tiling (Sections 3.3–3.7)."""
 
     name = "hybrid"
-    supports_codegen = True
 
     def plan(self, request: Any, canonical: CanonicalForm) -> TilingPlan:
         from repro.tiling.hybrid import HybridTiling
 
-        tile_cost = None
-        sizes = request.tile_sizes
-        if sizes is None:
-            tile_cost = self._model_sizes(request, canonical)
-            sizes = tile_cost.sizes
+        sizes, tile_cost = _sizes(request, canonical)
         try:
             tiling = HybridTiling(canonical, sizes)
         except ValueError as error:
@@ -92,7 +81,7 @@ class HybridStrategy(TilingStrategy):
         )
 
 
-class ClassicalStrategy(TilingStrategy):
+class ClassicalStrategy:
     """Time-skewed parallelogram tiling of every space dimension.
 
     The classical scheme the paper compares against: strip-mine time by
@@ -102,16 +91,11 @@ class ClassicalStrategy(TilingStrategy):
     """
 
     name = "classical"
-    supports_codegen = False
 
     def plan(self, request: Any, canonical: CanonicalForm) -> TilingPlan:
         from repro.tiling.classical import ClassicalTiling
 
-        tile_cost = None
-        sizes = request.tile_sizes
-        if sizes is None:
-            tile_cost = self._model_sizes(request, canonical)
-            sizes = tile_cost.sizes
+        sizes, tile_cost = _sizes(request, canonical)
         ndim = len(canonical.space_dims)
         if len(sizes.widths) != ndim:
             raise StrategyError(
@@ -146,21 +130,16 @@ class ClassicalStrategy(TilingStrategy):
         )
 
 
-class DiamondStrategy(TilingStrategy):
+class DiamondStrategy:
     """Diamond tiling of the ``(l, s0)`` plane (Section 5 comparison)."""
 
     name = "diamond"
-    supports_codegen = False
 
     def plan(self, request: Any, canonical: CanonicalForm) -> TilingPlan:
         from repro.tiling.cone import DependenceCone
         from repro.tiling.diamond import DiamondTiling
 
-        tile_cost = None
-        sizes = request.tile_sizes
-        if sizes is None:
-            tile_cost = self._model_sizes(request, canonical)
-            sizes = tile_cost.sizes
+        sizes, tile_cost = _sizes(request, canonical)
         cone = DependenceCone.from_distance_vectors(
             canonical.distance_vectors, dim_index=0
         )
@@ -184,23 +163,19 @@ class DiamondStrategy(TilingStrategy):
         )
 
 
-_REGISTRY: dict[str, TilingStrategy] = {}
+Strategy = HybridStrategy | ClassicalStrategy | DiamondStrategy
+
+_STRATEGIES: dict[str, Strategy] = {
+    "classical": ClassicalStrategy(),
+    "diamond": DiamondStrategy(),
+    "hybrid": HybridStrategy(),
+}
 
 
-def register_strategy(strategy: TilingStrategy, replace: bool = False) -> TilingStrategy:
-    """Add a strategy instance to the registry (keyed by ``strategy.name``)."""
-    if not strategy.name:
-        raise ValueError("tiling strategies must set a non-empty name")
-    if strategy.name in _REGISTRY and not replace:
-        raise ValueError(f"tiling strategy {strategy.name!r} is already registered")
-    _REGISTRY[strategy.name] = strategy
-    return strategy
-
-
-def get_strategy(name: str) -> TilingStrategy:
+def get_strategy(name: str) -> Strategy:
     """Look a strategy up by name; raises :class:`StrategyError` if unknown."""
     try:
-        return _REGISTRY[name]
+        return _STRATEGIES[name]
     except KeyError:
         raise StrategyError(
             f"unknown tiling strategy {name!r}; known: {list_strategies()}"
@@ -208,10 +183,5 @@ def get_strategy(name: str) -> TilingStrategy:
 
 
 def list_strategies() -> list[str]:
-    """Names of all registered strategies, sorted."""
-    return sorted(_REGISTRY)
-
-
-register_strategy(HybridStrategy())
-register_strategy(ClassicalStrategy())
-register_strategy(DiamondStrategy())
+    """Names of the three strategies, sorted."""
+    return sorted(_STRATEGIES)

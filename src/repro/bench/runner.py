@@ -224,26 +224,7 @@ def run_bench(options: BenchOptions) -> dict[str, Any]:
             "stores": cache.stores,
         }
         cache.flush_stats()
-    _record_bench_history(options, suites)
     return report
-
-
-def _record_bench_history(
-    options: BenchOptions, suites: dict[str, dict[str, Any]]
-) -> None:
-    """One run-history record per measured suite (best-effort)."""
-    from repro.gpu.device import GTX470
-    from repro.obs import history
-
-    if not history.history_enabled():
-        return
-    store = history.RunHistory()
-    for suite_name, stencils in suites.items():
-        entries = [{"stencil": stencil, **entry} for stencil, entry in stencils.items()]
-        store.append(
-            "bench",
-            history.bench_record(suite=suite_name, device=GTX470.name, entries=entries),
-        )
 
 
 def format_report(report: dict[str, Any]) -> str:

@@ -161,6 +161,32 @@ def _flush_cache(cache: DiskCache | None) -> None:
         cache.flush_stats()
 
 
+def _record_run(run) -> None:
+    """Append one ``compile`` record of a pipeline run to the run history."""
+    from repro.obs import history
+
+    history.RunHistory().append(
+        "compile",
+        history.compile_record(
+            program=run.artifact("parse").program.name,
+            digest=run.digest,
+            strategy=run.request.strategy,
+            device=run.request.device.name,
+            stop=run.stop_after,
+            wall_ms=run.wall_s * 1e3,
+            passes=[
+                {
+                    "name": event.name,
+                    "wall_ms": round(event.wall_s * 1e3, 6),
+                    "source": event.source,
+                    "counters": dict(event.counters),
+                }
+                for event in run.events
+            ],
+        ),
+    )
+
+
 def _cmd_list(_: argparse.Namespace) -> int:
     for name in list_stencils():
         print(name)
@@ -197,6 +223,7 @@ def _compile_and_report(program, args: argparse.Namespace) -> int:
     run = session.run(
         program, tile_sizes=tile_sizes, tuned=tuned, stop_after="analysis"
     )
+    _record_run(run)
     _flush_cache(cache)
     print(f"compilation of {program.name} ({run.request.config.label})")
     print(run.artifact("tiling").tiling.describe())
@@ -216,6 +243,7 @@ def _validate_and_report(program, args: argparse.Namespace) -> int:
     run = Session(disk_cache=cache).run(
         program, tile_sizes=_parse_tile_sizes(args, default_height=1)
     )
+    _record_run(run)
     _flush_cache(cache)
     report = validate_hybrid_tiling(run.artifact("tiling").tiling)
     print(report)
@@ -262,6 +290,7 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
     run = session.run(
         program, tile_sizes=_parse_tile_sizes(args), stop_after=args.stop_after
     )
+    _record_run(run)
     _flush_cache(cache)
     if args.json:
         payload = {
@@ -309,10 +338,12 @@ def _verify_one(session: Session, program, strategy: str, tile_sizes, mutation):
     if strategy == "hybrid" and mutation is None:
         # Full pipeline: symbolic schedule check plus the generated-CUDA lint.
         run = session.run(program, tile_sizes=tile_sizes, stop_after="verify")
+        _record_run(run)
         return run.artifact("verify")
     # Analysis-only schedules (and mutated models) never reach codegen, so
     # verify the tiling plan directly — schedule verdict only, no lint.
     run = session.run(program, tile_sizes=tile_sizes, stop_after="tiling")
+    _record_run(run)
     canonical = run.artifact("canonicalize").canonical
     plan = run.artifact("tiling")
     if mutation is not None:
@@ -586,6 +617,7 @@ def _cmd_cache(args: argparse.Namespace) -> int:
 def _cmd_tune(args: argparse.Namespace) -> int:
     """Autotune one stencil and record the winner in the tuning database."""
     from repro.bench.compare import parse_threshold
+    from repro.obs import history
     from repro.tuning import (
         TuningDatabase,
         list_search_strategies,
@@ -621,6 +653,19 @@ def _cmd_tune(args: argparse.Namespace) -> int:
         disk_cache=cache,
     )
     _flush_cache(cache)
+    history.RunHistory().append(
+        "tune",
+        history.tune_record(
+            program=result.program_name,
+            strategy_space=f"{result.strategy}/{OBJECTIVE}",
+            trials=len(result.trials) + 1,  # + the model baseline
+            best_score=result.best.score,
+            best_config={
+                "height": result.best.candidate.height,
+                "widths": list(result.best.candidate.widths),
+            },
+        ),
+    )
 
     if args.json:
         payload = result.to_entry()
@@ -696,10 +741,11 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         device=_get_device_checked(args.device),
         strategy="hybrid",
         disk_cache=cache,
-        telemetry=recorder,
     )
     # All six stages, so the trace covers the whole pipeline.
-    session.run(program, stop_after="analysis")
+    with obs.use(recorder):
+        run = session.run(program, stop_after="analysis")
+    _record_run(run)
     _flush_cache(cache)
     spans = recorder.drain()
     path = write_trace(args.output, spans)
@@ -721,9 +767,10 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         device=_get_device_checked(args.device),
         strategy="hybrid",
         disk_cache=cache,
-        telemetry=recorder,
     )
-    session.run(program, stop_after="analysis")
+    with obs.use(recorder):
+        run = session.run(program, stop_after="analysis")
+    _record_run(run)
     _flush_cache(cache)
     spans = recorder.drain()
     rows = profile_rows(spans)
@@ -818,6 +865,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
     from repro.bench import BenchOptions, run_bench, save_report
     from repro.bench.runner import format_report, select_stencils
+    from repro.obs import history
 
     suites = ("compile", "simulate") if args.suite == "all" else (args.suite,)
     recorder = obs.TraceRecorder() if args.trace is not None else None
@@ -837,6 +885,15 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             )
     except ValueError as error:
         raise UsageError(str(error)) from None
+    store = history.RunHistory()
+    for suite_name, suite in report["suites"].items():
+        entries = [
+            {"stencil": name, **entry} for name, entry in suite["stencils"].items()
+        ]
+        store.append(
+            "bench",
+            history.bench_record(suite=suite_name, device=GTX470.name, entries=entries),
+        )
     print(format_report(report))
     if recorder is not None:
         from repro.obs.export import write_trace

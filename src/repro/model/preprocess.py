@@ -76,7 +76,6 @@ class CanonicalForm:
     dependences: tuple[Dependence, ...]
     distance_vectors: tuple[tuple[int, ...], ...]
     logical_time_extent: int
-    storage: str = "expanded"
 
     # -- coordinate conversions ------------------------------------------------
 
@@ -150,17 +149,16 @@ class CanonicalForm:
         return delta0, delta1
 
 
-def canonicalize(
-    program: StencilProgram,
-    storage: str = "expanded",
-) -> CanonicalForm:
+def canonicalize(program: StencilProgram) -> CanonicalForm:
     """Validate and canonicalise a stencil program (Section 3.2).
 
-    Raises :class:`~repro.model.dependences.DependenceError` when the program
-    does not satisfy the assumptions of Sections 3.2/3.3.1 (for instance when
-    a dependence is not carried by the time dimension).
+    The dependences are those of time-expanded arrays, the default of
+    :func:`~repro.model.dependences.compute_dependences`.  Raises
+    :class:`~repro.model.dependences.DependenceError` when the program does
+    not satisfy the assumptions of Sections 3.2/3.3.1 (for instance when a
+    dependence is not carried by the time dimension).
     """
-    dependences = compute_dependences(program, storage=storage)
+    dependences = compute_dependences(program)
     validate_stencil_assumptions(program, dependences)
     vectors = dependence_distance_vectors(dependences)
     if not vectors:
@@ -175,5 +173,4 @@ def canonicalize(
         dependences=tuple(dependences),
         distance_vectors=tuple(vectors),
         logical_time_extent=program.num_statements * program.time_steps,
-        storage=storage,
     )

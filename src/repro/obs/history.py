@@ -1,13 +1,20 @@
-"""Persistent run history: every compile/bench/tune run, on disk.
+"""Persistent run history: the compiles, benches and tunes users ran, on disk.
 
 Telemetry from :mod:`repro.obs` evaporates when the process exits; the
-history store makes the interesting part durable.  Records are one JSON
-object per line, append-only, under ``$HEXCC_CACHE_DIR/history/runs.jsonl``
-— append is a single ``O(1)`` write (POSIX appends of one small line are
-effectively atomic), so recording never measurably taxes the run it
-describes.  The file self-compacts: once it exceeds a size threshold the
-newest ``$HEXCC_HISTORY_KEEP`` records (default {DEFAULT_HISTORY_KEEP})
-are rewritten atomically via ``os.replace``.
+history store makes the interesting part durable.  Only ``hexcc`` commands
+write it: one ``compile`` record per pipeline run a command makes on the
+program the user named (``compile``, ``compile-file``, ``inspect``,
+``verify``, ``validate``, ``validate-file``, ``trace``, ``profile``), one
+``tune`` record per ``hexcc tune`` and one ``bench`` record per suite of
+``hexcc bench``.  Library calls (``Session.run``, ``tune``, ``run_bench``)
+write nothing, so neither do the runs inside a sweep (tuning candidates,
+bench repeats, table cells).  Records are one JSON object per line,
+append-only, under ``$HEXCC_CACHE_DIR/history/runs.jsonl`` — append is a
+single ``O(1)`` write (POSIX appends of one small line are effectively
+atomic), so recording never measurably taxes the run it describes.  The
+file self-compacts: once it exceeds a size threshold the newest
+``$HEXCC_HISTORY_KEEP`` records (default 2000) are rewritten atomically via
+``os.replace``.
 
 Every record is schema-versioned and carries
 
@@ -18,8 +25,9 @@ Every record is schema-versioned and carries
   ``disk`` hits) — the raw material for regression attribution across
   history windows.
 
-Set ``$HEXCC_HISTORY_DISABLE`` to suppress recording entirely (the
-overhead gate and micro-benchmarks do).
+Set ``$HEXCC_HISTORY_DISABLE`` to suppress recording entirely.  A line
+that is not a record of this schema, or whose fields lack the types the
+writers give them, is skipped on reading.
 """
 
 from __future__ import annotations
@@ -43,6 +51,32 @@ HISTORY_DISABLE_ENV = "HEXCC_HISTORY_DISABLE"
 #: Compact once the JSONL file grows past this many bytes.
 _COMPACT_THRESHOLD_BYTES = 8 * 1024 * 1024
 
+_NUMBER = (int, float)
+#: The JSON type the writers below give each field, in every record and
+#: per kind; a line in which a present field has another type is skipped.
+_COMMON_TYPES = {"id": str, "kind": str, "ts_ns": int}
+_KIND_TYPES = {
+    "compile": {
+        "program": str,
+        "digest": str,
+        "strategy": str,
+        "device": str,
+        "stop": str,
+        "wall_ms": _NUMBER,
+        "passes": list,
+    },
+    "bench": {"suite": str, "device": str, "entries": list},
+    "tune": {
+        "program": str,
+        "strategy_space": str,
+        "trials": int,
+        "best_score": _NUMBER,
+        "best_config": dict,
+    },
+}
+#: ...and each item of a ``compile`` record's ``passes``, which is a dict.
+_PASS_TYPES = {"name": str, "wall_ms": _NUMBER, "source": str, "counters": dict}
+
 
 def history_dir() -> Path:
     """Where history lives: ``<cache dir>/history``."""
@@ -63,6 +97,26 @@ def history_keep() -> int:
 
 def history_enabled() -> bool:
     return not os.environ.get(HISTORY_DISABLE_ENV)
+
+
+def _typed(data: Mapping[str, Any], types: Mapping[str, Any]) -> bool:
+    return all(
+        name not in data or isinstance(data[name], kind) for name, kind in types.items()
+    )
+
+
+def _well_formed(data: Mapping[str, Any]) -> bool:
+    """Whether a parsed line's fields have the types the writers give them."""
+    if not _typed(data, _COMMON_TYPES):
+        return False
+    # A nanosecond time stamp in time.localtime's range (up to year 2262).
+    if not 0 <= data.get("ts_ns", 0) < 2**63:
+        return False
+    kind = data.get("kind")
+    if not _typed(data, _KIND_TYPES.get(kind, {})):
+        return False
+    passes = data.get("passes", []) if kind == "compile" else []
+    return all(isinstance(p, dict) and _typed(p, _PASS_TYPES) for p in passes)
 
 
 def _record_id(payload: Mapping[str, Any]) -> str:
@@ -96,11 +150,7 @@ class RunRecord:
                 f" [{data.get('strategy', '?')}]"
                 f" {data.get('wall_ms', 0.0):.3f} ms"
             )
-            sources = [
-                str(p.get("source"))
-                for p in data.get("passes", ())
-                if isinstance(p, Mapping)
-            ]
+            sources = [p.get("source") for p in data.get("passes", ())]
             hits = sum(1 for s in sources if s in ("memory", "disk"))
             if sources:
                 label += f"  cache {hits}/{len(sources)}"
@@ -153,7 +203,7 @@ class RunHistory:
         self, kind: str | None = None, limit: int | None = None
     ) -> list[RunRecord]:
         """The newest ``limit`` retained records (all when ``None``), oldest
-        first; malformed lines are skipped."""
+        first; malformed lines (see :func:`_well_formed`) are skipped."""
         out: list[RunRecord] = []
         try:
             lines = self.path.read_text(encoding="utf-8").splitlines()
@@ -169,13 +219,15 @@ class RunHistory:
                 continue
             if not isinstance(data, dict) or data.get("schema") != HISTORY_KIND:
                 continue
+            if not _well_formed(data):
+                continue
             if kind is not None and data.get("kind") != kind:
                 continue
             out.append(
                 RunRecord(
-                    id=str(data.get("id", "")),
-                    kind=str(data.get("kind", "")),
-                    ts_ns=int(data.get("ts_ns", 0)),
+                    id=data.get("id", ""),
+                    kind=data.get("kind", ""),
+                    ts_ns=data.get("ts_ns", 0),
                     data=data,
                 )
             )
@@ -247,7 +299,6 @@ def compile_record(
     stop: str,
     wall_ms: float,
     passes: Sequence[Mapping[str, Any]],
-    counters: Mapping[str, Any] | None = None,
 ) -> dict[str, Any]:
     """Build the ``compile`` history payload for one ``Session.run``."""
     return {
@@ -258,7 +309,6 @@ def compile_record(
         "stop": stop,
         "wall_ms": round(float(wall_ms), 6),
         "passes": [dict(p) for p in passes],
-        "counters": dict(counters or {}),
     }
 
 

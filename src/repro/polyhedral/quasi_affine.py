@@ -2,11 +2,12 @@
 
 The hybrid schedule of the paper (equations (2)–(5) and (14)–(17), Figure 6)
 uses integer division and modulo; those operations are not affine, so they are
-represented here as small expression trees that can be
-
-* evaluated exactly on integer points (used by the schedule engine, the
-  validators and the functional GPU simulator), and
-* pretty-printed as C/CUDA expressions (used by the code generator).
+represented here as small expression trees that can be evaluated exactly on
+integer points and pretty-printed as C expressions.  Their one user is
+:meth:`repro.tiling.hybrid.HybridTiling.schedule_expressions`, the closed-form
+schedule of Figure 6 (:func:`repro.experiments.figures.figure6_schedule`).
+The schedule engine, the validators, the simulator and the code generator
+evaluate or emit the same formulas directly.
 """
 
 from __future__ import annotations

@@ -160,12 +160,11 @@ def tune(
     are replayed from it instead of re-scored, making warm sweep re-runs
     nearly free.
 
-    A completed sweep is appended to the persistent run history; a sweep
-    that dies writes a crash report (see :mod:`repro.obs.log`) before the
-    exception propagates.
+    A sweep that dies writes a crash report (see :mod:`repro.obs.log`)
+    before the exception propagates.
     """
     try:
-        result = _tune_impl(
+        return _tune_impl(
             program,
             strategy=strategy,
             budget=budget,
@@ -193,29 +192,6 @@ def tune(
             ),
         )
         raise
-    _record_tune_history(result)
-    return result
-
-
-def _record_tune_history(result: TuningResult) -> None:
-    """Append one sweep summary to the run history (best-effort)."""
-    from repro.obs import history
-
-    if not history.history_enabled():
-        return
-    history.RunHistory().append(
-        "tune",
-        history.tune_record(
-            program=result.program_name,
-            strategy_space=f"{result.strategy}/{OBJECTIVE}",
-            trials=len(result.trials) + 1,  # + the model baseline
-            best_score=result.best.score,
-            best_config={
-                "height": result.best.candidate.height,
-                "widths": list(result.best.candidate.widths),
-            },
-        ),
-    )
 
 
 def _tune_impl(

@@ -56,7 +56,6 @@ def test_artifacts_are_frozen(program):
 def test_stop_after_runs_exactly_that_prefix(program):
     run = Session().run(program, tile_sizes=SIZES, stop_after="tiling")
     assert run.stages_run == ("parse", "canonicalize", "tiling")
-    assert run.timings().keys() == {"parse", "canonicalize", "tiling"}
     with pytest.raises(PipelineError, match="did not run"):
         run.artifact("memory")
     with pytest.raises(ValueError, match="unknown pipeline stage"):
@@ -71,8 +70,6 @@ def test_unknown_stop_after_rejected(program):
 def test_unknown_strategy_rejected_up_front(program):
     with pytest.raises(StrategyError, match="unknown tiling strategy"):
         Session(strategy="bogus")
-    with pytest.raises(StrategyError, match="unknown tiling strategy"):
-        Session().run(program, strategy="bogus")
 
 
 def test_run_accepts_raw_c_source():
@@ -103,10 +100,9 @@ def test_session_telemetry_records_passes_cache_io_and_wall(program, tmp_path):
     from repro.cache import DiskCache
 
     recorder = obs.TraceRecorder()
-    session = Session(
-        disk_cache=DiskCache(tmp_path / "hexcc"), telemetry=recorder
-    )
-    session.run(program, tile_sizes=SIZES, stop_after="tiling")
+    session = Session(disk_cache=DiskCache(tmp_path / "hexcc"))
+    with obs.use(recorder):
+        session.run(program, tile_sizes=SIZES, stop_after="tiling")
     spans = recorder.drain()
     names = {span.name for span in spans}
     assert {"session.run", "pass.parse", "pass.canonicalize", "pass.tiling"} <= names
@@ -131,7 +127,8 @@ def test_pass_events_and_spans_share_one_timing_source(program):
     from repro import obs
 
     recorder = obs.TraceRecorder()
-    run = Session(telemetry=recorder).run(program, tile_sizes=SIZES)
+    with obs.use(recorder):
+        run = Session().run(program, tile_sizes=SIZES)
     durations = {
         span.name: span.duration_s
         for span in recorder.drain()

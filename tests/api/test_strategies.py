@@ -1,19 +1,10 @@
-"""The pluggable tiling-strategy registry and the built-in strategies."""
+"""The three tiling strategies, selected by name."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.api import (
-    PipelineError,
-    Session,
-    TileSizes,
-    TilingPlan,
-    TilingStrategy,
-    get_strategy,
-    list_strategies,
-    register_strategy,
-)
+from repro.api import PipelineError, Session, TileSizes, list_strategies
 from repro.stencils import get_stencil
 from repro.tiling.classical import ClassicalTiling
 from repro.tiling.diamond import DiamondTiling
@@ -65,16 +56,6 @@ def test_analysis_only_strategies_cannot_reach_codegen(program):
             Session(strategy=name).run(program, tile_sizes=SIZES)
 
 
-def test_strategy_can_be_overridden_per_run(program):
-    session = Session(strategy="hybrid")
-    run = session.run(
-        program, tile_sizes=SIZES, strategy="diamond", stop_after="tiling"
-    )
-    assert run.artifact("tiling").strategy == "diamond"
-    # The session default is untouched.
-    assert session.run(program, tile_sizes=SIZES).artifact("tiling").strategy == "hybrid"
-
-
 def test_model_selected_sizes_without_explicit_tile_sizes(program):
     run = Session().run(program, stop_after="tiling")
     plan = run.artifact("tiling")
@@ -82,74 +63,15 @@ def test_model_selected_sizes_without_explicit_tile_sizes(program):
     assert plan.sizes == plan.tile_cost.sizes
 
 
-def test_registering_a_custom_strategy():
-    class EchoStrategy(TilingStrategy):
-        name = "echo-test"
-
-        def plan(self, request, canonical):
-            return TilingPlan(
-                strategy=self.name, sizes=request.tile_sizes, tiling=None
-            )
-
-    try:
-        register_strategy(EchoStrategy())
-        assert "echo-test" in list_strategies()
-        program = get_stencil("jacobi_1d", sizes=(64,), steps=8)
-        run = Session(strategy="echo-test").run(
-            program, tile_sizes=TileSizes.of(1, 4), stop_after="tiling"
-        )
-        assert run.artifact("tiling").strategy == "echo-test"
-    finally:
-        from repro.api.strategies import _REGISTRY
-
-        _REGISTRY.pop("echo-test", None)
-
-
-def test_out_of_package_strategies_are_never_cached(tmp_path):
-    """The code fingerprint cannot see user strategy code, so no caching."""
+def test_each_session_runs_its_own_strategy(program, tmp_path):
+    """Sessions sharing a disk cache never serve one strategy's plan to another."""
     from repro.cache import DiskCache
 
-    class EchoStrategy(TilingStrategy):
-        name = "echo-uncached"
-
-        def plan(self, request, canonical):
-            return TilingPlan(
-                strategy=self.name, sizes=request.tile_sizes, tiling=None
-            )
-
-    try:
-        register_strategy(EchoStrategy())
-        cache = DiskCache(tmp_path / "hexcc")
-        program = get_stencil("jacobi_1d", sizes=(64,), steps=8)
-        session = Session(strategy="echo-uncached", disk_cache=cache)
-        first = session.run(program, tile_sizes=TileSizes.of(1, 4),
-                            stop_after="tiling")
-        second = session.run(program, tile_sizes=TileSizes.of(1, 4),
-                             stop_after="tiling")
-        # canonicalize (upstream of the strategy) is cached; the tiling
-        # stage recomputes every time, in memory and on disk.
-        assert {e.name: e.source for e in second.events}["tiling"] == "computed"
-        assert second.artifact("tiling") is not first.artifact("tiling")
-        stored_kinds = {type(session.disk_cache.get(p.stem)).__name__
-                        for p in cache._entries()}
-        assert "TilingPlan" not in stored_kinds
-    finally:
-        from repro.api.strategies import _REGISTRY
-
-        _REGISTRY.pop("echo-uncached", None)
-
-
-def test_duplicate_registration_is_rejected():
-    with pytest.raises(ValueError, match="already registered"):
-        register_strategy(get_strategy("hybrid"))
-    # ...unless replacement is explicit.
-    register_strategy(get_strategy("hybrid"), replace=True)
-
-
-def test_unnamed_strategy_is_rejected():
-    class Nameless(TilingStrategy):
-        def plan(self, request, canonical):  # pragma: no cover
-            raise NotImplementedError
-
-    with pytest.raises(ValueError, match="non-empty name"):
-        register_strategy(Nameless())
+    cache = DiskCache(tmp_path / "hexcc")
+    for name in list_strategies():
+        run = Session(strategy=name, disk_cache=cache).run(
+            program, tile_sizes=SIZES, stop_after="tiling"
+        )
+        assert run.request.strategy == name
+        assert run.artifact("tiling").strategy == name
+        assert {e.name: e.source for e in run.events}["tiling"] == "computed"

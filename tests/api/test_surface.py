@@ -30,7 +30,6 @@ EXPECTED_ALL = [
     "StrategyError",
     "TileSizes",
     "TilingPlan",
-    "TilingStrategy",
     "VerificationReport",
     "get_stencil",
     "get_strategy",
@@ -38,7 +37,6 @@ EXPECTED_ALL = [
     "list_strategies",
     "parse_stencil",
     "register_from_source",
-    "register_strategy",
     "table4_configurations",
     "unregister",
 ]
@@ -71,19 +69,37 @@ def _parameter_names(callable_) -> list[str]:
 
 def test_session_signatures_are_pinned():
     assert _parameter_names(api.Session.__init__) == [
-        "self", "device", "strategy", "disk_cache", "tuning_db", "telemetry",
+        "self", "device", "strategy", "disk_cache", "tuning_db",
     ]
     assert _parameter_names(api.Session.run) == [
-        "self", "program", "tile_sizes", "config", "storage", "strategy",
-        "stop_after", "inject", "tuned",
+        "self", "program", "tile_sizes", "config", "stop_after", "inject", "tuned",
     ]
+
+
+def test_canonicalize_takes_only_the_program():
+    from repro.model.preprocess import canonicalize
+
+    assert _parameter_names(canonicalize) == ["program"]
 
 
 def test_pipeline_run_surface_is_pinned():
     assert _parameter_names(api.PipelineRun.artifact) == ["self", "stage"]
     assert _parameter_names(api.PipelineRun.simulate_and_check) == ["self", "seed"]
-    for method in ("artifact", "simulate_and_check", "timings", "describe"):
+    for method in ("artifact", "simulate_and_check", "describe"):
         assert callable(getattr(api.PipelineRun, method))
+    assert not hasattr(api.PipelineRun, "timings")
+    assert not hasattr(api.Session, "cache_clear")
+
+
+def test_run_wall_time_is_the_session_run_span(small_jacobi_2d):
+    from repro import obs
+
+    recorder = obs.TraceRecorder()
+    with obs.use(recorder):
+        run = api.Session().run(small_jacobi_2d, stop_after="tiling")
+    (span,) = [s for s in recorder.drain() if s.name == "session.run"]
+    assert run.wall_s == span.duration_s > 0
+    assert run.wall_s >= sum(event.wall_s for event in run.events)
 
 
 def test_artifact_fields_are_pinned():
@@ -91,7 +107,7 @@ def test_artifact_fields_are_pinned():
 
     expected = {
         api.ParsedProgram: ["program", "source"],
-        api.CanonicalIR: ["canonical", "storage"],
+        api.CanonicalIR: ["canonical"],
         api.TilingPlan: [
             "strategy", "sizes", "tiling", "tile_cost", "supports_codegen", "details",
         ],

@@ -163,10 +163,52 @@ def test_describe_lines_name_the_run(store):
     assert entry["timings_ms"]["pass.tiling"] == 2.0
 
 
-def test_session_runs_are_recorded(small_jacobi_2d):
-    from repro.api import Session
+# -- who writes history: hexcc commands, never the library ---------------------
 
-    Session().run(small_jacobi_2d, stop_after="tiling")
+
+COMPILE_FIELDS = {
+    "schema", "schema_version", "kind", "ts_ns", "id",
+    "program", "digest", "strategy", "device", "stop", "wall_ms", "passes",
+}
+
+
+def _main(argv):
+    from repro.cli import main
+
+    return main(argv)
+
+
+def test_a_compile_command_appends_one_compile_record(capsys):
+    assert _main(["compile", "jacobi_2d"]) == 0
+    (record,) = RunHistory().records()
+    assert record.kind == "compile"
+    assert set(record.data) == COMPILE_FIELDS
+    assert record.data["program"] == "jacobi_2d"
+    assert record.data["strategy"] == "hybrid"
+    assert record.data["device"] == "GTX 470"
+    assert record.data["stop"] == "analysis"
+    assert len(record.data["digest"]) == 64
+    passes = record.data["passes"]
+    assert [p["name"] for p in passes] == [
+        "parse", "canonicalize", "tiling", "memory", "codegen", "analysis",
+    ]
+    assert all(set(p) == {"name", "wall_ms", "source", "counters"} for p in passes)
+    # The record's wall time is the whole run: at least the sum of its passes.
+    assert record.data["wall_ms"] >= sum(p["wall_ms"] for p in passes) - 1e-3
+
+
+def test_verify_every_strategy_appends_three_compile_records(capsys):
+    assert _main(["verify", "heat_2d", "--strategy", "all"]) == 0
+    records = RunHistory().records()
+    assert [(r.kind, r.data["strategy"]) for r in records] == [
+        ("compile", "classical"), ("compile", "diamond"), ("compile", "hybrid"),
+    ]
+    assert [r.data["stop"] for r in records] == ["tiling", "tiling", "verify"]
+
+
+def test_session_runs_are_recorded(capsys):
+    """One pipeline prefix through ``hexcc inspect``, recorded pass by pass."""
+    assert _main(["inspect", "jacobi_2d", "--stop-after", "tiling"]) == 0
     (record,) = RunHistory().records(kind="compile")
     assert record.data["program"] == "jacobi_2d"
     assert record.data["stop"] == "tiling"
@@ -179,13 +221,72 @@ def test_session_runs_are_recorded(small_jacobi_2d):
     )
 
 
-def test_tune_runs_are_recorded(monkeypatch, tmp_path):
-    monkeypatch.setenv("HEXCC_TUNING_DB", str(tmp_path / "tuning.json"))
+def test_tune_runs_are_recorded(tmp_path, capsys):
+    """One ``tune`` line, and none for the candidates the sweep scored."""
+    db = str(tmp_path / "tuning.json")
+    assert _main(["tune", "jacobi_1d", "--budget", "4", "--tuning-db", db]) == 0
+    (line,) = RunHistory().path.read_text().splitlines()
+    assert json.loads(line)["kind"] == "tune"
+    (record,) = RunHistory().records(kind="tune")
+    assert record.data["program"] == "jacobi_1d"
+    assert record.data["trials"] >= 4
+    assert record.data["best_config"]["height"] >= 1
+
+
+def test_library_runs_write_no_history(small_jacobi_2d, monkeypatch, tmp_path):
+    from repro.api import Session
+    from repro.bench import BenchOptions, run_bench
     from repro.stencils import get_stencil
     from repro.tuning import tune
 
+    monkeypatch.setenv("HEXCC_TUNING_DB", str(tmp_path / "tuning.json"))
+    Session().run(small_jacobi_2d, stop_after="analysis")
     tune(get_stencil("jacobi_1d", sizes=(64,), steps=8), budget=3, seed=1)
-    (record,) = RunHistory().records(kind="tune")
-    assert record.data["program"] == "jacobi_1d"
-    assert record.data["trials"] >= 3
-    assert record.data["best_config"]["height"] >= 1
+    run_bench(
+        BenchOptions(suites=("compile",), quick=True, repeats=1, stencils=("jacobi_1d",))
+    )
+    assert not RunHistory().path.exists()
+
+
+# -- a corrupt history file never ends in a traceback ---------------------------
+
+#: One line each, whose fields lack the types the writers give them.
+BAD_LINES = {
+    "ts_ns-null": {"kind": "compile", "id": "abc", "ts_ns": None},
+    "ts_ns-out-of-range": {"kind": "compile", "id": "abc", "ts_ns": 10**30},
+    "id-number": {"kind": "compile", "id": 7, "ts_ns": 1},
+    "kind-list": {"kind": ["compile"], "id": "abc", "ts_ns": 1},
+    "wall_ms-null": {"kind": "compile", "id": "abc", "ts_ns": 1, "wall_ms": None},
+    "passes-number": {"kind": "compile", "id": "abc", "ts_ns": 1, "passes": 5},
+    "pass-number": {"kind": "compile", "id": "abc", "ts_ns": 1, "passes": [5]},
+    "pass-wall_ms-text": {
+        "kind": "compile", "id": "abc", "ts_ns": 1,
+        "passes": [{"name": "tiling", "wall_ms": "slow", "source": "computed"}],
+    },
+    "pass-source-list": {
+        "kind": "compile", "id": "abc", "ts_ns": 1,
+        "passes": [{"name": "tiling", "wall_ms": 1.0, "source": ["disk"]}],
+    },
+    "entries-number": {"kind": "bench", "id": "abc", "ts_ns": 1, "entries": 5},
+    "best_score-text": {"kind": "tune", "id": "abc", "ts_ns": 1, "best_score": "x"},
+}
+
+
+@pytest.mark.parametrize("shape", sorted(BAD_LINES))
+def test_perf_skips_lines_of_the_wrong_shape(shape, capsys):
+    good = RunHistory().append("compile", _compile_payload())
+    with open(RunHistory().path, "a") as handle:
+        handle.write(json.dumps({"schema": "hexcc-run", **BAD_LINES[shape]}) + "\n")
+    assert [r.id for r in RunHistory().records()] == [good.id]
+    capsys.readouterr()
+
+    assert _main(["perf", "history"]) == 0
+    out, err = capsys.readouterr()
+    assert good.id in out and "Traceback" not in out + err
+    assert _main(["perf", "history", "--json"]) == 0
+    out, err = capsys.readouterr()
+    assert [r["id"] for r in json.loads(out)] == [good.id]
+    # One good compile record: there is no second one to compare with.
+    assert _main(["perf", "diff", "last~1", "last"]) == 2
+    out, err = capsys.readouterr()
+    assert "out of range" in err and "Traceback" not in out + err

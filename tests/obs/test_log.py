@@ -109,8 +109,8 @@ def test_session_failure_writes_a_crash_report(monkeypatch, small_jacobi_2d):
 
     original = Session._fetch_or_run
     monkeypatch.setattr(Session, "_fetch_or_run", explode)
-    with pytest.raises(RuntimeError) as excinfo:
-        Session(telemetry=obs.TraceRecorder()).run(small_jacobi_2d)
+    with pytest.raises(RuntimeError) as excinfo, obs.use(obs.TraceRecorder()):
+        Session().run(small_jacobi_2d)
     path = getattr(excinfo.value, "crash_report_path", None)
     assert path is not None
     document = json.loads(open(path).read())

@@ -117,7 +117,8 @@ def test_traced_compile_structure_is_deterministic():
     trees = []
     for _ in range(2):
         recorder = obs.TraceRecorder()
-        Session(telemetry=recorder).run(program, stop_after="analysis")
+        with obs.use(recorder):
+            Session().run(program, stop_after="analysis")
         trees.append(_span_tree(recorder.drain()))
     assert trees[0] == trees[1]
     assert trees[0] == [
@@ -136,7 +137,8 @@ def test_tracing_does_not_change_results(small_jacobi_2d):
 
     plain = Session().run(small_jacobi_2d, stop_after="analysis")
     recorder = obs.TraceRecorder()
-    traced = Session(telemetry=recorder).run(small_jacobi_2d, stop_after="analysis")
+    with obs.use(recorder):
+        traced = Session().run(small_jacobi_2d, stop_after="analysis")
     assert recorder.drain()
     for stage in ("tiling", "codegen"):
         assert repr(traced.artifact(stage)) == repr(plain.artifact(stage))

@@ -93,8 +93,8 @@ def test_tuned_tiling_key_never_aliases_model_selected():
 
     def request(sizes):
         return CompilationRequest(
-            program=program, tile_sizes=sizes, config=config, storage="expanded",
-            strategy="hybrid", device=GTX470,
+            program=program, tile_sizes=sizes, config=config, strategy="hybrid",
+            device=GTX470,
         )
 
     auto_key = tiling_pass.key(request(None), {}, "parentkey", digest)
@@ -112,10 +112,12 @@ def test_tuned_and_model_runs_share_canonicalize(tmp_path):
 
     program = get_stencil("jacobi_2d", sizes=(64, 64), steps=8)
     cache = DiskCache(tmp_path / "cache")
-    session = Session(disk_cache=cache, tuning_db=_db_for(program))
-    session.run(program, stop_after="codegen")
-    session.cache_clear()  # force the next run through the disk layer
-    run = session.run(program, stop_after="codegen", tuned=True)
+    db = _db_for(program)
+    Session(disk_cache=cache, tuning_db=db).run(program, stop_after="codegen")
+    # A fresh session's run goes through the disk layer.
+    run = Session(disk_cache=cache, tuning_db=db).run(
+        program, stop_after="codegen", tuned=True
+    )
     sources = {event.name: event.source for event in run.events}
     assert sources["canonicalize"] == "disk"  # prefix shared with model run
     assert sources["tiling"] == "computed"    # tuned sizes: distinct key
