@@ -177,10 +177,14 @@ class PipelineRun:
     def simulate_and_check(self, seed: int = 0) -> SimulationResult:
         """Simulate the tiled program and compare it with the NumPy reference.
 
-        Needs the ``tiling`` and ``memory`` stages (small problem sizes only:
-        the simulator executes every instance).  Returns the
+        Needs only the ``parse``, ``tiling`` and ``memory`` artifacts and the
+        request's configuration, so a run stopped after ``memory`` (as
+        ``hexcc validate`` stops) suffices; small problem sizes only, since
+        the simulator executes every instance.  Both sides start from
+        :meth:`StencilProgram.initial_state` of ``seed``.  Returns the
         :class:`repro.gpu.simulator.SimulationResult`; raises
-        :class:`SimulationMismatchError` when the final fields diverge.
+        :class:`SimulationMismatchError` when the final fields diverge (a
+        NaN matches only a NaN at the same position).
         """
         from repro.gpu.simulator import FunctionalSimulator
 

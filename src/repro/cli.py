@@ -240,8 +240,11 @@ def _validate_and_report(program, args: argparse.Namespace) -> int:
     from repro.tiling.validate import validate_hybrid_tiling
 
     cache = _disk_cache(args)
+    # The report and the simulation need no generated CUDA.
     run = Session(disk_cache=cache).run(
-        program, tile_sizes=_parse_tile_sizes(args, default_height=1)
+        program,
+        tile_sizes=_parse_tile_sizes(args, default_height=1),
+        stop_after="memory",
     )
     _record_run(run)
     _flush_cache(cache)
@@ -821,7 +824,13 @@ def _cmd_perf(args: argparse.Namespace) -> int:
         new = store.select(args.b, kind="compile")
     except LookupError as error:
         raise UsageError(str(error)) from None
-    attribution = attribute_records(old.data, new.data)
+    # Per-pass attribution is meaningful only between runs of one pipeline.
+    differences = [
+        f"{name} ({old.data.get(name)} -> {new.data.get(name)})"
+        for name in ("program", "strategy", "device", "stop")
+        if old.data.get(name) != new.data.get(name)
+    ]
+    attribution = None if differences else attribute_records(old.data, new.data)
     if args.json:
         payload = {
             "old": dict(old.data),
@@ -852,6 +861,12 @@ def _cmd_perf(args: argparse.Namespace) -> int:
         return EXIT_OK
     print(f"old: {old.describe()}")
     print(f"new: {new.describe()}")
+    if differences:
+        print(
+            "cannot attribute the delta: the runs differ in "
+            + ", ".join(differences)
+        )
+        return EXIT_OK
     if attribution is None:
         print("no per-pass timings recorded; cannot attribute the delta")
         return EXIT_OK

@@ -80,11 +80,16 @@ class SimulationResult:
     def matches_reference(
         self, reference: Mapping[str, np.ndarray], atol: float = 1e-4
     ) -> bool:
-        """Whether the simulated result equals the reference interpreter's."""
+        """Whether the simulated result equals the reference interpreter's.
+
+        A NaN matches a NaN at the same position, and nothing else.
+        """
         for name, expected in reference.items():
             if name not in self.final_fields:
                 return False
-            if not np.allclose(self.final_fields[name], expected, atol=atol, rtol=1e-4):
+            if not np.allclose(
+                self.final_fields[name], expected, atol=atol, rtol=1e-4, equal_nan=True
+            ):
                 return False
         return True
 
@@ -127,12 +132,14 @@ class FunctionalSimulator:
         counters = PerformanceCounters()
         counters.stencil_updates = 0.0
 
-        # The full schedule is sorted once with ``np.lexsort``; tiles and
-        # barrier steps are consecutive runs of the sorted key columns, so
-        # the only Python loop left is one iteration per barrier step.
+        # The full schedule is sorted once per tiling (the memoised
+        # ``np.lexsort``); tiles and barrier steps are consecutive runs of the
+        # sorted key columns, so the only Python loop left is one iteration
+        # per barrier step.
         tiling = self.tiling
-        arrays = tiling.schedule_arrays()
-        ordered: ScheduleArrays = arrays.take(arrays.sequential_order())
+        ordered: ScheduleArrays = tiling.schedule_arrays().take(
+            tiling.sequential_order()
+        )
         total = len(ordered)
         tile_columns = ordered.tile_key_columns()
         tile_starts = run_boundaries(*tile_columns)
@@ -143,26 +150,29 @@ class FunctionalSimulator:
         full_tiles = 0
         partial_tiles = 0
         max_footprint = 0
-        for start, end in zip(tile_starts, tile_ends):
-            count = int(end - start)
-            if count == expected_full:
-                full_tiles += 1
-            else:
-                partial_tiles += 1
-            lo = int(np.searchsorted(group_starts, start))
-            hi = int(np.searchsorted(group_starts, end))
-            bounds = zip(
-                group_starts[lo:hi],
-                np.append(group_starts[lo + 1 : hi], end),
-            )
-            footprint, distinct_loads, reads_performed = self._run_tile_groups(
-                ordered, bounds, state, counters
-            )
-            self._account_tile(counters, count, distinct_loads, reads_performed)
-            max_footprint = max(max_footprint, footprint)
-            if check_footprint and self.plan is not None and count == expected_full:
-                self._check_footprint(ordered.point(int(start)).tile, footprint)
-            counters.barriers += tiling.shape.time_period
+        # A stencil may overflow or divide by zero: the reference meets the
+        # same values, and matches_reference compares them, NaN included.
+        with np.errstate(all="ignore"):
+            for start, end in zip(tile_starts, tile_ends):
+                count = int(end - start)
+                if count == expected_full:
+                    full_tiles += 1
+                else:
+                    partial_tiles += 1
+                lo = int(np.searchsorted(group_starts, start))
+                hi = int(np.searchsorted(group_starts, end))
+                bounds = zip(
+                    group_starts[lo:hi],
+                    np.append(group_starts[lo + 1 : hi], end),
+                )
+                footprint, distinct_loads, reads_performed = self._run_tile_groups(
+                    ordered, bounds, state, counters
+                )
+                self._account_tile(counters, count, distinct_loads, reads_performed)
+                max_footprint = max(max_footprint, footprint)
+                if check_footprint and self.plan is not None and count == expected_full:
+                    self._check_footprint(ordered.point(int(start)).tile, footprint)
+                counters.barriers += tiling.shape.time_period
 
         counters.kernel_launches = 2.0 * _count_distinct(ordered.time_tile)
         counters.host_device_bytes = 2.0 * program.data_bytes()

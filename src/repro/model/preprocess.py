@@ -10,6 +10,7 @@ packages everything the tiling algorithms need.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from collections.abc import Sequence
 
@@ -123,6 +124,28 @@ class CanonicalForm:
             # The record is frozen; stash the memo directly in __dict__.
             object.__setattr__(self, "_instances_array_cache", cached)
         return cached
+
+    def instance_rows(
+        self, statement_index: int, lower: Sequence[int], upper: Sequence[int]
+    ):
+        """Rows of :meth:`instances_array` holding a sub-box of one statement.
+
+        ``[lower, upper]`` (inclusive, over ``(t, s0, ..., sn)``) must lie
+        inside the statement's box; the rows come in the array's own
+        lexicographic order, computed from the layout without a search.
+        """
+        import numpy as np
+
+        boxes = statement_boxes(self.program)
+        rows = np.zeros(1, dtype=np.int64)
+        for lo, hi, start, stop in zip(*boxes[statement_index], lower, upper):
+            steps = np.arange(start - lo, stop - lo + 1, dtype=np.int64)
+            rows = (rows[:, None] * (hi - lo + 1) + steps).ravel()
+        # The blocks of the statements before this one come first.
+        return rows + sum(
+            math.prod(max(hi - lo + 1, 0) for lo, hi in zip(*box))
+            for box in boxes[:statement_index]
+        )
 
     def __getstate__(self) -> dict:
         """Drop the instance-enumeration memo when pickling."""

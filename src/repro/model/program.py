@@ -284,12 +284,25 @@ class StencilProgram:
     # -- reference execution -------------------------------------------------------
 
     def initial_state(self, seed: int = 0) -> dict[str, np.ndarray]:
-        """Deterministic pseudo-random initial condition for every field."""
+        """Deterministic pseudo-random initial condition for every field.
+
+        Standard normal draws of ``random.Random(seed).gauss``, one per grid
+        point in row-major order, field by field in :attr:`fields` order,
+        returned as float32 arrays of shape :attr:`sizes`.  The values
+        depend on the seed only (not on ``PYTHONHASHSEED``), and drawing them
+        with the standard library spares a validate ``numpy.random``'s
+        import.
+        """
+        import random
+
         import numpy as np
 
-        rng = np.random.default_rng(seed)
+        gauss = random.Random(seed).gauss
+        points = self.grid_points()
         return {
-            name: rng.standard_normal(self.sizes).astype(np.float32)
+            name: np.array(
+                [gauss(0.0, 1.0) for _ in range(points)], dtype=np.float32
+            ).reshape(self.sizes)
             for name in self.fields
         }
 
@@ -327,16 +340,21 @@ class StencilProgram:
                 [array.copy() for _ in range(history_depth)], maxlen=history_depth
             )
 
-        for _ in range(steps):
-            current = {name: history[name][-1].copy() for name in self.fields}
-            for statement in self.statements:
-                region = self._interior_slices(statement)
-                if any(axis.start >= axis.stop for axis in region):
-                    continue  # the margins leave no interior point
-                updated = self._evaluate_statement(statement, history, current, region)
-                current[statement.target][region] = updated
-            for name in self.fields:
-                history[name].append(current[name])
+        # Overflow, division by zero and NaN are values of the stencil, not
+        # faults of the interpreter: no warning reaches the user.
+        with np.errstate(all="ignore"):
+            for _ in range(steps):
+                current = {name: history[name][-1].copy() for name in self.fields}
+                for statement in self.statements:
+                    region = self._interior_slices(statement)
+                    if any(axis.start >= axis.stop for axis in region):
+                        continue  # the margins leave no interior point
+                    updated = self._evaluate_statement(
+                        statement, history, current, region
+                    )
+                    current[statement.target][region] = updated
+                for name in self.fields:
+                    history[name].append(current[name])
 
         return {name: history[name][-1].copy() for name in self.fields}
 

@@ -123,6 +123,7 @@ class HybridTiling:
         self.canonical = canonical
         self.sizes = sizes
         self._schedule_arrays_cache: ScheduleArrays | None = None
+        self._sequential_order_cache: np.ndarray | None = None
 
         self.cone = DependenceCone.from_distance_vectors(
             canonical.distance_vectors, dim_index=0
@@ -227,7 +228,19 @@ class HybridTiling:
         if cached is None:
             cached = self.assign_batch(self.canonical.instances_array())
             self._schedule_arrays_cache = cached
+            self._sequential_order_cache = None
         return cached
+
+    def sequential_order(self) -> np.ndarray:
+        """The rows of :meth:`schedule_arrays` in sequential order (cached).
+
+        :meth:`ScheduleArrays.sequential_order` of the memoised schedule,
+        sorted once for the uniformity check and the functional simulator.
+        """
+        arrays = self.schedule_arrays()
+        if self._sequential_order_cache is None:
+            self._sequential_order_cache = arrays.sequential_order()
+        return self._sequential_order_cache
 
     # -- schedule expressions (Figure 6 / code generation) --------------------------------------
 
@@ -277,9 +290,10 @@ class HybridTiling:
         return "\n".join(lines)
 
     def __getstate__(self) -> dict:
-        """Drop the (re-derivable) schedule memo when pickling."""
+        """Drop the (re-derivable) schedule memos when pickling."""
         state = self.__dict__.copy()
         state["_schedule_arrays_cache"] = None
+        state["_sequential_order_cache"] = None
         return state
 
     def __repr__(self) -> str:

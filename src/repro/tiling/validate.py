@@ -29,7 +29,7 @@ import numpy as np
 from repro._record import dataclass, field
 from repro.model.preprocess import statement_boxes
 from repro.tiling.hybrid import HybridTiling
-from repro.tiling.schedule_arrays import lexicographic_less
+from repro.tiling.schedule_arrays import lexicographic_less, run_boundaries
 
 
 class ScheduleValidationError(AssertionError):
@@ -79,15 +79,17 @@ def check_coverage(tiling: HybridTiling) -> int:
 def check_legality(tiling: HybridTiling) -> int:
     """Verify that every dependence is respected by the hybrid schedule.
 
-    One batched pass per dependence: source points are derived by array
-    subtraction, filtered through the source statement's box
-    (:func:`~repro.model.preprocess.statement_boxes`), assigned in one batch
-    and compared against the sinks with vectorised lexicographic tests.
-    Returns the number of (dependence, instance) pairs checked.
+    One batched pass per dependence over the memoised schedule.  A
+    dependence shifts every sink of its statement by the same offset, so the
+    sinks whose source lies in the source statement's box
+    (:func:`~repro.model.preprocess.statement_boxes`) form a sub-box of the
+    sink's box, and their sources the shifted sub-box of the source's:
+    both row sets come from :meth:`~repro.model.preprocess.CanonicalForm.instance_rows`
+    and are compared with vectorised lexicographic tests.  Returns the
+    number of (dependence, instance) pairs checked.
     """
     canonical = tiling.canonical
     arrays = tiling.schedule_arrays()
-    points = canonical.instances_array()
     boxes = statement_boxes(canonical.program)
     name_to_index = {
         statement.name: index
@@ -98,29 +100,35 @@ def check_legality(tiling: HybridTiling) -> int:
     for dependence in canonical.dependences:
         sink_index = name_to_index[dependence.sink]
         source_index = name_to_index[dependence.source]
-        sink_rows = np.flatnonzero(arrays.statement_index == sink_index)
-        if not len(sink_rows):
+        # The sink at logical time k*t + sink_index reads the source at
+        # k*(t + lag // k) + lag % k: one modulo test decides whether that
+        # slot belongs to the source statement.
+        lag = sink_index - dependence.distance[0]
+        if lag % num_statements != source_index:
             continue
-        distance = np.asarray(dependence.distance, dtype=np.int64)
-        source_points = points[sink_rows] - distance
-        # The dependence distance shifts every sink of this statement by the
-        # same logical-time offset, so the "does the slot belong to the source
-        # statement" test is one modulo check, not a per-instance loop.
-        if int(source_points[0, 0]) % num_statements != source_index:
-            continue
-        source_instances = np.column_stack(
-            (source_points[:, 0] // num_statements, source_points[:, 1:])
+        shift = (lag // num_statements, *(-d for d in dependence.distance[1:]))
+        sink_lower, sink_upper = boxes[sink_index]
+        source_lower, source_upper = boxes[source_index]
+        lower = tuple(
+            max(lo, source_lo - d)
+            for lo, source_lo, d in zip(sink_lower, source_lower, shift)
         )
-        lower, upper = boxes[source_index]
-        in_domain = (
-            (source_instances >= lower) & (source_instances <= upper)
-        ).all(axis=1)
-        if not in_domain.any():
+        upper = tuple(
+            min(hi, source_hi - d)
+            for hi, source_hi, d in zip(sink_upper, source_upper, shift)
+        )
+        if any(lo > hi for lo, hi in zip(lower, upper)):
             continue
-        sinks = arrays.take(sink_rows[in_domain])
-        sources = tiling.assign_batch(source_points[in_domain])
+        sinks = arrays.take(canonical.instance_rows(sink_index, lower, upper))
+        sources = arrays.take(
+            canonical.instance_rows(
+                source_index,
+                tuple(lo + d for lo, d in zip(lower, shift)),
+                tuple(hi + d for hi, d in zip(upper, shift)),
+            )
+        )
         _check_ordering(sources, sinks, dependence)
-        checked += int(in_domain.sum())
+        checked += len(sinks)
     return checked
 
 
@@ -179,21 +187,22 @@ def _check_ordering(sources, sinks, dependence) -> None:
 def check_tile_uniformity(tiling: HybridTiling) -> tuple[int, int]:
     """Check that all full tiles have the same iteration count.
 
-    One ``np.unique`` pass over the composite tile keys.  Returns
-    ``(full_tiles, partial_tiles)``.  A tile is *full* when its point count
-    equals :meth:`HybridTiling.iterations_per_full_tile`; partial tiles (at
-    the domain boundary) may contain fewer points but never more.
+    In the memoised sequential order (:meth:`HybridTiling.sequential_order`),
+    whose key starts with the tile key, every tile is one run of equal tile
+    keys.  Returns ``(full_tiles, partial_tiles)``.  A tile is *full* when
+    its point count equals :meth:`HybridTiling.iterations_per_full_tile`;
+    partial tiles (at the domain boundary) may contain fewer points but
+    never more.
     """
     expected = tiling.iterations_per_full_tile()
     arrays = tiling.schedule_arrays()
-    tile_keys = np.column_stack(arrays.tile_key_columns())
-    _, first_rows, counts = np.unique(
-        tile_keys, axis=0, return_index=True, return_counts=True
-    )
+    order = tiling.sequential_order()
+    starts = run_boundaries(*(column[order] for column in arrays.tile_key_columns()))
+    counts = np.diff(np.append(starts, len(order)))
     oversized = counts > expected
     if oversized.any():
         index = int(np.flatnonzero(oversized)[0])
-        tile = arrays.point(int(first_rows[index])).tile
+        tile = arrays.point(int(order[starts[index]])).tile
         raise ScheduleValidationError(
             f"tile {tile} contains {int(counts[index])} points, more than the "
             f"uniform full-tile count {expected}"

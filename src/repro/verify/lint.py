@@ -50,8 +50,12 @@ from repro.verify.report import LintFinding, LintReport
 
 _WARP = 32
 
-#: The scalar types a declaration ``type name = value`` may start with.
-_TYPES = frozenset({"int", "unsigned", "long", "short", "size_t", "float", "double"})
+#: The type and qualifier words a declaration ``const unsigned int name =
+#: value`` may stack before its name.
+_DECLARATION_WORDS = frozenset(
+    {"int", "unsigned", "long", "short", "size_t", "float", "double"}
+    | {"const", "volatile", "signed"}
+)
 
 #: A comment; an unterminated block comment runs to the end of the text.
 _COMMENT_RE = re.compile(
@@ -225,12 +229,20 @@ def _assignment(text: str) -> tuple[str, str] | None:
 
 
 def _definition(text: str) -> tuple[str, str] | None:
-    """``(name, value)`` of a stripped ``[type] name = value``, else ``None``."""
+    """``(name, value)`` of a stripped ``[types] name = value``, else ``None``.
+
+    Every leading type or qualifier word is skipped, so ``const unsigned int
+    i = v`` defines ``i`` as ``int i = v`` does.
+    """
+    declared = text
     words = text.split(None, 1)
-    if len(words) == 2 and words[0] in _TYPES:
-        declared = _assignment(words[1])
-        if declared is not None:
-            return declared
+    while len(words) == 2 and words[0] in _DECLARATION_WORDS:
+        declared = words[1]
+        words = declared.split(None, 1)
+    if declared is not text:
+        assignment = _assignment(declared)
+        if assignment is not None:
+            return assignment
     return _assignment(text)
 
 

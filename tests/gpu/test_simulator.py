@@ -80,6 +80,21 @@ def test_simulator_detects_mismatch_against_wrong_reference():
     assert not result.matches_reference(wrong)
 
 
+def test_a_nan_matches_only_a_nan_at_the_same_position():
+    program = get_stencil("jacobi_2d", sizes=(12, 12), steps=4)
+    tiling = HybridTiling(canonicalize(program), TileSizes.of(1, 2, 4))
+    initial = program.initial_state(0)["A"]
+    initial[5, 5] = np.nan
+    result = FunctionalSimulator(tiling).run(initial={"A": initial.copy()})
+    reference = program.run_reference({"A": initial.copy()})["A"]
+    nan = np.isnan(reference)
+    assert nan.any() and not nan.all()
+    assert result.matches_reference({"A": reference})
+    # A NaN where the reference is finite, and a NaN where the result is.
+    assert not result.matches_reference({"A": np.where(nan, 0.0, reference)})
+    assert not result.matches_reference({"A": np.full_like(reference, np.nan)})
+
+
 # (sizes, steps, tile sizes) -> (tiles, full, partial) and every non-zero
 # counter.  The values agree with a point-at-a-time execution of the same
 # tiles, so any change to them is a change of simulated behaviour.

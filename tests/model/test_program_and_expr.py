@@ -1,6 +1,11 @@
 """Unit tests for the stencil program model and expression trees."""
 
+import hashlib
+import os
+import pathlib
 import pickle
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -62,6 +67,39 @@ def test_program_characteristics_and_counts():
     assert program.stencil_updates() == 8 * 10 * 4
     assert program.flops_total() == program.stencil_updates() * 5
     assert program.data_bytes() == 10 * 12 * 4
+
+
+def _state_digest(state):
+    return hashlib.sha256(b"".join(v.tobytes() for v in state.values())).hexdigest()
+
+
+def test_initial_state_is_float32_per_field_and_depends_on_the_seed_only():
+    program = get_stencil("fdtd_2d", sizes=(5, 7), steps=2)
+    state = program.initial_state(3)
+    assert list(state) == list(program.fields)
+    for values in state.values():
+        assert values.dtype == np.float32 and values.shape == program.sizes
+    again = program.initial_state(3)
+    assert all(np.array_equal(state[name], again[name]) for name in state)
+    other = program.initial_state(4)
+    assert not any(np.array_equal(state[name], other[name]) for name in state)
+    ex, ey, hz = state.values()
+    assert not np.array_equal(ex, ey) and not np.array_equal(ey, hz)
+    probe = (
+        "from repro.stencils import get_stencil\n"
+        "state = get_stencil('fdtd_2d', sizes=(5, 7), steps=2).initial_state(3)\n"
+        "import hashlib\n"
+        "print(hashlib.sha256(b''.join(v.tobytes() for v in state.values()))"
+        ".hexdigest())"
+    )
+    src = pathlib.Path(__file__).resolve().parents[2] / "src"
+    for hash_seed in ("0", "1"):
+        env = {**os.environ, "PYTHONPATH": str(src), "PYTHONHASHSEED": hash_seed}
+        result = subprocess.run(
+            [sys.executable, "-c", probe],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        assert result.stdout.strip() == _state_digest(state)
 
 
 def test_reference_execution_matches_manual_jacobi():

@@ -8,6 +8,7 @@ import pathlib
 import re
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -325,14 +326,24 @@ def test_verify_imports_the_mutation_corpus_only_for_mutants():
     assert "repro.verify.faults" not in loaded
 
 
-def test_validate_leaves_numpy_ma_unloaded():
-    """Distinct counts in the simulator do not pay for importing numpy.ma."""
+@pytest.mark.parametrize("stencil", ["jacobi_2d", "fdtd_2d"])
+def test_validate_loads_only_what_its_answer_needs(stencil):
+    """A validate stops after the memory pass: it simulates, but generates no
+    CUDA, draws its initial values without ``numpy.random`` and counts
+    distinct values without ``numpy.ma``."""
+    history = pathlib.Path(os.environ["HEXCC_CACHE_DIR"]) / "history" / "runs.jsonl"
     loaded = _modules_after(
-        "from repro.cli import main\n"
-        "assert main(['validate', 'jacobi_2d', '--size', '12', '--steps', '8',"
-        " '--no-cache']) == 0"
+        _main_probe(
+            "validate", stencil, "--size", "12", "--steps", "8", "--no-cache"
+        )
     )
-    assert "repro.gpu.simulator" in loaded and "numpy.ma" not in loaded
+    assert "repro.gpu.simulator" in loaded
+    unwanted = {
+        "numpy.ma", "numpy.random", "repro.codegen.cuda", "repro.codegen.kernel_ir"
+    }
+    assert not unwanted & loaded
+    records = [json.loads(line) for line in history.read_text().splitlines()]
+    assert [(r["kind"], r["stop"]) for r in records] == [("compile", "memory")]
 
 
 def test_table_command_table3(capsys):
@@ -403,6 +414,35 @@ def test_validate_file_command(tmp_path, capsys):
                  "--h", "1", "--widths", "2,4"])
     assert code == 0
     assert "matches the NumPy reference" in capsys.readouterr().out
+
+
+#: Stencils whose values overflow or turn NaN within a few steps.
+_NONFINITE_STENCILS = {
+    "nan_1d": "A[t-1][i] / (A[t-1][i-1] - A[t-1][i-1])",
+    "sqrt_1d": "sqrtf(A[t-1][i-1] - 10.0f) + A[t-1][i+1]",
+    "exp_1d": "expf(A[t-1][i-1] * 100.0f) + A[t-1][i+1]",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_NONFINITE_STENCILS))
+def test_validate_file_accepts_nonfinite_values(name, tmp_path, capsys):
+    """NaN and inf are values of the stencil: the simulation and the
+    reference agree on them, and no NumPy warning reaches the user."""
+    path = tmp_path / f"{name}.c"
+    path.write_text(
+        f"/* {name} */\n#define T 8\n#define N0 40\nfloat A[2][N0];\n"
+        "for (t = 0; t < T; t++) {\n#pragma ivdep\n"
+        "  for (i = 1; i < N0 - 1; i++)\n"
+        f"    A[t][i] = {_NONFINITE_STENCILS[name]};\n}}\n"
+    )
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["validate-file", str(path), "--no-cache"]) == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("ValidationReport(OK, instances=304, ")
+    assert out.splitlines()[1:] == ["functional simulation matches the NumPy reference"]
+    assert err == ""
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 def test_compile_file_reports_parse_errors_with_caret(tmp_path, capsys):
@@ -1123,20 +1163,46 @@ def test_compiles_land_in_perf_history(capsys):
 def test_perf_diff_attributes_an_injected_slowdown(monkeypatch, capsys):
     """The acceptance pin, end to end through the CLI: a delay injected
 
-    into the tiling pass is named guilty by ``hexcc perf diff``."""
-    args = ["compile", "jacobi_1d", "--no-cache", "--h", "1", "--widths", "4"]
-    assert main(args) == 0
-    monkeypatch.setenv("HEXCC_FAULT_DELAY", "tiling:40")
-    assert main(args) == 0
+    into the tiling pass is named guilty by ``hexcc perf diff``, with
+    explicit tile sizes and with the model's pick (as CI's
+    attribution-smoke job compiles)."""
+    for args in (
+        ["compile", "jacobi_1d", "--no-cache", "--h", "1", "--widths", "4"],
+        ["compile", "jacobi_2d", "--no-cache"],
+    ):
+        monkeypatch.delenv("HEXCC_FAULT_DELAY", raising=False)
+        assert main(args) == 0
+        monkeypatch.setenv("HEXCC_FAULT_DELAY", "tiling:40")
+        assert main(args) == 0
+        capsys.readouterr()
+        assert main(["perf", "diff", "last~1", "last"]) == 0
+        output = capsys.readouterr().out
+        assert "guilty pass: tiling" in output
+        assert main(["perf", "diff", "last~1", "last", "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["attribution"]["guilty"] == "tiling"
+        assert payload["attribution"]["guilty_share"] > 0.5
+        assert payload["attribution"]["total_delta_ms"] > 30.0
+
+
+def test_perf_diff_does_not_attribute_across_pipelines(capsys):
+    """``verify --strategy all`` records a diamond run stopped after tiling,
+    then a hybrid run through verify: their delta belongs to no pass."""
+    assert main(["verify", "heat_2d", "--strategy", "all"]) == 0
     capsys.readouterr()
     assert main(["perf", "diff", "last~1", "last"]) == 0
-    output = capsys.readouterr().out
-    assert "guilty pass: tiling" in output
+    lines = capsys.readouterr().out.splitlines()
+    assert [line[:5] for line in lines[:2]] == ["old: ", "new: "]
+    assert lines[2:] == [
+        "cannot attribute the delta: the runs differ in "
+        "strategy (diamond -> hybrid), stop (tiling -> verify)"
+    ]
     assert main(["perf", "diff", "last~1", "last", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
-    assert payload["attribution"]["guilty"] == "tiling"
-    assert payload["attribution"]["guilty_share"] > 0.5
-    assert payload["attribution"]["total_delta_ms"] > 30.0
+    assert payload["attribution"] is None
+    assert (payload["old"]["strategy"], payload["new"]["strategy"]) == (
+        "diamond", "hybrid"
+    )
 
 
 @pytest.mark.parametrize("delay", ["tiling:-5", "tiling:nan", "tiling:inf"])

@@ -169,6 +169,19 @@ def test_uncoalesced_warnings_do_not_fail_the_report():
     assert report.ok  # warnings alone never fail a build
 
 
+@pytest.mark.parametrize(
+    "declared",
+    ["const int", "unsigned int", "const unsigned int", "volatile int", "signed int"],
+)
+def test_qualified_declarations_define_like_int(declared):
+    """Every leading type or qualifier word is skipped, so a qualified
+    definition is judged exactly as its plain ``int`` form is."""
+    kernel = "__global__ void k(float *A) {{ {} i = threadIdx.x * 2; A[i] = 0.0f; }}"
+    expected = lint_cuda(kernel.format("int")).findings
+    assert [f.rule for f in expected] == ["global-uncoalesced"]
+    assert lint_cuda(kernel.format(declared)).findings == expected
+
+
 def test_uniform_control_flow_sync_is_legal():
     report = lint_cuda(UNIFORM_SYNC_KERNEL)
     assert report.findings == ()
