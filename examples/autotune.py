@@ -8,9 +8,9 @@ its auto-tuning competitors (Patus) sometimes win by measuring instead.
 * take the legal candidate space from the model's own tile-size table,
 * spend a search budget (grid / random / hill-climbing) scoring each tile
   size by the roofline time the analysis pass reports for it,
-* record the winner in a persistent database that
-  ``Session.run(tuned=True)`` / ``hexcc compile --tuned`` apply
-  transparently.
+* record the winner in a persistent database whose entry
+  ``hexcc compile --tuned`` applies; a library caller looks it up with
+  ``TuningDatabase.best_for`` and passes its sizes as ``tile_sizes``.
 
 Run with:  python examples/autotune.py
 """
@@ -23,7 +23,8 @@ from tempfile import TemporaryDirectory
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.api import Session
+from repro.api import Session, TileSizes
+from repro.api.session import program_digest
 from repro.cache import DiskCache
 from repro.stencils import get_stencil
 from repro.tuning import CandidateSpace, TuningDatabase, tune
@@ -56,13 +57,17 @@ def search_and_apply(workdir: Path) -> None:
     print(result.describe())
 
     db_path = db.save(workdir / "tuning.json")
-    print(f"\nrecorded in {db_path.name}; compiling with tuned=True applies it:")
-    session = Session(tuning_db=TuningDatabase.load(db_path))
-    run = session.run(program, stop_after="tiling", tuned=True)
+    print(f"\nrecorded in {db_path.name}; compiling with its sizes applies it:")
+    entry = TuningDatabase.load(db_path).best_for(
+        program_digest(program), result.device
+    )
+    best = entry["best"]
+    sizes = TileSizes(best["height"], tuple(best["widths"]))
+    run = Session().run(program, tile_sizes=sizes, stop_after="tiling")
     plan = run.artifact("tiling")
     print(f"  tiling stage used h={plan.sizes.height}, "
           f"widths={plan.sizes.widths} "
-          f"(from the database: {run.tuned_entry is not None})")
+          f"(the database's best: {plan.sizes == result.best.candidate})")
 
     print("\nre-running the identical sweep replays cached trials:")
     again = tune(

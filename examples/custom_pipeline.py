@@ -1,12 +1,12 @@
 #!/usr/bin/env python3
-"""Drive the staged pipeline API: prefixes, injection, strategies, timings.
+"""Drive the staged pipeline API: prefixes, tile sizes, strategies, timings.
 
 The staged pipeline step by step, using only :mod:`repro.api`:
 
 1. run a pipeline *prefix* (``stop_after="tiling"``) and inspect the typed
    :class:`TilingPlan` artifact;
-2. re-enter the pipeline with a *hand-modified* tiling plan (a different
-   hexagon height) via artifact injection and compare the generated CUDA;
+2. run the pipeline again with *taller* hexagons (a different tile height
+   through ``tile_sizes``) and compare the generated CUDA;
 3. select tiling strategies by name, one ``Session`` per strategy — the
    paper's ``hybrid`` scheme versus the ``diamond`` comparison strategy of
    Section 5;
@@ -23,8 +23,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.api import Session, TileSizes, TilingPlan, get_stencil
-from repro.tiling.hybrid import HybridTiling
+from repro.api import Session, TileSizes, get_stencil
 
 
 def main() -> None:
@@ -41,26 +40,20 @@ def main() -> None:
         print(f"  {name:<24} {value}")
     print()
 
-    # 2. Hand-modify the plan (taller hexagons) and re-enter the pipeline.
-    print("=== artifact injection: re-enter with a modified TilingPlan ===")
-    canonical = prefix.artifact("canonicalize").canonical
-    taller = TileSizes.of(3, 3, 8)
-    modified = TilingPlan(
-        strategy="hybrid",
-        sizes=taller,
-        tiling=HybridTiling(canonical, taller),
-        supports_codegen=True,
-    )
-    injected = session.run(program, inject={"tiling": modified})
+    # 2. Taller hexagons: the tile height is a run input like any other.
+    print("=== taller hexagons: the same pipeline at h=3 ===")
+    taller = session.run(program, tile_sizes=TileSizes.of(3, 3, 8))
     baseline = session.run(program, tile_sizes=TileSizes.of(2, 3, 8))
+    sources = {event.name: event.source for event in taller.events}
     print(f"baseline tiles {baseline.artifact('tiling').sizes}, "
-          f"injected tiles {injected.artifact('tiling').sizes}")
-    same = injected.artifact("codegen").cuda_source == \
+          f"taller tiles {taller.artifact('tiling').sizes} "
+          f"(canonicalize served from {sources['canonicalize']})")
+    same = taller.artifact("codegen").cuda_source == \
         baseline.artifact("codegen").cuda_source
     print(f"generated CUDA identical: {same} (expected: False — the tiling "
           "changed)")
-    injected.simulate_and_check()
-    print("injected pipeline simulates correctly")
+    taller.simulate_and_check()
+    print("taller-tile pipeline simulates correctly")
     print()
 
     # 3. A session runs one strategy, selected by name.

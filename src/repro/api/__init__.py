@@ -5,8 +5,8 @@ This package is the supported library surface of the reproduction.  Clients
 and downstream users) program against it:
 
 * :class:`Session` / :class:`PipelineRun` — the one entry point: the staged
-  pass pipeline with typed artifacts, ``stop_after=``, artifact injection,
-  per-pass instrumentation and :meth:`PipelineRun.simulate_and_check`;
+  pass pipeline with typed artifacts, ``stop_after=``, per-pass
+  instrumentation and :meth:`PipelineRun.simulate_and_check`;
 * the artifact types (:class:`ParsedProgram` → :class:`CanonicalIR` →
   :class:`TilingPlan` → :class:`MemoryPlan` → :class:`GeneratedCode` →
   :class:`AnalysisBundle` → :class:`VerificationReport`) and the

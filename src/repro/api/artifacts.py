@@ -16,10 +16,10 @@ stage                 artifact                wraps
 ====================  ======================  ==============================
 
 Every artifact is a frozen record (:mod:`repro._record`) with a
-``SCHEMA_VERSION`` class attribute (mixed into its pass-level cache key, so
-an incompatible layout change can never be served from a stale cache entry)
-and a ``summary()`` of JSON-safe scalars used by ``hexcc inspect`` and the
-instrumentation events.
+``summary()`` of JSON-safe scalars used by ``hexcc inspect`` and the
+instrumentation events.  Its layout needs no version of its own: a pass's
+cache key hashes the compiler code (:func:`repro.cache.keys.stage_key`), so
+an artifact whose layout changed is never served from a stale cache entry.
 """
 
 from __future__ import annotations
@@ -66,8 +66,6 @@ def _json_safe(value: Any) -> Any:
 class ParsedProgram:
     """The front-end output: a stencil program, optionally with its source."""
 
-    SCHEMA_VERSION = 1
-
     program: StencilProgram
     source: str | None = None  # original text when parsed from C source
 
@@ -87,8 +85,6 @@ class ParsedProgram:
 @dataclass(frozen=True)
 class CanonicalIR:
     """The canonical schedule space and dependence analysis (Section 3.2)."""
-
-    SCHEMA_VERSION = 3
 
     canonical: CanonicalForm
 
@@ -115,8 +111,6 @@ class TilingPlan:
     comparison strategies.  Only plans with ``supports_codegen=True`` can
     continue into the ``memory`` and later stages.
     """
-
-    SCHEMA_VERSION = 3
 
     strategy: str
     sizes: TileSizes | None
@@ -162,8 +156,6 @@ class TilingPlan:
 class MemoryPlan:
     """The shared-memory strategy of Section 4.2."""
 
-    SCHEMA_VERSION = 1
-
     plan: SharedMemoryPlan
 
     def summary(self) -> dict[str, Any]:
@@ -185,8 +177,6 @@ class MemoryPlan:
 class GeneratedCode:
     """The generated CUDA source plus the core-loop instruction profiles."""
 
-    SCHEMA_VERSION = 2
-
     cuda_source: str
     core_profiles: tuple[CoreLoopProfile, ...]
 
@@ -203,8 +193,6 @@ class GeneratedCode:
 @dataclass(frozen=True)
 class AnalysisBundle:
     """Analytic execution counters and the roofline performance estimate."""
-
-    SCHEMA_VERSION = 1
 
     estimate: ExecutionEstimate
     report: PerformanceReport
@@ -234,8 +222,6 @@ class VerificationReport:
     findings over the generated CUDA (:mod:`repro.verify.lint`), ``None``
     for analysis-only strategies that generate no code.
     """
-
-    SCHEMA_VERSION = 1
 
     strategy: str
     schedule: "ScheduleVerdict"

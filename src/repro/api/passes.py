@@ -3,13 +3,12 @@
 Each :class:`Pass` consumes the artifacts of the passes before it and
 produces one typed artifact (see :mod:`repro.api.artifacts`).  A pass also
 knows how to compute its **pass-level cache key**: a content hash chaining
-the upstream pass's key with everything this pass's output depends on, plus
-the strategy name and the artifact's schema version
+the upstream pass's key with what this pass reads
 (:func:`repro.cache.keys.stage_key`).  The session's pass manager uses those
 keys to memoise and disk-cache artifacts at pass granularity, so e.g. a
 Table-4 ablation recompiles only the memory/codegen stages while the
 canonicalisation and tiling artifacts are shared across all six
-configurations.
+configurations, and the three strategies share one canonicalisation.
 """
 
 from __future__ import annotations
@@ -41,27 +40,12 @@ class Pass:
     name: str = ""
     produces: type = object
 
-    def key(
-        self,
-        request: Any,
-        artifacts: Mapping[str, Any],
-        parent: str | None,
-        program_digest: str,
-    ) -> str | None:
+    def key(self, request: Any, parent: str | None, program_digest: str) -> str | None:
         """Cache key of this pass's artifact; ``None``: never cached."""
         return None
 
     def run(self, request: Any, artifacts: Mapping[str, Any]) -> Any:
         raise NotImplementedError
-
-    def _stage_key(self, request: Any, parts: list[str], parent: str | None) -> str:
-        return stage_key(
-            stage=self.name,
-            stage_schema=self.produces.SCHEMA_VERSION,
-            strategy=request.strategy,
-            parts=parts,
-            parent=parent,
-        )
 
 
 class ParsePass(Pass):
@@ -90,8 +74,8 @@ class CanonicalizePass(Pass):
     name = "canonicalize"
     produces = CanonicalIR
 
-    def key(self, request, artifacts, parent, program_digest):
-        return self._stage_key(request, [f"program={program_digest}"], parent)
+    def key(self, request, parent, program_digest):
+        return stage_key(self.name, [f"program={program_digest}"], parent)
 
     def run(self, request: Any, artifacts: Mapping[str, Any]) -> CanonicalIR:
         from repro.model.preprocess import canonicalize
@@ -106,7 +90,9 @@ class TilingPass(Pass):
     name = "tiling"
     produces = TilingPlan
 
-    def key(self, request, artifacts, parent, program_digest):
+    def key(self, request, parent, program_digest):
+        # The strategy enters here, so every later key chains it: a
+        # classical plan is never served for a hybrid request.
         if request.tile_sizes is not None:
             sizes_part = f"tile-sizes={request.tile_sizes!r}"
         else:
@@ -118,7 +104,9 @@ class TilingPass(Pass):
                 f";shared={request.device.shared_memory_per_sm}"
                 f";warp={request.device.warp_size}"
             )
-        return self._stage_key(request, [sizes_part], parent)
+        return stage_key(
+            self.name, [f"strategy={request.strategy}", sizes_part], parent
+        )
 
     def run(self, request: Any, artifacts: Mapping[str, Any]) -> TilingPlan:
         canonical_ir: CanonicalIR = artifacts["canonicalize"]
@@ -132,8 +120,8 @@ class MemoryPass(Pass):
     name = "memory"
     produces = MemoryPlan
 
-    def key(self, request, artifacts, parent, program_digest):
-        return self._stage_key(request, [_config_parts(request.config)], parent)
+    def key(self, request, parent, program_digest):
+        return stage_key(self.name, [_config_parts(request.config)], parent)
 
     def run(self, request: Any, artifacts: Mapping[str, Any]) -> MemoryPlan:
         from repro.codegen.shared_mem import plan_shared_memory
@@ -154,8 +142,8 @@ class CodegenPass(Pass):
     name = "codegen"
     produces = GeneratedCode
 
-    def key(self, request, artifacts, parent, program_digest):
-        return self._stage_key(request, [_config_parts(request.config)], parent)
+    def key(self, request, parent, program_digest):
+        return stage_key(self.name, [_config_parts(request.config)], parent)
 
     def run(self, request: Any, artifacts: Mapping[str, Any]) -> GeneratedCode:
         from repro.codegen.cuda import CudaCodeGenerator
@@ -182,8 +170,8 @@ class AnalysisPass(Pass):
     name = "analysis"
     produces = AnalysisBundle
 
-    def key(self, request, artifacts, parent, program_digest):
-        return self._stage_key(request, [f"device={request.device.name}"], parent)
+    def key(self, request, parent, program_digest):
+        return stage_key(self.name, [f"device={request.device.name}"], parent)
 
     def run(self, request: Any, artifacts: Mapping[str, Any]) -> AnalysisBundle:
         from repro.codegen.analysis import AnalyticProfiler
@@ -210,15 +198,15 @@ class VerifyPass(Pass):
     Optional tail stage (the default ``stop_after`` of :meth:`Session.run`
     is still ``codegen``): proves the schedule orders every dependence for
     *all* problem sizes and lints the emitted CUDA.  Everything the verdict
-    depends on — program, tiling, config, device — already flows
+    depends on — program, strategy, tiling, config, device — already flows
     in through the chained parent key, so no extra parts are needed.
     """
 
     name = "verify"
     produces = VerificationReport
 
-    def key(self, request, artifacts, parent, program_digest):
-        return self._stage_key(request, [], parent)
+    def key(self, request, parent, program_digest):
+        return stage_key(self.name, [], parent)
 
     def run(self, request: Any, artifacts: Mapping[str, Any]) -> VerificationReport:
         from repro import obs

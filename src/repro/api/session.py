@@ -1,9 +1,10 @@
 """The staged pipeline API: :class:`Session`, :class:`PipelineRun`, events.
 
-A :class:`Session` is the library entry point to the compiler.  It owns the
-target device, the tiling-strategy selection, a pass-granular in-memory LRU
-and (optionally) the persistent on-disk artefact cache, and it orchestrates
-the passes of :data:`repro.api.passes.PIPELINE_PASSES`:
+A :class:`Session` is the library entry point to the compiler: a pass
+manager whose inputs are exactly what its passes read.  It owns the target
+device, the tiling-strategy selection, a pass-granular in-memory LRU and
+(optionally) the persistent on-disk artefact cache, and it orchestrates the
+passes of :data:`repro.api.passes.PIPELINE_PASSES`:
 
 ``parse → canonicalize → tiling → memory → codegen → analysis → verify``
 
@@ -11,15 +12,16 @@ What a run offers:
 
 * ``stop_after="tiling"`` — run any prefix of the pipeline and inspect the
   typed artifact it produced;
-* ``inject={"tiling": plan}`` — re-enter the pipeline with a hand-modified
-  artifact (e.g. a custom :class:`TilingPlan`) and let the downstream passes
-  consume it;
+* ``tile_sizes=`` — explicit sizes, e.g. a tuning-database entry's
+  (:meth:`repro.tuning.db.TuningDatabase.best_for`, as ``hexcc compile
+  --tuned`` looks it up); the strategy chooses them when omitted;
 * per-pass instrumentation — every run records a :class:`PassEvent` (wall
   time from the pass span, cache provenance, artifact counters) per
   executed pass;
-* caching at **pass granularity** — unchanged prefixes of the pipeline are
-  reused from the in-memory LRU or the disk cache even when downstream
-  options (optimisation configuration, device) change;
+* caching at **pass granularity** — a pass's key is its parent's key plus
+  what the pass reads, so unchanged prefixes of the pipeline are reused from
+  the in-memory LRU or the disk cache when downstream options (optimisation
+  configuration, device, strategy) change;
 * :meth:`PipelineRun.simulate_and_check` — functional simulation of the
   tiled program, checked against the NumPy reference interpreter.
 """
@@ -95,7 +97,7 @@ class PassEvent:
 
     name: str
     wall_s: float
-    source: str  # "computed" | "memory" | "disk" | "injected"
+    source: str  # "computed" | "memory" | "disk"
     counters: Mapping[str, float] = field(default_factory=dict)
 
     def describe(self) -> str:
@@ -141,7 +143,6 @@ class PipelineRun:
         artifacts: dict[str, Any],
         events: list[PassEvent],
         stop_after: str,
-        tuned_entry: Mapping[str, Any] | None = None,
         digest: str = "",
         wall_s: float = 0.0,
     ) -> None:
@@ -149,9 +150,6 @@ class PipelineRun:
         self.artifacts = artifacts
         self.events = events
         self.stop_after = stop_after
-        #: The tuning-database entry applied to this run (``tuned=True`` and
-        #: a hit), or ``None`` when the run used explicit/model sizes.
-        self.tuned_entry = tuned_entry
         #: Content digest of the compiled program (keys run-history records).
         self.digest = digest
         #: Wall time of the whole run: the duration of its ``session.run``
@@ -236,11 +234,6 @@ class Session:
     disk_cache:
         Optional persistent artefact cache shared across processes; artifacts
         are stored at pass granularity.
-    tuning_db:
-        Where ``run(tuned=True)`` looks best known configurations up: a
-        :class:`repro.tuning.TuningDatabase`, a path to one, or ``None`` for
-        the default resolution chain (``$HEXCC_TUNING_DB`` → the user
-        database → the committed baseline shipped with the package).
     """
 
     #: Size of the in-memory pass-artifact LRU.
@@ -251,35 +244,12 @@ class Session:
         device: GPUDevice = GTX470,
         strategy: str = "hybrid",
         disk_cache: DiskCache | None = None,
-        tuning_db: Any = None,
     ) -> None:
         get_strategy(strategy)  # fail fast on unknown names
         self.device = device
         self.strategy = strategy
         self.disk_cache = disk_cache
-        self.tuning_db = tuning_db
         self._artifact_cache: OrderedDict[str, Any] = OrderedDict()
-
-    # -- tuned-config resolution --------------------------------------------------
-
-    def _resolved_tuning_db(self):
-        """The session's :class:`TuningDatabase`, loaded at most once."""
-        from repro.tuning.db import TuningDatabase
-
-        if not isinstance(self.tuning_db, TuningDatabase):
-            # None or a path: resolve through the default chain and memoise.
-            self.tuning_db = TuningDatabase.load(self.tuning_db)
-        return self.tuning_db
-
-    def resolve_tuned(self, program: StencilProgram | str) -> Mapping[str, Any] | None:
-        """The tuning-database entry ``run(tuned=True)`` would apply, if any."""
-        if isinstance(program, str):
-            from repro.frontend import parse_stencil
-
-            program = parse_stencil(program)
-        return self._resolved_tuning_db().best_for(
-            program_digest(program), self.device.name
-        )
 
     # -- the pass manager ---------------------------------------------------------
 
@@ -289,8 +259,6 @@ class Session:
         tile_sizes: TileSizes | None = None,
         config: OptimizationConfig | None = None,
         stop_after: str | None = None,
-        inject: Mapping[str, Any] | None = None,
-        tuned: bool = False,
     ) -> PipelineRun:
         """Run the pipeline (or a prefix of it) on one stencil program.
 
@@ -299,47 +267,17 @@ class Session:
         program:
             A :class:`StencilProgram` or raw Figure-1-style C source text.
         tile_sizes:
-            Explicit ``h, w0..wn``; strategy/model-selected when omitted.
+            Explicit ``h, w0..wn`` (e.g. a tuning-database entry's); chosen
+            by the strategy (the §3.7 model for ``hybrid``) when omitted.
         config:
             Optimisation configuration (paper's best, (f), when omitted).
         stop_after:
             Last stage to execute (``"codegen"`` by default; use
             ``"analysis"`` for the full pipeline).
-        inject:
-            Pre-built artifacts keyed by stage name.  Injected stages do not
-            run; downstream passes consume the injected artifact and are not
-            cached (their inputs are no longer derivable from the request).
-        tuned:
-            Apply the best known configuration from the session's tuning
-            database (see ``tuning_db``): the entry's tile sizes replace the
-            model selection.
-            Explicit ``tile_sizes`` always win; with no database entry the
-            run falls back to the model selection unchanged.  Tuned runs
-            carry explicit sizes, so their cache keys can never alias the
-            model-selected (``tile-sizes=auto``) entries.
         """
         stop = stop_after or DEFAULT_STOP
         if stop not in STAGES:
             raise ValueError(f"unknown pipeline stage {stop!r}; known: {list(STAGES)}")
-        inject = dict(inject or {})
-        produces = {p.name: p.produces for p in PIPELINE_PASSES}
-        for stage, artifact in inject.items():
-            if stage not in produces:
-                raise ValueError(
-                    f"cannot inject unknown stage {stage!r}; known: {list(STAGES)}"
-                )
-            expected = produces[stage]
-            if not isinstance(artifact, expected):
-                raise PipelineError(
-                    f"injected artifact for stage {stage!r} must be a "
-                    f"{expected.__name__}, got {type(artifact).__name__}"
-                )
-        tuned_entry: Mapping[str, Any] | None = None
-        if tuned and tile_sizes is None:
-            tuned_entry = self.resolve_tuned(program)
-            if tuned_entry is not None:
-                best = tuned_entry["best"]
-                tile_sizes = TileSizes(int(best["height"]), tuple(best["widths"]))
         request = CompilationRequest(
             program=program,
             tile_sizes=tile_sizes,
@@ -360,7 +298,7 @@ class Session:
         ) as run_span:
             try:
                 artifacts, events, digest = self._execute(
-                    request, stop, inject, recorder, stage_keys
+                    request, stop, recorder, stage_keys
                 )
             except StrategyError:
                 # An expected "this strategy cannot express that" outcome,
@@ -384,33 +322,26 @@ class Session:
                 )
                 raise
         return PipelineRun(
-            request,
-            artifacts,
-            events,
-            stop,
-            tuned_entry=tuned_entry,
-            digest=digest,
-            wall_s=run_span.duration_s,
+            request, artifacts, events, stop, digest=digest, wall_s=run_span.duration_s
         )
 
     def _execute(
         self,
         request: CompilationRequest,
         stop: str,
-        inject: Mapping[str, Any],
         recorder: obs.NullRecorder,
-        stage_keys: dict[str, str] | None = None,
+        stage_keys: dict[str, str],
     ) -> tuple[dict[str, Any], list[PassEvent], str]:
         """The pass loop; every pass is timed through its span.
 
         Returns the artifacts, one event per pass and the parsed program's
-        :func:`program_digest`.  ``stage_keys`` (when given) is filled with
-        the cache key of every keyed pass as it runs, so a crash report can
-        name the artifacts the run had already produced.
+        :func:`program_digest`.  ``stage_keys`` is filled with the cache key
+        of every keyed pass as it runs, so a crash report can name the
+        artifacts the run had already produced.
         """
         artifacts: dict[str, Any] = {}
         events: list[PassEvent] = []
-        parent_key: str | None = ""  # "" = pipeline root; None = after injection
+        parent_key: str | None = None  # None = pipeline root
         digest = ""
         fault_delays = _fault_delays()
         for pipeline_pass in PIPELINE_PASSES:
@@ -420,26 +351,16 @@ class Session:
                     # Inside the span: the injected time shows up as this
                     # pass's wall time in every downstream view.
                     time.sleep(delay)
-                injected = inject.get(pipeline_pass.name)
-                if injected is not None:
-                    artifact, source = injected, "injected"
-                    parent_key = None  # downstream keys are no longer derivable
-                else:
-                    key = None
-                    if parent_key is not None:
-                        key = pipeline_pass.key(
-                            request, artifacts, parent_key or None, digest
-                        )
-                    artifact, source = self._fetch_or_run(
-                        pipeline_pass, key, request, artifacts
-                    )
-                    if key is not None:
-                        # The parse pass has no key and leaves the chain
-                        # intact: its content reaches downstream keys via the
-                        # program digest.
-                        parent_key = key
-                        if stage_keys is not None:
-                            stage_keys[pipeline_pass.name] = key
+                key = pipeline_pass.key(request, parent_key, digest)
+                artifact, source = self._fetch_or_run(
+                    pipeline_pass, key, request, artifacts
+                )
+                if key is not None:
+                    # The parse pass has no key and leaves the chain intact:
+                    # its content reaches downstream keys via the program
+                    # digest.
+                    parent_key = key
+                    stage_keys[pipeline_pass.name] = key
                 pass_span.set(source=source)
             artifacts[pipeline_pass.name] = artifact
             if pipeline_pass.name == "parse":

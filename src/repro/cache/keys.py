@@ -1,15 +1,11 @@
 """Content-hash cache keys for pipeline-stage artefacts.
 
 A key must identify everything a stage's output depends on: the program
-*content* (not its object identity — two sessions never share ids; the
-content is its regenerated C source, which
-:meth:`repro.model.program.StencilProgram.c_source` round-trips bit-for-bit
-through the front end, covering grid sizes and time steps via the
-``#define`` header), the options the stage reads, the tiling strategy, the
-stage's artifact schema version, the key of the upstream stage and the
-compiler code itself (:func:`code_fingerprint`).
-:func:`stage_key` assembles all of that; the session's pass manager
-(:mod:`repro.api.session`) supplies the per-stage parts.
+*content* (not its object identity — two sessions never share ids; see
+:func:`repro.api.session.program_digest`), the options the stage reads, the
+key of the upstream stage and the compiler code itself
+(:func:`code_fingerprint`).  :func:`stage_key` assembles all of that; each
+pass of :mod:`repro.api.passes` supplies the parts it reads.
 """
 
 from __future__ import annotations
@@ -17,8 +13,6 @@ from __future__ import annotations
 import hashlib
 import os
 from functools import lru_cache
-
-from repro.cache.disk import SCHEMA_VERSION
 
 
 @lru_cache(maxsize=1)
@@ -57,30 +51,19 @@ def code_fingerprint() -> str:
     return digest.hexdigest()
 
 
-def stage_key(
-    stage: str,
-    stage_schema: int,
-    strategy: str,
-    parts: list[str],
-    parent: str | None = None,
-) -> str:
+def stage_key(stage: str, parts: list[str], parent: str | None = None) -> str:
     """SHA-256 key of one pipeline stage's artifact.
 
-    Every stage key includes the global artefact schema, the compiler code
-    fingerprint, the stage name, the **stage artifact schema version** and the
-    **tiling strategy name** — so a ``classical`` plan can never be served
-    for a ``hybrid`` request, and an artifact layout change invalidates only
-    its own stage.  ``parent`` chains the key of the upstream stage, making
-    each key a content hash of the whole prefix of the pipeline that produced
-    the artifact.
+    It hashes the compiler code fingerprint (so an artifact layout change,
+    like any other code change, invalidates every key), the stage name, the
+    ``parts`` the stage reads and ``parent``, the key of the upstream stage:
+    each key is a content hash of the whole prefix of the pipeline that
+    produced the artifact.
     """
     digest = hashlib.sha256()
     components = [
-        f"schema={SCHEMA_VERSION}",
         f"code={code_fingerprint()}",
         f"stage={stage}",
-        f"stage-schema={stage_schema}",
-        f"strategy={strategy}",
         f"parent={parent or 'root'}",
         *parts,
     ]

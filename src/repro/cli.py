@@ -196,16 +196,15 @@ def _cmd_list(_: argparse.Namespace) -> int:
 def _compile_and_report(program, args: argparse.Namespace) -> int:
     cache = _disk_cache(args)
     tile_sizes = _parse_tile_sizes(args)
-    # Explicit --widths always win; only announce a tuned config when the
-    # session will actually apply one.
-    tuned = args.tuned and tile_sizes is None
-    # --tuning-db is a path or None: the session loads the database only
-    # when a tuned run asks for it.
-    session = Session(
-        _get_device_checked(args.device), disk_cache=cache, tuning_db=args.tuning_db
-    )
-    if tuned:
-        entry = session.resolve_tuned(program)
+    device = _get_device_checked(args.device)
+    # Explicit --h/--widths always win: the database is read only without them.
+    if args.tuned and tile_sizes is None:
+        from repro.api.session import program_digest
+        from repro.tuning.db import TuningDatabase
+
+        entry = TuningDatabase.load(args.tuning_db).best_for(
+            program_digest(program), device.name
+        )
         if entry is not None:
             best = entry["best"]
             widths = ",".join(str(w) for w in best["widths"])
@@ -214,14 +213,15 @@ def _compile_and_report(program, args: argparse.Namespace) -> int:
                 f"[strategy={entry['strategy']}, objective={entry['objective']}, "
                 f"score={best['score']:.6g}]"
             )
+            tile_sizes = TileSizes(int(best["height"]), tuple(best["widths"]))
         else:
             print(
                 "no tuned configuration recorded for this program/device; "
                 "falling back to the model selection "
                 "(run `hexcc tune` to populate the database)"
             )
-    run = session.run(
-        program, tile_sizes=tile_sizes, tuned=tuned, stop_after="analysis"
+    run = Session(device, disk_cache=cache).run(
+        program, tile_sizes=tile_sizes, stop_after="analysis"
     )
     _record_run(run)
     _flush_cache(cache)
@@ -824,12 +824,15 @@ def _cmd_perf(args: argparse.Namespace) -> int:
         new = store.select(args.b, kind="compile")
     except LookupError as error:
         raise UsageError(str(error)) from None
-    # Per-pass attribution is meaningful only between runs of one pipeline.
-    differences = [
-        f"{name} ({old.data.get(name)} -> {new.data.get(name)})"
-        for name in ("program", "strategy", "device", "stop")
-        if old.data.get(name) != new.data.get(name)
-    ]
+    # Per-pass attribution is meaningful only between runs of one pipeline on
+    # one problem instance.
+    differences = []
+    for name in ("program", "digest", "strategy", "device", "stop"):
+        before, after = old.data.get(name), new.data.get(name)
+        if before != after:
+            if name == "digest":  # shown like a record id: 12 hex digits
+                before, after = str(before)[:12], str(after)[:12]
+            differences.append(f"{name} ({before} -> {after})")
     attribution = None if differences else attribute_records(old.data, new.data)
     if args.json:
         payload = {

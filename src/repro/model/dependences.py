@@ -22,7 +22,7 @@ yield the same cone.
 from __future__ import annotations
 
 import enum
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 
 from repro._record import dataclass
 from repro.model.program import StencilProgram
@@ -162,20 +162,3 @@ def dependence_distance_vectors(
             seen.add(dependence.distance)
             result.append(dependence.distance)
     return result
-
-
-def validate_stencil_assumptions(
-    program: StencilProgram,
-    dependences: Sequence[Dependence],
-) -> None:
-    """Check the input restrictions of Sections 3.2 and 3.3.1.
-
-    * every dependence is carried by the (logical) time dimension, so the
-      space dimensions are fully parallel within a time iteration;
-    * space distances are bounded (trivially true for constant distances).
-    """
-    for dependence in dependences:
-        if dependence.time_distance <= 0:
-            raise DependenceError(
-                f"dependence {dependence} is not carried by the time dimension"
-            )

@@ -20,7 +20,6 @@ from repro.model.dependences import (
     DependenceError,
     compute_dependences,
     dependence_distance_vectors,
-    validate_stencil_assumptions,
 )
 from repro.model.program import StencilProgram
 
@@ -182,7 +181,6 @@ def canonicalize(program: StencilProgram) -> CanonicalForm:
     dependence is not carried by the time dimension).
     """
     dependences = compute_dependences(program)
-    validate_stencil_assumptions(program, dependences)
     vectors = dependence_distance_vectors(dependences)
     if not vectors:
         raise DependenceError(

@@ -264,23 +264,6 @@ class StencilProgram:
             self.grid_points() * field.element_size for field in self.fields.values()
         )
 
-    # -- characteristics (Table 3) ------------------------------------------------
-
-    def characteristics(self) -> list[dict[str, int | str]]:
-        """Per-statement characteristics as reported in Table 3 of the paper."""
-        rows = []
-        for statement in self.statements:
-            rows.append(
-                {
-                    "statement": statement.name,
-                    "loads": statement.loads,
-                    "flops": statement.flops,
-                    "data_size": "x".join(str(s) for s in self.sizes),
-                    "steps": self.time_steps,
-                }
-            )
-        return rows
-
     # -- reference execution -------------------------------------------------------
 
     def initial_state(self, seed: int = 0) -> dict[str, np.ndarray]:

@@ -37,7 +37,7 @@ NOISE_SIGMAS = 3.0
 #: and even repeated runs wobble by tens of microseconds from scheduling.
 MIN_NOISE_FLOOR_MS = 0.05
 
-#: Artifact sources that count as cache hits (vs ``computed``/``injected``).
+#: Artifact sources that count as cache hits (vs ``computed``).
 _CACHE_SOURCES = frozenset({"memory", "disk"})
 
 

@@ -17,9 +17,9 @@ what ``hexcc compile --tuned`` prints:
   scores all of its candidates on one session, in one process;
 * :class:`~repro.tuning.db.TuningDatabase` — a schema-versioned, atomically
   written JSON database of best known tile sizes, keyed by (program content
-  digest, device, strategy, objective), which
-  ``Session(...).run(tuned=True)`` and ``hexcc compile --tuned`` apply
-  transparently.
+  digest, device, strategy, objective).  ``hexcc compile --tuned`` looks the
+  entry up with :meth:`~repro.tuning.db.TuningDatabase.best_for` and passes
+  its sizes to ``Session.run(tile_sizes=...)``, as a library caller does.
 """
 
 from typing import Any

@@ -102,7 +102,7 @@ def _entry_is_usable(entry: Any) -> bool:
     """Whether a loaded entry has everything ``--tuned`` resolution touches.
 
     The database is advisory: a hand-edited or foreign entry must be dropped
-    at load time, never crash ``Session.run(tuned=True)`` later.  So is an
+    at load time, never crash ``hexcc compile --tuned`` later.  So is an
     entry whose best carries a thread-block shape: its score was computed
     for a launch the pipeline no longer emits.
     """

@@ -129,10 +129,8 @@ def _format_rejections(rejections: Mapping[str, int]) -> str:
 def _trial_key(digest: str, device: GPUDevice, config, candidate: TileSizes) -> str:
     """Disk-cache key of one evaluated trial (chained like a pipeline stage)."""
     return stage_key(
-        stage="tuning-trial",
-        stage_schema=1,
-        strategy="hybrid",
-        parts=[
+        "tuning-trial",
+        [
             f"program={digest}",
             f"device={device.name}",
             f"config={config!r}",

@@ -276,6 +276,12 @@ def _parse_header(header: str) -> tuple[str, str | None, Any]:
             if pieces:
                 params.append((pieces[-1], "*" in pieces))
         return "kernel", None, (kernel.group(1), params)
+    # ``[} else] if (``: a chained ``else if`` is an ``if``, decided before
+    # the function test, which ``else if (c)`` without an ``=`` would pass.
+    rest = (header[1:] if header.startswith("}") else header).lstrip()
+    rest = rest[4:].lstrip() if rest[:4] == "else" and rest[4:5].isspace() else header
+    if rest.startswith("if") and rest[2:].lstrip().startswith("("):
+        return "if", rest[2:].lstrip()[1:].rstrip(") {"), None
     if "=" not in header:
         # A function definition: ``type name(`` with words and spaces only
         # before its first parenthesis.
@@ -283,11 +289,6 @@ def _parse_header(header: str) -> tuple[str, str | None, Any]:
         words = head.split()
         if paren and len(words) >= 2 and all(map(_is_word, words)):
             return "function", None, None
-    # ``[} else] if (``: a chained ``else if`` is an ``if``.
-    rest = (header[1:] if header.startswith("}") else header).lstrip()
-    rest = rest[4:].lstrip() if rest[:4] == "else" and rest[4:5].isspace() else header
-    if rest.startswith("if") and rest[2:].lstrip().startswith("("):
-        return "if", rest[2:].lstrip()[1:].rstrip(") {"), None
     if header.startswith("else"):
         return "else", None, None
     rest = header[3:].lstrip()

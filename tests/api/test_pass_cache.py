@@ -22,23 +22,46 @@ SIZES = TileSizes.of(2, 3, 6)
 
 
 def test_stage_key_depends_on_strategy_name():
-    """Regression: a classical plan must never be served for a hybrid request."""
-    base = stage_key("tiling", 1, "hybrid", ["tile-sizes=x"], parent="p")
-    assert stage_key("tiling", 1, "classical", ["tile-sizes=x"], parent="p") != base
-    assert stage_key("tiling", 1, "diamond", ["tile-sizes=x"], parent="p") != base
+    """Regression: a classical plan must never be served for a hybrid request.
 
+    The strategy reaches the tiling key through the tiling pass's parts, and
+    every later key through the chained parent."""
+    from repro.api.passes import TilingPass
+    from repro.api.session import CompilationRequest
+    from repro.gpu.device import GTX470
 
-def test_stage_key_depends_on_stage_schema_version():
-    base = stage_key("tiling", 1, "hybrid", ["tile-sizes=x"], parent="p")
-    assert stage_key("tiling", 2, "hybrid", ["tile-sizes=x"], parent="p") != base
+    program = get_stencil("jacobi_2d", sizes=(20, 18), steps=10)
+
+    def tiling_key(strategy):
+        request = CompilationRequest(
+            program=program, tile_sizes=SIZES,
+            config=OptimizationConfig.default(), strategy=strategy, device=GTX470,
+        )
+        return TilingPass().key(request, "p", "digest")
+
+    keys = {tiling_key(name) for name in ("hybrid", "classical", "diamond")}
+    assert len(keys) == 3
+    base = stage_key("tiling", ["strategy=hybrid", "tile-sizes=x"], "p")
+    assert stage_key("tiling", ["strategy=classical", "tile-sizes=x"], "p") != base
+    assert stage_key("tiling", ["strategy=diamond", "tile-sizes=x"], "p") != base
 
 
 def test_stage_key_depends_on_stage_name_parts_and_parent():
-    base = stage_key("tiling", 1, "hybrid", ["a=1"], parent="p")
-    assert stage_key("memory", 1, "hybrid", ["a=1"], parent="p") != base
-    assert stage_key("tiling", 1, "hybrid", ["a=2"], parent="p") != base
-    assert stage_key("tiling", 1, "hybrid", ["a=1"], parent="q") != base
-    assert stage_key("tiling", 1, "hybrid", ["a=1"], parent=None) != base
+    base = stage_key("tiling", ["a=1"], parent="p")
+    assert stage_key("memory", ["a=1"], parent="p") != base
+    assert stage_key("tiling", ["a=2"], parent="p") != base
+    assert stage_key("tiling", ["a=1"], parent="q") != base
+    assert stage_key("tiling", ["a=1"], parent=None) != base
+
+
+def test_stage_key_depends_on_the_code_fingerprint(monkeypatch):
+    """The fingerprint is the one version of every artifact's layout: an edit
+    of any package source, such as a changed artifact field, moves every key."""
+    from repro.cache import keys
+
+    base = stage_key("tiling", ["a=1"], parent="p")
+    monkeypatch.setattr(keys, "code_fingerprint", lambda: "edited")
+    assert stage_key("tiling", ["a=1"], parent="p") != base
 
 
 # -- cross-strategy isolation (end to end) --------------------------------------------
@@ -56,9 +79,9 @@ def test_cross_strategy_requests_never_share_tiling_artifacts(program, tmp_path)
     ).run(program, tile_sizes=SIZES, stop_after="tiling")
 
     events = {event.name: event for event in classical_run.events}
-    # Every pass key carries the strategy name, so nothing of the hybrid run
-    # is served — least of all the tiling plan.
-    assert events["canonicalize"].source == "computed"
+    # Canonicalisation reads only the program, so the hybrid run's entry is
+    # served; the tiling key carries the strategy name, so its plan is not.
+    assert events["canonicalize"].source == "disk"
     assert events["tiling"].source == "computed"
     assert classical_run.artifact("tiling").strategy == "classical"
     assert hybrid_run.artifact("tiling").strategy == "hybrid"
@@ -95,6 +118,22 @@ def test_explicit_and_model_selected_sizes_have_distinct_tiling_keys(program, tm
     )
     assert {e.name: e.source for e in explicit.events}["tiling"] == "computed"
     assert auto.artifact("tiling").sizes != explicit.artifact("tiling").sizes
+
+
+def test_explicit_sizes_equal_to_the_model_pick_do_not_alias_in_memory(program):
+    """An explicit run keys its tiling by its sizes, a model run by
+    ``tile-sizes=auto``: one session holds both plans, each served on repeat,
+    even when the explicit sizes are the model's own pick."""
+    session = Session()
+    auto = session.run(program, stop_after="tiling").artifact("tiling")
+    explicit = session.run(
+        program, tile_sizes=auto.sizes, stop_after="tiling"
+    ).artifact("tiling")
+    assert explicit is not auto
+    assert explicit.sizes == auto.sizes
+    assert session.run(program, stop_after="tiling").artifact("tiling") is auto
+    again = session.run(program, tile_sizes=auto.sizes, stop_after="tiling")
+    assert again.artifact("tiling") is explicit
 
 
 def test_device_change_recomputes_only_the_analysis_stage(program, tmp_path):

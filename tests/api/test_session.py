@@ -1,4 +1,4 @@
-"""The staged pipeline: stop_after, typed artifacts, injection, events."""
+"""The staged pipeline: stop_after, typed artifacts, events."""
 
 from __future__ import annotations
 
@@ -19,7 +19,6 @@ from repro.api import (
     VerificationReport,
 )
 from repro.stencils import get_stencil
-from repro.tiling.hybrid import HybridTiling
 
 
 @pytest.fixture
@@ -159,73 +158,3 @@ def test_second_run_hits_the_in_memory_pass_cache(program):
     ]
     # Cached artifacts are the same objects.
     assert second.artifact("tiling") is first.artifact("tiling")
-
-
-# -- artifact injection ---------------------------------------------------------------
-
-
-def test_injected_tiling_plan_produces_byte_identical_cuda(program):
-    """Re-entering the pipeline with a hand-built TilingPlan changes no byte."""
-    expected = Session().run(program, tile_sizes=SIZES).artifact("codegen")
-
-    session = Session()
-    canonical_ir = session.run(program, stop_after="canonicalize").artifact(
-        "canonicalize"
-    )
-    hand_built = TilingPlan(
-        strategy="hybrid",
-        sizes=SIZES,
-        tiling=HybridTiling(canonical_ir.canonical, SIZES),
-        supports_codegen=True,
-    )
-    run = session.run(program, tile_sizes=SIZES, inject={"tiling": hand_built})
-    assert run.artifact("tiling") is hand_built
-    assert run.artifact("codegen").cuda_source == expected.cuda_source
-
-    by_name = {event.name: event for event in run.events}
-    assert by_name["tiling"].source == "injected"
-    # Downstream of an injection nothing is cached: inputs are no longer
-    # derivable from the request.
-    assert by_name["memory"].source == "computed"
-    assert by_name["codegen"].source == "computed"
-
-
-def test_injection_downstream_passes_are_not_cached(program, tmp_path):
-    from repro.cache import DiskCache
-
-    cache = DiskCache(tmp_path / "hexcc")
-    session = Session(disk_cache=cache)
-    canonical_ir = session.run(program, stop_after="canonicalize").artifact(
-        "canonicalize"
-    )
-    stores_before = cache.stores
-    plan = TilingPlan(
-        strategy="hybrid",
-        sizes=SIZES,
-        tiling=HybridTiling(canonical_ir.canonical, SIZES),
-        supports_codegen=True,
-    )
-    session.run(program, tile_sizes=SIZES, inject={"tiling": plan})
-    # Only stages upstream of the injection may store (canonicalize was
-    # already stored by the first run, so no new entries at all).
-    assert cache.stores == stores_before
-
-
-def test_injecting_an_unknown_stage_is_rejected(program):
-    with pytest.raises(ValueError, match="unknown stage"):
-        Session().run(program, inject={"bogus": object()})
-
-
-def test_injecting_the_wrong_artifact_type_is_rejected(program):
-    with pytest.raises(PipelineError, match="must be a TilingPlan"):
-        Session().run(program, inject={"tiling": object()})
-
-
-def test_injected_memory_plan_is_consumed(program):
-    session = Session()
-    base = session.run(program, tile_sizes=SIZES)
-    run = session.run(
-        program, tile_sizes=SIZES, inject={"memory": base.artifact("memory")}
-    )
-    assert run.artifact("memory") is base.artifact("memory")
-    assert run.artifact("codegen").cuda_source == base.artifact("codegen").cuda_source

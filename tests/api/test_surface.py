@@ -69,11 +69,17 @@ def _parameter_names(callable_) -> list[str]:
 
 def test_session_signatures_are_pinned():
     assert _parameter_names(api.Session.__init__) == [
-        "self", "device", "strategy", "disk_cache", "tuning_db",
+        "self", "device", "strategy", "disk_cache",
     ]
     assert _parameter_names(api.Session.run) == [
-        "self", "program", "tile_sizes", "config", "stop_after", "inject", "tuned",
+        "self", "program", "tile_sizes", "config", "stop_after",
     ]
+
+
+def test_stage_key_takes_the_stage_its_parts_and_its_parent():
+    from repro.cache.keys import stage_key
+
+    assert _parameter_names(stage_key) == ["stage", "parts", "parent"]
 
 
 def test_canonicalize_takes_only_the_program():
@@ -88,7 +94,9 @@ def test_pipeline_run_surface_is_pinned():
     for method in ("artifact", "simulate_and_check", "describe"):
         assert callable(getattr(api.PipelineRun, method))
     assert not hasattr(api.PipelineRun, "timings")
+    assert not hasattr(api.PipelineRun, "tuned_entry")
     assert not hasattr(api.Session, "cache_clear")
+    assert not hasattr(api.Session, "resolve_tuned")
 
 
 def test_run_wall_time_is_the_session_run_span(small_jacobi_2d):
@@ -118,7 +126,8 @@ def test_artifact_fields_are_pinned():
     }
     for artifact_type, names in expected.items():
         assert [f.name for f in fields(artifact_type)] == names, artifact_type
-        assert isinstance(artifact_type.SCHEMA_VERSION, int)
+        # The code fingerprint in every cache key versions the layout.
+        assert not hasattr(artifact_type, "SCHEMA_VERSION"), artifact_type
 
 
 def test_optimization_config_fields_are_pinned():

@@ -584,7 +584,7 @@ def test_inspect_stop_after_tiling_json_reports_exactly_the_passes_run(capsys):
     ]
     for entry in payload["passes"]:
         assert entry["wall_s"] >= 0.0
-        assert entry["source"] in ("computed", "memory", "disk", "injected")
+        assert entry["source"] in ("computed", "memory", "disk")
     assert set(payload["artifacts"]) == {"parse", "canonicalize", "tiling"}
     assert payload["artifacts"]["tiling"]["supports_codegen"] is True
 
@@ -861,20 +861,146 @@ def test_tune_command_records_and_reports(tmp_path, monkeypatch, capsys):
 
 
 def test_tune_then_compile_tuned_applies_the_entry(tmp_path, monkeypatch, capsys):
+    from repro.tuning import TuningDatabase
+
     db_path = tmp_path / "tuning.json"
     monkeypatch.setenv("HEXCC_TUNING_DB", str(db_path))
     assert main(["tune", "heat_2d", "--budget", "4"]) == 0
     capsys.readouterr()
+    (entry,) = TuningDatabase.load(db_path)
+    best = entry["best"]
+    widths = ", ".join(str(w) for w in best["widths"])
     assert main(["compile", "heat_2d", "--tuned"]) == 0
-    assert "applying tuned configuration" in capsys.readouterr().out
+    output = capsys.readouterr().out
+    assert "applying tuned configuration" in output
+    assert f"tile sizes            : h={best['height']}, w=({widths})" in output
 
 
 def test_compile_tuned_without_entry_falls_back(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("HEXCC_TUNING_DB", str(tmp_path / "empty.json"))
+    assert main(["compile", "gradient_3d"]) == 0
+    plain = capsys.readouterr().out
     assert main(["compile", "gradient_3d", "--tuned"]) == 0
     output = capsys.readouterr().out
-    assert "no tuned configuration" in output
+    assert output.startswith("no tuned configuration")
+    assert output.endswith(plain)  # the model's selection, unchanged
     assert "GStencils/s" in output
+
+
+def _tuning_db_for(path, program, height, widths):
+    """A database whose one ``model`` entry is ``h=height, w=widths``."""
+    from repro.api.session import program_digest
+    from repro.tuning import TuningDatabase
+
+    db = TuningDatabase()
+    db.record({
+        "program": program.name,
+        "sizes": list(program.sizes),
+        "steps": program.time_steps,
+        "digest": program_digest(program),
+        "device": "GTX 470",
+        "strategy": "random",
+        "objective": "model",
+        "seed": 0,
+        "budget": 8,
+        "evaluations": 9,
+        "failures": 0,
+        "best": {"height": height, "widths": list(widths), "score": 0.25},
+        "baseline": {"height": 2, "widths": [4, 128], "score": 0.5},
+    })
+    return str(db.save(path))
+
+
+def test_compile_tuned_applies_the_entry_sizes(tmp_path, capsys):
+    from repro.stencils import get_stencil
+
+    db = _tuning_db_for(tmp_path / "db.json", get_stencil("jacobi_2d"), 1, (3, 32))
+    assert main(["compile", "jacobi_2d", "--tuned", "--tuning-db", db]) == 0
+    output = capsys.readouterr().out
+    assert output.startswith(
+        "applying tuned configuration h=1 w=(3,32) "
+        "[strategy=random, objective=model, score=0.25]\n"
+    )
+    assert "tile sizes            : h=1, w=(3, 32)" in output
+
+
+def test_compile_tuned_explicit_sizes_beat_the_database(tmp_path, capsys):
+    from repro.stencils import get_stencil
+
+    db = _tuning_db_for(tmp_path / "db.json", get_stencil("jacobi_2d"), 1, (3, 32))
+    explicit = ["compile", "jacobi_2d", "--h", "2", "--widths", "4,32"]
+    assert main(explicit) == 0
+    plain = capsys.readouterr().out
+    # No announcement either way: the database is not read.
+    assert main([*explicit, "--tuned", "--tuning-db", db]) == 0
+    assert capsys.readouterr().out == plain
+    assert "tile sizes            : h=2, w=(4, 32)" in plain
+
+
+def test_compile_tuned_looks_the_entry_up_by_problem_instance(tmp_path, capsys):
+    """An entry of another problem size has another digest: it never applies."""
+    from repro.stencils import get_stencil
+
+    other = get_stencil("jacobi_2d", sizes=(64, 64), steps=8)
+    db = _tuning_db_for(tmp_path / "db.json", other, 1, (3, 32))
+    assert main(["compile", "jacobi_2d", "--tuned", "--tuning-db", db]) == 0
+    assert capsys.readouterr().out.startswith("no tuned configuration recorded")
+
+
+def test_tuned_and_model_compiles_share_canonicalize_not_tiling(tmp_path, capsys):
+    """A tuned compile keys its tiling by the explicit sizes, a model compile
+    by ``tile-sizes=auto``: in one cache they never share a tiling entry,
+    even when the tuned sizes equal the model's pick, while the tuned
+    compile reads the model compile's canonicalisation from disk."""
+    from repro.api import Session
+    from repro.obs.history import RunHistory
+    from repro.stencils import get_stencil
+
+    program = get_stencil("jacobi_2d")
+    model = Session().run(program, stop_after="tiling").artifact("tiling").sizes
+    db = _tuning_db_for(tmp_path / "db.json", program, model.height, model.widths)
+    assert main(["compile", "jacobi_2d"]) == 0
+    assert main(["compile", "jacobi_2d", "--tuned", "--tuning-db", db]) == 0
+    assert "applying tuned configuration" in capsys.readouterr().out
+    model_run, tuned_run = RunHistory().records(kind="compile")
+    sources = [{p["name"]: p["source"] for p in r.data["passes"]}
+               for r in (model_run, tuned_run)]
+    assert set(sources[0].values()) == {"computed"}
+    assert sources[1]["canonicalize"] == "disk"
+    assert sources[1]["tiling"] == "computed"
+
+
+def test_compile_tuned_looks_the_entry_up_by_device(tmp_path, capsys):
+    """An entry tuned for the GTX 470 never applies to another device."""
+    from repro.stencils import get_stencil
+
+    db = _tuning_db_for(tmp_path / "db.json", get_stencil("jacobi_2d"), 1, (3, 32))
+    tuned = ["compile", "jacobi_2d", "--tuned", "--tuning-db", db]
+    assert main([*tuned, "--device", "nvs5200m"]) == 0
+    assert capsys.readouterr().out.startswith("no tuned configuration recorded")
+    assert main([*tuned, "--device", "gtx470"]) == 0
+    assert capsys.readouterr().out.startswith("applying tuned configuration h=1")
+
+
+def test_compile_file_tuned_applies_the_entry(tmp_path, capsys):
+    """``compile-file`` looks its parsed program up like ``compile`` does."""
+    from repro.frontend import parse_stencil_file
+
+    path = tmp_path / "blur.c"
+    path.write_text(
+        "/* blur_1d */\n"
+        "#define T 8\n#define N 128\n"
+        "for (t = 0; t < T; t++)\n"
+        "  for (i = 1; i < N - 1; i++)\n"
+        "    A[t][i] = 0.25f * (A[t-1][i-1] + A[t-1][i+1]) + 0.5f * A[t-1][i];\n"
+    )
+    db = _tuning_db_for(tmp_path / "db.json", parse_stencil_file(path), 2, (8,))
+    assert main(["compile-file", str(path), "--h", "2", "--widths", "8"]) == 0
+    explicit = capsys.readouterr().out
+    assert main(["compile-file", str(path), "--tuned", "--tuning-db", db]) == 0
+    announcement, _, output = capsys.readouterr().out.partition("\n")
+    assert announcement.startswith("applying tuned configuration h=2 w=(8) ")
+    assert output == explicit  # the entry's sizes, as if given explicitly
 
 
 def test_compile_tuned_never_applies_a_simulate_entry(tmp_path, capsys):
@@ -1205,6 +1331,25 @@ def test_perf_diff_does_not_attribute_across_pipelines(capsys):
     )
 
 
+def test_perf_diff_does_not_attribute_across_problem_instances(capsys):
+    """Two validates of one pipeline on two problem sizes differ only in
+    their program digest: their delta belongs to no pass either."""
+    for size in ("12", "16"):
+        assert main(["validate", "jacobi_2d", "--size", size, "--steps", "8"]) == 0
+    capsys.readouterr()
+    assert main(["perf", "diff", "last~1", "last", "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["attribution"] is None
+    digests = payload["old"]["digest"][:12], payload["new"]["digest"][:12]
+    assert digests[0] != digests[1]
+    assert main(["perf", "diff", "last~1", "last"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[2:] == [
+        "cannot attribute the delta: the runs differ in "
+        f"digest ({digests[0]} -> {digests[1]})"
+    ]
+
+
 @pytest.mark.parametrize("delay", ["tiling:-5", "tiling:nan", "tiling:inf"])
 def test_unsleepable_fault_delays_are_skipped(delay, monkeypatch, capsys):
     """An amount ``time.sleep`` refuses is skipped like an unparseable one."""
@@ -1236,6 +1381,22 @@ def test_pipeline_failures_print_the_crash_report_path(monkeypatch, capsys):
 
 
 # -- verify ---------------------------------------------------------------------------
+
+
+def test_verify_all_strategies_canonicalize_once(capsys):
+    """Canonicalisation reads only the program: into a fresh cache, the first
+    strategy computes it and the other two read it from disk, while each
+    strategy computes its own tiling."""
+    from repro.obs.history import RunHistory
+
+    assert main(["verify", "heat_2d", "--strategy", "all"]) == 0
+    capsys.readouterr()
+    records = RunHistory().records(kind="compile")
+    assert len(records) == 3
+    sources = [{p["name"]: p["source"] for p in r.data["passes"]} for r in records]
+    assert [s["canonicalize"] for s in sources] == ["computed", "disk", "disk"]
+    assert [s["tiling"] for s in sources] == ["computed"] * 3
+    assert len({r.data["strategy"] for r in records}) == 3
 
 
 def test_verify_clean_stencil_exits_zero(capsys):

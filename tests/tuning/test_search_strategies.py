@@ -199,3 +199,27 @@ def test_tune_seed_is_recorded_in_the_db(tmp_path):
     assert entry is not None
     assert entry["seed"] == 23
     assert entry["budget"] == 4
+
+
+def test_tune_records_applicable_entry_end_to_end(tmp_path):
+    """tune() -> database -> ``best_for`` -> a run at the entry's sizes: the
+    lookup a library caller makes, under the run's digest and device."""
+    from repro.api import Session, TileSizes
+    from repro.api.session import program_digest
+
+    program = get_stencil("jacobi_2d", sizes=(64, 64), steps=8)
+    db = TuningDatabase()
+    result = tune(
+        program,
+        strategy="grid",
+        budget=5,
+        seed=0,
+        disk_cache=DiskCache(tmp_path / "cache"),
+        db=db,
+    )
+    entry = db.best_for(program_digest(program), GTX470.name)
+    assert entry is not None
+    sizes = TileSizes(entry["best"]["height"], tuple(entry["best"]["widths"]))
+    assert sizes == result.best.candidate
+    run = Session().run(program, tile_sizes=sizes, stop_after="tiling")
+    assert run.artifact("tiling").sizes == result.best.candidate

@@ -438,14 +438,16 @@ def lint_cuda(
                     state.pointers.add(pieces[-1])
                 state.uniform.add(pieces[-1])
             return _Context("kernel", False, stmt_line)
-        if re.match(r"^\w[\w\s]*\s+\w+\s*\(", header) and "=" not in header:
-            state = _KernelState.fresh(None, False)
-            return _Context("function", False, stmt_line)
+        # ``[} else] if (`` before the function test, which ``else if (c)``
+        # without an ``=`` would pass.
         if_match = _IF_RE.match(header)
         if if_match is not None:
             condition = if_match.group(1).rstrip(") {")
             info = _analyse_condition(condition, state)
             return _Context("if", info, stmt_line)
+        if re.match(r"^\w[\w\s]*\s+\w+\s*\(", header) and "=" not in header:
+            state = _KernelState.fresh(None, False)
+            return _Context("function", False, stmt_line)
         if header.startswith("else"):
             inherited = bool(
                 last_popped and last_popped.kind == "if" and last_popped.divergent

@@ -133,6 +133,28 @@ def test_divergent_sync_names_the_divergent_branch():
     assert "line 13" in sync.message  # points back at the divergent if
 
 
+@pytest.mark.parametrize(
+    "condition", ["< 8", "> 8", "& 8"], ids=["less", "greater", "bit-and"]
+)
+def test_else_if_without_an_assignment_is_no_function_definition(condition):
+    """``else if (c) {`` opens an ``if``, whatever ``c`` holds: without an
+    ``=`` as with ``== 8``, the barrier under it diverges and later findings
+    stay, in the lint as in its oracle."""
+    source = (
+        "__global__ void k(float *A) { if (threadIdx.x < 4) { A[0] = 1.0f; } "
+        f"else if (threadIdx.x {condition}) {{ __syncthreads(); }} "
+        "A[2 * threadIdx.x] = 0.0f; }"
+    )
+    expected = lint_cuda(source.replace(condition, "== 8"))
+    assert [(f.rule, f.severity) for f in expected.findings] == [
+        ("sync-divergence", "error"), ("global-uncoalesced", "warning"),
+    ]
+    for report in (lint_cuda(source), lint_by_character(source)):
+        assert [(f.rule, f.severity, f.line, f.col) for f in report.findings] == [
+            (f.rule, f.severity, f.line, f.col) for f in expected.findings
+        ]
+
+
 #: Only global-uncoalesced warnings: through an address helper and a stride.
 UNCOALESCED_KERNEL = """\
 __global__ void k(int T, float *A) {
