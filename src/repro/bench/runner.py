@@ -223,7 +223,6 @@ def run_bench(options: BenchOptions) -> dict[str, Any]:
             "misses": cache.misses,
             "stores": cache.stores,
         }
-        cache.flush_stats()
     return report
 
 

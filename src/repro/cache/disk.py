@@ -10,23 +10,24 @@ Robustness rules:
 
 * a corrupt entry (truncated pickle, wrong envelope, unpicklable payload) is
   **ignored and deleted**, never fatal;
-* an entry written by a different schema version is ignored and deleted;
-* hit/miss/store counts are kept per instance and merged (best effort) into a
-  ``stats.json`` next to the entries, so ``hexcc cache stats`` can report the
-  cumulative numbers across processes.
+* an entry written by a different schema version is ignored and deleted.
+
+The cache writes nothing but entries: hit/miss/store counts live on the
+instance (the bench report reads them), each ``cache.get`` span records its
+outcome, and a ``hexcc`` run's history record says which passes it read
+from disk.
 """
 
 from __future__ import annotations
 
 import contextlib
-import json
 import os
 import pickle
 import tempfile
 from pathlib import Path
 
 from repro import obs
-from repro._record import dataclass, field
+from repro._record import dataclass
 
 #: Bump when the pickled artefact layout changes incompatibly; old entries
 #: are then ignored (and garbage collected) instead of being unpickled.
@@ -36,9 +37,6 @@ _ENVELOPE_KIND = "hexcc-artefact"
 
 #: Environment variable overriding the cache location.
 CACHE_DIR_ENV = "HEXCC_CACHE_DIR"
-
-#: Set to a non-empty value to disable the default disk cache entirely.
-CACHE_DISABLE_ENV = "HEXCC_CACHE_DISABLE"
 
 
 def default_cache_dir() -> Path:
@@ -57,39 +55,20 @@ def default_cache_dir() -> Path:
 
 @dataclass(frozen=True)
 class CacheStats:
-    """Counters and sizes of one cache directory."""
+    """What one cache directory holds."""
 
     root: str
     entries: int
     bytes: int
-    hits: int
-    misses: int
-    stores: int
-    evicted: int
-    #: Per-pipeline-stage hit/miss/store breakdown (stage name -> counters),
-    #: so sweep-heavy workloads (``hexcc tune``) are observable per pass.
-    stages: dict = field(default_factory=dict)
 
     def describe(self) -> str:
-        lines = [
-            f"cache root : {self.root}",
-            f"entries    : {self.entries}",
-            f"size       : {self.bytes / 1024.0:.1f} KiB",
-            f"hits       : {self.hits}",
-            f"misses     : {self.misses}",
-            f"stores     : {self.stores}",
-            f"evicted    : {self.evicted}",
-        ]
-        if self.stages:
-            lines.append("per-stage  :")
-            lines.append(f"  {'stage':<14} {'hits':>8} {'misses':>8} {'stores':>8}")
-            for stage in sorted(self.stages):
-                counters = self.stages[stage]
-                lines.append(
-                    f"  {stage:<14} {counters.get('hits', 0):>8} "
-                    f"{counters.get('misses', 0):>8} {counters.get('stores', 0):>8}"
-                )
-        return "\n".join(lines)
+        return "\n".join(
+            [
+                f"cache root : {self.root}",
+                f"entries    : {self.entries}",
+                f"size       : {self.bytes / 1024.0:.1f} KiB",
+            ]
+        )
 
 
 class DiskCache:
@@ -107,24 +86,6 @@ class DiskCache:
         self.hits = 0
         self.misses = 0
         self.stores = 0
-        self.evicted = 0
-        # stage name -> {"hits": n, "misses": n, "stores": n}
-        self.stage_counters: dict[str, dict[str, int]] = {}
-
-    def _count_stage(self, stage: str | None, event: str) -> None:
-        if stage is None:
-            return
-        counters = self.stage_counters.setdefault(
-            stage, {"hits": 0, "misses": 0, "stores": 0}
-        )
-        counters[event] += 1
-
-    @staticmethod
-    def default() -> "DiskCache | None":
-        """The default cache, or ``None`` when disabled via the environment."""
-        if os.environ.get(CACHE_DISABLE_ENV):
-            return None
-        return DiskCache()
 
     # -- entry IO ---------------------------------------------------------------
 
@@ -136,8 +97,7 @@ class DiskCache:
     def get(self, key: str, stage: str | None = None) -> object | None:
         """Fetch and unpickle one entry; corrupt or stale entries are dropped.
 
-        ``stage`` (a pipeline pass name) attributes the hit/miss to a
-        per-stage counter for ``hexcc cache stats``; the ``cache.get`` span
+        ``stage`` (a pipeline pass name) labels the ``cache.get`` span, which
         records the outcome (``hit``, ``miss`` or ``stale``).
         """
         with obs.span("cache.get", stage=stage) as span:
@@ -146,7 +106,7 @@ class DiskCache:
                 blob = path.read_bytes()
             except OSError:
                 span.set(outcome="miss")
-                self._miss(stage)
+                self.misses += 1
                 return None
             try:
                 with obs.span("cache.deserialize", stage=stage, bytes=len(blob)):
@@ -158,18 +118,14 @@ class DiskCache:
                 # Truncated write, foreign file or stale schema: treat as a
                 # miss and garbage-collect the entry so it is not re-read
                 # forever.
-                self._discard(path)
+                with contextlib.suppress(OSError):
+                    path.unlink()
                 span.set(outcome="stale")
-                self._miss(stage)
+                self.misses += 1
                 return None
             span.set(outcome="hit", bytes=len(blob))
             self.hits += 1
-            self._count_stage(stage, "hits")
             return payload
-
-    def _miss(self, stage: str | None) -> None:
-        self.misses += 1
-        self._count_stage(stage, "misses")
 
     def put(self, key: str, payload: object, stage: str | None = None) -> None:
         """Atomically write one entry (last writer wins)."""
@@ -194,12 +150,6 @@ class DiskCache:
                     os.unlink(temp_name)
                 raise
             self.stores += 1
-            self._count_stage(stage, "stores")
-
-    def _discard(self, path: Path) -> None:
-        with contextlib.suppress(OSError):
-            path.unlink()
-            self.evicted += 1
 
     # -- maintenance ------------------------------------------------------------
 
@@ -212,7 +162,7 @@ class DiskCache:
         )
 
     def clear(self) -> int:
-        """Remove every entry (all schema namespaces) and reset the stats."""
+        """Remove every entry (all schema namespaces); returns the count."""
         removed = 0
         if self.root.is_dir():
             for namespace in sorted(self.root.iterdir()):
@@ -223,19 +173,15 @@ class DiskCache:
                         with contextlib.suppress(OSError):
                             path.unlink()
                             removed += 1
-        stats_path = self.root / "stats.json"
-        with contextlib.suppress(OSError):
-            stats_path.unlink()
         return removed
 
     def stats(self) -> CacheStats:
-        """Current stats: this instance's counters merged with ``stats.json``.
+        """The entry count and size of the current namespace.
 
         Robust on a fresh or concurrently-modified cache directory: a
-        missing directory, a malformed ``stats.json`` or an entry deleted
-        between listing and ``stat()`` all degrade to zeros, never raise.
+        missing directory or an entry deleted between listing and ``stat()``
+        degrades to zeros, never raises.
         """
-        persisted, persisted_stages = self._read_persisted_stats()
         total_bytes = 0
         count = 0
         for path in self._entries():
@@ -244,79 +190,7 @@ class DiskCache:
             except OSError:
                 continue  # deleted by a concurrent clear/GC: skip, don't crash
             count += 1
-        stages: dict[str, dict[str, int]] = {
-            name: dict(counters) for name, counters in persisted_stages.items()
-        }
-        for name, counters in self.stage_counters.items():
-            merged = stages.setdefault(name, {"hits": 0, "misses": 0, "stores": 0})
-            for event, value in counters.items():
-                merged[event] = merged.get(event, 0) + value
-        return CacheStats(
-            root=str(self.root),
-            entries=count,
-            bytes=total_bytes,
-            hits=self.hits + persisted.get("hits", 0),
-            misses=self.misses + persisted.get("misses", 0),
-            stores=self.stores + persisted.get("stores", 0),
-            evicted=self.evicted + persisted.get("evicted", 0),
-            stages=stages,
-        )
-
-    # -- cross-process counters ---------------------------------------------------
-
-    def _read_persisted_stats(self) -> tuple[dict[str, int], dict[str, dict[str, int]]]:
-        """The ``(totals, per_stage)`` counters of ``stats.json``, best effort."""
-        try:
-            raw = json.loads((self.root / "stats.json").read_text())
-        except (OSError, ValueError):
-            return {}, {}
-        if not isinstance(raw, dict):
-            # A foreign or truncated stats file must read as empty, not crash
-            # ``hexcc cache stats``.
-            return {}, {}
-        totals = {k: int(v) for k, v in raw.items() if isinstance(v, (int, float))}
-        stages: dict[str, dict[str, int]] = {}
-        if isinstance(raw.get("stages"), dict):
-            for name, counters in raw["stages"].items():
-                if not isinstance(counters, dict):
-                    continue
-                stages[str(name)] = {
-                    str(event): int(value)
-                    for event, value in counters.items()
-                    if isinstance(value, (int, float))
-                }
-        return totals, stages
-
-    def flush_stats(self) -> None:
-        """Merge this instance's counters into ``stats.json`` (best effort).
-
-        Read-modify-write without locking: concurrent flushes may undercount,
-        which is acceptable for an informational counter.
-        """
-        if not (self.hits or self.misses or self.stores or self.evicted):
-            return
-        merged, merged_stages = self._read_persisted_stats()
-        for name in ("hits", "misses", "stores", "evicted"):
-            merged[name] = merged.get(name, 0) + getattr(self, name)
-        for name, counters in self.stage_counters.items():
-            stage = merged_stages.setdefault(name, {})
-            for event, value in counters.items():
-                stage[event] = stage.get(event, 0) + value
-        document: dict = dict(merged)
-        if merged_stages:
-            document["stages"] = merged_stages
-        self.root.mkdir(parents=True, exist_ok=True)
-        descriptor, temp_name = tempfile.mkstemp(dir=self.root, prefix=".stats-")
-        try:
-            with os.fdopen(descriptor, "w") as handle:
-                json.dump(document, handle)
-            os.replace(temp_name, self.root / "stats.json")
-        except BaseException:
-            with contextlib.suppress(OSError):
-                os.unlink(temp_name)
-            raise
-        self.hits = self.misses = self.stores = self.evicted = 0
-        self.stage_counters = {}
+        return CacheStats(root=str(self.root), entries=count, bytes=total_bytes)
 
     def __repr__(self) -> str:
         return f"DiskCache({str(self.root)!r})"

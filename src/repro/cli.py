@@ -22,7 +22,7 @@ Examples
     hexcc table 1          # regenerate Table 1 (GTX 470 comparison)
     hexcc tables           # regenerate Tables 1-5
     hexcc bench --quick --json bench_out.json   # performance report (CI)
-    hexcc cache stats      # on-disk compile cache usage (per-stage breakdown)
+    hexcc cache stats      # on-disk compile cache: entries and size
     hexcc cache clear      # drop every cached artefact
     hexcc tune heat_3d --budget 32
     hexcc tune jacobi_2d --strategy hillclimb --seed 7
@@ -39,9 +39,9 @@ on a usage error (unknown stencil, table, strategy, stage, mutation,
 malformed option, or a grid on which a statement updates no point).
 
 Every compiling command shares a persistent on-disk artefact cache
-(``~/.cache/hexcc`` by default, override with ``$HEXCC_CACHE_DIR``, disable
-with ``$HEXCC_CACHE_DISABLE=1``), layered at pass granularity, so repeated
-invocations skip unchanged pipeline prefixes.
+(``~/.cache/hexcc`` by default, override with ``$HEXCC_CACHE_DIR``, bypass
+with ``--no-cache``), layered at pass granularity, so repeated invocations
+skip unchanged pipeline prefixes.
 """
 
 from __future__ import annotations
@@ -150,15 +150,8 @@ def _parse_tile_sizes(
 
 
 def _disk_cache(args: argparse.Namespace) -> DiskCache | None:
-    """The CLI's persistent artefact cache (honours --no-cache and the env)."""
-    if getattr(args, "no_cache", False):
-        return None
-    return DiskCache.default()
-
-
-def _flush_cache(cache: DiskCache | None) -> None:
-    if cache is not None:
-        cache.flush_stats()
+    """The CLI's persistent artefact cache, or ``None`` under --no-cache."""
+    return None if args.no_cache else DiskCache()
 
 
 def _record_run(run) -> None:
@@ -194,7 +187,6 @@ def _cmd_list(_: argparse.Namespace) -> int:
 
 
 def _compile_and_report(program, args: argparse.Namespace) -> int:
-    cache = _disk_cache(args)
     tile_sizes = _parse_tile_sizes(args)
     device = _get_device_checked(args.device)
     # Explicit --h/--widths always win: the database is read only without them.
@@ -220,11 +212,10 @@ def _compile_and_report(program, args: argparse.Namespace) -> int:
                 "falling back to the model selection "
                 "(run `hexcc tune` to populate the database)"
             )
-    run = Session(device, disk_cache=cache).run(
+    run = Session(device, disk_cache=_disk_cache(args)).run(
         program, tile_sizes=tile_sizes, stop_after="analysis"
     )
     _record_run(run)
-    _flush_cache(cache)
     print(f"compilation of {program.name} ({run.request.config.label})")
     print(run.artifact("tiling").tiling.describe())
     print(run.artifact("memory").plan.describe())
@@ -239,15 +230,13 @@ def _compile_and_report(program, args: argparse.Namespace) -> int:
 def _validate_and_report(program, args: argparse.Namespace) -> int:
     from repro.tiling.validate import validate_hybrid_tiling
 
-    cache = _disk_cache(args)
     # The report and the simulation need no generated CUDA.
-    run = Session(disk_cache=cache).run(
+    run = Session(disk_cache=_disk_cache(args)).run(
         program,
         tile_sizes=_parse_tile_sizes(args, default_height=1),
         stop_after="memory",
     )
     _record_run(run)
-    _flush_cache(cache)
     report = validate_hybrid_tiling(run.artifact("tiling").tiling)
     print(report)
     if not report.ok:
@@ -284,17 +273,15 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
             f"known: {', '.join(list_strategies())}"
         )
     program = _get_stencil_checked(args.stencil)
-    cache = _disk_cache(args)
     session = Session(
         device=_get_device_checked(args.device),
         strategy=args.strategy,
-        disk_cache=cache,
+        disk_cache=_disk_cache(args),
     )
     run = session.run(
         program, tile_sizes=_parse_tile_sizes(args), stop_after=args.stop_after
     )
     _record_run(run)
-    _flush_cache(cache)
     if args.json:
         payload = {
             "stencil": program.name,
@@ -457,7 +444,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                     "report": report,
                 }
             )
-    _flush_cache(cache)
 
     if args.json:
         payload = {
@@ -581,12 +567,7 @@ def _render_table(number: int, cache: DiskCache | None) -> str:
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
-    cache = _disk_cache(args)
-    try:
-        text = _render_table(args.number, cache)
-    finally:
-        _flush_cache(cache)
-    print(text)
+    print(_render_table(args.number, _disk_cache(args)))
     return EXIT_OK
 
 
@@ -595,19 +576,14 @@ def _cmd_tables(args: argparse.Namespace) -> int:
     for number in numbers:
         _check_table_number(number)  # before any table is rendered
     cache = _disk_cache(args)
-    try:
-        for index, number in enumerate(numbers):
-            if index:
-                print()
-            print(_render_table(number, cache))
-    finally:
-        _flush_cache(cache)
+    for index, number in enumerate(numbers):
+        if index:
+            print()
+        print(_render_table(number, cache))
     return EXIT_OK
 
 
 def _cmd_cache(args: argparse.Namespace) -> int:
-    # Inspection and maintenance operate on the cache directory itself, so
-    # they deliberately ignore $HEXCC_CACHE_DISABLE.
     cache = DiskCache()
     if args.action == "stats":
         print(cache.stats().describe())
@@ -641,7 +617,6 @@ def _cmd_tune(args: argparse.Namespace) -> int:
     except argparse.ArgumentTypeError as error:
         raise UsageError(f"--max-regression: {error}") from None
     program = _get_stencil_checked(args.stencil)
-    cache = _disk_cache(args)
     db_path = resolve_db_path(args.tuning_db) if args.check else (
         args.tuning_db if args.tuning_db is not None else default_db_path()
     )
@@ -653,9 +628,8 @@ def _cmd_tune(args: argparse.Namespace) -> int:
         budget=args.budget,
         seed=args.seed,
         device=_get_device_checked(args.device),
-        disk_cache=cache,
+        disk_cache=_disk_cache(args),
     )
-    _flush_cache(cache)
     history.RunHistory().append(
         "tune",
         history.tune_record(
@@ -738,18 +712,16 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     from repro.obs.export import write_trace
 
     program = _get_stencil_checked(args.stencil)
-    cache = _disk_cache(args)
     recorder = obs.TraceRecorder()
     session = Session(
         device=_get_device_checked(args.device),
         strategy="hybrid",
-        disk_cache=cache,
+        disk_cache=_disk_cache(args),
     )
     # All six stages, so the trace covers the whole pipeline.
     with obs.use(recorder):
         run = session.run(program, stop_after="analysis")
     _record_run(run)
-    _flush_cache(cache)
     spans = recorder.drain()
     path = write_trace(args.output, spans)
     print(
@@ -764,17 +736,15 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     from repro.obs.profile import format_profile, profile_rows, total_wall_s
 
     program = _get_stencil_checked(args.stencil)
-    cache = _disk_cache(args)
     recorder = obs.TraceRecorder()
     session = Session(
         device=_get_device_checked(args.device),
         strategy="hybrid",
-        disk_cache=cache,
+        disk_cache=_disk_cache(args),
     )
     with obs.use(recorder):
         run = session.run(program, stop_after="analysis")
     _record_run(run)
-    _flush_cache(cache)
     spans = recorder.drain()
     rows = profile_rows(spans)
     total = total_wall_s(spans)

@@ -152,11 +152,20 @@ class _Lowerer:
                 f"{hint}",
                 ref.subscripts[0],
             )
-        offsets = tuple(
-            self.classify.spatial_offset(subscript, loop.var, d)
-            for d, (subscript, loop) in enumerate(zip(ref.subscripts[1:], nest.loops))
-        )
-        return FieldRead(ref.name, offsets, offset)
+        offsets = []
+        for d, (subscript, loop) in enumerate(zip(ref.subscripts[1:], nest.loops)):
+            shift = self.classify.spatial_offset(subscript, loop.var, d)
+            # The loop's margins are what keeps a read inside the grid.
+            lo, hi = loop.lower_margin, loop.upper_margin
+            if not -lo <= shift <= hi:
+                self._error(
+                    f"read '{subscript.describe()}' of {ref.name!r} leaves the "
+                    f"grid: the loop over {loop.var!r} keeps margins {lo} below "
+                    f"and {hi} above, so offsets must lie in [-{lo}, {hi}]",
+                    subscript,
+                )
+            offsets.append(shift)
+        return FieldRead(ref.name, tuple(offsets), offset)
 
     def _expr(
         self,

@@ -228,7 +228,9 @@ class FunctionalSimulator:
 
             def read(access: FieldRead) -> np.ndarray:
                 nonlocal reads_performed
-                version = t + 1 - access.time_offset
+                # A read before time 0 sees the initial values, as in the
+                # reference.
+                version = max(0, t + 1 - access.time_offset)
                 index = tuple(
                     column + offset
                     for column, offset in zip(columns, access.offsets)

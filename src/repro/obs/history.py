@@ -13,7 +13,7 @@ append-only, under ``$HEXCC_CACHE_DIR/history/runs.jsonl`` — append is a
 single ``O(1)`` write (POSIX appends of one small line are effectively
 atomic), so recording never measurably taxes the run it describes.  The
 file self-compacts: once it exceeds a size threshold the newest
-``$HEXCC_HISTORY_KEEP`` records (default 2000) are rewritten atomically via
+:data:`HISTORY_KEEP` (2000) records are rewritten atomically via
 ``os.replace``.
 
 Every record is schema-versioned and carries
@@ -25,9 +25,9 @@ Every record is schema-versioned and carries
   ``disk`` hits) — the raw material for regression attribution across
   history windows.
 
-Set ``$HEXCC_HISTORY_DISABLE`` to suppress recording entirely.  A line
-that is not a record of this schema, or whose fields lack the types the
-writers give them, is skipped on reading.
+A failed append returns ``None`` and never fails the run.  A line that is
+not a record of this schema, or whose fields lack the types the writers
+give them, is skipped on reading.
 """
 
 from __future__ import annotations
@@ -44,9 +44,8 @@ from typing import Any
 HISTORY_KIND = "hexcc-run"
 HISTORY_SCHEMA_VERSION = 1
 
-HISTORY_KEEP_ENV = "HEXCC_HISTORY_KEEP"
-DEFAULT_HISTORY_KEEP = 2000
-HISTORY_DISABLE_ENV = "HEXCC_HISTORY_DISABLE"
+#: How many records compaction retains.
+HISTORY_KEEP = 2000
 
 #: Compact once the JSONL file grows past this many bytes.
 _COMPACT_THRESHOLD_BYTES = 8 * 1024 * 1024
@@ -83,20 +82,6 @@ def history_dir() -> Path:
     from repro.cache.disk import default_cache_dir
 
     return default_cache_dir() / "history"
-
-
-def history_keep() -> int:
-    """How many records compaction retains (``$HEXCC_HISTORY_KEEP``)."""
-    raw = os.environ.get(HISTORY_KEEP_ENV)
-    try:
-        keep = int(raw) if raw else DEFAULT_HISTORY_KEEP
-    except ValueError:
-        return DEFAULT_HISTORY_KEEP
-    return max(1, keep)
-
-
-def history_enabled() -> bool:
-    return not os.environ.get(HISTORY_DISABLE_ENV)
 
 
 def _typed(data: Mapping[str, Any], types: Mapping[str, Any]) -> bool:
@@ -176,9 +161,7 @@ class RunHistory:
         self.path = self.directory / "runs.jsonl"
 
     def append(self, kind: str, data: Mapping[str, Any]) -> RunRecord | None:
-        """Append one record; returns it (or ``None`` when disabled/failed)."""
-        if not history_enabled():
-            return None
+        """Append one record; returns it (or ``None`` when the write fails)."""
         payload = dict(data)
         record = {
             "schema": HISTORY_KIND,
@@ -273,9 +256,8 @@ class RunHistory:
             return
         self.compact()
 
-    def compact(self, keep: int | None = None) -> None:
+    def compact(self, keep: int = HISTORY_KEEP) -> None:
         """Rewrite the store with only the newest ``keep`` records."""
-        keep = keep if keep is not None else history_keep()
         kept = self.records()[-keep:]
         tmp = self.path.with_suffix(".jsonl.tmp")
         try:

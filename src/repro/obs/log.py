@@ -4,9 +4,9 @@ When a pipeline pass or the tuner loop raises,
 :func:`write_crash_report` persists a post-mortem document — the exception
 and traceback, the operation context, the open span stack, and the
 artifact stage keys computed so far — under ``$HEXCC_CACHE_DIR/crash/`` and
-returns its path (the CLI prints it).  Reports are retained newest-first up
-to ``$HEXCC_CRASH_KEEP`` (default 20); writing is best-effort and never
-masks the original exception.
+returns its path (the CLI prints it).  The newest :data:`CRASH_KEEP` (20)
+reports are retained; writing is best-effort and never masks the original
+exception.
 """
 
 from __future__ import annotations
@@ -22,11 +22,8 @@ from typing import Any
 CRASH_KIND = "hexcc-crash"
 CRASH_SCHEMA_VERSION = 2
 
-#: Retention knobs (see the README's Observability section).
-CRASH_KEEP_ENV = "HEXCC_CRASH_KEEP"
-DEFAULT_CRASH_KEEP = 20
-#: Set non-empty to suppress crash-report files entirely.
-CRASH_DISABLE_ENV = "HEXCC_CRASH_DISABLE"
+#: How many crash reports are retained.
+CRASH_KEEP = 20
 
 
 def _json_safe(value: Any) -> Any:
@@ -40,16 +37,6 @@ def crash_report_dir() -> Path:
     from repro.cache.disk import default_cache_dir
 
     return default_cache_dir() / "crash"
-
-
-def crash_keep() -> int:
-    """How many crash reports to retain (``$HEXCC_CRASH_KEEP``)."""
-    raw = os.environ.get(CRASH_KEEP_ENV)
-    try:
-        keep = int(raw) if raw else DEFAULT_CRASH_KEEP
-    except ValueError:
-        return DEFAULT_CRASH_KEEP
-    return max(1, keep)
 
 
 def _prune_crash_reports(directory: Path, keep: int) -> None:
@@ -71,12 +58,9 @@ def write_crash_report(
     """Persist a post-mortem document for ``error``; returns its path.
 
     ``recorder`` defaults to the ambient span recorder; its open span stack
-    is embedded.  Returns ``None`` when crash reporting is disabled
-    (``$HEXCC_CRASH_DISABLE``) or the report cannot be written — never
-    raises, so the original exception stays primary.
+    is embedded.  Returns ``None`` when the report cannot be written —
+    never raises, so the original exception stays primary.
     """
-    if os.environ.get(CRASH_DISABLE_ENV):
-        return None
     # Imported here: ``traceback`` loads ``linecache``, ``tokenize`` and
     # ``textwrap`` (3-5 ms a process), which only a crash needs.
     import traceback
@@ -109,7 +93,7 @@ def write_crash_report(
         directory.mkdir(parents=True, exist_ok=True)
         path = directory / f"crash-{time.time_ns()}-{os.getpid()}.json"
         path.write_text(json.dumps(document, indent=2) + "\n")
-        _prune_crash_reports(directory, crash_keep())
+        _prune_crash_reports(directory, CRASH_KEEP)
     except OSError:
         return None
     return path

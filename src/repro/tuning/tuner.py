@@ -277,6 +277,4 @@ def _tune_impl(
     )
     if db is not None:
         db.record(result.to_entry())
-    if disk_cache is not None:
-        disk_cache.flush_stats()
     return result

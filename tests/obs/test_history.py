@@ -11,7 +11,6 @@ from repro.obs.history import (
     bench_record,
     compile_record,
     history_dir,
-    history_enabled,
     tune_record,
 )
 
@@ -114,13 +113,6 @@ def test_compact_keeps_the_newest_records(store):
     assert [r.data["wall_ms"] for r in records] == [7.0, 8.0, 9.0]
     # Compaction preserves full record documents (ids survive).
     assert all(len(r.id) == 12 for r in records)
-
-
-def test_disable_env_suppresses_recording(store, monkeypatch):
-    monkeypatch.setenv("HEXCC_HISTORY_DISABLE", "1")
-    assert not history_enabled()
-    assert store.append("compile", _compile_payload()) is None
-    assert not store.path.exists()
 
 
 def test_default_directory_is_under_the_cache_dir(tmp_path, monkeypatch):

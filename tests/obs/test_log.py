@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from repro import obs
+from repro.obs import log
 from repro.obs.log import (
     attach_crash_report,
     crash_report_dir,
@@ -77,17 +78,11 @@ def test_a_raised_error_reports_its_frames_in_a_fresh_process(tmp_path):
 
 
 def test_crash_reports_are_pruned_to_the_keep_limit(monkeypatch):
-    monkeypatch.setenv("HEXCC_CRASH_KEEP", "2")
+    monkeypatch.setattr(log, "CRASH_KEEP", 2)
     paths = [write_crash_report(ValueError(str(i))) for i in range(4)]
     assert all(p is not None for p in paths)
     remaining = sorted(crash_report_dir().glob("crash-*.json"))
     assert remaining == [paths[2], paths[3]]  # newest two survive
-
-
-def test_crash_reports_can_be_disabled(monkeypatch):
-    monkeypatch.setenv("HEXCC_CRASH_DISABLE", "1")
-    assert write_crash_report(ValueError("x")) is None
-    assert not list(crash_report_dir().glob("crash-*.json"))
 
 
 def test_attach_crash_report_keeps_the_first_path(tmp_path):
