@@ -37,14 +37,19 @@ def _sizes(
     together with the model's estimate."""
     if request.tile_sizes is not None:
         return request.tile_sizes, None
+    from repro import obs
     from repro.tiling.tile_size import select_tile_sizes
 
     try:
-        tile_cost = select_tile_sizes(
-            canonical,
-            request.device,
-            inter_tile_reuse=request.config.inter_tile_reuse != "none",
-        )
+        with obs.span("tiling.select_sizes") as span:
+            tile_cost = select_tile_sizes(
+                canonical,
+                request.device,
+                inter_tile_reuse=request.config.inter_tile_reuse != "none",
+            )
+            rejections = tile_cost.rejections
+            evaluated = rejections["evaluated"]
+            span.set(evaluated=evaluated, pruned=sum(rejections.values()) - evaluated)
     except ValueError as error:
         # No tile fits the device: a property of the program, not a fault.
         raise StrategyError(str(error)) from error

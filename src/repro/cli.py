@@ -51,6 +51,7 @@ import gc
 import json
 import os
 import sys
+from collections.abc import Callable, Sequence
 
 from repro import obs
 from repro.api import (
@@ -903,301 +904,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 _H_HELP = "tile height h; needs --widths (default with --widths: {})"
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="hexcc",
-        description="Hybrid hexagonal/classical tiling compiler (CGO 2014 reproduction)",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    sub.add_parser("list", help="list the available stencils").set_defaults(func=_cmd_list)
-
-    compile_parser = sub.add_parser("compile", help="compile a stencil at paper scale")
-    compile_parser.add_argument("stencil")
-    _add_device_argument(compile_parser)
-    compile_parser.add_argument("--h", type=int, default=None, help=_H_HELP.format(2))
-    compile_parser.add_argument("--widths", default=None, help="comma separated w0,w1,...")
-    compile_parser.add_argument("--show-cuda", action="store_true")
-    _add_tuned_arguments(compile_parser)
-    _add_no_cache_argument(compile_parser)
-    compile_parser.set_defaults(func=_cmd_compile)
-
-    inspect_parser = sub.add_parser(
-        "inspect",
-        help="run a pipeline prefix and dump stage artifacts + per-pass timings",
-    )
-    inspect_parser.add_argument("stencil")
-    inspect_parser.add_argument(
-        "--stop-after", choices=list(STAGES), default="verify", metavar="STAGE",
-        help=f"last stage to run (one of: {', '.join(STAGES)}; default: verify)",
-    )
-    inspect_parser.add_argument(
-        "--strategy", default="hybrid",
-        help="tiling strategy name (default: hybrid; see repro.api.list_strategies)",
-    )
-    inspect_parser.add_argument(
-        "--json", action="store_true",
-        help="emit a machine-readable report instead of the text dump",
-    )
-    _add_device_argument(inspect_parser)
-    inspect_parser.add_argument("--h", type=int, default=None, help=_H_HELP.format(2))
-    inspect_parser.add_argument("--widths", default=None, help="comma separated w0,w1,...")
-    _add_no_cache_argument(inspect_parser)
-    inspect_parser.set_defaults(func=_cmd_inspect)
-
-    verify_parser = sub.add_parser(
-        "verify",
-        help="statically verify schedules (symbolic races) and generated CUDA",
-    )
-    verify_parser.add_argument(
-        "stencil", nargs="?", default=None,
-        help="stencil name, or 'all' for the whole library",
-    )
-    verify_parser.add_argument(
-        "--strategy", default="hybrid",
-        help="tiling strategy name or 'all' (default: hybrid)",
-    )
-    verify_parser.add_argument(
-        "--json", action="store_true",
-        help="emit the full verdicts (races, lint findings) as JSON",
-    )
-    verify_parser.add_argument(
-        "--mutate", default=None, metavar="NAME",
-        help="apply a named illegal schedule mutation first (fault injection; "
-             "the verifier must report a race, so the command exits 1)",
-    )
-    verify_parser.add_argument(
-        "--list-mutations", action="store_true",
-        help="list the fault-injection mutation corpus and exit",
-    )
-    _add_device_argument(verify_parser)
-    verify_parser.add_argument("--h", type=int, default=None, help=_H_HELP.format(2))
-    verify_parser.add_argument("--widths", default=None,
-                               help="comma separated w0,w1,...")
-    _add_no_cache_argument(verify_parser)
-    verify_parser.set_defaults(func=_cmd_verify)
-
-    validate_parser = sub.add_parser(
-        "validate", help="exhaustively validate and simulate a small instance"
-    )
-    validate_parser.add_argument("stencil")
-    validate_parser.add_argument("--size", type=_positive_int, default=16)
-    validate_parser.add_argument("--steps", type=_positive_int, default=8)
-    validate_parser.add_argument("--h", type=int, default=None, help=_H_HELP.format(1))
-    validate_parser.add_argument("--widths", default=None)
-    _add_no_cache_argument(validate_parser)
-    validate_parser.set_defaults(func=_cmd_validate)
-
-    compile_file_parser = sub.add_parser(
-        "compile-file", help="compile a C stencil source file with the front end"
-    )
-    compile_file_parser.add_argument("file", help="path to a .c stencil source")
-    _add_device_argument(compile_file_parser)
-    compile_file_parser.add_argument(
-        "--h", type=int, default=None, help=_H_HELP.format(2)
-    )
-    compile_file_parser.add_argument("--widths", default=None,
-                                     help="comma separated w0,w1,...")
-    compile_file_parser.add_argument("--sizes", default=None, type=_sizes_arg,
-                                     help="comma separated grid extents, "
-                                          "overriding the source's #defines")
-    compile_file_parser.add_argument("--steps", type=_positive_int, default=None)
-    compile_file_parser.add_argument("--show-cuda", action="store_true")
-    _add_tuned_arguments(compile_file_parser)
-    _add_no_cache_argument(compile_file_parser)
-    compile_file_parser.set_defaults(func=_cmd_compile_file)
-
-    validate_file_parser = sub.add_parser(
-        "validate-file",
-        help="parse, validate and simulate a C stencil source file",
-    )
-    validate_file_parser.add_argument("file", help="path to a .c stencil source")
-    validate_file_parser.add_argument("--sizes", default=None, type=_sizes_arg,
-                                      help="comma separated small grid extents")
-    validate_file_parser.add_argument("--steps", type=_positive_int, default=None)
-    validate_file_parser.add_argument(
-        "--h", type=int, default=None, help=_H_HELP.format(1)
-    )
-    validate_file_parser.add_argument("--widths", default=None)
-    _add_no_cache_argument(validate_file_parser)
-    validate_file_parser.set_defaults(func=_cmd_validate_file)
-
-    table_parser = sub.add_parser("table", help="regenerate one of the paper's tables")
-    table_parser.add_argument("number", type=int)
-    _add_no_cache_argument(table_parser)
-    table_parser.set_defaults(func=_cmd_table)
-
-    tables_parser = sub.add_parser(
-        "tables",
-        help="regenerate several (default: all) of the paper's tables",
-    )
-    tables_parser.add_argument(
-        "numbers", type=int, nargs="*",
-        help="table numbers to regenerate (default: 1 2 3 4 5)",
-    )
-    _add_no_cache_argument(tables_parser)
-    tables_parser.set_defaults(func=_cmd_tables)
-
-    cache_parser = sub.add_parser(
-        "cache", help="inspect or clear the on-disk compile cache"
-    )
-    cache_parser.add_argument("action", choices=("stats", "clear"))
-    cache_parser.set_defaults(func=_cmd_cache)
-
-    tune_parser = sub.add_parser(
-        "tune",
-        help="autotune tile sizes on the modelled GPU and record the winner",
-    )
-    tune_parser.add_argument("stencil")
-    tune_parser.add_argument(
-        "--strategy", default="random",
-        help="search strategy: grid, random or hillclimb (default: random)",
-    )
-    tune_parser.add_argument(
-        "--budget", type=int, default=32, metavar="N",
-        help="evaluation budget (the model baseline is always scored extra)",
-    )
-    tune_parser.add_argument(
-        "--seed", type=int, default=0,
-        help="search seed; identical seed + budget replays the identical "
-             "sweep (default: 0)",
-    )
-    _add_device_argument(tune_parser)
-    tune_parser.add_argument(
-        "--tuning-db", default=None, metavar="PATH",
-        help="database to update (default: $HEXCC_TUNING_DB or the user db)",
-    )
-    tune_parser.add_argument(
-        "--check", action="store_true",
-        help="CI gate: compare against the database instead of updating it; "
-             "exit 1 when the found best regresses the recorded score",
-    )
-    tune_parser.add_argument(
-        "--max-regression", default="0.25", metavar="FRACTION",
-        help="allowed score regression for --check, e.g. 0.25 or 25%% "
-             "(default: 0.25)",
-    )
-    tune_parser.add_argument(
-        "--json", action="store_true",
-        help="emit the database entry plus every trial as JSON",
-    )
-    _add_no_cache_argument(tune_parser)
-    tune_parser.set_defaults(func=_cmd_tune)
-
-    tune_table_parser = sub.add_parser(
-        "tune-table",
-        help="tuned-vs-model comparison table from the tuning database",
-    )
-    tune_table_parser.add_argument(
-        "--tuning-db", default=None, metavar="PATH",
-        help="database to read (default resolution chain, see README)",
-    )
-    tune_table_parser.add_argument(
-        "--device", default=None,
-        help="only show entries of one device (default: all)",
-    )
-    tune_table_parser.set_defaults(func=_cmd_tune_table)
-
-    trace_parser = sub.add_parser(
-        "trace",
-        help="record a Chrome trace of one compile",
-    )
-    trace_parser.add_argument("stencil")
-    trace_parser.add_argument(
-        "-o", "--output", default="trace.json", metavar="PATH",
-        help="trace file to write (Chrome trace-event JSON; default: trace.json)",
-    )
-    _add_device_argument(trace_parser)
-    _add_no_cache_argument(trace_parser)
-    trace_parser.set_defaults(func=_cmd_trace)
-
-    profile_parser = sub.add_parser(
-        "profile",
-        help="rank pipeline passes and cache I/O by inclusive/exclusive time",
-    )
-    profile_parser.add_argument("stencil")
-    _add_device_argument(profile_parser)
-    profile_parser.add_argument(
-        "--json", action="store_true",
-        help="emit the rows as JSON",
-    )
-    _add_no_cache_argument(profile_parser)
-    profile_parser.set_defaults(func=_cmd_profile)
-
-    perf_parser = sub.add_parser(
-        "perf",
-        help="persistent run history: list runs or diff two of them",
-    )
-    perf_sub = perf_parser.add_subparsers(dest="action", required=True)
-    perf_history = perf_sub.add_parser(
-        "history", help="list recorded compile/bench/tune runs"
-    )
-    perf_history.add_argument(
-        "--kind", choices=("compile", "bench", "tune"), default=None,
-        help="only show records of one kind (default: all)",
-    )
-    perf_history.add_argument(
-        "--limit", type=_positive_int, default=20, metavar="N",
-        help="show the newest N records (default: 20)",
-    )
-    perf_history.add_argument(
-        "--json", action="store_true",
-        help="emit the raw records as JSON",
-    )
-    perf_history.set_defaults(func=_cmd_perf)
-    perf_diff = perf_sub.add_parser(
-        "diff",
-        help="attribute the wall-time delta between two compile records",
-    )
-    perf_diff.add_argument(
-        "a", help="baseline record: 'last', 'last~N' or an id prefix"
-    )
-    perf_diff.add_argument(
-        "b", help="new record: 'last', 'last~N' or an id prefix"
-    )
-    perf_diff.add_argument(
-        "--json", action="store_true",
-        help="emit both records plus the attribution as JSON",
-    )
-    perf_diff.set_defaults(func=_cmd_perf)
-
-    bench_parser = sub.add_parser(
-        "bench",
-        help="measure the compiler's own performance and emit BENCH_*.json",
-    )
-    bench_parser.add_argument(
-        "--suite", choices=("compile", "simulate", "all"), default="all",
-        help="which suite(s) to run (default: all)",
-    )
-    bench_parser.add_argument(
-        "--quick", action="store_true",
-        help="CI mode: representative stencil subset, fewer repeats",
-    )
-    bench_parser.add_argument(
-        "--repeats", type=_positive_int, default=None,
-        help="measurement repeats per stencil (default: 3 quick, 5 full)",
-    )
-    bench_parser.add_argument(
-        "--stencils", default=None,
-        help="comma separated stencil names (default: suite selection)",
-    )
-    bench_parser.add_argument(
-        "--json", default=None, metavar="PATH",
-        help="write one combined report to PATH instead of BENCH_<suite>.json",
-    )
-    bench_parser.add_argument(
-        "--out-dir", default=".",
-        help="directory for the per-suite BENCH_*.json files (default: .)",
-    )
-    bench_parser.add_argument(
-        "--trace", default=None, metavar="PATH",
-        help="also record the run as a Chrome trace and write it to PATH",
-    )
-    _add_no_cache_argument(bench_parser)
-    bench_parser.set_defaults(func=_cmd_bench)
-    return parser
+_WIDTHS_HELP = "comma separated w0,w1,..."
 
 
 def _add_device_argument(parser: argparse.ArgumentParser) -> None:
@@ -1228,8 +935,360 @@ def _add_no_cache_argument(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+def _no_arguments(_: argparse.ArgumentParser) -> None:
+    pass
+
+
+def _compile_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("stencil")
+    _add_device_argument(parser)
+    parser.add_argument("--h", type=int, default=None, help=_H_HELP.format(2))
+    parser.add_argument("--widths", default=None, help=_WIDTHS_HELP)
+    parser.add_argument("--show-cuda", action="store_true")
+    _add_tuned_arguments(parser)
+    _add_no_cache_argument(parser)
+
+
+def _inspect_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("stencil")
+    parser.add_argument(
+        "--stop-after", choices=list(STAGES), default="verify", metavar="STAGE",
+        help=f"last stage to run (one of: {', '.join(STAGES)}; default: verify)",
+    )
+    parser.add_argument(
+        "--strategy", default="hybrid",
+        help="tiling strategy name (default: hybrid; see repro.api.list_strategies)",
+    )
+    parser.add_argument(
+        "--json", action="store_true",
+        help="emit a machine-readable report instead of the text dump",
+    )
+    _add_device_argument(parser)
+    parser.add_argument("--h", type=int, default=None, help=_H_HELP.format(2))
+    parser.add_argument("--widths", default=None, help=_WIDTHS_HELP)
+    _add_no_cache_argument(parser)
+
+
+def _verify_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "stencil", nargs="?", default=None,
+        help="stencil name, or 'all' for the whole library",
+    )
+    parser.add_argument(
+        "--strategy", default="hybrid",
+        help="tiling strategy name or 'all' (default: hybrid)",
+    )
+    parser.add_argument(
+        "--json", action="store_true",
+        help="emit the full verdicts (races, lint findings) as JSON",
+    )
+    parser.add_argument(
+        "--mutate", default=None, metavar="NAME",
+        help="apply a named illegal schedule mutation first (fault injection; "
+             "the verifier must report a race, so the command exits 1)",
+    )
+    parser.add_argument(
+        "--list-mutations", action="store_true",
+        help="list the fault-injection mutation corpus and exit",
+    )
+    _add_device_argument(parser)
+    parser.add_argument("--h", type=int, default=None, help=_H_HELP.format(2))
+    parser.add_argument("--widths", default=None, help=_WIDTHS_HELP)
+    _add_no_cache_argument(parser)
+
+
+def _validate_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("stencil")
+    parser.add_argument("--size", type=_positive_int, default=16)
+    parser.add_argument("--steps", type=_positive_int, default=8)
+    parser.add_argument("--h", type=int, default=None, help=_H_HELP.format(1))
+    parser.add_argument("--widths", default=None)
+    _add_no_cache_argument(parser)
+
+
+def _compile_file_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("file", help="path to a .c stencil source")
+    _add_device_argument(parser)
+    parser.add_argument("--h", type=int, default=None, help=_H_HELP.format(2))
+    parser.add_argument("--widths", default=None, help=_WIDTHS_HELP)
+    parser.add_argument(
+        "--sizes", default=None, type=_sizes_arg,
+        help="comma separated grid extents, overriding the source's #defines",
+    )
+    parser.add_argument("--steps", type=_positive_int, default=None)
+    parser.add_argument("--show-cuda", action="store_true")
+    _add_tuned_arguments(parser)
+    _add_no_cache_argument(parser)
+
+
+def _validate_file_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("file", help="path to a .c stencil source")
+    parser.add_argument(
+        "--sizes", default=None, type=_sizes_arg,
+        help="comma separated small grid extents",
+    )
+    parser.add_argument("--steps", type=_positive_int, default=None)
+    parser.add_argument("--h", type=int, default=None, help=_H_HELP.format(1))
+    parser.add_argument("--widths", default=None)
+    _add_no_cache_argument(parser)
+
+
+def _table_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("number", type=int)
+    _add_no_cache_argument(parser)
+
+
+def _tables_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "numbers", type=int, nargs="*",
+        help="table numbers to regenerate (default: 1 2 3 4 5)",
+    )
+    _add_no_cache_argument(parser)
+
+
+def _cache_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("action", choices=("stats", "clear"))
+
+
+def _tune_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("stencil")
+    parser.add_argument(
+        "--strategy", default="random",
+        help="search strategy: grid, random or hillclimb (default: random)",
+    )
+    parser.add_argument(
+        "--budget", type=int, default=32, metavar="N",
+        help="evaluation budget (the model baseline is always scored extra)",
+    )
+    parser.add_argument(
+        "--seed", type=int, default=0,
+        help="search seed; identical seed + budget replays the identical "
+             "sweep (default: 0)",
+    )
+    _add_device_argument(parser)
+    parser.add_argument(
+        "--tuning-db", default=None, metavar="PATH",
+        help="database to update (default: $HEXCC_TUNING_DB or the user db)",
+    )
+    parser.add_argument(
+        "--check", action="store_true",
+        help="CI gate: compare against the database instead of updating it; "
+             "exit 1 when the found best regresses the recorded score",
+    )
+    parser.add_argument(
+        "--max-regression", default="0.25", metavar="FRACTION",
+        help="allowed score regression for --check, e.g. 0.25 or 25%% "
+             "(default: 0.25)",
+    )
+    parser.add_argument(
+        "--json", action="store_true",
+        help="emit the database entry plus every trial as JSON",
+    )
+    _add_no_cache_argument(parser)
+
+
+def _tune_table_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--tuning-db", default=None, metavar="PATH",
+        help="database to read (default resolution chain, see README)",
+    )
+    parser.add_argument(
+        "--device", default=None,
+        help="only show entries of one device (default: all)",
+    )
+
+
+def _trace_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("stencil")
+    parser.add_argument(
+        "-o", "--output", default="trace.json", metavar="PATH",
+        help="trace file to write (Chrome trace-event JSON; default: trace.json)",
+    )
+    _add_device_argument(parser)
+    _add_no_cache_argument(parser)
+
+
+def _profile_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("stencil")
+    _add_device_argument(parser)
+    parser.add_argument(
+        "--json", action="store_true",
+        help="emit the rows as JSON",
+    )
+    _add_no_cache_argument(parser)
+
+
+def _perf_arguments(parser: argparse.ArgumentParser) -> None:
+    actions = parser.add_subparsers(dest="action", required=True)
+    history = actions.add_parser(
+        "history", help="list recorded compile/bench/tune runs"
+    )
+    history.add_argument(
+        "--kind", choices=("compile", "bench", "tune"), default=None,
+        help="only show records of one kind (default: all)",
+    )
+    history.add_argument(
+        "--limit", type=_positive_int, default=20, metavar="N",
+        help="show the newest N records (default: 20)",
+    )
+    history.add_argument(
+        "--json", action="store_true",
+        help="emit the raw records as JSON",
+    )
+    diff = actions.add_parser(
+        "diff",
+        help="attribute the wall-time delta between two compile records",
+    )
+    diff.add_argument(
+        "a", help="baseline record: 'last', 'last~N' or an id prefix"
+    )
+    diff.add_argument(
+        "b", help="new record: 'last', 'last~N' or an id prefix"
+    )
+    diff.add_argument(
+        "--json", action="store_true",
+        help="emit both records plus the attribution as JSON",
+    )
+
+
+def _bench_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--suite", choices=("compile", "simulate", "all"), default="all",
+        help="which suite(s) to run (default: all)",
+    )
+    parser.add_argument(
+        "--quick", action="store_true",
+        help="CI mode: representative stencil subset, fewer repeats",
+    )
+    parser.add_argument(
+        "--repeats", type=_positive_int, default=None,
+        help="measurement repeats per stencil (default: 3 quick, 5 full)",
+    )
+    parser.add_argument(
+        "--stencils", default=None,
+        help="comma separated stencil names (default: suite selection)",
+    )
+    parser.add_argument(
+        "--json", default=None, metavar="PATH",
+        help="write one combined report to PATH instead of BENCH_<suite>.json",
+    )
+    parser.add_argument(
+        "--out-dir", default=".",
+        help="directory for the per-suite BENCH_*.json files (default: .)",
+    )
+    parser.add_argument(
+        "--trace", default=None, metavar="PATH",
+        help="also record the run as a Chrome trace and write it to PATH",
+    )
+    _add_no_cache_argument(parser)
+
+
+#: Every ``hexcc`` command: ``name -> (help, add_arguments, handler)``, in the
+#: order ``hexcc --help`` lists them.
+COMMANDS: dict[
+    str,
+    tuple[
+        str,
+        Callable[[argparse.ArgumentParser], None],
+        Callable[[argparse.Namespace], int],
+    ],
+] = {
+    "list": ("list the available stencils", _no_arguments, _cmd_list),
+    "compile": ("compile a stencil at paper scale", _compile_arguments, _cmd_compile),
+    "inspect": (
+        "run a pipeline prefix and dump stage artifacts + per-pass timings",
+        _inspect_arguments,
+        _cmd_inspect,
+    ),
+    "verify": (
+        "statically verify schedules (symbolic races) and generated CUDA",
+        _verify_arguments,
+        _cmd_verify,
+    ),
+    "validate": (
+        "exhaustively validate and simulate a small instance",
+        _validate_arguments,
+        _cmd_validate,
+    ),
+    "compile-file": (
+        "compile a C stencil source file with the front end",
+        _compile_file_arguments,
+        _cmd_compile_file,
+    ),
+    "validate-file": (
+        "parse, validate and simulate a C stencil source file",
+        _validate_file_arguments,
+        _cmd_validate_file,
+    ),
+    "table": ("regenerate one of the paper's tables", _table_arguments, _cmd_table),
+    "tables": (
+        "regenerate several (default: all) of the paper's tables",
+        _tables_arguments,
+        _cmd_tables,
+    ),
+    "cache": (
+        "inspect or clear the on-disk compile cache", _cache_arguments, _cmd_cache
+    ),
+    "tune": (
+        "autotune tile sizes on the modelled GPU and record the winner",
+        _tune_arguments,
+        _cmd_tune,
+    ),
+    "tune-table": (
+        "tuned-vs-model comparison table from the tuning database",
+        _tune_table_arguments,
+        _cmd_tune_table,
+    ),
+    "trace": ("record a Chrome trace of one compile", _trace_arguments, _cmd_trace),
+    "profile": (
+        "rank pipeline passes and cache I/O by inclusive/exclusive time",
+        _profile_arguments,
+        _cmd_profile,
+    ),
+    "perf": (
+        "persistent run history: list runs or diff two of them",
+        _perf_arguments,
+        _cmd_perf,
+    ),
+    "bench": (
+        "measure the compiler's own performance and emit BENCH_*.json",
+        _bench_arguments,
+        _cmd_bench,
+    ),
+}
+
+
+def build_parser(argv: Sequence[str] = ()) -> argparse.ArgumentParser:
+    """The ``hexcc`` parser for ``argv``.
+
+    Every command is registered with its help text, because the top-level
+    usage (``hexcc --help`` and every usage error) lists them all.  Only the
+    command ``argv`` names gets its arguments and a handler: the top level
+    has no option that takes a value, so that is the first word not
+    starting with ``-``, the one argparse dispatches on.  Building the other
+    commands' arguments would cost more than parsing the one that runs.
+    """
+    parser = argparse.ArgumentParser(
+        prog="hexcc",
+        description="Hybrid hexagonal/classical tiling compiler (CGO 2014 reproduction)",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    named = next((word for word in argv if not word.startswith("-")), None)
+    for name, (help_text, add_arguments, handler) in COMMANDS.items():
+        if name != named:
+            # Listed in the usage but never parsed with: not even a -h.
+            sub.add_parser(name, help=help_text, add_help=False)
+            continue
+        command = sub.add_parser(name, help=help_text)
+        add_arguments(command)
+        command.set_defaults(func=handler)
+    return parser
+
+
+def main(argv: Sequence[str] | None = None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = build_parser(argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exit_:

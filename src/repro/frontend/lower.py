@@ -30,7 +30,7 @@ from repro.frontend.ast import (
 )
 from repro.frontend.errors import StencilSemanticError
 from repro.model.expr import BinOp, Call, Constant, Expr, FieldRead
-from repro.model.program import StencilProgram, StencilStatement
+from repro.model.program import StencilProgram, StencilStatement, within_margins
 
 # Arity of the supported math intrinsics (keys mirror expr._CALL_TABLE).
 _INTRINSICS = {
@@ -157,7 +157,7 @@ class _Lowerer:
             shift = self.classify.spatial_offset(subscript, loop.var, d)
             # The loop's margins are what keeps a read inside the grid.
             lo, hi = loop.lower_margin, loop.upper_margin
-            if not -lo <= shift <= hi:
+            if not within_margins(shift, lo, hi):
                 self._error(
                     f"read '{subscript.describe()}' of {ref.name!r} leaves the "
                     f"grid: the loop over {loop.var!r} keeps margins {lo} below "

@@ -77,6 +77,16 @@ class Field:
         return self.name
 
 
+def within_margins(offset: int, lower: int, upper: int) -> bool:
+    """Whether a read at ``offset`` along an axis stays inside the grid.
+
+    A statement updates the points that keep ``lower`` layers below and
+    ``upper`` layers above them, so a read of every such point at ``offset``
+    is on the grid exactly when ``-lower <= offset <= upper``.
+    """
+    return -lower <= offset <= upper
+
+
 @dataclass(frozen=True)
 class StencilStatement:
     """One update statement of the stencil.
@@ -201,6 +211,20 @@ class StencilProgram:
                 raise ValueError(
                     f"statement {statement.name}: margin arity does not match grid"
                 )
+            for read in statement.reads:
+                for dim, offset, lo, hi in zip(
+                    self.space_dims,
+                    read.offsets,
+                    statement.lower_margin,
+                    statement.upper_margin,
+                ):
+                    if not within_margins(offset, lo, hi):
+                        raise ValueError(
+                            f"statement {statement.name} of {name}: read {read} "
+                            f"leaves the grid: the margins along {dim} are {lo} "
+                            f"below and {hi} above, so offsets must lie in "
+                            f"[-{lo}, {hi}]"
+                        )
         if fields is None:
             self.fields = {name: Field(name) for name in field_names}
         else:

@@ -13,23 +13,25 @@ PPCG allocates for the tile (Section 4.2); with inter-tile reuse enabled
 preceding tile along the innermost (classically tiled, sequentially
 executed) dimension is counted.
 
-:meth:`TileSizeModel.table` evaluates the three figures at every point of
-the search grid, one pass per height in plain Python integers: the heights
-:data:`HEIGHTS`, the widths :data:`WIDTHS` for ``w_0`` and every middle
-dimension, and for a 2-D+ stencil an innermost width of 1, 2 or 4 warps, so
-full warps execute, accesses are stride-one and loads are cache-line
-aligned (Section 2).  For a fixed ``h`` the iterations and each field's
-footprint box are products of one factor per axis: widening ``w_0`` by one
-adds a point to each of the ``2h + 2`` hexagon rows and one column to its
-``b`` extent, and the box over ``s_1 .. s_n`` does not depend on ``w_0``.
-One prune rule applies: a grid point is counted once, under the first rule
-it fails,
+:meth:`TileSizeModel.table` searches a grid of tile sizes, one pass per
+height in plain Python integers: the heights :data:`HEIGHTS`, the widths
+:data:`WIDTHS` for ``w_0`` and every middle dimension, and for a 2-D+
+stencil an innermost width of 1, 2 or 4 warps, so full warps execute,
+accesses are stride-one and loads are cache-line aligned (Section 2).  For
+a fixed ``h`` the iterations and each field's footprint box are products of
+one factor per axis: widening ``w_0`` by one adds a point to each of the
+``2h + 2`` hexagon rows and one column to its ``b`` extent, and the box over
+``s_1 .. s_n`` does not depend on ``w_0``.  A grid point is pruned, and
+counted once under the first rule it fails,
 
 1. ``legality`` — ``h + 1`` is not a multiple of the statement count
    (Section 3.3), or ``w_0`` is below the convexity minimum of condition (1);
 2. ``shared_memory_overflow`` — the footprint exceeds the device's shared
    memory.
 
+The table keeps the figures of the surviving points only.  The footprint
+grows with every width, so a height whose smallest tile overflows has no
+tile that fits, and its figures are never computed.
 :func:`select_tile_sizes` picks the surviving point with the smallest
 load-to-compute ratio, and the autotuner's candidate space
 (:class:`repro.tuning.space.CandidateSpace`) is the same surviving points.
@@ -38,6 +40,7 @@ load-to-compute ratio, and the autotuner's candidate space
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from itertools import compress
 from collections.abc import Iterable, Mapping, Sequence
 from typing import TYPE_CHECKING
@@ -104,25 +107,22 @@ class TileCostEstimate:
 
 @dataclass(frozen=True)
 class TileTable:
-    """The §3.7 figures of every point of the tile-size search grid.
+    """The §3.7 figures of the legal points of the tile-size search grid.
 
     The grid is the product of :attr:`axes` — heights, ``w_0``, the middle
-    widths and (2-D+ stencils) the innermost width.  Every list holds one
-    entry per grid point, in row-major (grid) order.
+    widths and (2-D+ stencils) the innermost width — in row-major order.
+    :attr:`rows` holds the grid indices of the points that survive both
+    prune rules, in grid order, and every figure list one entry per such
+    point, in the same order.
     """
 
     axes: tuple[tuple[int, ...], ...]
+    rows: list[int]
     iterations: list[int]
     loads: list[int]
     shared_memory_bytes: list[int]
-    #: Whether the point survives both prune rules.
-    legal: list[bool]
     #: Points pruned per reason, plus the number of legal points (``evaluated``).
     rejections: Mapping[str, int]
-
-    def rows(self) -> list[int]:
-        """Grid indices of the legal points, in grid order."""
-        return list(compress(range(len(self.legal)), self.legal))
 
     def sizes(self, rows: Iterable[int]) -> list[TileSizes]:
         """The tile sizes of the grid points ``rows``."""
@@ -137,14 +137,14 @@ class TileTable:
             sizes.append(TileSizes(height, tuple(widths)))
         return sizes
 
-    def estimate(self, row: int) -> TileCostEstimate:
-        """The cost figures of grid point ``row``."""
-        (sizes,) = self.sizes([row])
+    def estimate(self, index: int) -> TileCostEstimate:
+        """The cost figures of the ``index``-th legal point."""
+        (sizes,) = self.sizes([self.rows[index]])
         return TileCostEstimate(
             sizes=sizes,
-            iterations=self.iterations[row],
-            loads=self.loads[row],
-            shared_memory_bytes=self.shared_memory_bytes[row],
+            iterations=self.iterations[index],
+            loads=self.loads[index],
+            shared_memory_bytes=self.shared_memory_bytes[index],
         )
 
 
@@ -234,65 +234,100 @@ class TileSizeModel:
         return math.prod(widths[1:], start=count), [extent for (extent,) in extents]
 
     def _figures(
-        self, axes: Sequence[Sequence[int]], inter_tile_reuse: bool
-    ) -> tuple[list[int], list[int], list[int]]:
-        """Iterations, loads and shared bytes over the grid of ``axes``.
+        self,
+        height: int,
+        width_axes: Sequence[Sequence[int]],
+        inter_tile_reuse: bool,
+        limit: float = math.inf,
+    ) -> tuple[list[int], list[int], list[int]] | None:
+        """Iterations, loads and shared bytes of the tiles of height ``h``.
 
-        ``axes`` holds the heights and the ``w_0 .. w_n`` values; the figures
-        are listed in row-major order, one pass per height.
+        ``width_axes`` holds the ``w_0 .. w_n`` values, each in ascending
+        order; the figures are listed in row-major order.  Returns ``None``
+        when even the smallest tile, the first entry of every axis, needs
+        more than ``limit`` shared bytes: every box factor grows with its
+        width, so then no tile of this height fits.
         """
-        heights, *width_axes = axes
-        iterations: list[int] = []
-        loads: list[int] = []
-        elements: list[int] = []
-        for height in heights:
-            counts, extents = self._factors(height, width_axes)
-            iterations += _fold([counts, *width_axes[1:]])
-            field_elements: list[list[int]] = []
-            field_loads: list[list[int]] = []
-            for radii in self.read_radii.values():
-                box = [
-                    [extent + high - low for extent in column]
-                    for column, (low, high) in zip(extents, radii)
-                ]
-                field_elements.append(_fold(box))
-                if inter_tile_reuse and self.ndim > 1:
-                    # Only the w_inner fresh columns along the innermost dimension.
-                    box[-1] = list(width_axes[-1])
-                field_loads.append(_fold(box))
-            elements += _pointwise_sum(field_elements)
-            loads += _pointwise_sum(field_loads)
+        counts, extents = self._factors(height, width_axes)
+        boxes = [
+            [
+                [extent + high - low for extent in column]
+                for column, (low, high) in zip(extents, radii)
+            ]
+            for radii in self.read_radii.values()
+        ]
+        smallest = 0
+        for box in boxes:
+            smallest += math.prod([column[0] for column in box])
+        if smallest * self.element_size > limit:
+            return None
+        iterations = _fold([counts, *width_axes[1:]])
+        field_elements: list[list[int]] = []
+        field_loads: list[list[int]] = []
+        for box in boxes:
+            field_elements.append(_fold(box))
+            if inter_tile_reuse and self.ndim > 1:
+                # Only the w_inner fresh columns along the innermost dimension.
+                box[-1] = list(width_axes[-1])
+            field_loads.append(_fold(box))
         element_size = self.element_size
-        return iterations, loads, [count * element_size for count in elements]
+        shared = [count * element_size for count in _pointwise_sum(field_elements)]
+        return iterations, _pointwise_sum(field_loads), shared
 
     def table(self, device: GPUDevice, inter_tile_reuse: bool = True) -> TileTable:
-        """Every point of the search grid for ``device``, pruned by one rule."""
+        """The legal points of the search grid for ``device``, pruned by one rule."""
         axes: list[tuple[int, ...]] = [HEIGHTS, WIDTHS]
         if self.ndim > 1:
             axes += [WIDTHS] * (self.ndim - 2)
             axes.append(tuple(device.warp_size * warps for warps in INNER_WARPS))
-        iterations, loads, shared = self._figures(axes, inter_tile_reuse)
-        # Rule 1 holds per (h, w0), for every inner width alike.
-        inner = math.prod(len(axis) for axis in axes[2:])
-        rule_1: list[bool] = []
-        for height in HEIGHTS:
-            divides = (height + 1) % self.canonical.num_statements == 0
-            min_w0 = minimal_width(self.cone.delta0, self.cone.delta1, height)
-            for w0 in WIDTHS:
-                rule_1 += [divides and w0 >= min_w0] * inner
+        inner_axes = axes[2:]
+        inner = math.prod(len(axis) for axis in inner_axes)
         limit = device.shared_memory_per_sm
-        legal = [ok and size <= limit for ok, size in zip(rule_1, shared)]
-        passed, evaluated = sum(rule_1), sum(legal)
+        rows: list[int] = []
+        iterations: list[int] = []
+        loads: list[int] = []
+        shared: list[int] = []
+        overflow = 0
+        for index, height in enumerate(HEIGHTS):
+            if (height + 1) % self.canonical.num_statements:
+                continue
+            # Rule 1 keeps the w0 from the convexity minimum on, for every
+            # inner width alike.
+            min_w0 = minimal_width(self.cone.delta0, self.cone.delta1, height)
+            skipped = bisect_left(WIDTHS, min_w0)
+            w0s = WIDTHS[skipped:]
+            if not w0s:
+                continue
+            figures = self._figures(height, [w0s, *inner_axes], inter_tile_reuse, limit)
+            if figures is None:
+                overflow += len(w0s) * inner
+                continue
+            first = (index * len(WIDTHS) + skipped) * inner
+            points = range(first, first + len(w0s) * inner)
+            if figures[2][-1] <= limit:
+                # The largest tile fits, so every tile of this height does.
+                rows += points
+                iterations += figures[0]
+                loads += figures[1]
+                shared += figures[2]
+                continue
+            fits = [size <= limit for size in figures[2]]
+            overflow += fits.count(False)
+            rows += compress(points, fits)
+            iterations += compress(figures[0], fits)
+            loads += compress(figures[1], fits)
+            shared += compress(figures[2], fits)
+        grid = len(HEIGHTS) * len(WIDTHS) * inner
         return TileTable(
             axes=tuple(axes),
+            rows=rows,
             iterations=iterations,
             loads=loads,
             shared_memory_bytes=shared,
-            legal=legal,
             rejections={
-                PRUNE_SHARED_MEMORY: passed - evaluated,
-                PRUNE_LEGALITY: len(rule_1) - passed,
-                "evaluated": evaluated,
+                PRUNE_SHARED_MEMORY: overflow,
+                PRUNE_LEGALITY: grid - overflow - len(rows),
+                "evaluated": len(rows),
             },
         )
 
@@ -308,9 +343,11 @@ class TileSizeModel:
                 f"width w0={sizes.w0} violates the convexity condition (1); "
                 f"need w0 >= {needed} for h={sizes.height}, cone={self.cone}"
             )
-        (iterations,), (loads,), (shared,) = self._figures(
-            [[sizes.height], *([width] for width in sizes.widths)], inter_tile_reuse
+        figures = self._figures(
+            sizes.height, [[width] for width in sizes.widths], inter_tile_reuse
         )
+        assert figures is not None  # no limit
+        (iterations,), (loads,), (shared,) = figures
         return TileCostEstimate(
             sizes=sizes,
             iterations=iterations,
@@ -346,8 +383,7 @@ def select_tile_sizes(
     Raises :class:`ValueError` when no legal point fits ``device``.
     """
     table = TileSizeModel(canonical).table(device, inter_tile_reuse)
-    rows = table.rows()
-    if not rows:
+    if not table.rows:
         pruned = table.rejections
         raise ValueError(
             "no legal tile size of the search grid fits the "
@@ -356,17 +392,19 @@ def select_tile_sizes(
             f"{PRUNE_SHARED_MEMORY}={pruned[PRUNE_SHARED_MEMORY]}, "
             f"{PRUNE_LEGALITY}={pruned[PRUNE_LEGALITY]})"
         )
-    # Lowest ratio, then more iterations, then grid order (nsmallest is
-    # stable: it equals sorted(...)[:2]).  Imported here: a warm compile
-    # reads the pick from the cache and never searches.
+    # Lowest ratio, then more iterations, then grid order, compared as
+    # tuples: a key function called per point costs more.  Imported here:
+    # a warm compile reads the pick from the cache and never searches.
     import heapq
 
-    iterations, loads = table.iterations, table.loads
-    best, *runner_up = heapq.nsmallest(
-        2, rows, key=lambda row: (loads[row] / iterations[row], -iterations[row])
+    iterations = table.iterations
+    ratios = [load / count for load, count in zip(table.loads, iterations)]
+    ranked = heapq.nsmallest(
+        2, zip(ratios, [-count for count in iterations], range(len(ratios)))
     )
+    best, *runner_up = [table.estimate(index) for *_, index in ranked]
     return replace(
-        table.estimate(best),
+        best,
         rejections=table.rejections,
-        runner_up=table.estimate(runner_up[0]) if runner_up else None,
+        runner_up=runner_up[0] if runner_up else None,
     )

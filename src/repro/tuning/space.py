@@ -42,7 +42,7 @@ class CandidateSpace:
     def enumerate(self) -> list[TileSizes]:
         """Every legal tile size, in grid order (memoised)."""
         if self._candidates is None:
-            self._candidates = self.table.sizes(self.table.rows())
+            self._candidates = self.table.sizes(self.table.rows)
         return self._candidates
 
     def __len__(self) -> int:
@@ -54,7 +54,7 @@ class CandidateSpace:
     @property
     def rejections(self) -> Mapping[str, int]:
         """Per-reason prune counts of the table, plus the candidates ``evaluated``."""
-        return {**self.table.rejections, "evaluated": len(self.enumerate())}
+        return self.table.rejections
 
     # -- navigation (used by coordinate descent) -----------------------------------
 

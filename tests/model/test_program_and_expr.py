@@ -157,6 +157,23 @@ def test_invalid_program_construction():
         StencilProgram("bad", ("i",), (8,), 4, [])
 
 
+def test_a_read_outside_the_margins_is_refused():
+    """The model checks margins as the front end does: a read of ``i+3`` with
+    one layer of margin would index past the grid during simulation."""
+    expr = Constant(0.5) * (FieldRead("A", (-1,)) + FieldRead("A", (3,)))
+    statement = StencilStatement("S0", "A", expr, (1,), (1,))
+    with pytest.raises(ValueError) as error:
+        StencilProgram("margin_1d", ("i",), (40,), 4, [statement])
+    assert str(error.value) == (
+        "statement S0 of margin_1d: read A@t-1[3] leaves the grid: the margins "
+        "along i are 1 below and 1 above, so offsets must lie in [-1, 1]"
+    )
+    # Three layers above make the same statement legal.
+    statement = StencilStatement("S0", "A", expr, (1,), (3,))
+    program = StencilProgram("margin_1d", ("i",), (40,), 4, [statement])
+    assert program.spatial_radius() == 3
+
+
 def test_c_source_generation():
     program = get_stencil("laplacian_2d", sizes=(16, 16), steps=4)
     source = program.c_source()

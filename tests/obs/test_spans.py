@@ -129,6 +129,7 @@ def test_traced_compile_structure_is_deterministic():
         ("pass.parse", "session.run"),
         ("pass.tiling", "session.run"),
         ("session.run", None),
+        ("tiling.select_sizes", "pass.tiling"),
     ]
 
 

@@ -1262,6 +1262,24 @@ def test_profile_command_json_exclusive_sums_to_total(capsys):
     assert "pass.tiling" in names
 
 
+def test_profile_lists_the_tile_size_search_with_its_prune_counts(capsys):
+    """The §3.7 search is a span under ``pass.tiling``, with the counts of
+    the points it evaluated and pruned."""
+    from repro import obs
+    from repro.api import Session, get_stencil
+
+    assert main(["profile", "heat_3d", "--json"]) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert [row["count"] for row in rows if row["name"] == "tiling.select_sizes"] == [1]
+    recorder = obs.TraceRecorder()
+    with obs.use(recorder):
+        Session().run(get_stencil("heat_3d"), stop_after="tiling")
+    spans = {span.name: span for span in recorder.drain()}
+    search = spans["tiling.select_sizes"]
+    assert search.parent_id == spans["pass.tiling"].span_id
+    assert search.attributes == {"evaluated": 1065, "pruned": 8931}
+
+
 def test_bench_trace_flag_writes_a_trace(tmp_path, capsys):
     from repro.obs.validate import validate_chrome_trace
 

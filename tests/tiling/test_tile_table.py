@@ -37,37 +37,70 @@ def _canonical(name):
     return canonicalize(get_stencil(name))
 
 
+def _check_search(canonical, device, reuse):
+    """The table's legal rows, their figures and the pick against the oracle."""
+    model, scalar = TileSizeModel(canonical), oracle.TileModel(canonical)
+    table = model.table(device, reuse)
+    expected = scalar.search(device, reuse)
+    assert table.sizes(range(len(expected.grid))) == expected.grid
+    assert table.sizes(table.rows) == expected.legal
+    figures = list(zip(table.iterations, table.loads, table.shared_memory_bytes))
+    assert figures == [expected.figures[sizes] for sizes in expected.legal]
+    assert table.rejections == expected.rejections
+    assert sum(table.rejections.values()) == len(expected.grid)
+    # Every formula keeps its coverage: the one-point estimate matches the
+    # oracle at every grid point that passes rule 1, pruned or not.
+    for sizes, (iterations, loads, shared) in expected.figures.items():
+        estimate = model.estimate(sizes, inter_tile_reuse=reuse)
+        assert (estimate.iterations, estimate.loads, estimate.shared_memory_bytes) == (
+            iterations, loads, shared
+        ), sizes
+    if expected.best is None:
+        return table
+    pick = select_tile_sizes(canonical, device, inter_tile_reuse=reuse)
+    assert pick.sizes == expected.best
+    figures = (pick.iterations, pick.loads, pick.shared_memory_bytes)
+    assert figures == expected.figures[expected.best]
+    assert pick.rejections == expected.rejections
+    second = pick.runner_up
+    if expected.runner_up is None:
+        assert second is None
+    else:
+        assert second is not None and second.sizes == expected.runner_up
+        figures = (second.iterations, second.loads, second.shared_memory_bytes)
+        assert figures == expected.figures[expected.runner_up]
+    return table
+
+
 @pytest.mark.parametrize("name", [*list_stencils(), "radius_10_2d"])
 def test_table_matches_the_scalar_oracle(name):
     canonical = _canonical(name)
-    model, scalar = TileSizeModel(canonical), oracle.TileModel(canonical)
     for device in DEVICES:
         for reuse in (True, False):
-            table = model.table(device, reuse)
-            expected = scalar.search(device, reuse)
-            grid = table.sizes(range(len(table.iterations)))
-            assert grid == expected.grid
-            for row, sizes in enumerate(grid):
-                if sizes in expected.figures:
-                    figures = (
-                        table.iterations[row],
-                        table.loads[row],
-                        table.shared_memory_bytes[row],
-                    )
-                    assert figures == expected.figures[sizes], (name, sizes)
-            assert table.sizes(table.rows()) == expected.legal
-            assert table.rejections == expected.rejections
-            assert sum(table.rejections.values()) == len(grid)
+            _check_search(canonical, device, reuse)
 
-            pick = select_tile_sizes(canonical, device, inter_tile_reuse=reuse)
-            assert pick.sizes == expected.best
-            figures = (pick.iterations, pick.loads, pick.shared_memory_bytes)
-            assert figures == expected.figures[expected.best]
-            assert pick.rejections == expected.rejections
-            second = pick.runner_up
-            assert second is not None and second.sizes == expected.runner_up
-            figures = (second.iterations, second.loads, second.shared_memory_bytes)
-            assert figures == expected.figures[expected.runner_up]
+
+@pytest.mark.parametrize("name", ["jacobi_1d", "heat_2d", "fdtd_2d", "heat_3d"])
+def test_a_device_that_fits_every_point_keeps_the_whole_legal_grid(name):
+    """No point overflows, so the table holds every point that passes rule 1."""
+    roomy = replace(GTX470, name="roomy", shared_memory_per_sm=10**9)
+    table = _check_search(_canonical(name), roomy, True)
+    assert table.rejections["shared_memory_overflow"] == 0
+    assert len(table.rows) == table.rejections["evaluated"] > 0
+
+
+def test_a_device_that_fits_no_point_names_the_prune_counts():
+    canonical = _canonical("fdtd_2d")
+    cramped = replace(GTX470, name="cramped", shared_memory_per_sm=64)
+    table = _check_search(canonical, cramped, True)
+    assert table.rows == [] and table.rejections["evaluated"] == 0
+    message = (
+        "no legal tile size of the search grid fits the 64-byte shared memory "
+        "of the cramped (pruned: shared_memory_overflow=210, legality=504)"
+    )
+    with pytest.raises(ValueError) as error:
+        select_tile_sizes(canonical, cramped)
+    assert str(error.value) == message
 
 
 def test_estimate_matches_the_oracle_off_the_grid():
@@ -87,7 +120,7 @@ def test_a_lone_legal_point_has_no_runner_up():
     """A device that fits only the smallest footprint leaves one legal point."""
     canonical = _canonical("heat_2d")
     table = TileSizeModel(canonical).table(GTX470)
-    smallest = min(table.shared_memory_bytes[row] for row in table.rows())
+    smallest = min(table.shared_memory_bytes)
     pick = select_tile_sizes(canonical, replace(GTX470, shared_memory_per_sm=smallest))
     assert pick.rejections["evaluated"] == 1 and pick.runner_up is None
     summary = TilingPlan("hybrid", pick.sizes, tiling=None, tile_cost=pick).summary()
